@@ -500,10 +500,6 @@ def _solve_oracle(xc: ExperimentConfig) -> FdSolution:
     return solve_fd(problem, [dxi] * xc.preset.k, dt, save_every=save_every)
 
 
-def _interp_rows(sol: FdSolution, points: np.ndarray, t: float) -> np.ndarray:
-    return np.array([sol.interpolate(pt, t) for pt in points])
-
-
 def fd_dataset(preset: Preset, domain, step, times, sol: FdSolution,
                provenance: str = "FD") -> TrainingDataset:
     """Supervised rows on a tensor grid, interpolated from an FD solution."""
@@ -514,7 +510,7 @@ def fd_dataset(preset: Preset, domain, step, times, sol: FdSolution,
     nodes = np.column_stack([g.ravel() for g in grids])
     values = np.empty((times.size, *shape))
     for j, t in enumerate(times):
-        values[j] = _interp_rows(sol, nodes, float(t)).reshape(shape)
+        values[j] = sol.interpolate(nodes, float(t)).reshape(shape)
     return TrainingDataset.from_grid(axes, times, values,
                                      provenance=provenance)
 
@@ -535,7 +531,7 @@ def _estimate_value_rows(xc: ExperimentConfig, points, t) -> McGrid:
                       std_errors=np.zeros(n))
     if est == "fd":
         sol = _solve_oracle(xc)
-        vals = _interp_rows(sol, points, t)
+        vals = np.atleast_1d(sol.interpolate(points, t))
         return McGrid(points=points, times=np.full(n, t), estimates=vals,
                       std_errors=np.zeros(n))
     if est == "pinn":
@@ -580,7 +576,7 @@ def _estimate_safety_rows(xc: ExperimentConfig, points, t) -> McGrid:
     if est in ("fd", "pinn"):
         if est == "fd":
             sol = _solve_oracle(xc)
-            vals = _interp_rows(sol, points, t)
+            vals = np.atleast_1d(sol.interpolate(points, t))
         else:
             net = _trained_or_loaded_net(xc)
             vals = forward(
@@ -676,7 +672,7 @@ def make_dataset(xc: ExperimentConfig, out_path: str) -> str:
         sol = _solve_oracle(xc)
         rows = []
         for t in times:
-            vals = _interp_rows(sol, nodes, float(t))
+            vals = sol.interpolate(nodes, float(t))
             rows.append(np.column_stack(
                 [nodes, np.full(nodes.shape[0], t), vals]
             ))
@@ -841,7 +837,7 @@ def benchmark(xc: ExperimentConfig, out_path: str) -> str:
         truth = np.broadcast_to(np.atleast_1d(truth), (points.shape[0],))
     else:
         sol = _solve_oracle(xc)
-        truth = _interp_rows(sol, points, t)
+        truth = np.atleast_1d(sol.interpolate(points, t))
 
     cost = None
     if "mc_full" in spec.estimators:

@@ -12,6 +12,12 @@ for k = 2) with the reaction term handled by symmetric Strang factors
 exp(-r dt / 2), per-node first-order upwinding of the drift wherever the
 cell Peclet number exceeds 2, and two implicit startup steps (Rannacher
 smoothing) for the discontinuous safety initial data.
+
+Each axis solve is one tridiagonal banded solve over the whole grid,
+flattened so that the grid lines along that axis are consecutive runs.  This
+is exact because the stencil weight ``lo`` is zero at the first node of every
+line and ``up`` at the last, for reflecting and Dirichlet faces alike, so the
+flattened matrix has no entry coupling one line to the next.
 """
 
 from __future__ import annotations
@@ -82,9 +88,9 @@ class PdeProblem:
         return "backward" if self.kind == "value" else "forward"
 
 
-def assemble_value_pde(reduced, r, terminal_weight, domain, horizon) -> PdeProblem:
-    """Backward problem r*u - u_t - drift.grad u - 1/2 diag.hess u = 0 with
-    terminal data exp(-terminal_weight * r(xi))."""
+def _reduced_coefficients(reduced):
+    """PDE coefficients of a reduced SDE, each (N, k) -> (N, k): the drift
+    alpha_i * beta_i and the diffusion diagonal alpha_i."""
     k = reduced.k
     alpha = list(reduced.alpha)
     beta = list(reduced.beta)
@@ -104,6 +110,13 @@ def assemble_value_pde(reduced, r, terminal_weight, domain, horizon) -> PdeProbl
              for i in range(k)]
         )
 
+    return drift, diffusion_diag
+
+
+def assemble_value_pde(reduced, r, terminal_weight, domain, horizon) -> PdeProblem:
+    """Backward problem r*u - u_t - drift.grad u - 1/2 diag.hess u = 0 with
+    terminal data exp(-terminal_weight * r(xi))."""
+    drift, diffusion_diag = _reduced_coefficients(reduced)
     w = float(terminal_weight)
 
     def data(xi):
@@ -111,7 +124,7 @@ def assemble_value_pde(reduced, r, terminal_weight, domain, horizon) -> PdeProbl
 
     problem = PdeProblem(
         kind="value",
-        k=k,
+        k=reduced.k,
         drift=drift,
         diffusion_diag=diffusion_diag,
         reaction=lambda xi: np.asarray(r(np.atleast_2d(xi)), dtype=np.float64),
@@ -127,31 +140,14 @@ def assemble_value_pde(reduced, r, terminal_weight, domain, horizon) -> PdeProbl
 def assemble_safety_pde(reduced, r, domain, horizon) -> PdeProblem:
     """Forward exit problem: F = 1 on the safe set {r >= 0} initially, F
     pinned to 0 outside it, reflecting far-field faces."""
-    k = reduced.k
-    alpha = list(reduced.alpha)
-    beta = list(reduced.beta)
-
-    def drift(xi):
-        xi = np.atleast_2d(xi)
-        return np.column_stack(
-            [np.asarray(alpha[i](xi[:, i])) * np.asarray(beta[i](xi[:, i]))
-             for i in range(k)]
-        )
-
-    def diffusion_diag(xi):
-        xi = np.atleast_2d(xi)
-        return np.column_stack(
-            [np.broadcast_to(np.asarray(alpha[i](xi[:, i]), dtype=np.float64),
-                             (xi.shape[0],))
-             for i in range(k)]
-        )
+    drift, diffusion_diag = _reduced_coefficients(reduced)
 
     def barrier(xi):
         return np.asarray(r(np.atleast_2d(xi)), dtype=np.float64)
 
     problem = PdeProblem(
         kind="safety",
-        k=k,
+        k=reduced.k,
         drift=drift,
         diffusion_diag=diffusion_diag,
         reaction=lambda xi: np.zeros(np.atleast_2d(xi).shape[0]),
@@ -198,7 +194,14 @@ def _axis_nodes(lo, hi, h):
 
 
 class _FdEngine:
-    """Precomputed stencils + step routine for one problem/grid pair."""
+    """Precomputed stencils + step routine for one problem/grid pair.
+
+    Per axis it keeps the stencil (lo, di, up) and the constant ADI matrix
+    (I - dt/2 A_ax) in ``solve_banded`` form, both in line order: the grid
+    flattened with that axis last.  ``lo`` is zero at the first node of each
+    line and ``up`` at the last, so the lines decouple and one banded solve
+    or mat-vec covers all of them.
+    """
 
     def __init__(self, problem: PdeProblem, d_xi, dt):
         self.problem = problem
@@ -249,8 +252,10 @@ class _FdEngine:
             self.inside = None
             self.rannacher_steps = 0
 
+        half = 0.5 * self.dt
         self.upwind_fraction = []
-        self.stencils = []  # per axis: (lo, di, up) arrays of grid shape
+        self.stencils = []  # per axis: line-ordered (lo, di, up), see _lines
+        self.banded = []  # per axis: (I - dt/2 A_ax) in solve_banded form
         for ax in range(k):
             v = drift[:, ax].reshape(self.shape)
             dd = 0.5 * diag[:, ax].reshape(self.shape)
@@ -297,7 +302,13 @@ class _FdEngine:
                 lo[outside] = 0.0
                 di[outside] = 0.0
                 up[outside] = 0.0
+            lo, di, up = (self._lines(ax, c) for c in (lo, di, up))
             self.stencils.append((lo, di, up))
+            ab = np.zeros((3, lo.size))
+            ab[0, 1:] = -half * up[:-1]
+            ab[1] = 1.0 - half * di
+            ab[2, :-1] = -half * lo[1:]
+            self.banded.append(ab)
 
         if any(f > 0 for f in self.upwind_fraction):
             pct = ", ".join(
@@ -318,57 +329,31 @@ class _FdEngine:
             sl[ax] = -1
             self._edge_mask[tuple(sl)] = True
 
-    # -- one-dimensional building blocks (axis 0 of the passed array) -------
+    # -- line-ordered building blocks ---------------------------------------
 
-    @staticmethod
-    def _apply_axis0(stencil, u):
-        lo, di, up = stencil
-        out = di * u
-        out[1:] += lo[1:] * u[:-1]
-        out[:-1] += up[:-1] * u[1:]
-        return out
+    def _lines(self, ax, u):
+        """Grid array flattened with axis ``ax`` last: its lines are
+        contiguous runs of the result."""
+        return np.moveaxis(u, ax, -1).reshape(-1)
 
-    @staticmethod
-    def _solve_axis0(stencil, c, rhs):
-        """Thomas solve of (I - c*A) x = rhs down axis 0, vectorized over
-        the remaining axes."""
-        lo, di, up = stencil
-        a = -c * lo
-        b = 1.0 - c * di
-        cc = -c * up
-        n = rhs.shape[0]
-        cp = np.empty_like(rhs)
-        dp = np.empty_like(rhs)
-        cp[0] = cc[0] / b[0]
-        dp[0] = rhs[0] / b[0]
-        for i in range(1, n):
-            m = b[i] - a[i] * cp[i - 1]
-            cp[i] = cc[i] / m
-            dp[i] = (rhs[i] - a[i] * dp[i - 1]) / m
-        x = np.empty_like(rhs)
-        x[-1] = dp[-1]
-        for i in range(n - 2, -1, -1):
-            x[i] = dp[i] - cp[i] * x[i + 1]
-        return x
+    def _grid(self, ax, x):
+        """Inverse of ``_lines``."""
+        moved = self.shape[:ax] + self.shape[ax + 1:] + (self.shape[ax],)
+        return np.moveaxis(x.reshape(moved), -1, ax)
 
     def _apply(self, ax, u):
-        if ax == 0:
-            return self._apply_axis0(self.stencils[0], u)
-        st = tuple(s.T for s in self.stencils[1])
-        return self._apply_axis0(st, u.T).T
+        """A_ax u as one tridiagonal mat-vec over all lines along ax."""
+        lo, di, up = self.stencils[ax]
+        x = self._lines(ax, u)
+        out = di * x
+        out[1:] += lo[1:] * x[:-1]
+        out[:-1] += up[:-1] * x[1:]
+        return self._grid(ax, out)
 
-    def _solve(self, ax, c, rhs):
-        if self.problem.k == 1:
-            lo, di, up = self.stencils[0]
-            ab = np.zeros((3, rhs.shape[0]))
-            ab[0, 1:] = -c * up[:-1]
-            ab[1, :] = 1.0 - c * di
-            ab[2, :-1] = -c * lo[1:]
-            return solve_banded((1, 1), ab, rhs)
-        if ax == 0:
-            return self._solve_axis0(self.stencils[0], c, rhs)
-        st = tuple(s.T for s in self.stencils[1])
-        return np.ascontiguousarray(self._solve_axis0(st, c, rhs.T).T)
+    def _solve(self, ax, rhs):
+        """(I - dt/2 A_ax)^{-1} rhs as one banded solve over all lines."""
+        x = solve_banded((1, 1), self.banded[ax], self._lines(ax, rhs))
+        return self._grid(ax, x)
 
     def _clamp(self, u):
         if self.problem.boundary == "dirichlet-data":
@@ -386,24 +371,20 @@ class _FdEngine:
     def step(self, u, step_index):
         """Advance one dt from step_index; pure given (u, step_index)."""
         half = 0.5 * self.dt
+        k = self.problem.k
         if self.has_reaction:
             u = u * self.react_half
         if step_index < self.rannacher_steps:
             # damped startup: each dt is two implicit-Euler half-steps
             for _ in range(2):
-                u = self._solve(0, half, u)
-                if self.problem.k == 2:
-                    u = self._clamp(u)
-                    u = self._solve(1, half, u)
-                u = self._clamp(u)
-        elif self.problem.k == 1:
-            u = self._solve(0, half, u + half * self._apply(0, u))
+                for ax in range(k):
+                    u = self._clamp(self._solve(ax, u))
         else:
-            u = u + half * self._apply(1, u)
-            u = self._solve(0, half, u)
-            u = self._clamp(u)
-            u = u + half * self._apply(0, u)
-            u = self._solve(1, half, u)
+            # Peaceman-Rachford: explicit in the other axis, implicit in ax
+            for ax in range(k):
+                if ax:
+                    u = self._clamp(u)
+                u = self._solve(ax, u + half * self._apply((ax - 1) % k, u))
         if self.has_reaction:
             u = u * self.react_half
         return self._clamp(u)

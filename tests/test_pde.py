@@ -269,6 +269,51 @@ def test_safety_verify_bitwise(safety_solution):
     assert safety_solution.verify(n_pairs=2)
 
 
+# --- agreement with the Thomas-elimination engine ----------------------------
+
+# Node values (saved-time index, node index...) -> value recorded from the
+# engine that solved each axis by Thomas elimination in a Python row loop
+# (commit 4722a29), on the value_solution and safety_solution fixtures and on
+# heat_problem solved as in test_heat_verify_bitwise.  The banded line solve
+# pivots and rounds differently, so the bound is absolute, not bitwise.
+THOMAS_VALUES = {
+    "value": {
+        (0, 120, 100): 0.1357895768389073,
+        (0, 90, 70): 0.3302702252193114,
+        (7, 150, 50): 0.06691537876719526,
+        (7, 120, 100): 0.19007960451274958,
+        (14, 60, 120): 0.027125145383563445,
+    },
+    "safety": {
+        (1, 150, 150): 0.9999999999943144,
+        (5, 142, 142): 0.9989413947582747,
+        (10, 150, 150): 0.7938709520080824,
+        (20, 158, 158): 0.0649365310566412,
+        (20, 142, 142): 0.4260464994054136,
+        (20, 120, 80): 0.9329497449244549,
+    },
+    "heat": {
+        (1, 10): 0.25301810521517104,
+        (3, 50): 0.54886341340294,
+        (5, 90): 0.1136950857195533,
+        (5, 50): 0.36792502609614314,
+    },
+}
+
+
+def test_fd_engine_matches_recorded_thomas_values(value_solution,
+                                                  safety_solution):
+    sols = {
+        "value": value_solution,
+        "safety": safety_solution,
+        "heat": solve_fd(heat_problem(), np.pi / 100, 1e-2, save_every=20),
+    }
+    for name, recorded in THOMAS_VALUES.items():
+        for idx, ref in recorded.items():
+            got = sols[name].values[idx]
+            assert abs(got - ref) <= 1e-12, (name, idx, got, ref)
+
+
 # --- residual ------------------------------------------------------------------
 
 
@@ -333,6 +378,12 @@ def test_interpolate_nodes_and_midpoints(safety_solution):
     ]
     expected = 0.5 * (sol.values[i, j, m] + sol.values[i, j + 1, m])
     assert sol.interpolate(mid, t) == pytest.approx(expected, rel=1e-12)
+    # one batched call is bitwise the per-point loop, at nodes and off them
+    rng = np.random.default_rng(3)
+    pts = np.vstack([xi, mid, rng.uniform(-6.0, 4.0, size=(50, 2))])
+    for t in (sol.times[i], 0.37):
+        assert np.array_equal(sol.interpolate(pts, t),
+                              [sol.interpolate(p, t) for p in pts])
 
 
 def test_interpolate_rejects_out_of_grid(safety_solution):
