@@ -85,7 +85,7 @@ def _write_text(path: str, text: str):
 
 
 _EVAL_KEYS = {"domain", "step", "time", "points"}
-_MC_KEYS = {"dt", "n_paths", "bridge_correction"}
+_MC_KEYS = {"dt", "n_paths"}
 _FD_KEYS = {"dxi", "dt", "save_every", "domain"}
 _PINN_KEYS = {
     "omega_p",
@@ -531,7 +531,7 @@ def _estimate_value_rows(xc: ExperimentConfig, points, t) -> McGrid:
                       std_errors=np.zeros(n))
     if est == "fd":
         sol = _solve_oracle(xc)
-        vals = np.atleast_1d(sol.interpolate(points, t))
+        vals = sol.interpolate(points, t)
         return McGrid(points=points, times=np.full(n, t), estimates=vals,
                       std_errors=np.zeros(n))
     if est == "pinn":
@@ -576,7 +576,7 @@ def _estimate_safety_rows(xc: ExperimentConfig, points, t) -> McGrid:
     if est in ("fd", "pinn"):
         if est == "fd":
             sol = _solve_oracle(xc)
-            vals = np.atleast_1d(sol.interpolate(points, t))
+            vals = sol.interpolate(points, t)
         else:
             net = _trained_or_loaded_net(xc)
             vals = forward(
@@ -837,7 +837,7 @@ def benchmark(xc: ExperimentConfig, out_path: str) -> str:
         truth = np.broadcast_to(np.atleast_1d(truth), (points.shape[0],))
     else:
         sol = _solve_oracle(xc)
-        truth = np.atleast_1d(sol.interpolate(points, t))
+        truth = sol.interpolate(points, t)
 
     cost = None
     if "mc_full" in spec.estimators:

@@ -7,6 +7,13 @@ cost; all exponential averages run through log-sum-exp, and the reported
 standard error comes from the delta method on the log of the sample mean:
 
     se(V) = sqrt((exp(lse(-2S) - 2 lse(-S) + log N) - 1) / N).
+
+The reduced grid estimators march all rows that share a time as blocks of
+start points (at most ``_BLOCK_ROWS`` path rows each) that draw each step's
+noise once for the whole block.  The cost or barrier r must act row by row,
+as alpha and beta already do, and each point's log-sum-exp, mean and
+standard error come from its own N paths, so a grid row equals the
+one-point estimate bit for bit.
 """
 
 from __future__ import annotations
@@ -35,6 +42,10 @@ __all__ = [
     "value_grid_reduced",
     "safety_grid_reduced",
 ]
+
+# Path rows (start points x paths) marched as one block by the grid
+# estimators: one state array stays at 1 MB per feature coordinate.
+_BLOCK_ROWS = 2**17
 
 
 @dataclass
@@ -77,22 +88,38 @@ def _span_config(cfg: SimConfig, t: float, T: float) -> None:
         )
 
 
-def _estimate_from_scores(scores: np.ndarray, n: int) -> McEstimate:
-    """V = -log mean(exp(-S)) with delta-method standard error."""
-    if np.min(scores) > 745.0:
+def _estimates_from_scores(scores: np.ndarray):
+    """V = -log mean(exp(-S)) and its delta-method standard error for each
+    row of a (P, N) score block, each from that row's own N paths."""
+    n = scores.shape[1]
+    smin = scores.min(axis=1)
+    if (smin > 745.0).any():
         raise DegenerateEstimateError(
             "every path weight exp(-S) underflows; the state/horizon is too "
-            f"deep in the tails (min S = {np.min(scores):.3g})"
+            f"deep in the tails (min S = {smin[smin > 745.0][0]:.3g})"
         )
     log_n = np.log(n)
-    l1 = logsumexp(-scores)
-    l2 = logsumexp(-2.0 * scores)
+    l1 = logsumexp(-scores, axis=1)
+    l2 = logsumexp(-2.0 * scores, axis=1)
     value = -(l1 - log_n)
-    if not np.isfinite(value):
+    if not np.isfinite(value).all():
         raise DegenerateEstimateError("path-integral average is non-finite")
     var_rel = np.exp(l2 - 2.0 * l1 + log_n) - 1.0
-    se = float(np.sqrt(max(var_rel, 0.0) / n))
-    return McEstimate(value=float(value), std_error=se, n_samples=n)
+    return value, np.sqrt(np.maximum(var_rel, 0.0) / n)
+
+
+def _safety_estimates(safe: np.ndarray):
+    """Survival fraction and its binomial standard error for each row of a
+    (P, N) block of safe-path masks."""
+    fbar = safe.mean(axis=1)
+    return fbar, np.sqrt(fbar * (1.0 - fbar) / safe.shape[1])
+
+
+def _as_mc_estimate(estimates, n: int) -> McEstimate:
+    """The McEstimate of a one-point block's (values, std_errors)."""
+    value, se = estimates
+    return McEstimate(value=float(value[0]), std_error=float(se[0]),
+                      n_samples=n)
 
 
 def value_pathintegral(
@@ -118,7 +145,24 @@ def value_pathintegral(
             scores[:] += w * c(xs)
 
     _run_full(system, ZeroPolicy(system.control_dim), x, cfg, t, observer)
-    return _estimate_from_scores(scores, cfg.n_paths)
+    return _as_mc_estimate(_estimates_from_scores(scores[None]), cfg.n_paths)
+
+
+def _value_scores(reduced, starts, t, r, cfg, terminal_weight):
+    """(P, N) path-integral scores of a block of start points at time t."""
+    w = float(terminal_weight)
+    dt = cfg.dt
+    steps = cfg.steps
+    scores = np.zeros(len(starts) * cfg.n_paths)
+
+    def observer(s, tau, xs, z):
+        if s < steps:
+            scores[:] += np.asarray(r(xs), dtype=np.float64) * dt
+        else:
+            scores[:] += w * np.asarray(r(xs), dtype=np.float64)
+
+    _run_reduced(reduced, starts, cfg, t, observer)
+    return scores.reshape(len(starts), cfg.n_paths)
 
 
 def value_pathintegral_reduced(
@@ -132,19 +176,9 @@ def value_pathintegral_reduced(
 ) -> McEstimate:
     """Same estimator driven by the reduced feature SDE (r acts on xi)."""
     _span_config(cfg, t, T)
-    w = float(terminal_weight)
-    dt = cfg.dt
-    steps = cfg.steps
-    scores = np.zeros(cfg.n_paths)
-
-    def observer(s, tau, xs, z):
-        if s < steps:
-            scores[:] += np.asarray(r(xs), dtype=np.float64) * dt
-        else:
-            scores[:] += w * np.asarray(r(xs), dtype=np.float64)
-
-    _run_reduced(reduced, xi, cfg, t, observer)
-    return _estimate_from_scores(scores, cfg.n_paths)
+    scores = _value_scores(reduced, np.asarray(xi, dtype=np.float64)[None],
+                           t, r, cfg, terminal_weight)
+    return _as_mc_estimate(_estimates_from_scores(scores), cfg.n_paths)
 
 
 def safety_mc(
@@ -171,14 +205,30 @@ def safety_mc(
         safe[:] &= np.asarray(barrier.phi(xs), dtype=np.float64) >= 0
 
     _run_full(system, policy, x0, cfg, 0.0, observer)
-    n = cfg.n_paths
-    fbar = float(safe.mean())
-    est = McEstimate(
-        value=fbar,
-        std_error=float(np.sqrt(fbar * (1.0 - fbar) / n)),
-        n_samples=n,
-    )
+    est = _as_mc_estimate(_safety_estimates(safe[None]), cfg.n_paths)
     return (est, safe.copy()) if return_mask else est
+
+
+def _check_safe_starts(r, starts):
+    r0 = np.asarray(r(starts), dtype=np.float64)
+    if (r0 < 0).any():
+        j = int(np.flatnonzero(r0 < 0)[0])
+        raise UsageError(
+            f"initial feature state {starts[j]} is already unsafe "
+            f"(r(xi0) = {r0[j]:.6g})"
+        )
+
+
+def _safe_paths(reduced, starts, r, cfg):
+    """(P, N) masks of the paths from each start point that keep
+    r(xi_tau) >= 0 at every monitored step."""
+    safe = np.ones(len(starts) * cfg.n_paths, dtype=bool)
+
+    def observer(s, tau, xs, z):
+        safe[:] &= np.asarray(r(xs), dtype=np.float64) >= 0
+
+    _run_reduced(reduced, starts, cfg, 0.0, observer)
+    return safe.reshape(len(starts), cfg.n_paths)
 
 
 def safety_mc_reduced(
@@ -199,12 +249,8 @@ def safety_mc_reduced(
     """
     if abs(cfg.horizon - T) > 1e-9 * max(1.0, T):
         raise UsageError(f"cfg.horizon = {cfg.horizon} must equal T = {T}")
-    xi0 = np.asarray(xi0, dtype=np.float64)
-    r0 = np.asarray(r(xi0[None]), dtype=np.float64)[0]
-    if r0 < 0:
-        raise UsageError(
-            f"initial feature state is already unsafe (r(xi0) = {r0:.6g})"
-        )
+    starts = np.asarray(xi0, dtype=np.float64)[None]
+    _check_safe_starts(r, starts)
     if bridge_correction and reduced.k != 1:
         raise UsageError(
             "the Brownian-bridge correction supports single-feature "
@@ -244,25 +290,15 @@ def safety_mc_reduced(
             state["prev_xi"] = xs.copy()
             state["prev_d"] = d
 
-        _run_reduced(reduced, xi0, cfg, 0.0, observer)
+        _run_reduced(reduced, starts, cfg, 0.0, observer)
         fbar = float(weights.mean())
         se = float(weights.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0
         est = McEstimate(value=fbar, std_error=se, n_samples=n)
         return (est, weights.copy()) if return_mask else est
 
-    safe = np.ones(n, dtype=bool)
-
-    def observer(s, tau, xs, z):
-        safe[:] &= np.asarray(r(xs), dtype=np.float64) >= 0
-
-    _run_reduced(reduced, xi0, cfg, 0.0, observer)
-    fbar = float(safe.mean())
-    est = McEstimate(
-        value=fbar,
-        std_error=float(np.sqrt(fbar * (1.0 - fbar) / n)),
-        n_samples=n,
-    )
-    return (est, safe.copy()) if return_mask else est
+    safe = _safe_paths(reduced, starts, r, cfg)
+    est = _as_mc_estimate(_safety_estimates(safe), n)
+    return (est, safe[0].copy()) if return_mask else est
 
 
 def optimal_control_from_value(
@@ -379,45 +415,52 @@ class McGrid:
                    fmt="%.17g")
 
 
+def _grid(points, times, n_paths, block) -> McGrid:
+    """Estimates over (xi, t) rows: ``block(starts, t)`` runs all rows that
+    share a time together, at most ``_BLOCK_ROWS`` path rows at a time, and
+    returns their (estimates, std_errors)."""
+    points = np.atleast_2d(np.asarray(points, dtype=np.float64))
+    times = np.broadcast_to(
+        np.asarray(times, dtype=np.float64), (points.shape[0],)
+    ).copy()
+    est = np.empty(points.shape[0])
+    se = np.empty(points.shape[0])
+    per_block = max(1, _BLOCK_ROWS // n_paths)
+    for tj in np.unique(times):
+        rows = np.flatnonzero(times == tj)
+        for c in range(0, rows.size, per_block):
+            idx = rows[c:c + per_block]
+            est[idx], se[idx] = block(points[idx], float(tj))
+    return McGrid(points=points, times=times, estimates=est, std_errors=se)
+
+
 def value_grid_reduced(
     reduced, points, times, T, r, cfg: SimConfig, terminal_weight: float = 1.0
 ) -> McGrid:
     """exp(-V) estimates on (xi, t) rows (desirability scale, with matching
     delta-method standard errors)."""
-    points = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    times = np.broadcast_to(
-        np.asarray(times, dtype=np.float64), (points.shape[0],)
-    )
-    est = np.empty(points.shape[0])
-    se = np.empty(points.shape[0])
-    for j, (xi, tj) in enumerate(zip(points, times)):
+
+    def block(starts, t):
         sub = SimConfig(
-            dt=cfg.dt, horizon=T - tj, seed=cfg.seed, n_paths=cfg.n_paths
+            dt=cfg.dt, horizon=T - t, seed=cfg.seed, n_paths=cfg.n_paths
         )
-        mc = value_pathintegral_reduced(
-            reduced, xi, tj, T, r, sub, terminal_weight
+        value, se = _estimates_from_scores(
+            _value_scores(reduced, starts, t, r, sub, terminal_weight)
         )
-        phi = np.exp(-mc.value)
-        est[j] = phi
-        se[j] = phi * mc.std_error
-    return McGrid(points=points, times=np.asarray(times, dtype=np.float64).copy(),
-                  estimates=est, std_errors=se)
+        phi = np.exp(-value)
+        return phi, phi * se
+
+    return _grid(points, times, cfg.n_paths, block)
 
 
 def safety_grid_reduced(reduced, points, horizons, r, cfg: SimConfig) -> McGrid:
     """Safety probabilities over (xi0, horizon) rows."""
-    points = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    horizons = np.broadcast_to(
-        np.asarray(horizons, dtype=np.float64), (points.shape[0],)
-    )
-    est = np.empty(points.shape[0])
-    se = np.empty(points.shape[0])
-    for j, (xi, tj) in enumerate(zip(points, horizons)):
+
+    def block(starts, horizon):
         sub = SimConfig(
-            dt=cfg.dt, horizon=tj, seed=cfg.seed, n_paths=cfg.n_paths
+            dt=cfg.dt, horizon=horizon, seed=cfg.seed, n_paths=cfg.n_paths
         )
-        mc = safety_mc_reduced(reduced, xi, r, tj, sub)
-        est[j] = mc.value
-        se[j] = mc.std_error
-    return McGrid(points=points, times=np.asarray(horizons, dtype=np.float64).copy(),
-                  estimates=est, std_errors=se)
+        _check_safe_starts(r, starts)
+        return _safety_estimates(_safe_paths(reduced, starts, r, sub))
+
+    return _grid(points, horizons, cfg.n_paths, block)

@@ -414,9 +414,11 @@ class FdSolution:
     _engine: _FdEngine = field(repr=False, default=None)
 
     def interpolate(self, xi, t):
+        """Multilinear interpolation in (t, xi): a float for one point
+        (k,) and a scalar t, otherwise a (P,) array for points (P, k)."""
+        scalar = np.isscalar(t) and np.ndim(xi) <= 1
         xi = np.atleast_2d(np.asarray(xi, dtype=np.float64))
         tt = np.broadcast_to(np.asarray(t, dtype=np.float64), (xi.shape[0],))
-        scalar = np.isscalar(t) and xi.shape[0] == 1
         grids = [self.times] + list(self.axes)
         pts = np.column_stack([tt, xi])
         idx, wts = [], []

@@ -17,7 +17,12 @@ step's (N, m) draw.  Consequences used elsewhere in the package:
 * extending the horizon appends steps without disturbing earlier ones, so
   survival indicators are comparable path-by-path across horizons;
 * simulating with a different control policy under the same seed reuses the
-  identical increments (Girsanov-style reuse for importance sampling).
+  identical increments (Girsanov-style reuse for importance sampling);
+* a block of P start points of the reduced SDE is marched as one (P*N, k)
+  state with one draw per step shared by every point, so each point's paths
+  equal those of its own one-point run bit for bit.  This needs alpha and
+  beta (and any observer's r) to act row by row, as the contract above
+  already requires.
 """
 
 from __future__ import annotations
@@ -166,15 +171,24 @@ def step_noise(seed: int, step: int, n: int, m: int) -> np.ndarray:
     return np.random.Generator(bitgen).standard_normal((n, m))
 
 
-def _check_finite(x: np.ndarray, step: int, what: str):
+def _check_finite(x: np.ndarray, step: int, what: str, starts=None):
+    """Raise on the first non-finite row of ``x``; with ``starts`` (P, k),
+    row j is path j % N of start point j // N."""
     rowsum = x.reshape(x.shape[0], -1).sum(axis=1)
     bad = ~np.isfinite(rowsum)
     if bad.any():
         i = int(np.flatnonzero(bad)[0])
         raise SimulationError(
-            f"non-finite {what} on path {i} at step {step}: "
-            f"state/value row {np.asarray(x[i]).ravel()[:8]}"
+            f"non-finite {what} on {_path_name(i, x.shape[0], starts)} at "
+            f"step {step}: state/value row {np.asarray(x[i]).ravel()[:8]}"
         )
+
+
+def _path_name(j: int, rows: int, starts) -> str:
+    if starts is None:
+        return f"path {j}"
+    n = rows // len(starts)
+    return f"path {j % n} of start point {starts[j // n]}"
 
 
 def _run_full(system, policy, x0, cfg, t0, observer):
@@ -219,37 +233,55 @@ def _run_full(system, policy, x0, cfg, t0, observer):
     return x
 
 
-def _run_reduced(reduced, xi0, cfg, t0, observer):
-    """March the reduced feature SDE (diagonal, per-coordinate alpha/beta)."""
+def _run_reduced(reduced, starts, cfg, t0, observer):
+    """March the reduced feature SDE (diagonal, per-coordinate alpha/beta)
+    from a block of P start points (P, k), N = cfg.n_paths paths each.
+
+    Row j of the block is path j % N of start point j // N, and every start
+    point reads the same step draw, so each point's paths are exactly those
+    of a one-point run.  The state is kept coordinate-major, (k, P*N);
+    ``observer(step, t, xi, z)`` sees it as a read-only (P*N, k) view.
+    """
     k = reduced.k
-    xi0 = np.asarray(xi0, dtype=np.float64)
-    if xi0.shape != (k,):
-        raise UsageError(f"xi0 must have length {k}, got shape {xi0.shape}")
+    starts = np.asarray(starts, dtype=np.float64)
+    if starts.ndim != 2 or starts.shape[1] != k:
+        raise UsageError(
+            f"start points must be (P, {k}), got shape {starts.shape}"
+        )
     n = cfg.n_paths
-    xi = np.tile(xi0, (n, 1))
+    p = starts.shape[0]
+    xi = np.repeat(starts, n, axis=0).T.copy()
     dt = cfg.dt
     sq = np.sqrt(dt)
-    observer(0, t0, xi, None)
+    drift = np.empty_like(xi)
+    diff = np.empty_like(xi)
+    observer(0, t0, xi.T, None)
     for s in range(cfg.steps):
         z = step_noise(cfg.seed, s, n, k)
-        drift = np.empty_like(xi)
-        diff = np.empty_like(xi)
+        new = np.empty_like(xi)
         for i in range(k):
-            a = np.asarray(reduced.alpha[i](xi[:, i]), dtype=np.float64)
+            a = np.asarray(reduced.alpha[i](xi[i]), dtype=np.float64)
             bad = ~(a > 0)
             if bad.any():
                 j = int(np.flatnonzero(bad)[0])
                 raise DomainError(
-                    f"alpha_{i + 1} <= 0 at xi_{i + 1} = {xi[j, i]:.6g} "
-                    f"(path {j}, step {s})"
+                    f"alpha_{i + 1} <= 0 at xi_{i + 1} = {xi[i, j]:.6g} "
+                    f"({_path_name(j, p * n, starts)}, step {s})"
                 )
-            b = np.asarray(reduced.beta[i](xi[:, i]), dtype=np.float64)
-            drift[:, i] = a * b
-            diff[:, i] = np.sqrt(a)
-        _check_finite(drift, s, "reduced drift")
-        xi = xi + drift * dt + diff * z * sq
-        observer(s + 1, t0 + (s + 1) * dt, xi, z)
-    return xi
+            b = np.asarray(reduced.beta[i](xi[i]), dtype=np.float64)
+            np.multiply(a, b, out=drift[i])
+            # xi + drift * dt + sqrt(a) * z * sq, rounded as in that order
+            np.multiply(drift[i], dt, out=new[i])
+            new[i] += xi[i]
+            np.sqrt(a, out=diff[i])
+            noise = diff[i].reshape(p, n)
+            noise *= z[:, i]
+            noise *= sq
+            new[i] += diff[i]
+        _check_finite(drift.T, s, "reduced drift", starts)
+        xi = new
+        observer(s + 1, t0 + (s + 1) * dt, xi.T, z)
+    return xi.T
 
 
 def simulate(
@@ -278,5 +310,6 @@ def simulate_reduced(reduced, xi0, cfg: SimConfig, t0: float = 0.0) -> Trajector
     def observer(s, t, xi, z):
         states[:, s, :] = xi
 
-    _run_reduced(reduced, xi0, cfg, t0, observer)
+    _run_reduced(reduced, np.asarray(xi0, dtype=np.float64)[None], cfg, t0,
+                 observer)
     return TrajectoryBatch(times=times, states=states, seed_used=cfg.seed)

@@ -62,6 +62,14 @@ def test_validate_config_rejects_with_field_path(cfg, fragment):
         validate_config(cfg)
 
 
+def test_mc_bridge_correction_is_not_a_config_key():
+    # no command reads it, so accepting it would silently return the
+    # uncorrected estimate
+    cfg = {"preset": "sys3d-safety", "mc": {"bridge_correction": True}}
+    with pytest.raises(ConfigError, match="mc.bridge_correction"):
+        validate_config(cfg)
+
+
 def test_validate_config_accepts_known_keys():
     cfg = {
         "preset": "lq-scalar",

@@ -10,7 +10,13 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
-from featpde.errors import DegenerateEstimateError, UsageError
+from featpde import montecarlo
+from featpde.errors import (
+    DegenerateEstimateError,
+    DomainError,
+    SimulationError,
+    UsageError,
+)
 from featpde.montecarlo import (
     BarrierSpec,
     CostSpec,
@@ -472,3 +478,117 @@ def test_safety_grid_runs_per_row_horizons(tmp_path):
     path = tmp_path / "safety.csv"
     grid.to_csv(str(path))
     assert path.read_text().splitlines()[0] == "xi1,xi2,t,estimate,std_error"
+
+
+# --- block march against the per-point loop -------------------------------------
+
+# Estimates and standard errors (float.hex) written by the per-point loop that
+# marched one start point at a time, recorded at commit 477a682 with the
+# grids of pinned_grids() below.  Marching all points of a time as one block
+# must reproduce them bit for bit, however the grid is split into blocks.
+PINNED = {
+    "value_k2": (
+        ["0x1.24a5ddf8b8f15p-2", "0x1.7d23dd5a6fee1p-3",
+         "0x1.a87e2c6846656p-2", "0x1.a3b203b463f0ep-3"],
+        ["0x1.6fb8c1e024948p-7", "0x1.1fe9e218dcabcp-7",
+         "0x1.c74d465a3b460p-7", "0x1.4017f6c0a5d6ap-7"],
+    ),
+    "safety_k2": (
+        ["0x1.dc28f5c28f5c3p-1", "0x1.3333333333333p-3"],
+        ["0x1.a2086a484c6aap-7", "0x1.24834df792128p-6"],
+    ),
+    "value_k1": (
+        ["0x1.5d8c44fb3a5a7p-1", "0x1.5cb1a098895afp-1",
+         "0x1.56ddf9388c8f4p-2"],
+        ["0x1.949e93f74b77fp-7", "0x1.c8c94e808f23ap-7",
+         "0x1.b89afe30956afp-7"],
+    ),
+    "safety_k1": (
+        ["0x1.0000000000000p+0", "0x1.a3d70a3d70a3dp-1"],
+        ["0x0.0p+0", "0x1.8e19d1d62e380p-6"],
+    ),
+}
+
+
+def state_dependent_k1():
+    return build_reduced_sde(
+        alpha=[lambda s: 1.0 + 0.5 * np.tanh(np.asarray(s, dtype=float))],
+        beta=[lambda s: -np.asarray(s, dtype=float)],
+        ranges=[(-4.0, 4.0)],
+    )
+
+
+def k1_square(xi):
+    return np.atleast_2d(xi)[:, 0] ** 2
+
+
+def k1_level(xi):
+    return 2.0 - np.atleast_2d(xi)[:, 0]
+
+
+def pinned_grids():
+    cfg = SimConfig(dt=1e-2, horizon=1.0, seed=61, n_paths=300)
+    pts = np.array([[1.0, 1.0], [1.5, 1.5], [0.5, -0.5], [2.0, 0.0]])
+    yield "value_k2", value_grid_reduced(
+        stable_reduced(), pts, [0.5, 1.0, 0.5, 0.5], 1.5, quad_cost, cfg
+    )
+    cfg = SimConfig(dt=1e-2, horizon=1.0, seed=53, n_paths=400)
+    yield "safety_k2", safety_grid_reduced(
+        unstable_reduced(), np.array([[1.1, 1.1], [0.5, 2.0]]), [0.5, 1.0],
+        min_barrier, cfg,
+    )
+    red1 = state_dependent_k1()
+    cfg = SimConfig(dt=1e-2, horizon=1.0, seed=67, n_paths=250)
+    yield "value_k1", value_grid_reduced(
+        red1, np.array([[0.0], [0.7], [-1.2]]), [0.0, 0.5, 0.0], 1.0,
+        k1_square, cfg, terminal_weight=0.5,
+    )
+    yield "safety_k1", safety_grid_reduced(
+        red1, np.array([[0.0], [1.5]]), [0.5, 1.0], k1_level, cfg
+    )
+
+
+# None keeps the default (every time's rows in one block); 1 gives each row
+# its own block; 600 splits the three t = 0.5 rows of value_k2 into 2 + 1
+@pytest.mark.parametrize("block_rows", [None, 1, 600])
+def test_grids_match_recorded_per_point_loop(monkeypatch, block_rows):
+    if block_rows is not None:
+        monkeypatch.setattr(montecarlo, "_BLOCK_ROWS", block_rows)
+    for name, grid in pinned_grids():
+        est, se = PINNED[name]
+        assert grid.estimates.tolist() == [float.fromhex(h) for h in est], name
+        assert grid.std_errors.tolist() == [float.fromhex(h) for h in se], name
+
+
+def test_bridge_estimate_matches_recorded_value():
+    # recorded at commit 477a682, like PINNED
+    cfg = SimConfig(dt=1e-2, horizon=1.0, seed=67, n_paths=250)
+    est = safety_mc_reduced(state_dependent_k1(), [1.5], k1_level, 1.0, cfg,
+                            bridge_correction=True)
+    assert est.value == float.fromhex("0x1.877956ae2887dp-1")
+    assert est.std_error == float.fromhex("0x1.a7ff97694534ap-6")
+
+
+def test_block_domain_error_names_coordinate_and_start_point():
+    red = build_reduced_sde(
+        [lambda xi: 1.0 - xi],
+        [lambda xi: 5.0 * np.ones_like(xi)],
+        [(-1.0, 0.9)],
+    )
+    cfg = SimConfig(dt=0.01, horizon=1.0, seed=1, n_paths=64)
+    with pytest.raises(DomainError, match=r"alpha_1 .*start point \[0\.9\]"):
+        value_grid_reduced(red, np.array([[-3.0], [0.9]]), 0.0, 1.0,
+                           k1_square, cfg)
+
+
+def test_block_nonfinite_drift_names_path_start_point_and_step():
+    red = build_reduced_sde(
+        [lambda xi: np.ones_like(xi)],
+        [lambda xi: np.where(xi > 3.0, np.nan, 0.0)],
+        [(-3.0, 3.0)],
+    )
+    cfg = SimConfig(dt=0.01, horizon=0.5, seed=1, n_paths=16)
+    with pytest.raises(SimulationError,
+                       match=r"path 0 of start point \[5\.\] at step 0"):
+        value_grid_reduced(red, np.array([[0.0], [5.0]]), 0.5, 1.0,
+                           k1_square, cfg)

@@ -378,6 +378,10 @@ def test_interpolate_nodes_and_midpoints(safety_solution):
     ]
     expected = 0.5 * (sol.values[i, j, m] + sol.values[i, j + 1, m])
     assert sol.interpolate(mid, t) == pytest.approx(expected, rel=1e-12)
+    # a (1, k) batch is a batch: it returns a (1,) array, not a float
+    one = sol.interpolate(np.array([xi]), t)
+    assert isinstance(one, np.ndarray) and one.shape == (1,)
+    assert one[0] == sol.interpolate(xi, t)
     # one batched call is bitwise the per-point loop, at nodes and off them
     rng = np.random.default_rng(3)
     pts = np.vstack([xi, mid, rng.uniform(-6.0, 4.0, size=(50, 2))])
