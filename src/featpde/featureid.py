@@ -14,10 +14,14 @@ dynamics with k scalar SDEs, so a small penalty certifies the learned
 features, not just the reconstruction.
 
 The penalty differentiates a_i and b_i in the STATE by central differences
-(step 1e-4 * (1 + |x_j|) per coordinate); the probe evaluations themselves
-run through the taped network derivatives, so parameter gradients stay
-exact.  Nested exact third derivatives of the encoder are deliberately
-avoided.
+(step 1e-4 * (1 + |x_j|) per coordinate) of the encoder's Jacobian and
+Hessian diagonal at the probes.  Its cotangents with respect to those
+derivatives are closed-form in a_i and b_i (through the clamp, the
+central-difference weights and the bucket weights), and `neural.grad`, the
+reverse pass of the derivative bundle, turns them into exact parameter
+gradients.  Nested exact third derivatives of the encoder are deliberately
+avoided.  The reconstruction term backpropagates through the decoder and,
+via the decoder's input cotangent, through the encoder.
 """
 
 from __future__ import annotations
@@ -39,11 +43,11 @@ from .neural import (
     adam_step,
     derivatives_batch,
     forward,
+    grad,
     load_checkpoint,
     save_checkpoint,
 )
 from .sde import StochasticSystem
-from .tape import clip_min, grad, tanh, value_of, vmean, vsum
 
 __all__ = [
     "AutoencoderNet",
@@ -190,21 +194,6 @@ def build_preimage(states, encoder: DenseNetwork, epsilons) -> PreimageIndex:
                          keys=keys, members=members)
 
 
-def _net_apply(layers, h):
-    """Forward chain that accepts taped feature matrices as input."""
-    for w, b in layers[:-1]:
-        h = tanh(h @ w + b)
-    w, b = layers[-1]
-    return h @ w + b
-
-
-def _taped_rc(net: AutoencoderNet, states, cvals, penc, pdec):
-    feats = forward(net.encoder, states, penc)
-    recon = _net_apply(pdec, feats)[:, 0]
-    diff = recon - cvals
-    return vmean(diff * diff)
-
-
 def loss_rc(net: AutoencoderNet, states, cost: Callable) -> float:
     """Mean squared cost-reconstruction error over the batch."""
     states = np.atleast_2d(np.asarray(states, dtype=np.float64))
@@ -246,9 +235,10 @@ def _diffusion_diagonal(system: StochasticSystem, probes):
     return ss_diag
 
 
-def _taped_ct(encoder: DenseNetwork, system: StochasticSystem,
-              preimage: PreimageIndex, penc):
-    """(penalty, clamped probe count); penalty is taped when penc is."""
+def _ct_loss(encoder: DenseNetwork, system: StochasticSystem,
+             preimage: PreimageIndex):
+    """(penalty, clamped probe count, vjp); ``vjp(weight)`` is the gradient
+    of weight * penalty in the encoder parameters."""
     states = preimage.states
     m, n = states.shape
     k = encoder.d_out
@@ -259,31 +249,29 @@ def _taped_ct(encoder: DenseNetwork, system: StochasticSystem,
     if preimage.k != k:
         raise UsageError("preimage was built for a different feature count")
     probes, steps = _ct_probes(states)
-    _, jac, hess = derivatives_batch(encoder, probes, penc)
+    cache = []
+    u, jac, hess = derivatives_batch(encoder, probes, cache)
     f = np.asarray(system.drift(probes), dtype=np.float64)
     ss_diag = _diffusion_diagonal(system, probes)
 
-    total = None
+    total = 0.0
     n_clamped = 0
+    levels = []
     for i in range(k):
-        a = None
-        ap = None
+        a = ap = 0.0
         for l in range(n):
             g_l = jac[:, l, i]
-            a_term = ss_diag[:, l] * (g_l * g_l)
-            ap_term = f[:, l] * g_l + 0.5 * ss_diag[:, l] * hess[:, l, i]
-            a = a_term if a is None else a + a_term
-            ap = ap_term if ap is None else ap + ap_term
-        n_clamped += int(np.count_nonzero(value_of(a) < CT_CLAMP_FLOOR))
-        b = ap / clip_min(a, CT_CLAMP_FLOOR)
-
-        pen = None
-        for j in range(n):
-            lo, mid, hi = 2 * j * m, (2 * j + 1) * m, (2 * j + 2) * m
-            ga = (a[lo:mid] - a[mid:hi]) / (2.0 * steps[j])
-            gb = (b[lo:mid] - b[mid:hi]) / (2.0 * steps[j])
-            t = ga * ga + gb * gb
-            pen = t if pen is None else pen + t
+            a = a + ss_diag[:, l] * (g_l * g_l)
+            ap = ap + (f[:, l] * g_l + 0.5 * ss_diag[:, l] * hess[:, l, i])
+        n_clamped += int(np.count_nonzero(a < CT_CLAMP_FLOOR))
+        kept = a >= CT_CLAMP_FLOOR
+        a_c = np.maximum(a, CT_CLAMP_FLOOR)
+        b = ap / a_c
+        # probe rows are blocked [+e_j; -e_j] per coordinate j
+        a2, b2 = a.reshape(n, 2, m), b.reshape(n, 2, m)
+        ga = (a2[:, 0] - a2[:, 1]) / (2.0 * steps)
+        gb = (b2[:, 0] - b2[:, 1]) / (2.0 * steps)
+        pen = (ga * ga + gb * gb).sum(axis=0)
 
         # two-level average: buckets weigh equally, members within a bucket
         # weigh equally, features weigh 1/k
@@ -291,18 +279,66 @@ def _taped_ct(encoder: DenseNetwork, system: StochasticSystem,
         buckets = preimage.members[i]
         for idx in buckets:
             w[idx] = 1.0 / (k * len(buckets) * idx.size)
-        term = vsum(pen * w)
-        total = term if total is None else total + term
-    return total, n_clamped
+        total += float(np.sum(pen * w))
+        levels.append((kept, a_c, b, ga, gb, w))
+
+    def vjp(weight):
+        g_jac = np.empty_like(jac)
+        g_hess = np.empty_like(hess)
+        for i, (kept, a_c, b, ga, gb, w) in enumerate(levels):
+            # d pen / d ga_j = 2 ga_j, d ga_j / d a[+-e_j] = +-1 / (2 h_j)
+            c_a = weight * w * ga / steps
+            c_b = weight * w * gb / steps
+            g_a = np.stack([c_a, -c_a], axis=1).reshape(-1)
+            g_b = np.stack([c_b, -c_b], axis=1).reshape(-1)
+            g_ap = g_b / a_c
+            g_a = g_a - kept * (g_b * b / a_c)
+            g_jac[:, :, i] = (2.0 * (g_a[:, None] * ss_diag) * jac[:, :, i]
+                              + g_ap[:, None] * f)
+            g_hess[:, :, i] = 0.5 * g_ap[:, None] * ss_diag
+        return grad(encoder, cache, np.zeros_like(u), g_jac, g_hess)[0]
+
+    return total, n_clamped, vjp
 
 
 def loss_ct(net: AutoencoderNet, system: StochasticSystem,
             preimage: PreimageIndex) -> float:
     """Mean squared state-gradient of the level coefficients a_i, b_i of the
     learned features, averaged per bucket, per level, per feature."""
-    val, _ = _taped_ct(net.encoder, system, preimage,
-                       net.encoder.layer_views())
-    return float(value_of(val))
+    return _ct_loss(net.encoder, system, preimage)[0]
+
+
+def _loss_and_grad(net: AutoencoderNet, system: StochasticSystem, batch,
+                   cvals, preimage, cfg: AeTrainConfig):
+    """(L_rc, L_ct, clamped probes, gradient) of one training iteration.
+
+    The gradient of w_rc L_rc + w_ct L_ct is flat over the encoder then the
+    decoder parameters, and None when that loss is not finite.  A frozen
+    encoder gets a zero gradient without a reverse pass through it: the CT
+    penalty depends on the encoder alone, so it is then only evaluated.
+    """
+    lrc = lct = 0.0
+    clamped = 0
+    if cfg.w_rc > 0:
+        enc_cache, dec_cache = [], []
+        feats = forward(net.encoder, batch, enc_cache)
+        diff = forward(net.decoder, feats, dec_cache)[:, 0] - cvals
+        lrc = float(np.mean(diff * diff))
+    if cfg.w_ct > 0:
+        lct, clamped, ct_vjp = _ct_loss(net.encoder, system, preimage)
+    if not np.isfinite(cfg.w_rc * lrc + cfg.w_ct * lct):
+        return lrc, lct, clamped, None
+
+    g_enc = np.zeros_like(net.encoder.theta)
+    g_dec = np.zeros_like(net.decoder.theta)
+    if cfg.w_rc > 0:
+        g_recon = (2.0 * cfg.w_rc / diff.size) * diff
+        g_dec, g_feats = grad(net.decoder, dec_cache, g_recon[:, None])
+        if not cfg.freeze_encoder:
+            g_enc += grad(net.encoder, enc_cache, g_feats)[0]
+    if cfg.w_ct > 0 and not cfg.freeze_encoder:
+        g_enc += ct_vjp(cfg.w_ct)
+    return lrc, lct, clamped, np.concatenate([g_enc, g_dec])
 
 
 @dataclass
@@ -386,7 +422,6 @@ def train_autoencoder(system: StochasticSystem, cost: Callable, states,
             f"network expects {net.n}-dimensional states, data has {n}"
         )
     use_ct = cfg.w_ct > 0
-    use_rc = cfg.w_rc > 0
     gen = np.random.Generator(
         np.random.Philox(key=np.array([cfg.seed, _BATCH_TAG],
                                       dtype=np.uint64))
@@ -409,45 +444,16 @@ def train_autoencoder(system: StochasticSystem, cost: Callable, states,
                                     for j in range(net.k)])
                 preimage = build_preimage(batch, net.encoder, eps_vec)
 
-            penc = net.encoder.params_as_vars()
-            pdec = net.decoder.params_as_vars()
-            lrc_v = None
-            if use_rc:
-                cvals = np.asarray(cost(batch), dtype=np.float64).reshape(-1)
-                lrc_v = _taped_rc(net, batch, cvals, penc, pdec)
-            lct_v, clamped = (None, 0)
-            if use_ct:
-                lct_v, clamped = _taped_ct(net.encoder, system, preimage,
-                                           penc)
-            total = None
-            if lrc_v is not None:
-                total = cfg.w_rc * lrc_v
-            if lct_v is not None:
-                total = cfg.w_ct * lct_v if total is None else (
-                    total + cfg.w_ct * lct_v
-                )
-            lrc = float(value_of(lrc_v)) if lrc_v is not None else 0.0
-            lct = float(value_of(lct_v)) if lct_v is not None else 0.0
-            if not np.isfinite(float(value_of(total))):
+            cvals = (np.asarray(cost(batch), dtype=np.float64).reshape(-1)
+                     if cfg.w_rc > 0 else None)
+            lrc, lct, clamped, g = _loss_and_grad(net, system, batch, cvals,
+                                                  preimage, cfg)
+            if g is None:
                 raise TrainingError(
                     f"non-finite training loss at iteration {it}"
                 )
-            leaves = [v for pair in penc for v in pair]
-            leaves += [v for pair in pdec for v in pair]
-            gs = grad(total, leaves)
-            half = 2 * len(penc)
-            g_enc = DenseNetwork.pack(
-                [(gs[2 * i], gs[2 * i + 1]) for i in range(len(penc))]
-            )
-            g_dec = DenseNetwork.pack(
-                [(gs[half + 2 * i], gs[half + 2 * i + 1])
-                 for i in range(len(pdec))]
-            )
-            if cfg.freeze_encoder:
-                g_enc[:] = 0.0
             theta = np.concatenate([net.encoder.theta, net.decoder.theta])
-            adam, theta = adam_step(adam, theta,
-                                    np.concatenate([g_enc, g_dec]), cfg.lr)
+            adam, theta = adam_step(adam, theta, g, cfg.lr)
             net.encoder.theta = theta[:ne]
             net.decoder.theta = theta[ne:]
             log.append((it, lrc, lct, clamped))

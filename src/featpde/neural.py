@@ -1,15 +1,14 @@
-"""Dense feedforward networks with nested derivative access.
+"""Dense feedforward networks with input derivatives and their adjoint.
 
-The same layer-propagation code runs in two modes:
-
-* plain ndarrays -- fast evaluation of the network and its first/second
-  input derivatives;
-* :class:`~featpde.tape.Var` parameters -- the whole computation (including
-  the input-derivative propagation) lands on the tape, so a loss built from
-  network values *and their input derivatives* can be differentiated with
-  respect to the parameters by ordinary reverse mode.  That supplies the
-  third-order mixed terms a physics-residual loss needs without a separate
-  higher-order engine.
+:func:`derivatives_batch` propagates the value u, the input Jacobian J and
+the input Hessian diagonal H of a tanh network layer by layer; :func:`grad`
+is the hand-derived reverse pass of that recursion (Griewank & Walther,
+*Evaluating Derivatives*, 2008).  Given the cotangents of a scalar loss with
+respect to (u, J, H) it returns the gradient in the flat parameters and in
+the input, reusing the intermediates the forward pass stored in ``cache``.
+With no J/H cotangents it is plain backpropagation, so the same function
+differentiates losses on values (a data term, a decoder) and losses on input
+derivatives (a physics residual) without a generic autodiff engine.
 
 Hidden activations are tanh, the output layer is affine.  Parameters live in
 one flat float64 vector; per-layer views are provided for inspection.
@@ -24,7 +23,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import TrainingError
-from .tape import Var, grad, reshape, tanh as _tanh, value_of
 
 __all__ = [
     "DenseNetwork",
@@ -35,6 +33,7 @@ __all__ = [
     "forward",
     "forward_with_derivatives",
     "derivatives_batch",
+    "grad",
     "grad_params",
     "adam_step",
     "save_checkpoint",
@@ -107,46 +106,35 @@ class DenseNetwork:
             out.append((w, b))
         return out
 
-    def params_as_vars(self):
-        """Fresh (Var(W), Var(b)) leaves per layer, copied from theta."""
-        return [(Var(w.copy()), Var(b.copy())) for w, b in self.layer_views()]
 
-    @staticmethod
-    def pack(param_grads) -> np.ndarray:
-        """Flatten per-layer (dW, db) gradients back into theta order."""
-        return np.concatenate(
-            [np.concatenate([dw.ravel(), db.ravel()]) for dw, db in param_grads]
+def _check_width(net: DenseNetwork, width: int):
+    if width != net.d_in:
+        raise ValueError(
+            f"input width {width} does not match network d_in {net.d_in}"
         )
 
 
-def _layers(net: DenseNetwork, params):
-    return net.layer_views() if params is None else params
-
-
-def forward(net: DenseNetwork, x, params=None):
+def forward(net: DenseNetwork, x, cache=None):
     """Evaluate the network.  ``x``: (d_in,) or (B, d_in).
 
-    ``params`` may be per-layer (W, b) pairs of ndarrays or tape Vars; when
-    omitted the network's own parameters are used.  The return type follows
-    the parameter type (ndarray or Var).
+    When ``cache`` is a list, one record per layer is appended to it for
+    :func:`grad` (plain backpropagation of the returned values).
     """
     xv = np.asarray(x, dtype=np.float64)
     single = xv.ndim == 1
     h = xv.reshape(1, -1) if single else xv
-    if h.shape[-1] != net.d_in:
-        raise ValueError(
-            f"input width {h.shape[-1]} does not match network d_in {net.d_in}"
-        )
-    layers = _layers(net, params)
+    _check_width(net, h.shape[-1])
+    layers = net.layer_views()
     for w, b in layers[:-1]:
-        h = _tanh(h @ w + b)
+        t = np.tanh(h @ w + b)
+        if cache is not None:
+            cache.append((h, t, None, None, None, None))
+        h = t
     w, b = layers[-1]
+    if cache is not None:
+        cache.append((h, None, None, None, None, None))
     out = h @ w + b
-    if single and not isinstance(out, Var):
-        return out[0]
-    if single and isinstance(out, Var):
-        return out.reshape((net.d_out,))
-    return out
+    return out[0] if single else out
 
 
 @dataclass
@@ -162,70 +150,160 @@ class DerivativeBundle:
     input_hessian_diag: np.ndarray
 
 
-def derivatives_batch(net: DenseNetwork, x, params=None):
+def _rank_one_weights(w0, w1):
+    """(n, d_in * m) weights taking the first tanh layer's s = 1 - t^2 and
+    c = t s to the second layer's Jz and Hz, flattened over (input, unit).
+
+    The first layer's derivatives are rank one per input i, J[b, i] =
+    s[b] W0[i] and H[b, i] = -2 c[b] W0[i]^2, so Jz[b, i] = s[b] @ (W0[i]
+    * W1) and Hz[b, i] = c[b] @ (-2 W0[i]^2 * W1) without forming J or H.
+    """
+    w0t = w0.T[:, :, None]
+    ws = w0t * w1[:, None, :]
+    wh = -2.0 * (w0t * w0t) * w1[:, None, :]
+    return ws.reshape(len(w1), -1), wh.reshape(len(w1), -1)
+
+
+def derivatives_batch(net: DenseNetwork, x, cache=None):
     """Batched value + input derivatives.
 
     Returns ``(u, J, H)`` with shapes (B, d_out), (B, d_in, d_out),
     (B, d_in, d_out): ``J[b, i, o] = d out_o / d in_i`` and ``H`` the
-    per-input second derivatives.  With Var parameters the whole propagation
-    is taped, so losses may consume J and H and still get exact parameter
-    gradients.
+    per-input second derivatives.  Through a tanh layer with pre-activation
+    z, derivatives Jz = J W and Hz = H W and t = tanh(z):
+
+        J' = (1 - t^2) Jz,    H' = (1 - t^2) Hz - 2 t (1 - t^2) Jz^2.
+
+    The first layer's J', H' are never formed (see ``_rank_one_weights``).
+    When ``cache`` is a list, one record per layer (its inputs, t, Jz, Hz)
+    is appended to it, so :func:`grad` can differentiate any loss of
+    (u, J, H) in the parameters.
     """
     xv = np.asarray(x, dtype=np.float64)
     if xv.ndim != 2:
         raise ValueError("derivatives_batch expects (B, d_in) input")
     bsz, d_in = xv.shape
-    if d_in != net.d_in:
-        raise ValueError(
-            f"input width {d_in} does not match network d_in {net.d_in}"
-        )
-    layers = _layers(net, params)
+    _check_width(net, d_in)
+    layers = net.layer_views()
 
-    h = xv
-    jac = None  # None encodes the identity Jacobian of the raw input
-    hess = None  # None encodes exactly-zero second derivatives
-    for li, (w, b) in enumerate(layers):
+    w, b = layers[0]
+    z = xv @ w + b
+    if len(layers) == 1:  # affine network: J = W for every row, H = 0
+        if cache is not None:
+            cache.append((xv, None, None, None, w[None], None))
+        jac = np.broadcast_to(w, (bsz, d_in, net.d_out)).copy()
+        return z, jac, np.zeros((bsz, d_in, net.d_out))
+    t = np.tanh(z)
+    if cache is not None:
+        cache.append((xv, t, None, None, None, None))
+    one_m_t2 = 1.0 - t * t
+    ws, wh = _rank_one_weights(w, layers[1][0])
+    jz = (one_m_t2 @ ws).reshape(bsz, d_in, -1)
+    hz = ((t * one_m_t2) @ wh).reshape(bsz, d_in, -1)
+    h, jac, hess = t, None, None
+    for li in range(1, len(layers)):
+        w, b = layers[li]
         z = h @ w + b
-        if jac is None:
-            # First affine layer: J = W, broadcast over the batch by the
-            # elementwise ops downstream.
-            jz = reshape(w, (1, d_in, w.shape[-1]))
-            hz = None
-        else:
+        if li > 1:
             jz = jac @ w
-            hz = None if hess is None else hess @ w
-        if li < len(layers) - 1:
-            t = _tanh(z)
-            one_m_t2 = 1.0 - t * t
-            s = _expand_mid(one_m_t2)  # (B, 1, width)
-            curv = _expand_mid(t * one_m_t2)
-            jsq = jz * jz
-            if hz is None:
-                hess = -2.0 * curv * jsq
-            else:
-                hess = s * hz - 2.0 * curv * jsq
-            jac = s * jz
-            h = t
+            hz = hess @ w
+        if li == len(layers) - 1:
+            if cache is not None:
+                cache.append((h, None, jac, hess, jz, hz))
+            return z, jz, hz
+        t = np.tanh(z)
+        if cache is not None:
+            cache.append((h, t, jac, hess, jz, hz))
+        one_m_t2 = 1.0 - t * t
+        s = one_m_t2[:, None, :]
+        jsq = jz * jz
+        jsq *= 2.0 * (t * one_m_t2)[:, None, :]
+        hess = s * hz
+        hess -= jsq
+        jac = s * jz
+        h = t
+
+
+def grad(net: DenseNetwork, cache, g_u, g_J=None, g_H=None):
+    """Reverse pass of :func:`forward` / :func:`derivatives_batch`.
+
+    ``cache`` is the list the forward call filled; ``g_u`` (B, d_out),
+    ``g_J`` and ``g_H`` (B, d_in, d_out) are the cotangents dL/du, dL/dJ and
+    dL/dH of a scalar loss L.  Returns ``(dtheta, g_x)``: dL/dtheta in the
+    flat parameter order and dL/dx (B, d_in), the input cotangent that
+    chains a network fed by another network.  With ``g_J`` and ``g_H`` both
+    None this is plain backpropagation and any cache will do; otherwise the
+    cache must come from :func:`derivatives_batch`, and a missing one of the
+    two counts as zero.
+
+    A cache record is ``(h, t, J, H, Jz, Hz)`` per layer: its input, its
+    tanh output (None on the output layer), the input derivatives (None
+    where implicit: the raw input and the first layer's rank-one ones) and
+    the pre-activation derivatives (None in a :func:`forward` cache).
+    """
+    bundle = g_J is not None or g_H is not None
+    if bundle:
+        if cache[-1][4] is None:
+            raise ValueError("J/H cotangents need a derivatives_batch cache")
+        g_J = np.zeros_like(g_H) if g_J is None else g_J
+        g_H = np.zeros_like(g_J) if g_H is None else g_H
+    layers = net.layer_views()
+    dtheta = np.empty_like(net.theta)
+    dlayers = net.layer_views(dtheta)
+    g_h, g_jo, g_ho = np.asarray(g_u, dtype=np.float64), g_J, g_H
+    for li in range(len(layers) - 1, -1, -1):
+        (w, _), (dw, db) = layers[li], dlayers[li]
+        h, t, jac, hess, jz, hz = cache[li]
+        # g_z, g_jz, g_hz: cotangents of this layer's affine outputs z, Jz, Hz
+        if t is None:
+            g_z, g_jz, g_hz = g_h, g_jo, g_ho
         else:
-            h = z
-            jac = jz
-            hess = hz
-    # A purely affine network never broadcast J/H up to the batch size.
-    if value_of(jac).shape[0] != bsz:
-        jac = jac * np.ones((bsz, 1, 1))
-    if hess is None:
-        hess = np.zeros((bsz, d_in, net.d_out))
-    elif value_of(hess).shape[0] != bsz:
-        hess = hess * np.ones((bsz, 1, 1))
-    return h, jac, hess
-
-
-def _expand_mid(t):
-    """(B, w) -> (B, 1, w) for Var or ndarray."""
-    if isinstance(t, Var):
-        b, w = t.value.shape
-        return t.reshape((b, 1, w))
-    return t[:, None, :]
+            s = 1.0 - t * t
+            if bundle:
+                # J' = s Jz and H' = s Hz - 2 c Jz^2 with c = t s, so
+                # dL/ds = sum_i (g_J' Jz + g_H' Hz), dL/dc = -2 sum_i g_H' Jz^2
+                # (the first layer's g_s, g_c come from layer 1 below)
+                if li > 0:
+                    g_s = (np.einsum("bin,bin->bn", g_jo, jz)
+                           + np.einsum("bin,bin->bn", g_ho, hz))
+                    gh_jz = g_ho * jz
+                    g_c = -2.0 * np.einsum("bin,bin->bn", gh_jz, jz)
+                    # g_jo and g_ho came from the layer above: update in place
+                    # to g_Jz = s g_J' - 4 c Jz g_H' and g_Hz = s g_H'
+                    gh_jz *= 4.0 * (t * s)[:, None, :]
+                    g_jz = np.multiply(g_jo, s[:, None, :], out=g_jo)
+                    g_jz -= gh_jz
+                    g_hz = np.multiply(g_ho, s[:, None, :], out=g_ho)
+                # ds/dt = -2t, dc/dt = 1 - 3t^2
+                g_h = g_h - 2.0 * t * g_s + (1.0 - 3.0 * t * t) * g_c
+            g_z = g_h * s
+        dw[...] = h.T @ g_z
+        db[...] = g_z.sum(axis=0)
+        if bundle and li > 1:
+            n_in, n_out = w.shape
+            dw += jac.reshape(-1, n_in).T @ g_jz.reshape(-1, n_out)
+            dw += hess.reshape(-1, n_in).T @ g_hz.reshape(-1, n_out)
+            g_jo = g_jz @ w.T
+            g_ho = g_hz @ w.T
+        elif bundle and li == 1:
+            # input J, H are the first layer's rank-one s W0, -2 c W0^2
+            w0 = layers[0][0]
+            t0 = cache[0][1]
+            s0 = 1.0 - t0 * t0
+            ws, wh = _rank_one_weights(w0, w)
+            g_jz, g_hz = g_jz.reshape(len(h), -1), g_hz.reshape(len(h), -1)
+            # sg[n, i, m] = sum_b s0[b, n] g_Jz[b, i, m], likewise cg with c0
+            sg = (s0.T @ g_jz).reshape(w0.shape[1], w0.shape[0], -1)
+            cg = ((t0 * s0).T @ g_hz).reshape(sg.shape)
+            dw += (np.einsum("nim,in->nm", sg, w0)
+                   - 2.0 * np.einsum("nim,in->nm", cg, w0 * w0))
+            dw0 = (np.einsum("nim,nm->in", sg, w)
+                   - 4.0 * w0 * np.einsum("nim,nm->in", cg, w))
+            g_s, g_c = g_jz @ ws.T, g_hz @ wh.T
+        elif bundle:  # li == 0
+            dw += dw0 if t is not None else g_jz.sum(axis=0)
+        g_h = g_z @ w.T
+    return dtheta, g_h
 
 
 def forward_with_derivatives(net: DenseNetwork, x) -> DerivativeBundle:
@@ -241,42 +319,28 @@ def forward_with_derivatives(net: DenseNetwork, x) -> DerivativeBundle:
     )
 
 
-def grad_params(net: DenseNetwork, loss_closure, fd=False, fd_step=1e-6):
-    """Gradient of a scalar loss with respect to the flat parameter vector.
+def grad_params(net: DenseNetwork, loss, step=1e-6):
+    """Central-difference gradient of a scalar loss in the flat parameters.
 
-    ``loss_closure(params)`` receives per-layer (W, b) pairs -- tape Vars in
-    the exact path, plain ndarrays in the finite-difference fallback -- and
-    must return a scalar (Var or float).  The exact path differentiates
-    through everything the closure built, including input-derivative
-    propagation from :func:`derivatives_batch`.
+    ``loss(net_at)`` receives a copy of the network at each perturbed
+    parameter vector and returns a float.  This is the test oracle for
+    :func:`grad`: 2 loss evaluations per parameter, steps
+    ``step * (1 + |theta_j|)``.
     """
-    if fd:
-        theta0 = net.theta.copy()
+    theta0 = net.theta.copy()
 
-        def at(theta):
-            return float(value_of(loss_closure(net.layer_views(theta))))
+    def at(theta):
+        return float(loss(DenseNetwork(net.widths, theta)))
 
-        g = np.empty_like(theta0)
-        for j in range(theta0.size):
-            step = fd_step * (1.0 + abs(theta0[j]))
-            tp = theta0.copy()
-            tp[j] += step
-            tm = theta0.copy()
-            tm[j] -= step
-            g[j] = (at(tp) - at(tm)) / (2.0 * step)
-        return g
-
-    params = net.params_as_vars()
-    loss = loss_closure(params)
-    if not isinstance(loss, Var):
-        raise TypeError(
-            "loss closure must return a tape Var; got a plain value "
-            "(did the closure bypass the differentiable primitives?)"
-        )
-    leaves = [v for pair in params for v in pair]
-    gs = grad(loss, leaves)
-    pairs = [(gs[2 * i], gs[2 * i + 1]) for i in range(len(params))]
-    return DenseNetwork.pack(pairs)
+    g = np.empty_like(theta0)
+    for j in range(theta0.size):
+        h = step * (1.0 + abs(theta0[j]))
+        tp = theta0.copy()
+        tp[j] += h
+        tm = theta0.copy()
+        tm[j] -= h
+        g[j] = (at(tp) - at(tm)) / (2.0 * h)
+    return g
 
 
 @dataclass

@@ -13,11 +13,13 @@ exp(-r dt / 2), per-node first-order upwinding of the drift wherever the
 cell Peclet number exceeds 2, and two implicit startup steps (Rannacher
 smoothing) for the discontinuous safety initial data.
 
-Each axis solve is one tridiagonal banded solve over the whole grid,
-flattened so that the grid lines along that axis are consecutive runs.  This
-is exact because the stencil weight ``lo`` is zero at the first node of every
-line and ``up`` at the last, for reflecting and Dirichlet faces alike, so the
-flattened matrix has no entry coupling one line to the next.
+Each axis solve is one tridiagonal solve over the whole grid, flattened so
+that the grid lines along that axis are consecutive runs, with the constant
+matrix factored once per axis (LAPACK gttrf) and only back-substituted
+(gttrs) at each half-step.  This is exact because the stencil weight ``lo``
+is zero at the first node of every line and ``up`` at the last, for
+reflecting and Dirichlet faces alike, so the flattened matrix has no entry
+coupling one line to the next.
 """
 
 from __future__ import annotations
@@ -27,9 +29,14 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgttrf, dgttrs
 
-from .errors import DomainError, RiccatiBlowupError, UsageError
+from .errors import (
+    DomainError,
+    NumericalError,
+    RiccatiBlowupError,
+    UsageError,
+)
 
 __all__ = [
     "PdeProblem",
@@ -196,11 +203,11 @@ def _axis_nodes(lo, hi, h):
 class _FdEngine:
     """Precomputed stencils + step routine for one problem/grid pair.
 
-    Per axis it keeps the stencil (lo, di, up) and the constant ADI matrix
-    (I - dt/2 A_ax) in ``solve_banded`` form, both in line order: the grid
-    flattened with that axis last.  ``lo`` is zero at the first node of each
-    line and ``up`` at the last, so the lines decouple and one banded solve
-    or mat-vec covers all of them.
+    Per axis it keeps the stencil (lo, di, up) and the LU factors (LAPACK
+    ``gttrf``) of the constant ADI matrix (I - dt/2 A_ax), both in line
+    order: the grid flattened with that axis last.  ``lo`` is zero at the
+    first node of each line and ``up`` at the last, so the lines decouple
+    and one tridiagonal solve or mat-vec covers all of them.
     """
 
     def __init__(self, problem: PdeProblem, d_xi, dt):
@@ -255,7 +262,7 @@ class _FdEngine:
         half = 0.5 * self.dt
         self.upwind_fraction = []
         self.stencils = []  # per axis: line-ordered (lo, di, up), see _lines
-        self.banded = []  # per axis: (I - dt/2 A_ax) in solve_banded form
+        self.factors = []  # per axis: gttrf factors of (I - dt/2 A_ax)
         for ax in range(k):
             v = drift[:, ax].reshape(self.shape)
             dd = 0.5 * diag[:, ax].reshape(self.shape)
@@ -304,11 +311,14 @@ class _FdEngine:
                 up[outside] = 0.0
             lo, di, up = (self._lines(ax, c) for c in (lo, di, up))
             self.stencils.append((lo, di, up))
-            ab = np.zeros((3, lo.size))
-            ab[0, 1:] = -half * up[:-1]
-            ab[1] = 1.0 - half * di
-            ab[2, :-1] = -half * lo[1:]
-            self.banded.append(ab)
+            *factors, info = dgttrf(-half * lo[1:], 1.0 - half * di,
+                                    -half * up[:-1])
+            if info != 0:
+                raise NumericalError(
+                    f"ADI matrix of axis {ax + 1} is singular (gttrf info "
+                    f"{info})"
+                )
+            self.factors.append(factors)
 
         if any(f > 0 for f in self.upwind_fraction):
             pct = ", ".join(
@@ -351,8 +361,10 @@ class _FdEngine:
         return self._grid(ax, out)
 
     def _solve(self, ax, rhs):
-        """(I - dt/2 A_ax)^{-1} rhs as one banded solve over all lines."""
-        x = solve_banded((1, 1), self.banded[ax], self._lines(ax, rhs))
+        """(I - dt/2 A_ax)^{-1} rhs as one factored solve over all lines."""
+        x, info = dgttrs(*self.factors[ax], self._lines(ax, rhs))
+        if info != 0:
+            raise NumericalError(f"gttrs failed on axis {ax + 1} (info {info})")
         return self._grid(ax, x)
 
     def _clamp(self, u):

@@ -5,11 +5,13 @@ The network maps (xi_1 .. xi_k, t) to a scalar.  Training minimizes
     omega_p * mean(residual^2 over collocation points)
   + omega_d * mean((prediction - target)^2 over data points)
 
-with full-batch Adam.  The residual is the same expression `pde.residual`
-evaluates; during training it is rebuilt from taped operations so the
-parameter gradient flows through the network's input derivatives as well.
-Terminal/initial conditions are not a separate loss term: they enter through
-data rows on the corresponding time face.
+with full-batch Adam.  The residual is the expression `pde.residual`
+evaluates, in the same operation order.  Its parameter gradient flows
+through the network's input derivatives: the cotangents dL/du, dL/dJ and
+dL/dH are closed-form in the residual and go through `neural.grad`, the
+reverse pass of the derivative bundle.  Terminal/initial conditions are not
+a separate loss term: they enter through data rows on the corresponding
+time face.
 """
 
 from __future__ import annotations
@@ -26,10 +28,10 @@ from .neural import (
     adam_step,
     derivatives_batch,
     forward,
+    grad,
     param_count,
 )
 from .pde import PdeProblem, residual as pde_residual
-from .tape import grad, value_of, vmean
 
 __all__ = [
     "PinnConfig",
@@ -192,31 +194,53 @@ def data_loss(net: DenseNetwork, data: TrainingDataset) -> float:
     return float(np.mean((pred - data.target) ** 2))
 
 
-def _taped_losses(net, params, problem, colloc_inputs, coeffs, data_inputs,
-                  targets):
-    """(L_p, L_d) as tape Vars sharing one parameter set."""
+def _loss_and_grad(net, problem, colloc_inputs, coeffs, data_inputs,
+                   targets, omega_p, omega_d):
+    """(L_p, L_d, gradient of omega_p L_p + omega_d L_d in theta).
+
+    A term is skipped (and reads 0.0) when its inputs are None.  The
+    gradient is None when the weighted loss is not finite.
+    """
     k = problem.k
-    lp = None
+    lp = ld = 0.0
+    res = diff = None
     if colloc_inputs is not None:
-        u, jac, hess = derivatives_batch(net, colloc_inputs, params)
+        cache_p = []
+        u, jac, hess = derivatives_batch(net, colloc_inputs, cache_p)
         drift, diag, react = coeffs
-        u_flat = u[:, 0]
-        u_t = jac[:, k, 0]
-        transport = None
-        for i in range(k):
-            term = drift[:, i] * jac[:, i, 0] + 0.5 * diag[:, i] * hess[:, i, 0]
-            transport = term if transport is None else transport + term
+        transport = ((drift * jac[:, :k, 0]).sum(axis=1)
+                     + 0.5 * (diag * hess[:, :k, 0]).sum(axis=1))
         if problem.kind == "value":
-            res = react * u_flat - u_t - transport
+            res = react * u[:, 0] - jac[:, k, 0] - transport
         else:
-            res = u_t - transport
-        lp = vmean(res * res)
-    ld = None
+            res = jac[:, k, 0] - transport
+        lp = float(np.mean(res * res))
     if data_inputs is not None:
-        pred = forward(net, data_inputs, params)[:, 0]
-        diff = pred - targets
-        ld = vmean(diff * diff)
-    return lp, ld
+        cache_d = []
+        diff = forward(net, data_inputs, cache_d)[:, 0] - targets
+        ld = float(np.mean(diff * diff))
+    if not np.isfinite(omega_p * lp + omega_d * ld):
+        return lp, ld, None
+
+    g = np.zeros_like(net.theta)
+    if res is not None:
+        # residual = [r u] +- u_t - sum_i (drift_i J_i + diag_i H_i / 2)
+        g_res = (2.0 * omega_p / res.size) * res
+        g_u = np.zeros_like(u)
+        g_jac = np.zeros_like(jac)
+        g_hess = np.zeros_like(hess)
+        g_jac[:, :k, 0] = -g_res[:, None] * drift
+        g_hess[:, :k, 0] = -0.5 * g_res[:, None] * diag
+        if problem.kind == "value":
+            g_u[:, 0] = g_res * react
+            g_jac[:, k, 0] = -g_res
+        else:
+            g_jac[:, k, 0] = g_res
+        g += grad(net, cache_p, g_u, g_jac, g_hess)[0]
+    if diff is not None:
+        g_pred = (2.0 * omega_d / diff.size) * diff
+        g += grad(net, cache_d, g_pred[:, None])[0]
+    return lp, ld, g
 
 
 @dataclass
@@ -306,30 +330,13 @@ def train(problem: PdeProblem, data: Optional[TrainingDataset],
         else:
             data_inputs, targets = full_data_inputs, full_targets
 
-        params = net.params_as_vars()
-        lp_v, ld_v = _taped_losses(
-            net, params, problem,
-            colloc_inputs if use_phys else None, coeffs,
-            data_inputs if use_data else None, targets,
-        )
-        total = None
-        if lp_v is not None:
-            total = cfg.omega_p * lp_v
-        if ld_v is not None:
-            total = cfg.omega_d * ld_v if total is None else (
-                total + cfg.omega_d * ld_v
-            )
-        lp = float(value_of(lp_v)) if lp_v is not None else 0.0
-        ld = float(value_of(ld_v)) if ld_v is not None else 0.0
-
-        if not np.isfinite(float(value_of(total))):
+        lp, ld, g = _loss_and_grad(net, problem, colloc_inputs, coeffs,
+                                   data_inputs, targets, cfg.omega_p,
+                                   cfg.omega_d)
+        if g is None:
             net.theta = checkpoint
             aborted = epoch
             break
-        leaves = [v for pair in params for v in pair]
-        gs = grad(total, leaves)
-        pairs = [(gs[2 * i], gs[2 * i + 1]) for i in range(len(params))]
-        g = DenseNetwork.pack(pairs)
         if epoch % cfg.log_every == 0:
             log.append((epoch, lp, ld))
             checkpoint = net.theta.copy()
@@ -343,13 +350,8 @@ def train(problem: PdeProblem, data: Optional[TrainingDataset],
         net.theta = theta
 
     # closing log entry: final losses, or the restored checkpoint's losses
-    lp_v, ld_v = _taped_losses(
-        net, net.layer_views(), problem,
-        colloc_inputs if use_phys else None, coeffs,
-        full_data_inputs if use_data else None, full_targets,
-    )
-    lp = float(value_of(lp_v)) if lp_v is not None else 0.0
-    ld = float(value_of(ld_v)) if ld_v is not None else 0.0
+    lp = physics_loss(net, problem, colloc) if use_phys else 0.0
+    ld = data_loss(net, data) if use_data else 0.0
     closing = cfg.epochs if aborted is None else checkpoint_epoch
     if not log or log[-1][0] != closing:
         log.append((closing, lp, ld))

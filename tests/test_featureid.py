@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+import gradient_cases as gc
+from featpde import featureid
 from featpde.errors import (
     ConfigError,
     DegenerateThresholdError,
@@ -16,7 +18,7 @@ from featpde.featureid import (
     loss_ct,
     loss_rc,
     train_autoencoder,
-    _taped_ct,
+    _ct_loss,
 )
 from featpde.neural import DenseNetwork
 from featpde.sde import StochasticSystem
@@ -227,8 +229,7 @@ def test_loss_ct_clamps_dead_features(batch):
     net = AutoencoderNet(encoder=enc,
                          decoder=DenseNetwork.init((2, 4, 1), seed=1))
     pre = build_preimage(batch, enc, [0.05, 1.0])
-    val, clamped = _taped_ct(enc, literal_system(), pre,
-                             enc.layer_views())
+    val, clamped, _ = _ct_loss(enc, literal_system(), pre)
     assert clamped == 6 * len(batch)  # every probe of the dead feature
     # the dead feature contributes nothing (its generator drift vanishes
     # too); what remains is feature 1's constant-gradient term at half
@@ -386,3 +387,48 @@ def test_training_input_validation(batch):
     with pytest.raises(UsageError):
         train_autoencoder(literal_system(), quad_cost, batch, cfg,
                           init_net=wrong_net)
+
+
+# ------------------------------------------- recorded tape references
+
+
+@pytest.mark.parametrize("name", ["smooth", "smooth_frozen", "clamped"])
+def test_gradient_matches_recorded_tape_gradient(name):
+    net, batch, cvals, pre, cfg = gc.feature_cases()[name]
+    ref = gc.load_reference()["features"][name]
+    assert np.array_equal(net.encoder.theta, gc.from_hex(ref["encoder_theta"]))
+    assert np.array_equal(net.decoder.theta, gc.from_hex(ref["decoder_theta"]))
+    lrc, lct, clamped, g = featureid._loss_and_grad(
+        net, gc.feature_system(), batch, cvals, pre, cfg)
+    assert clamped == ref["clamped"]
+    assert gc.rel_dev([lrc, lct], gc.from_hex(ref["losses"])) <= 1e-10
+    assert gc.rel_dev(g, gc.from_hex(ref["grad"])) <= 1e-10
+
+
+def test_frozen_encoder_keeps_the_decoder_gradient():
+    net, batch, cvals, pre, cfg = gc.feature_cases()["smooth"]
+    _, _, _, g_joint = featureid._loss_and_grad(
+        net, gc.feature_system(), batch, cvals, pre, cfg)
+    cfg.freeze_encoder = True
+    _, _, _, g_frozen = featureid._loss_and_grad(
+        net, gc.feature_system(), batch, cvals, pre, cfg)
+    ne = net.encoder.theta.size
+    assert np.all(g_frozen[:ne] == 0.0)
+    assert np.array_equal(g_frozen[ne:], g_joint[ne:])
+
+
+@pytest.mark.parametrize("name", ["joint", "frozen"])
+def test_training_log_matches_recorded_tape_log(name):
+    states, cfg = gc.ae_log_cases()[name]
+    ref = gc.load_reference()["ae_log"][name]
+    res = train_autoencoder(gc.feature_system(), gc.feature_cost, states, cfg)
+    assert [c for *_, c in res.log] == ref["clamped"]
+    losses = [v for _, rc, ct, _ in res.log for v in (rc, ct)]
+    assert gc.rel_dev(losses, gc.from_hex(ref["losses"])) <= 1e-9
+    assert gc.rel_dev(res.net.decoder.theta,
+                      gc.from_hex(ref["decoder_theta"])) <= 1e-9
+    assert gc.rel_dev(res.net.encoder.theta,
+                      gc.from_hex(ref["encoder_theta"])) <= 1e-9
+    if cfg.freeze_encoder:
+        assert np.array_equal(res.net.encoder.theta,
+                              gc.from_hex(ref["encoder_theta"]))

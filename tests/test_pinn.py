@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 
+import gradient_cases as gc
+from featpde import pinn
 from featpde.errors import ConfigError, UsageError
 from featpde.neural import DenseNetwork, derivatives_batch, forward
 from featpde.pde import LqSpec, PdeProblem, assemble_value_pde, riccati_value
@@ -394,3 +396,27 @@ def test_predict_grid_rejects_width_mismatch():
     net = DenseNetwork.init((3, 4, 1), seed=0)
     with pytest.raises(UsageError):
         predict_grid(net, [[1.5]], [0.5])
+
+
+# ------------------------------------------- recorded tape references
+
+
+@pytest.mark.parametrize("name", ["value_with_data", "safety_physics_only"])
+def test_gradient_matches_recorded_tape_gradient(name):
+    net, prob, colloc, coeffs, data, targets, w_p, w_d = gc.pinn_cases()[name]
+    ref = gc.load_reference()["pinn"][name]
+    assert np.array_equal(net.theta, gc.from_hex(ref["theta"]))
+    lp, ld, g = pinn._loss_and_grad(net, prob, colloc, coeffs, data, targets,
+                                    w_p, w_d)
+    assert gc.rel_dev([lp, ld], gc.from_hex(ref["losses"])) <= 1e-10
+    assert gc.rel_dev(g, gc.from_hex(ref["grad"])) <= 1e-10
+
+
+def test_training_log_matches_recorded_tape_log():
+    prob, data, cfg = gc.pinn_log_case()
+    ref = gc.load_reference()["pinn_log"]
+    res = train(prob, data, cfg)
+    assert [e for e, _, _ in res.log] == ref["epochs"]
+    losses = [v for _, lp, ld in res.log for v in (lp, ld)]
+    assert gc.rel_dev(losses, gc.from_hex(ref["losses"])) <= 1e-9
+    assert gc.rel_dev(res.net.theta, gc.from_hex(ref["theta"])) <= 1e-9
