@@ -13,11 +13,16 @@ start points (at most ``_BLOCK_ROWS`` path rows each) that draw each step's
 noise once for the whole block.  The cost or barrier r must act row by row,
 as alpha and beta already do, and each point's log-sum-exp, mean and
 standard error come from its own N paths, so a grid row equals the
-one-point estimate bit for bit.
+one-point estimate bit for bit.  Each time's rows are split into at least
+two blocks, marched in two lanes: the calling thread takes the even blocks
+and one helper thread the odd ones.  So alpha, beta and r must be safe to
+call from two threads at once, i.e. pure functions of their input, as
+every preset's are.
 """
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -416,9 +421,16 @@ class McGrid:
 
 
 def _grid(points, times, n_paths, block) -> McGrid:
-    """Estimates over (xi, t) rows: ``block(starts, t)`` runs all rows that
-    share a time together, at most ``_BLOCK_ROWS`` path rows at a time, and
-    returns their (estimates, std_errors)."""
+    """Estimates over (xi, t) rows: ``block(starts, t)`` runs a block of rows
+    that share a time and returns their (estimates, std_errors).
+
+    Each time's rows are split into at least two blocks of at most
+    ``_BLOCK_ROWS`` path rows.  The calling thread runs the even blocks and
+    one helper thread the odd ones.  If blocks raise, the error re-raised is
+    the one a single block of all the time's rows would raise: the earliest
+    ``march_position`` (errors raised outside the march rank last), then
+    the lowest rows.
+    """
     points = np.atleast_2d(np.asarray(points, dtype=np.float64))
     times = np.broadcast_to(
         np.asarray(times, dtype=np.float64), (points.shape[0],)
@@ -426,11 +438,32 @@ def _grid(points, times, n_paths, block) -> McGrid:
     est = np.empty(points.shape[0])
     se = np.empty(points.shape[0])
     per_block = max(1, _BLOCK_ROWS // n_paths)
-    for tj in np.unique(times):
-        rows = np.flatnonzero(times == tj)
-        for c in range(0, rows.size, per_block):
-            idx = rows[c:c + per_block]
-            est[idx], se[idx] = block(points[idx], float(tj))
+
+    def lane(blocks, t):
+        out = []
+        for idx in blocks:
+            try:
+                out.append(block(points[idx], t))
+            except Exception as err:
+                out.append(err)
+        return out
+
+    with ThreadPoolExecutor(1, thread_name_prefix="featpde-lane") as helper:
+        for tj in np.unique(times):
+            rows = np.flatnonzero(times == tj)
+            n_blocks = max(2, -(-rows.size // per_block))
+            blocks = np.array_split(rows, min(rows.size, n_blocks))
+            odd = helper.submit(lane, blocks[1::2], float(tj))
+            results = [None] * len(blocks)
+            results[0::2] = lane(blocks[0::2], float(tj))
+            results[1::2] = odd.result()
+            errors = [(getattr(res, "march_position", (np.inf,)), b)
+                      for b, res in enumerate(results)
+                      if isinstance(res, Exception)]
+            if errors:
+                raise results[min(errors)[1]]
+            for idx, (e, s) in zip(blocks, results):
+                est[idx], se[idx] = e, s
     return McGrid(points=points, times=times, estimates=est, std_errors=se)
 
 
@@ -454,13 +487,15 @@ def value_grid_reduced(
 
 
 def safety_grid_reduced(reduced, points, horizons, r, cfg: SimConfig) -> McGrid:
-    """Safety probabilities over (xi0, horizon) rows."""
+    """Safety probabilities over (xi0, horizon) rows; every start point is
+    checked to be safe before any is marched."""
+    points = np.atleast_2d(np.asarray(points, dtype=np.float64))
+    _check_safe_starts(r, points)
 
     def block(starts, horizon):
         sub = SimConfig(
             dt=cfg.dt, horizon=horizon, seed=cfg.seed, n_paths=cfg.n_paths
         )
-        _check_safe_starts(r, starts)
         return _safety_estimates(_safe_paths(reduced, starts, r, sub))
 
     return _grid(points, horizons, cfg.n_paths, block)

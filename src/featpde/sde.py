@@ -22,11 +22,15 @@ step's (N, m) draw.  Consequences used elsewhere in the package:
   state with one draw per step shared by every point, so each point's paths
   equal those of its own one-point run bit for bit.  This needs alpha and
   beta (and any observer's r) to act row by row, as the contract above
-  already requires.
+  already requires;
+* the full-system march draws step s+1 on one helper thread while the
+  calling thread updates step s.  Outputs do not change, because a draw
+  depends only on (seed, step).
 """
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -171,16 +175,22 @@ def step_noise(seed: int, step: int, n: int, m: int) -> np.ndarray:
     return np.random.Generator(bitgen).standard_normal((n, m))
 
 
-def _check_finite(x: np.ndarray, step: int, what: str, starts=None):
-    """Raise on the first non-finite row of ``x``; with ``starts`` (P, k),
-    row j is path j % N of start point j // N."""
-    rowsum = x.reshape(x.shape[0], -1).sum(axis=1)
+def _check_finite(x: np.ndarray, step: int, what: str, starts=None,
+                  coordinate_major=False):
+    """Raise on the first non-finite row of ``x`` (rows along axis 0, or
+    along axis 1 of a (k, rows) array if ``coordinate_major``); with
+    ``starts`` (P, k), row j is path j % N of start point j // N."""
+    if coordinate_major:
+        rowsum = x.sum(axis=0)
+    else:
+        rowsum = x.reshape(x.shape[0], -1).sum(axis=1)
     bad = ~np.isfinite(rowsum)
     if bad.any():
         i = int(np.flatnonzero(bad)[0])
+        row = x[:, i] if coordinate_major else x[i]
         raise SimulationError(
-            f"non-finite {what} on {_path_name(i, x.shape[0], starts)} at "
-            f"step {step}: state/value row {np.asarray(x[i]).ravel()[:8]}"
+            f"non-finite {what} on {_path_name(i, rowsum.size, starts)} at "
+            f"step {step}: state/value row {np.asarray(row).ravel()[:8]}"
         )
 
 
@@ -196,7 +206,8 @@ def _run_full(system, policy, x0, cfg, t0, observer):
 
     ``observer`` is called once with (0, t0, x, None) for the initial state,
     then after every Euler-Maruyama update with the post-step state and the
-    standard-normal draw that produced it.
+    standard-normal draw that produced it.  One helper thread draws the next
+    step's noise meanwhile; it is joined before this returns or raises.
     """
     n = cfg.n_paths
     x0 = np.asarray(x0, dtype=np.float64)
@@ -212,24 +223,29 @@ def _run_full(system, policy, x0, cfg, t0, observer):
         d = np.diagonal(system.diffusion_const)
         if np.array_equal(system.diffusion_const, np.diag(d)):
             const_diag = d.copy()
-    observer(0, t0, x, None)
-    for s in range(cfg.steps):
-        t = t0 + s * dt
-        z = step_noise(cfg.seed, s, n, system.control_dim)
-        f = np.asarray(system.drift(x), dtype=np.float64)
-        _check_finite(f, s, "drift")
-        u = policy(x, t)
-        du = u * dt + z * sq
-        if const_diag is not None:
-            noise = du * const_diag
-        elif system.diffusion_const is not None:
-            noise = du @ system.diffusion_const.T
-        else:
-            sig = system.sigma_at(x)
-            _check_finite(sig, s, "diffusion")
-            noise = np.einsum("nij,nj->ni", sig, du)
-        x = x + f * dt + noise
-        observer(s + 1, t + dt, x, z)
+    m = system.control_dim
+    with ThreadPoolExecutor(1, thread_name_prefix="featpde-noise") as helper:
+        ahead = helper.submit(step_noise, cfg.seed, 0, n, m)
+        observer(0, t0, x, None)
+        for s in range(cfg.steps):
+            t = t0 + s * dt
+            z = ahead.result()
+            if s + 1 < cfg.steps:
+                ahead = helper.submit(step_noise, cfg.seed, s + 1, n, m)
+            f = np.asarray(system.drift(x), dtype=np.float64)
+            _check_finite(f, s, "drift")
+            u = policy(x, t)
+            du = u * dt + z * sq
+            if const_diag is not None:
+                noise = du * const_diag
+            elif system.diffusion_const is not None:
+                noise = du @ system.diffusion_const.T
+            else:
+                sig = system.sigma_at(x)
+                _check_finite(sig, s, "diffusion")
+                noise = np.einsum("nij,nj->ni", sig, du)
+            x = x + f * dt + noise
+            observer(s + 1, t + dt, x, z)
     return x
 
 
@@ -239,8 +255,15 @@ def _run_reduced(reduced, starts, cfg, t0, observer):
 
     Row j of the block is path j % N of start point j // N, and every start
     point reads the same step draw, so each point's paths are exactly those
-    of a one-point run.  The state is kept coordinate-major, (k, P*N);
-    ``observer(step, t, xi, z)`` sees it as a read-only (P*N, k) view.
+    of a one-point run.  The state is kept coordinate-major, (k, P*N), in
+    two buffers that take turns; ``observer(step, t, xi, z)`` sees it as a
+    read-only (P*N, k) view that is valid only during the call.
+
+    An exception raised while marching carries ``march_position``, the
+    (step, stage) it was raised at: stage i < k is coordinate i's update,
+    k the drift check and k + 1 the observer that follows (the initial
+    observer is at (-1, k + 1)).  ``montecarlo._grid`` orders the errors of
+    several blocks by it.
     """
     k = reduced.k
     starts = np.asarray(starts, dtype=np.float64)
@@ -253,34 +276,43 @@ def _run_reduced(reduced, starts, cfg, t0, observer):
     xi = np.repeat(starts, n, axis=0).T.copy()
     dt = cfg.dt
     sq = np.sqrt(dt)
+    new = np.empty_like(xi)
     drift = np.empty_like(xi)
     diff = np.empty_like(xi)
-    observer(0, t0, xi.T, None)
-    for s in range(cfg.steps):
-        z = step_noise(cfg.seed, s, n, k)
-        new = np.empty_like(xi)
-        for i in range(k):
-            a = np.asarray(reduced.alpha[i](xi[i]), dtype=np.float64)
-            bad = ~(a > 0)
-            if bad.any():
-                j = int(np.flatnonzero(bad)[0])
-                raise DomainError(
-                    f"alpha_{i + 1} <= 0 at xi_{i + 1} = {xi[i, j]:.6g} "
-                    f"({_path_name(j, p * n, starts)}, step {s})"
-                )
-            b = np.asarray(reduced.beta[i](xi[i]), dtype=np.float64)
-            np.multiply(a, b, out=drift[i])
-            # xi + drift * dt + sqrt(a) * z * sq, rounded as in that order
-            np.multiply(drift[i], dt, out=new[i])
-            new[i] += xi[i]
-            np.sqrt(a, out=diff[i])
-            noise = diff[i].reshape(p, n)
-            noise *= z[:, i]
-            noise *= sq
-            new[i] += diff[i]
-        _check_finite(drift.T, s, "reduced drift", starts)
-        xi = new
-        observer(s + 1, t0 + (s + 1) * dt, xi.T, z)
+    where = (-1, k + 1)
+    try:
+        observer(0, t0, xi.T, None)
+        for s in range(cfg.steps):
+            z = step_noise(cfg.seed, s, n, k)
+            for i in range(k):
+                where = (s, i)
+                a = np.asarray(reduced.alpha[i](xi[i]), dtype=np.float64)
+                bad = ~(a > 0)
+                if bad.any():
+                    j = int(np.flatnonzero(bad)[0])
+                    raise DomainError(
+                        f"alpha_{i + 1} <= 0 at xi_{i + 1} = {xi[i, j]:.6g} "
+                        f"({_path_name(j, p * n, starts)}, step {s})"
+                    )
+                b = np.asarray(reduced.beta[i](xi[i]), dtype=np.float64)
+                np.multiply(a, b, out=drift[i])
+                # xi + drift * dt + sqrt(a) * z * sq, rounded in that order
+                np.multiply(drift[i], dt, out=new[i])
+                new[i] += xi[i]
+                np.sqrt(a, out=diff[i])
+                noise = diff[i].reshape(p, n)
+                noise *= z[:, i]
+                noise *= sq
+                new[i] += diff[i]
+            where = (s, k)
+            _check_finite(drift, s, "reduced drift", starts,
+                          coordinate_major=True)
+            xi, new = new, xi
+            where = (s, k + 1)
+            observer(s + 1, t0 + (s + 1) * dt, xi.T, z)
+    except Exception as err:
+        err.march_position = where
+        raise
     return xi.T
 
 

@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 
@@ -30,3 +32,14 @@ def assert_close(actual, expected, rel=1e-9, abs_=0.0, msg=""):
 @pytest.fixture(scope="session")
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture(autouse=True)
+def no_stray_threads():
+    """Fail any test that leaves a thread alive: every helper thread of a
+    Monte Carlo march is joined before the march returns or raises."""
+    before = set(threading.enumerate())
+    yield
+    extra = [t.name for t in threading.enumerate() if t not in before]
+    if extra:
+        pytest.fail(f"threads left alive after the test: {extra}")

@@ -6,11 +6,13 @@ finite-difference exit-time solution and, for plain Brownian motion, the
 reflection principle.
 """
 
+import threading
+
 import numpy as np
 import pytest
 from scipy.stats import norm
 
-from featpde import montecarlo
+from featpde import montecarlo, sde
 from featpde.errors import (
     DegenerateEstimateError,
     DomainError,
@@ -31,8 +33,15 @@ from featpde.montecarlo import (
     value_pathintegral_reduced,
 )
 from featpde.pde import LqSpec, riccati_value
+from featpde.presets import get_preset
 from featpde.reduction import build_reduced_sde
-from featpde.sde import ControlPolicy, SimConfig, StochasticSystem, ZeroPolicy
+from featpde.sde import (
+    ControlPolicy,
+    SimConfig,
+    StochasticSystem,
+    ZeroPolicy,
+    simulate,
+)
 
 SAFETY_FD_LIMIT = 0.426046  # F(1.1, 1.1; T=1) from the dt->0 FD solution
 
@@ -353,6 +362,10 @@ def test_safety_rejects_bad_inputs():
     with pytest.raises(UsageError):  # bridge correction needs k = 1
         safety_mc_reduced(red, [1.0, 1.0], min_barrier, 1.0, cfg,
                           bridge_correction=True)
+    with pytest.raises(UsageError,
+                       match=r"initial feature state \[5\. 0\.\]"):
+        safety_grid_reduced(red, np.array([[1.0, 1.0], [5.0, 0.0]]),
+                            [0.5, 1.0], min_barrier, cfg)
 
 
 def test_bridge_correction_removes_monitoring_bias():
@@ -592,3 +605,238 @@ def test_block_nonfinite_drift_names_path_start_point_and_step():
                        match=r"path 0 of start point \[5\.\] at step 0"):
         value_grid_reduced(red, np.array([[0.0], [5.0]]), 0.5, 1.0,
                            k1_square, cfg)
+
+
+def error_cases():
+    """(reduced, points, r, error, message) where several blocks of one
+    time raise; the message is the one a single block of all rows raises."""
+    zeros = lambda s: np.zeros_like(np.asarray(s, dtype=float))  # noqa: E731
+    capped = lambda s: np.where(np.asarray(s) > 5.0, -1.0, 1.0)  # noqa: E731
+    capped_at_one = build_reduced_sde(
+        [lambda xi: 1.0 - xi], [lambda xi: 5.0 * np.ones_like(xi)],
+        [(-1.0, 0.9)])
+    # the [-3.] block fails too, but at a later step
+    yield "earliest step", (
+        capped_at_one, [[-3.0], [0.9]], k1_square,
+        DomainError, r"alpha_1 .*start point \[0\.9\]",
+    )
+    # with one point per block, [0.9] is the second block of the calling
+    # thread's lane, which must go on after its first block fails
+    yield "earliest step in a later block of a lane", (
+        capped_at_one, [[-3.0], [0.0], [0.9], [-2.0]], k1_square,
+        DomainError, r"alpha_1 .*start point \[0\.9\]",
+    )
+    yield "coordinate before row", (
+        build_reduced_sde([capped, capped], [zeros, zeros],
+                          [(-4.0, 4.0), (-4.0, 4.0)]),
+        [[0.0, 9.0], [9.0, 0.0]], quad_cost,
+        DomainError, r"alpha_1 .*start point \[9\. 0\.\], step 0",
+    )
+    yield "alpha before the drift check", (
+        build_reduced_sde(
+            [capped],
+            [lambda s: np.where(np.asarray(s) < -5.0, np.nan, 0.0)],
+            [(-4.0, 4.0)]),
+        [[-9.0], [9.0]], k1_square,
+        DomainError, r"start point \[9\.\], step 0",
+    )
+    yield "march before the estimate", (
+        build_reduced_sde([capped], [zeros], [(-4.0, 4.0)]),
+        [[0.0], [9.0]], lambda xi: np.full(len(np.atleast_2d(xi)), 1e4),
+        DomainError, r"start point \[9\.\], step 0",
+    )
+
+
+# None keeps the default (at least two blocks per time); 64 gives each start
+# point of 64 paths its own block
+@pytest.mark.parametrize("block_rows", [None, 64])
+@pytest.mark.parametrize("case", [
+    "earliest step", "earliest step in a later block of a lane",
+    "coordinate before row", "alpha before the drift check",
+    "march before the estimate"])
+def test_grid_error_is_the_one_block_error(monkeypatch, block_rows, case):
+    if block_rows is not None:
+        monkeypatch.setattr(montecarlo, "_BLOCK_ROWS", block_rows)
+    red, points, r, error, message = dict(error_cases())[case]
+    cfg = SimConfig(dt=0.01, horizon=1.0, seed=1, n_paths=64)
+    with pytest.raises(error, match=message):
+        value_grid_reduced(red, np.array(points), 0.0, 1.0, r, cfg)
+
+
+# --- full-system march against recorded values ----------------------------------
+
+def mixing_system():
+    """3 states driven by 2 noises: the general diffusion_const branch."""
+    return StochasticSystem(
+        state_dim=3, control_dim=2, drift=lambda x: -0.5 * x,
+        diffusion_const=np.array([[1.0, 0.3], [-0.2, 0.8], [0.5, 0.5]]),
+    )
+
+
+def state_noise_system():
+    """2-d system with a state-dependent diffusion matrix."""
+    def diffusion(x):
+        row1 = np.stack([1.0 + 0.1 * x[:, 1] ** 2, 0.2 * np.tanh(x[:, 0])],
+                        axis=1)
+        row2 = np.stack([0.1 * np.ones(len(x)), 1.0 + 0.1 * x[:, 0] ** 2],
+                        axis=1)
+        return np.stack([row1, row2], axis=1)
+
+    return StochasticSystem(state_dim=2, control_dim=2, drift=lambda x: -x,
+                            diffusion=diffusion)
+
+
+def diag_system():
+    return StochasticSystem(
+        state_dim=3, control_dim=3,
+        drift=stable_full_system().drift,
+        diffusion_const=np.diag([1.0, 0.5, 2.0]),
+    )
+
+
+def hexes(values):
+    return [float(v).hex() for v in np.ravel(values)]
+
+
+def test_full_march_matches_recorded_values():
+    # float.hex values recorded at commit 8ab5b83, before the noise draw
+    # moved to a helper thread; together they take every noise branch of
+    # the full march and a non-zero policy
+    zero = ControlPolicy(lambda x, t: 0.0 * x)
+    cfg = SimConfig(dt=1e-2, horizon=0.5, seed=71, n_paths=200)
+    est = value_pathintegral(diag_system(), [0.5, -0.3, 0.2], 0.0, 0.5,
+                             CostSpec(full_cost, 0.5), cfg)
+    assert hexes([est.value, est.std_error]) == [
+        "0x1.f81aa46cfee00p-2", "0x1.8cc50b29030dep-6"]
+    cfg = SimConfig(dt=1e-2, horizon=0.3, seed=89, n_paths=3)
+    batch = simulate(diag_system(), zero, [0.5, -0.3, 0.2], cfg)
+    assert hexes(batch.states[:, -1]) == [
+        "0x1.659b8e59d99e0p-1", "0x1.a6aeba37cec13p-4",
+        "-0x1.ec2c3bee4c0fbp-3", "0x1.123e5618f7350p-1",
+        "0x1.3824d41b8dbe8p-3", "-0x1.c9cd859ae6b7cp-2",
+        "0x1.0bb6a66ea358fp-3", "-0x1.2a82be6f68d65p-1",
+        "-0x1.87aa65553f902p-1"]
+    cfg = SimConfig(dt=1e-2, horizon=1.0, seed=73, n_paths=300)
+    est = safety_mc(mixing_system(), ZeroPolicy(2), [0.5, 0.5, 0.5],
+                    BarrierSpec(lambda x: 1.5 - np.abs(x).max(axis=1)), 1.0,
+                    cfg)
+    assert hexes([est.value, est.std_error]) == [
+        "0x1.62fc962fc9630p-1", "0x1.b42d899cf9df6p-6"]
+    cfg = SimConfig(dt=1e-2, horizon=0.3, seed=79, n_paths=3)
+    batch = simulate(state_noise_system(), zero, [0.4, -0.6], cfg)
+    assert hexes(batch.states[:, -1]) == [
+        "0x1.0ea6330d6cddcp-1", "-0x1.ac09fe62e71a0p-1",
+        "0x1.10f0c0a051889p-2", "-0x1.0810f1a8e240cp+0",
+        "-0x1.8d84a534079dep-4", "-0x1.da506d60622c4p-1"]
+    cfg = SimConfig(dt=1e-2, horizon=0.5, seed=83, n_paths=200)
+    policy = ControlPolicy(lambda x, t: -0.5 * x + 0.1 * t)
+    refined, diag = refine_control_importance_sampling(
+        diag_system(), policy, CostSpec(full_cost, 1.0), [0.5, -0.3, 0.2],
+        0.0, 0.1, cfg, n_bootstrap=20, return_diagnostics=True)
+    assert hexes(refined) == ["-0x1.cb79c7ad68374p-5", "-0x1.2dac5340403e7p-3",
+                              "-0x1.7b17e40ebf0f9p-4"]
+    assert hexes(diag.effective_sample_size) == ["0x1.575247ad6a1abp+7"]
+
+
+# Per-step sums of the sys1000d running cost over all paths (float.hex),
+# recorded like the values above.  The cost's row sums round differently on
+# C- and F-ordered states, and numpy gives ``x + f * dt + noise`` the F order
+# of the sparse drift at 200 paths but C order at 20, so these pin the
+# memory layout of the update as well as its values.
+THOUSAND_DIM_COSTS = {
+    20: ["0x1.0c5acd2477e13p-1", "0x1.ef2e1c7b315e1p-1",
+         "0x1.32a9099afca3fp+0", "0x1.9a69b56959b9cp+0",
+         "0x1.808811450202fp+0"],
+    200: ["0x1.8b0071c756bd8p+2", "0x1.2dd15f759480fp+3",
+          "0x1.9b9eed011ee5ep+3", "0x1.08ce07162ef72p+4",
+          "0x1.1d5adeff9852ap+4"],
+}
+
+
+@pytest.mark.parametrize("n_paths", sorted(THOUSAND_DIM_COSTS))
+def test_thousand_dim_march_matches_recorded_costs(n_paths):
+    p = get_preset("sys1000d-value")
+    cfg = SimConfig(dt=1e-2, horizon=0.05, seed=6, n_paths=n_paths)
+    costs = []
+    sde._run_full(p.system, ZeroPolicy(1000), p.x0_of_xi(np.array([1.5, 1.5])),
+                  cfg, 1.0, lambda s, t, x, z: costs.append(p.cost_full(x)))
+    assert hexes(np.sum(costs[1:], axis=1)) == THOUSAND_DIM_COSTS[n_paths]
+
+
+# --- helper threads -------------------------------------------------------------
+
+def test_grid_helper_lane_error_is_reraised_after_join():
+    red = build_reduced_sde(
+        [lambda xi: 1.0 - xi],
+        [lambda xi: 5.0 * np.ones_like(xi)],
+        [(-1.0, 0.9)],
+    )
+    cfg = SimConfig(dt=0.01, horizon=1.0, seed=1, n_paths=64)
+    before = threading.active_count()
+    # [0.9] is the second of two blocks, marched on the helper thread
+    with pytest.raises(DomainError, match=r"start point \[0\.9\]"):
+        value_grid_reduced(red, np.array([[0.0], [0.9]]), 0.0, 1.0,
+                           k1_square, cfg)
+    assert threading.active_count() == before
+
+
+def test_grid_r_error_is_reraised_after_join():
+    def r(xi):
+        if (np.atleast_2d(xi)[:, 0] > 100.0).any():
+            raise ValueError("r is undefined beyond 100")
+        return k1_square(xi)
+
+    cfg = SimConfig(dt=0.01, horizon=0.5, seed=1, n_paths=16)
+    before = threading.active_count()
+    with pytest.raises(ValueError, match="r is undefined beyond 100"):
+        value_grid_reduced(state_dependent_k1(), np.array([[0.0], [200.0]]),
+                           0.5, 1.0, r, cfg)
+    assert threading.active_count() == before
+
+
+def test_full_march_nonfinite_drift_is_raised_after_join():
+    calls = []
+
+    def drift(x):
+        calls.append(1)
+        return np.full_like(x, np.nan) if len(calls) > 3 else -x
+
+    system = StochasticSystem(2, 2, drift, diffusion_const=np.eye(2))
+    cfg = SimConfig(dt=0.01, horizon=0.5, seed=1, n_paths=8)
+    before = threading.active_count()
+    with pytest.raises(SimulationError, match="path 0 at step 3"):
+        simulate(system, ZeroPolicy(2), np.zeros(2), cfg)
+    assert threading.active_count() == before
+
+
+def test_full_march_observer_error_is_raised_after_join():
+    calls = []
+
+    def cost(x):
+        calls.append(1)
+        if len(calls) == 5:
+            raise RuntimeError("cost failed at its fifth call")
+        return full_cost(x)
+
+    cfg = SimConfig(dt=0.01, horizon=0.5, seed=1, n_paths=8)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match="cost failed at its fifth call"):
+        value_pathintegral(stable_full_system(), [0.5, 0.5, 0.5], 0.0, 0.5,
+                           CostSpec(cost), cfg)
+    assert threading.active_count() == before
+
+
+def test_full_march_noise_error_is_reraised_after_join(monkeypatch):
+    real = sde.step_noise
+
+    def noise(seed, step, n, m):
+        if step == 4:
+            raise MemoryError("no room for step 4")
+        return real(seed, step, n, m)
+
+    monkeypatch.setattr(sde, "step_noise", noise)
+    cfg = SimConfig(dt=0.01, horizon=0.5, seed=1, n_paths=8)
+    before = threading.active_count()
+    with pytest.raises(MemoryError, match="no room for step 4"):
+        simulate(stable_full_system(), ZeroPolicy(3), np.zeros(3), cfg)
+    assert threading.active_count() == before
