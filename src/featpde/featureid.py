@@ -26,7 +26,7 @@ via the decoder's input cotangent, through the encoder.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -37,6 +37,7 @@ from .errors import (
     TrainingError,
     UsageError,
 )
+from .grid import write_csv
 from .neural import (
     AdamState,
     DenseNetwork,
@@ -162,12 +163,6 @@ class PreimageIndex:
     def n_buckets(self, i: int) -> int:
         return len(self.keys[i])
 
-    @property
-    def ranges(self) -> list:
-        return self.keys
-
-    def bucket_map(self, i: int) -> dict:
-        return dict(zip(self.keys[i].tolist(), self.members[i]))
 
 
 def build_preimage(states, encoder: DenseNetwork, epsilons) -> PreimageIndex:
@@ -392,9 +387,8 @@ class AeTrainResult:
     def log_to_csv(self, path: str):
         arr = np.asarray([(it, rc, ct, cl) for it, rc, ct, cl in self.log],
                          dtype=np.float64)
-        np.savetxt(path, arr, delimiter=",",
-                   header="iteration,loss_rc,loss_ct,clamped_probes",
-                   comments="", fmt=("%d", "%.17g", "%.17g", "%d"))
+        write_csv(path, "iteration,loss_rc,loss_ct,clamped_probes", arr,
+                  ("%d", "%.17g", "%.17g", "%d"))
 
 
 def train_autoencoder(system: StochasticSystem, cost: Callable, states,

@@ -1,4 +1,5 @@
-"""Experiment runner: validated configs, estimator dispatch, CSV artifacts.
+"""Experiment runner: validated configs, one route per estimator, CSV
+artifacts.
 
 A run is described by a single YAML file (nested key/value sections; unknown
 keys are errors, so typos fail loudly instead of silently falling back to
@@ -7,6 +8,16 @@ fully resolved configuration and seed; re-running from that file reproduces
 the artifacts byte-for-byte.  All file writes go through a
 write-temp-then-rename helper so concurrent runs never observe half-written
 artifacts.
+
+``ROUTES`` is the one table of estimators.  A route's ``rows(xc, points,
+times, mc)`` returns the ``McGrid`` of the config's task on the given rows,
+points (R, k) and one time per row: estimates, and standard errors that are
+zero for the deterministic routes.  ``mc`` is the (dt, n_paths, seed) budget
+of the sampled routes; the others ignore it.  estimate-value/-safety,
+benchmark (its oracle and its estimators), make-dataset and the PINN's FD
+data all call a route.  A route looks up the functions it calls as module
+globals when it runs, so a wrapper set on one of those names sees every
+command's calls.
 """
 
 from __future__ import annotations
@@ -14,7 +25,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 import yaml
@@ -22,6 +33,7 @@ import yaml
 from . import __version__
 from .errors import ConfigError, DomainError, UsageError
 from .featureid import AeTrainConfig, AutoencoderNet, train_autoencoder
+from .grid import nodes, space_time, write_csv
 from .montecarlo import (
     BarrierSpec,
     CostSpec,
@@ -34,7 +46,8 @@ from .montecarlo import (
 from .neural import DenseNetwork, forward, load_checkpoint, save_checkpoint
 from .pde import FdSolution, LqSpec, riccati_value, solve_fd
 from .pinn import PinnConfig, TrainingDataset, predict_grid, train
-from .presets import Preset, feature_state_grid, get_preset, preset_names
+from .presets import (Preset, _quad_r, feature_state_grid, get_preset,
+                      preset_names)
 from .reduction import (
     build_reduced_sde,
     coeff_a,
@@ -46,6 +59,7 @@ from .sde import SimConfig, ZeroPolicy, simulate, simulate_reduced
 __all__ = [
     "ExperimentConfig",
     "BenchmarkSpec",
+    "ROUTES",
     "load_config",
     "validate_config",
     "run",
@@ -55,14 +69,11 @@ __all__ = [
     "COMMANDS",
 ]
 
-_ESTIMATORS = ("mc_full", "mc_reduced", "fd", "pinn", "riccati")
-
-
 # ---------------------------------------------------------------------------
 # atomic file output
 
 
-def _atomic_write(path: str, write_fn: Callable[[str], None]):
+def _atomic_write(path: str, write_fn: Callable[[str], None]) -> str:
     tmp = f"{path}.tmp{os.getpid()}"
     try:
         write_fn(tmp)
@@ -70,14 +81,15 @@ def _atomic_write(path: str, write_fn: Callable[[str], None]):
     finally:
         if os.path.exists(tmp):
             os.remove(tmp)
+    return path
 
 
-def _write_text(path: str, text: str):
+def _write_text(path: str, text: str) -> str:
     def do(tmp):
         with open(tmp, "w") as fh:
             fh.write(text)
 
-    _atomic_write(path, do)
+    return _atomic_write(path, do)
 
 
 # ---------------------------------------------------------------------------
@@ -167,9 +179,9 @@ def validate_config(cfg: dict) -> dict:
     if "preset" in cfg and "inline" in cfg:
         raise ConfigError("give either 'preset' or 'inline', not both")
     est = cfg.get("estimator")
-    if est is not None and est not in _ESTIMATORS:
+    if est is not None and est not in ROUTES:
         raise ConfigError(
-            f"unknown estimator {est!r}; one of {', '.join(_ESTIMATORS)}"
+            f"unknown estimator {est!r}; one of {', '.join(ROUTES)}"
         )
     task = cfg.get("task")
     if task is not None and task not in ("value", "safety"):
@@ -206,13 +218,20 @@ def load_config(path: str) -> dict:
 # resolution: config dict -> concrete objects
 
 
-def _axis(lo: float, hi: float, step: float) -> np.ndarray:
-    n = round((hi - lo) / step)
-    if n < 1 or abs(lo + n * step - hi) > 1e-9 * max(1.0, abs(hi)):
-        raise ConfigError(
-            f"step {step} does not resolve [{lo}, {hi}] into whole cells"
-        )
-    return np.round(lo + step * np.arange(n + 1), 12)
+def _axes(domain, step: float) -> list:
+    """Nodes at spacing ``step`` on each (lo, hi) of ``domain``; every
+    interval must be a whole number of cells."""
+    step = float(step)
+    axes = []
+    for lo, hi in domain:
+        lo, hi = float(lo), float(hi)
+        n = round((hi - lo) / step)
+        if n < 1 or abs(lo + n * step - hi) > 1e-9 * max(1.0, abs(hi)):
+            raise ConfigError(
+                f"step {step} does not resolve [{lo}, {hi}] into whole cells"
+            )
+        axes.append(np.round(lo + step * np.arange(n + 1), 12))
+    return axes
 
 
 def _inline_preset(inline: dict) -> Preset:
@@ -236,11 +255,6 @@ def _inline_preset(inline: dict) -> Preset:
         for m in slope
     ]
     r_scale = float(inline.get("r_scale", 0.5))
-
-    def r(xi):
-        xi = np.atleast_2d(np.asarray(xi, dtype=np.float64))
-        return r_scale * (xi**2).sum(axis=1)
-
     horizon = float(inline["horizon"])
     k = len(alpha_c)
     # constant alpha + linear beta + quadratic r is exactly the
@@ -258,7 +272,7 @@ def _inline_preset(inline: dict) -> Preset:
         horizon=horizon,
         k=k,
         reduced=build_reduced_sde(alpha, beta, ranges),
-        r=r,
+        r=_quad_r(r_scale),
         terminal_weight=float(inline.get("terminal_weight", 1.0)),
         data_domain=ranges,
         data_times=np.round(np.arange(0.0, horizon + 1e-9, 0.1), 10),
@@ -405,36 +419,17 @@ class ExperimentConfig:
 
     # --- resolved sub-configs -------------------------------------------
 
-    def sim_config(self, horizon: float, defaults=None) -> SimConfig:
+    def mc_budget(self, defaults=None) -> tuple:
+        """(dt, n_paths, seed) of the sampled routes: the mc section over
+        ``defaults``."""
         mc = dict(defaults or {})
         mc.update(self.raw.get("mc", {}))
-        return SimConfig(
-            dt=float(mc.get("dt", 1e-3)),
-            horizon=horizon,
-            seed=self.seed,
-            n_paths=int(mc.get("n_paths", 10000)),
-        )
-
-    def fd_settings(self):
-        fd = self.raw.get("fd", {})
-        p = self.preset
-        domain = fd.get("domain", p.oracle_domain)
-        return (
-            [tuple(map(float, ab)) for ab in domain],
-            float(fd.get("dxi", p.oracle_dxi)),
-            float(fd.get("dt", p.oracle_dt)),
-            int(fd.get("save_every", p.oracle_save_every)),
-        )
+        return (float(mc.get("dt", 1e-3)), int(mc.get("n_paths", 10000)),
+                self.seed)
 
     def pinn_config(self) -> PinnConfig:
         base = self.preset.pinn or PinnConfig()
-        over = {
-            k: v
-            for k, v in self.raw.get("pinn", {}).items()
-            if k not in ("data_source", "data_path")
-        }
-        if "widths" in over:
-            over["widths"] = tuple(int(w) for w in over["widths"])
+        over = self.raw.get("pinn", {})
         return PinnConfig(
             omega_p=float(over.get("omega_p", base.omega_p)),
             omega_d=float(over.get("omega_d", base.omega_d)),
@@ -442,7 +437,7 @@ class ExperimentConfig:
             epochs=int(over.get("epochs", base.epochs)),
             lr=float(over.get("lr", base.lr)),
             seed=self.seed,
-            widths=over.get("widths", base.widths),
+            widths=tuple(int(w) for w in over.get("widths", base.widths)),
             batch_size=over.get("batch_size", base.batch_size),
             log_every=int(over.get("log_every", base.log_every)),
             resample_collocation=bool(
@@ -468,11 +463,18 @@ class ExperimentConfig:
             ),
         )
 
+    @property
+    def default_time(self) -> float:
+        """The evaluation time of estimate-* and benchmark when the config
+        gives none: the preset's, else 0."""
+        t = self.preset.eval_time
+        return 0.0 if t is None else t
+
     def eval_points(self):
         """Evaluation rows (points, time) from the eval section."""
         ev = self.raw.get("eval", {})
         p = self.preset
-        t = float(ev.get("time", p.eval_time if p.eval_time is not None else 0.0))
+        t = float(ev.get("time", self.default_time))
         if "points" in ev:
             pts = np.atleast_2d(np.asarray(ev["points"], dtype=np.float64))
             if pts.shape[1] != p.k:
@@ -481,137 +483,150 @@ class ExperimentConfig:
                     f"preset has k = {p.k}"
                 )
             return pts, t
-        domain = ev.get("domain", p.data_domain)
+        return nodes(self.eval_axes()), t
+
+    def eval_axes(self) -> list:
+        """Axes of the eval section's tensor grid."""
+        ev = self.raw.get("eval", {})
+        domain = ev.get("domain", self.preset.data_domain)
         if domain is None:
             raise ConfigError("eval.domain is required for this preset")
-        step = float(ev.get("step", p.data_step))
-        axes = [_axis(float(lo), float(hi), step) for lo, hi in domain]
-        grids = np.meshgrid(*axes, indexing="ij")
-        return np.column_stack([g.ravel() for g in grids]), t
+        return _axes(domain, ev.get("step", self.preset.data_step))
 
 
 # ---------------------------------------------------------------------------
-# shared evaluation paths
+# estimator routes
 
 
 def _solve_oracle(xc: ExperimentConfig) -> FdSolution:
-    domain, dxi, dt, save_every = xc.fd_settings()
-    problem = xc.preset.pde_problem(domain=domain)
-    return solve_fd(problem, [dxi] * xc.preset.k, dt, save_every=save_every)
-
-
-def fd_dataset(preset: Preset, domain, step, times, sol: FdSolution,
-               provenance: str = "FD") -> TrainingDataset:
-    """Supervised rows on a tensor grid, interpolated from an FD solution."""
-    axes = [_axis(float(lo), float(hi), float(step)) for lo, hi in domain]
-    times = np.asarray(times, dtype=np.float64)
-    shape = tuple(len(a) for a in axes)
-    grids = np.meshgrid(*axes, indexing="ij")
-    nodes = np.column_stack([g.ravel() for g in grids])
-    values = np.empty((times.size, *shape))
-    for j, t in enumerate(times):
-        values[j] = sol.interpolate(nodes, float(t)).reshape(shape)
-    return TrainingDataset.from_grid(axes, times, values,
-                                     provenance=provenance)
-
-
-def _estimate_value_rows(xc: ExperimentConfig, points, t) -> McGrid:
+    """The FD solve of the preset's PDE with the fd section's settings."""
+    fd = xc.raw.get("fd", {})
     p = xc.preset
-    est = xc.estimator
-    n = points.shape[0]
-    if est == "riccati":
-        if p.lq is None:
-            raise UsageError(
-                f"preset {p.name!r} has no linear-quadratic form; the "
-                f"riccati estimator does not apply"
-            )
-        vals = np.asarray(riccati_value(p.lq, points, t), dtype=np.float64)
-        vals = np.broadcast_to(np.atleast_1d(vals), (n,)).copy()
-        return McGrid(points=points, times=np.full(n, t), estimates=vals,
-                      std_errors=np.zeros(n))
-    if est == "fd":
-        sol = _solve_oracle(xc)
-        vals = sol.interpolate(points, t)
-        return McGrid(points=points, times=np.full(n, t), estimates=vals,
-                      std_errors=np.zeros(n))
-    if est == "pinn":
-        net = _trained_or_loaded_net(xc)
-        vals = forward(
-            net, np.column_stack([points, np.full(n, t)])
-        )[:, 0]
-        return McGrid(points=points, times=np.full(n, t), estimates=vals,
-                      std_errors=np.zeros(n))
-    if est == "mc_reduced":
-        cfg = xc.sim_config(horizon=p.horizon - t)
-        return value_grid_reduced(
-            p.reduced, points, t, p.horizon, p.r, cfg,
-            terminal_weight=p.terminal_weight,
-        )
-    if est == "mc_full":
-        if p.system is None or p.x0_of_xi is None:
-            raise UsageError(
-                f"preset {p.name!r} has no full system; mc_full does not "
-                f"apply"
-            )
-        cfg = xc.sim_config(horizon=p.horizon - t)
-        cost = CostSpec(running_cost=p.cost_full,
-                        terminal_weight=p.terminal_weight)
-        vals = np.empty(n)
-        ses = np.empty(n)
-        for j, xi in enumerate(points):
-            mc = value_pathintegral(
-                p.system, p.x0_of_xi(xi), t, p.horizon, cost, cfg
-            )
-            vals[j] = np.exp(-mc.value)
-            ses[j] = vals[j] * mc.std_error
-        return McGrid(points=points, times=np.full(n, t), estimates=vals,
-                      std_errors=ses)
-    raise ConfigError("config needs an 'estimator' for this command")
+    domain = [tuple(map(float, ab))
+              for ab in fd.get("domain", p.oracle_domain)]
+    return solve_fd(p.pde_problem(domain=domain),
+                    [float(fd.get("dxi", p.oracle_dxi))] * p.k,
+                    float(fd.get("dt", p.oracle_dt)),
+                    save_every=int(fd.get("save_every", p.oracle_save_every)))
 
 
-def _estimate_safety_rows(xc: ExperimentConfig, points, t) -> McGrid:
+def _sim(mc, horizon: float) -> SimConfig:
+    dt, n_paths, seed = mc
+    return SimConfig(dt=dt, horizon=horizon, seed=seed, n_paths=n_paths)
+
+
+def _exact(points, times, values) -> McGrid:
+    return McGrid(points=points, times=times, estimates=values,
+                  std_errors=np.zeros(len(times)))
+
+
+def _per_time(points, times, fn) -> np.ndarray:
+    """``fn(rows, t)`` evaluated on the rows of each distinct time."""
+    out = np.empty(len(times))
+    for t in np.unique(times):
+        at = times == t
+        out[at] = fn(points[at], float(t))
+    return out
+
+
+def _riccati_rows(xc: ExperimentConfig, points, times, mc) -> McGrid:
     p = xc.preset
-    est = xc.estimator
-    n = points.shape[0]
-    if est in ("fd", "pinn"):
-        if est == "fd":
-            sol = _solve_oracle(xc)
-            vals = sol.interpolate(points, t)
-        else:
-            net = _trained_or_loaded_net(xc)
-            vals = forward(
-                net, np.column_stack([points, np.full(n, t)])
-            )[:, 0]
-        return McGrid(points=points, times=np.full(n, t), estimates=vals,
-                      std_errors=np.zeros(n))
-    if est == "mc_reduced":
-        cfg = xc.sim_config(horizon=t)
-        return safety_grid_reduced(p.reduced, points, t, p.r, cfg)
-    if est == "mc_full":
-        if p.system is None or p.x0_of_xi is None:
-            raise UsageError(
-                f"preset {p.name!r} has no full system; mc_full does not "
-                f"apply"
-            )
-        cfg = xc.sim_config(horizon=t)
-        vals = np.empty(n)
-        ses = np.empty(n)
-        for j, xi in enumerate(points):
-            mc = safety_mc(
-                p.system,
-                ZeroPolicy(p.system.control_dim),
-                p.x0_of_xi(xi),
-                BarrierSpec(phi=p.barrier_full),
-                t,
-                cfg,
-            )
-            vals[j] = mc.value
-            ses[j] = mc.std_error
-        return McGrid(points=points, times=np.full(n, t), estimates=vals,
-                      std_errors=ses)
-    if est == "riccati":
+    if xc.task != "value":
         raise UsageError("the riccati estimator applies to value tasks only")
-    raise ConfigError("config needs an 'estimator' for this command")
+    if p.lq is None:
+        raise UsageError(
+            f"preset {p.name!r} has no linear-quadratic form; the "
+            f"riccati estimator does not apply"
+        )
+    return _exact(points, times, _per_time(
+        points, times, lambda xi, t: riccati_value(p.lq, xi, t)))
+
+
+def _fd_rows(xc: ExperimentConfig, points, times, mc) -> McGrid:
+    return _exact(points, times, _solve_oracle(xc).interpolate(points, times))
+
+
+def _pinn_rows(xc: ExperimentConfig, points, times, mc) -> McGrid:
+    net = _trained_or_loaded_net(xc)
+    # one forward call per time, as predict_grid makes
+    return _exact(points, times, _per_time(
+        points, times,
+        lambda xi, t: forward(net, np.column_stack(
+            [xi, np.full(len(xi), t)]))[:, 0]))
+
+
+def _mc_reduced_rows(xc: ExperimentConfig, points, times, mc) -> McGrid:
+    """Reduced-SDE Monte Carlo of all rows in one grid call.  Rows with no
+    time left to march (t = T for a value, t = 0 for a safety horizon) take
+    the boundary condition, with a zero standard error."""
+    p = xc.preset
+    value = xc.task == "value"
+    edge = np.abs(times - p.horizon) < 1e-12 if value else times <= 1e-12
+    est = np.empty(len(times))
+    se = np.zeros(len(times))
+    if edge.any():
+        r = np.asarray(p.r(points[edge]), dtype=np.float64)
+        est[edge] = (np.exp(-p.terminal_weight * r) if value
+                     else (r > 0).astype(np.float64))
+    run = ~edge
+    if run.any():
+        t0 = float(times[run][0])
+        if value:
+            grid = value_grid_reduced(
+                p.reduced, points[run], times[run], p.horizon, p.r,
+                _sim(mc, p.horizon - t0), terminal_weight=p.terminal_weight,
+            )
+        else:
+            grid = safety_grid_reduced(p.reduced, points[run], times[run],
+                                       p.r, _sim(mc, t0))
+        est[run], se[run] = grid.estimates, grid.std_errors
+    return McGrid(points=points, times=times, estimates=est, std_errors=se)
+
+
+def _mc_full_rows(xc: ExperimentConfig, points, times, mc) -> McGrid:
+    """Full-system Monte Carlo, one march per row."""
+    p = xc.preset
+    if p.system is None or p.x0_of_xi is None:
+        raise UsageError(
+            f"preset {p.name!r} has no full system; mc_full does not apply"
+        )
+    est = np.empty(len(times))
+    se = np.empty(len(times))
+    for j, (xi, t) in enumerate(zip(points, times.tolist())):
+        if xc.task == "value":
+            cost = CostSpec(running_cost=p.cost_full,
+                            terminal_weight=p.terminal_weight)
+            m = value_pathintegral(p.system, p.x0_of_xi(xi), t, p.horizon,
+                                   cost, _sim(mc, p.horizon - t))
+            est[j] = np.exp(-m.value)
+            se[j] = est[j] * m.std_error
+        else:
+            m = safety_mc(p.system, ZeroPolicy(p.system.control_dim),
+                          p.x0_of_xi(xi), BarrierSpec(phi=p.barrier_full), t,
+                          _sim(mc, t))
+            est[j], se[j] = m.value, m.std_error
+    return McGrid(points=points, times=times, estimates=est, std_errors=se)
+
+
+class Route(NamedTuple):
+    """A rows function and its role: benchmark measures ``sampled`` routes
+    against an ``oracle`` route; ``trained`` routes fit a network first."""
+
+    rows: Callable
+    role: str
+
+
+ROUTES = {
+    "mc_full": Route(_mc_full_rows, "sampled"),
+    "mc_reduced": Route(_mc_reduced_rows, "sampled"),
+    "fd": Route(_fd_rows, "oracle"),
+    "pinn": Route(_pinn_rows, "trained"),
+    "riccati": Route(_riccati_rows, "oracle"),
+}
+
+
+def _with_role(role: str) -> tuple:
+    return tuple(name for name, r in ROUTES.items() if r.role == role)
 
 
 def _pinn_dataset(xc: ExperimentConfig) -> TrainingDataset:
@@ -626,12 +641,14 @@ def _pinn_dataset(xc: ExperimentConfig) -> TrainingDataset:
     if source != "fd":
         raise ConfigError(f"pinn.data_source must be 'fd' or 'file', got "
                           f"{source!r}")
-    sol = _solve_oracle(xc)
     times = p.data_times
     if p.train_window is not None:
         lo, hi = p.train_window
         times = times[(times >= lo - 1e-9) & (times <= hi + 1e-9)]
-    return fd_dataset(p, p.data_domain, p.data_step, times, sol)
+    points, times = space_time(_axes(p.data_domain, p.data_step), times)
+    grid = ROUTES["fd"].rows(xc, points, times, None)
+    return TrainingDataset(xi=points, t=times, target=grid.estimates,
+                           provenance="FD")
 
 
 def _trained_or_loaded_net(xc: ExperimentConfig) -> DenseNetwork:
@@ -641,9 +658,8 @@ def _trained_or_loaded_net(xc: ExperimentConfig) -> DenseNetwork:
             raise ConfigError(f"pinn.checkpoint does not exist: {ckpt}")
         net, _ = load_checkpoint(ckpt)
         return net
-    data = _pinn_dataset(xc)
-    result = train(xc.preset.pde_problem(), data, xc.pinn_config())
-    return result.net
+    return train(xc.preset.pde_problem(), _pinn_dataset(xc),
+                 xc.pinn_config()).net
 
 
 # ---------------------------------------------------------------------------
@@ -653,80 +669,36 @@ def _trained_or_loaded_net(xc: ExperimentConfig) -> DenseNetwork:
 def make_dataset(xc: ExperimentConfig, out_path: str) -> str:
     """Evaluate the configured source on the dataset grid and write CSV.
 
-    FD rows are ``xi1,...,xik,t,value``; MC rows append
+    ``fd`` rows come from the fd route and read ``xi1,...,xik,t,value``;
+    ``mc`` rows come from the mc_reduced route and append
     ``std_error,flagged`` where ``flagged`` marks standard errors above
     ``dataset.se_ceiling``.  A provenance comment precedes the header.
     """
     p = xc.preset
     ds = xc.raw.get("dataset", {})
     source = ds.get("source", "fd")
-    domain = ds.get("domain", p.data_domain)
-    step = float(ds.get("step", p.data_step))
-    times = np.asarray(ds.get("times", p.data_times), dtype=np.float64)
-    axes = [_axis(float(lo), float(hi), step) for lo, hi in domain]
-    grids = np.meshgrid(*axes, indexing="ij")
-    nodes = np.column_stack([g.ravel() for g in grids])
-    cols = ",".join(f"xi{i + 1}" for i in range(p.k))
-
+    axes = _axes(ds.get("domain", p.data_domain),
+                 ds.get("step", p.data_step))
+    points, times = space_time(axes, ds.get("times", p.data_times))
+    header = ",".join(f"xi{i + 1}" for i in range(p.k)) + ",t,value"
+    fmt = "%.17g"
     if source == "fd":
-        sol = _solve_oracle(xc)
-        rows = []
-        for t in times:
-            vals = sol.interpolate(nodes, float(t))
-            rows.append(np.column_stack(
-                [nodes, np.full(nodes.shape[0], t), vals]
-            ))
-        body = np.vstack(rows)
-        header = f"{cols},t,value"
-        text = "# provenance: fd\n" + header + "\n" + "\n".join(
-            ",".join(f"{v:.17g}" for v in row) for row in body
-        ) + "\n"
-        _write_text(out_path, text)
-        return out_path
-
-    if source != "mc":
+        grid = ROUTES["fd"].rows(xc, points, times, None)
+        body = np.column_stack([points, times, grid.estimates])
+    elif source == "mc":
+        ceiling = float(ds.get("se_ceiling", np.inf))
+        mc = xc.mc_budget({"dt": ds.get("dt", 1e-3),
+                           "n_paths": ds.get("n_paths", 10000)})
+        grid = ROUTES["mc_reduced"].rows(xc, points, times, mc)
+        header += ",std_error,flagged"
+        body = np.column_stack([points, times, grid.estimates,
+                                grid.std_errors, grid.std_errors > ceiling])
+        fmt = [fmt] * (body.shape[1] - 1) + ["%d"]
+    else:
         raise ConfigError(f"dataset.source must be 'fd' or 'mc', got "
                           f"{source!r}")
-    ceiling = float(ds.get("se_ceiling", np.inf))
-    mc_cfg = {"dt": ds.get("dt", 1e-3), "n_paths": ds.get("n_paths", 10000)}
-    rows = []
-    for t in times:
-        t = float(t)
-        if xc.task == "value":
-            if abs(t - p.horizon) < 1e-12:
-                vals = np.exp(
-                    -p.terminal_weight * np.asarray(p.r(nodes), dtype=np.float64)
-                )
-                ses = np.zeros(nodes.shape[0])
-            else:
-                cfg = xc.sim_config(horizon=p.horizon - t, defaults=mc_cfg)
-                grid = value_grid_reduced(
-                    p.reduced, nodes, t, p.horizon, p.r, cfg,
-                    terminal_weight=p.terminal_weight,
-                )
-                vals, ses = grid.estimates, grid.std_errors
-        else:
-            if t <= 1e-12:
-                vals = (np.asarray(p.r(nodes), dtype=np.float64)
-                        > 0).astype(np.float64)
-                ses = np.zeros(nodes.shape[0])
-            else:
-                cfg = xc.sim_config(horizon=t, defaults=mc_cfg)
-                grid = safety_grid_reduced(p.reduced, nodes, t, p.r, cfg)
-                vals, ses = grid.estimates, grid.std_errors
-        flagged = (ses > ceiling).astype(np.float64)
-        rows.append(np.column_stack(
-            [nodes, np.full(nodes.shape[0], t), vals, ses, flagged]
-        ))
-    body = np.vstack(rows)
-    header = f"{cols},t,value,std_error,flagged"
-    lines = []
-    for row in body:
-        parts = [f"{v:.17g}" for v in row[:-1]] + [f"{int(row[-1])}"]
-        lines.append(",".join(parts))
-    text = "# provenance: mc\n" + header + "\n" + "\n".join(lines) + "\n"
-    _write_text(out_path, text)
-    return out_path
+    return _atomic_write(out_path, lambda tmp: write_csv(
+        tmp, f"# provenance: {source}\n{header}", body, fmt))
 
 
 def load_dataset_csv(path: str) -> TrainingDataset:
@@ -767,26 +739,28 @@ class BenchmarkSpec:
     oracle: str
     repetitions: int = 10
     metric: str = "percentage"
-    points: Optional[np.ndarray] = None
     time: float = 0.5
     dt: float = 1e-3
 
     def __post_init__(self):
         if not self.estimators:
             raise ConfigError("benchmark.estimators must be nonempty")
+        sampled = _with_role("sampled")
         for est in self.estimators:
-            if est not in ("mc_full", "mc_reduced"):
+            if est not in sampled:
                 raise ConfigError(
                     f"benchmark estimator {est!r} not supported; use "
-                    f"mc_full or mc_reduced"
+                    f"{' or '.join(sampled)}"
                 )
         if self.oracle in self.estimators:
             raise ConfigError(
                 "benchmark.oracle must be distinct from the estimators "
                 "under test"
             )
-        if self.oracle not in ("fd", "riccati"):
-            raise ConfigError("benchmark.oracle must be 'fd' or 'riccati'")
+        oracles = _with_role("oracle")
+        if self.oracle not in oracles:
+            raise ConfigError("benchmark.oracle must be "
+                              + " or ".join(map(repr, oracles)))
         if self.metric not in ("percentage", "absolute"):
             raise ConfigError("benchmark.metric must be 'percentage' or "
                               "'absolute'")
@@ -821,55 +795,22 @@ def benchmark(xc: ExperimentConfig, out_path: str) -> str:
         oracle=b.get("oracle", "fd"),
         repetitions=int(b.get("repetitions", 10)),
         metric=b.get("metric", "percentage"),
-        points=points,
-        time=float(b.get("time", xc.preset.eval_time or 0.5)),
+        time=float(b.get("time", xc.default_time)),
         dt=float(b.get("dt", 1e-3)),
     )
-    p = xc.preset
-    t = spec.time
-    if spec.oracle == "riccati":
-        if p.lq is None:
-            raise UsageError(
-                f"preset {p.name!r} has no linear-quadratic form; use the "
-                f"fd oracle"
-            )
-        truth = np.asarray(riccati_value(p.lq, points, t), dtype=np.float64)
-        truth = np.broadcast_to(np.atleast_1d(truth), (points.shape[0],))
-    else:
-        sol = _solve_oracle(xc)
-        truth = sol.interpolate(points, t)
-
-    cost = None
-    if "mc_full" in spec.estimators:
-        if p.system is None or p.x0_of_xi is None:
-            raise UsageError(f"preset {p.name!r} has no full system for "
-                             f"mc_full")
-        cost = CostSpec(running_cost=p.cost_full,
-                        terminal_weight=p.terminal_weight)
-
+    times = np.full(points.shape[0], spec.time)
+    truth = ROUTES[spec.oracle].rows(xc, points, times, None).estimates
+    for est in spec.estimators:  # on no rows: refuses before any sampling
+        ROUTES[est].rows(xc, points[:0], times[:0], None)
     lines = ["estimator,n_samples,rep,error_pct"]
     for est in spec.estimators:
         for n in spec.n_samples:
             for rep in range(spec.repetitions):
-                cfg = SimConfig(dt=spec.dt, horizon=p.horizon - t,
-                                seed=xc.seed + rep, n_paths=n)
-                if est == "mc_reduced":
-                    grid = value_grid_reduced(
-                        p.reduced, points, t, p.horizon, p.r, cfg,
-                        terminal_weight=p.terminal_weight,
-                    )
-                    phat = grid.estimates
-                else:
-                    phat = np.empty(points.shape[0])
-                    for j, xi in enumerate(points):
-                        mc = value_pathintegral(
-                            p.system, p.x0_of_xi(xi), t, p.horizon, cost, cfg
-                        )
-                        phat[j] = np.exp(-mc.value)
-                err = error_against(phat, truth, spec.metric)
+                grid = ROUTES[est].rows(xc, points, times,
+                                        (spec.dt, n, xc.seed + rep))
+                err = error_against(grid.estimates, truth, spec.metric)
                 lines.append(f"{est},{n},{rep},{err:.17g}")
-    _write_text(out_path, "\n".join(lines) + "\n")
-    return out_path
+    return _write_text(out_path, "\n".join(lines) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -885,18 +826,17 @@ def _emit_run_json(out_dir: str, command: str, xc: ExperimentConfig,
         "artifacts": sorted(os.path.basename(a) for a in artifacts),
         "version": __version__,
     }
-    path = os.path.join(out_dir, "run.json")
-    _write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    return path
+    return _write_text(os.path.join(out_dir, "run.json"),
+                       json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _out_dir(xc: ExperimentConfig) -> str:
+def _artifact(xc: ExperimentConfig, name: str) -> str:
+    """Path of artifact ``name`` in the out directory, which it creates."""
     os.makedirs(xc.out, exist_ok=True)
-    return xc.out
+    return os.path.join(xc.out, name)
 
 
 def cmd_simulate(xc: ExperimentConfig) -> list:
-    out = _out_dir(xc)
     sim = xc.raw.get("sim", {})
     kind = sim.get("kind", "reduced")
     dt = float(sim.get("dt", 1e-3))
@@ -926,70 +866,39 @@ def cmd_simulate(xc: ExperimentConfig) -> list:
     else:
         raise ConfigError(f"sim.kind must be 'full' or 'reduced', got "
                           f"{kind!r}")
-    path = os.path.join(out, "trajectories.csv")
-    _atomic_write(path, batch.to_csv)
-    return [path, _emit_run_json(out, "simulate", xc, [path])]
+    return [_atomic_write(_artifact(xc, "trajectories.csv"), batch.to_csv)]
 
 
-def cmd_estimate_value(xc: ExperimentConfig) -> list:
-    if xc.task != "value":
-        raise ConfigError("estimate-value needs a value-task preset")
-    out = _out_dir(xc)
+def cmd_estimate(xc: ExperimentConfig, task: str) -> list:
+    """estimate-value and estimate-safety: the configured estimator's route
+    on the eval rows."""
+    if xc.task != task:
+        raise ConfigError(f"estimate-{task} needs a {task}-task preset")
     points, t = xc.eval_points()
-    grid = _estimate_value_rows(xc, points, t)
-    path = os.path.join(out, "value.csv")
-    _atomic_write(path, grid.to_csv)
-    return [path, _emit_run_json(out, "estimate-value", xc, [path])]
-
-
-def cmd_estimate_safety(xc: ExperimentConfig) -> list:
-    if xc.task != "safety":
-        raise ConfigError("estimate-safety needs a safety-task preset")
-    out = _out_dir(xc)
-    points, t = xc.eval_points()
-    grid = _estimate_safety_rows(xc, points, t)
-    path = os.path.join(out, "safety.csv")
-    _atomic_write(path, grid.to_csv)
-    return [path, _emit_run_json(out, "estimate-safety", xc, [path])]
-
-
-def cmd_solve_pde(xc: ExperimentConfig) -> list:
-    out = _out_dir(xc)
-    sol = _solve_oracle(xc)
-    path = os.path.join(out, "pde_solution.csv")
-    _atomic_write(path, sol.to_csv)
-    return [path, _emit_run_json(out, "solve-pde", xc, [path])]
+    if xc.estimator is None:
+        raise ConfigError("config needs an 'estimator' for this command")
+    grid = ROUTES[xc.estimator].rows(xc, points, np.full(len(points), t),
+                                     xc.mc_budget())
+    return [_atomic_write(_artifact(xc, f"{task}.csv"), grid.to_csv)]
 
 
 def cmd_train_pinn(xc: ExperimentConfig) -> list:
-    out = _out_dir(xc)
-    p = xc.preset
-    data = _pinn_dataset(xc)
-    problem = p.pde_problem()
-    result = train(problem, data, xc.pinn_config())
-    arts = []
-    ckpt = os.path.join(out, "pinn_checkpoint.json")
+    result = train(xc.preset.pde_problem(), _pinn_dataset(xc),
+                   xc.pinn_config())
+    ckpt = _artifact(xc, "pinn_checkpoint.json")
     save_checkpoint(result.net, ckpt, seed=xc.seed, extra={"config": xc.raw})
-    arts.append(ckpt)
-    log = os.path.join(out, "pinn_loss_log.csv")
-    _atomic_write(log, result.log_to_csv)
-    arts.append(log)
-    ev = xc.raw.get("eval", {})
-    if "points" not in ev:
+    arts = [ckpt, _atomic_write(_artifact(xc, "pinn_loss_log.csv"),
+                                result.log_to_csv)]
+    if "points" not in xc.raw.get("eval", {}):
         # surface table only makes sense on a tensor grid
-        _, t = xc.eval_points()
-        domain = ev.get("domain", p.data_domain)
-        step = float(ev.get("step", p.data_step))
-        axes = [_axis(float(lo), float(hi), step) for lo, hi in domain]
-        surface = predict_grid(result.net, axes, [t])
-        surf = os.path.join(out, "pinn_surface.csv")
-        _atomic_write(surf, surface.to_csv)
-        arts.append(surf)
-    return arts + [_emit_run_json(out, "train-pinn", xc, arts)]
+        surface = predict_grid(result.net, xc.eval_axes(),
+                               [xc.eval_points()[1]])
+        arts.append(_atomic_write(_artifact(xc, "pinn_surface.csv"),
+                                  surface.to_csv))
+    return arts
 
 
 def cmd_train_features(xc: ExperimentConfig) -> list:
-    out = _out_dir(xc)
     p = xc.preset
     if p.cost_full is None or p.system is None or p.state_grid is None:
         raise ConfigError(f"preset {p.name!r} does not define a "
@@ -1012,38 +921,24 @@ def cmd_train_features(xc: ExperimentConfig) -> list:
         init = AutoencoderNet.load(ae["encoder_init"], ae["decoder_init"])
     result = train_autoencoder(p.system, p.cost_full, states, cfg,
                                init_net=init)
-    arts = []
-    enc_path = os.path.join(out, "encoder_checkpoint.json")
-    dec_path = os.path.join(out, "decoder_checkpoint.json")
-    result.net.save(enc_path, dec_path, seed=xc.seed)
-    arts += [enc_path, dec_path]
-    log = os.path.join(out, "feature_loss_log.csv")
-    _atomic_write(log, result.log_to_csv)
-    arts.append(log)
-    return arts + [_emit_run_json(out, "train-features", xc, arts)]
-
-
-def cmd_benchmark(xc: ExperimentConfig) -> list:
-    out = _out_dir(xc)
-    path = benchmark(xc, os.path.join(out, "benchmark.csv"))
-    return [path, _emit_run_json(out, "benchmark", xc, [path])]
-
-
-def cmd_make_dataset(xc: ExperimentConfig) -> list:
-    out = _out_dir(xc)
-    path = make_dataset(xc, os.path.join(out, "dataset.csv"))
-    return [path, _emit_run_json(out, "make-dataset", xc, [path])]
+    arts = [_artifact(xc, "encoder_checkpoint.json"),
+            _artifact(xc, "decoder_checkpoint.json")]
+    result.net.save(*arts, seed=xc.seed)
+    return arts + [_atomic_write(_artifact(xc, "feature_loss_log.csv"),
+                                 result.log_to_csv)]
 
 
 COMMANDS = {
     "simulate": cmd_simulate,
-    "estimate-value": cmd_estimate_value,
-    "estimate-safety": cmd_estimate_safety,
-    "solve-pde": cmd_solve_pde,
+    "estimate-value": lambda xc: cmd_estimate(xc, "value"),
+    "estimate-safety": lambda xc: cmd_estimate(xc, "safety"),
+    "solve-pde": lambda xc: [_atomic_write(
+        _artifact(xc, "pde_solution.csv"), _solve_oracle(xc).to_csv)],
     "train-pinn": cmd_train_pinn,
     "train-features": cmd_train_features,
-    "benchmark": cmd_benchmark,
-    "make-dataset": cmd_make_dataset,
+    "benchmark": lambda xc: [benchmark(xc, _artifact(xc, "benchmark.csv"))],
+    "make-dataset": lambda xc: [make_dataset(xc,
+                                             _artifact(xc, "dataset.csv"))],
 }
 
 
@@ -1061,4 +956,5 @@ def run(config, command: str, out: Optional[str] = None,
         dict(config)
     )
     xc = ExperimentConfig.resolve(cfg, out=out, seed=seed)
-    return COMMANDS[command](xc)
+    arts = COMMANDS[command](xc)
+    return arts + [_emit_run_json(xc.out, command, xc, arts)]

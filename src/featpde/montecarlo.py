@@ -30,6 +30,7 @@ import numpy as np
 from scipy.special import logsumexp
 
 from .errors import DegenerateEstimateError, UsageError
+from .grid import write_csv
 from .sde import ControlPolicy, SimConfig, StochasticSystem, ZeroPolicy, _run_full, _run_reduced
 
 __all__ = [
@@ -413,11 +414,9 @@ class McGrid:
         header = (
             ",".join(f"xi{i + 1}" for i in range(k)) + ",t,estimate,std_error"
         )
-        body = np.column_stack(
+        write_csv(path, header, np.column_stack(
             [self.points, self.times, self.estimates, self.std_errors]
-        )
-        np.savetxt(path, body, delimiter=",", header=header, comments="",
-                   fmt="%.17g")
+        ))
 
 
 def _grid(points, times, n_paths, block) -> McGrid:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,15 +26,12 @@ from .errors import TrainingError
 
 __all__ = [
     "DenseNetwork",
-    "DerivativeBundle",
     "AdamState",
     "glorot_init",
     "param_count",
     "forward",
-    "forward_with_derivatives",
     "derivatives_batch",
     "grad",
-    "grad_params",
     "adam_step",
     "save_checkpoint",
     "load_checkpoint",
@@ -135,19 +132,6 @@ def forward(net: DenseNetwork, x, cache=None):
         cache.append((h, None, None, None, None, None))
     out = h @ w + b
     return out[0] if single else out
-
-
-@dataclass
-class DerivativeBundle:
-    """Value and input derivatives at one point.
-
-    ``value``: (d_out,); ``input_jacobian``: (d_out, d_in);
-    ``input_hessian_diag``: (d_out, d_in) with entries (d^2 out_o / d in_i^2).
-    """
-
-    value: np.ndarray
-    input_jacobian: np.ndarray
-    input_hessian_diag: np.ndarray
 
 
 def _rank_one_weights(w0, w1):
@@ -304,43 +288,6 @@ def grad(net: DenseNetwork, cache, g_u, g_J=None, g_H=None):
             dw += dw0 if t is not None else g_jz.sum(axis=0)
         g_h = g_z @ w.T
     return dtheta, g_h
-
-
-def forward_with_derivatives(net: DenseNetwork, x) -> DerivativeBundle:
-    """Value, input Jacobian and per-input second derivatives at one point."""
-    xv = np.asarray(x, dtype=np.float64)
-    if xv.ndim != 1:
-        raise ValueError("forward_with_derivatives expects a single vector")
-    u, jac, hess = derivatives_batch(net, xv.reshape(1, -1))
-    return DerivativeBundle(
-        value=u[0],
-        input_jacobian=jac[0].T.copy(),
-        input_hessian_diag=hess[0].T.copy(),
-    )
-
-
-def grad_params(net: DenseNetwork, loss, step=1e-6):
-    """Central-difference gradient of a scalar loss in the flat parameters.
-
-    ``loss(net_at)`` receives a copy of the network at each perturbed
-    parameter vector and returns a float.  This is the test oracle for
-    :func:`grad`: 2 loss evaluations per parameter, steps
-    ``step * (1 + |theta_j|)``.
-    """
-    theta0 = net.theta.copy()
-
-    def at(theta):
-        return float(loss(DenseNetwork(net.widths, theta)))
-
-    g = np.empty_like(theta0)
-    for j in range(theta0.size):
-        h = step * (1.0 + abs(theta0[j]))
-        tp = theta0.copy()
-        tp[j] += h
-        tm = theta0.copy()
-        tm[j] -= h
-        g[j] = (at(tp) - at(tm)) / (2.0 * h)
-    return g
 
 
 @dataclass

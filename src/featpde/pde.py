@@ -37,6 +37,7 @@ from .errors import (
     RiccatiBlowupError,
     UsageError,
 )
+from .grid import nodes, write_grid
 
 __all__ = [
     "PdeProblem",
@@ -165,20 +166,14 @@ def assemble_safety_pde(reduced, r, domain, horizon) -> PdeProblem:
         barrier=barrier,
     )
     _validate_diffusion_positive(problem)
-    probe = _coarse_mesh(problem.domain, 21)
+    probe = nodes([np.linspace(lo, hi, 21) for lo, hi in problem.domain])
     if not (barrier(probe) > 0).any():
         raise DomainError("safe set {r >= 0} has empty interior on the domain")
     return problem
 
 
-def _coarse_mesh(domain, n_per_axis):
-    axes = [np.linspace(lo, hi, n_per_axis) for lo, hi in domain]
-    grids = np.meshgrid(*axes, indexing="ij")
-    return np.column_stack([g.ravel() for g in grids])
-
-
 def _validate_diffusion_positive(problem: PdeProblem):
-    probe = _coarse_mesh(problem.domain, 21)
+    probe = nodes([np.linspace(lo, hi, 21) for lo, hi in problem.domain])
     diag = np.asarray(problem.diffusion_diag(probe), dtype=np.float64)
     if not np.all(diag > 0):
         j = int(np.flatnonzero(~(diag > 0).all(axis=1))[0])
@@ -236,8 +231,7 @@ class _FdEngine:
             _axis_nodes(lo, hi, h) for (lo, hi), h in zip(problem.domain, d_xi)
         ]
         self.shape = tuple(len(ax) for ax in self.axes)
-        grids = np.meshgrid(*self.axes, indexing="ij")
-        mesh = np.column_stack([g.ravel() for g in grids])
+        mesh = nodes(self.axes)
 
         drift = np.asarray(problem.drift(mesh), dtype=np.float64)
         diag = np.asarray(problem.diffusion_diag(mesh), dtype=np.float64)
@@ -462,19 +456,7 @@ class FdSolution:
 
     def to_csv(self, path):
         """Rows `xi1,...,xik,t,value`, ascending t then lexicographic nodes."""
-        k = self.problem.k
-        grids = np.meshgrid(*self.axes, indexing="ij")
-        nodes = np.column_stack([g.ravel() for g in grids])
-        blocks = []
-        for j, t in enumerate(self.times):
-            tcol = np.full((nodes.shape[0], 1), t)
-            blocks.append(
-                np.hstack([nodes, tcol, self.values[j].reshape(-1, 1)])
-            )
-        body = np.vstack(blocks)
-        header = ",".join(f"xi{i + 1}" for i in range(k)) + ",t,value"
-        np.savetxt(path, body, delimiter=",", header=header, comments="",
-                   fmt="%.17g")
+        write_grid(path, self.axes, self.times, self.values)
 
     def verify(self, n_pairs=None):
         """Re-march between saved slices; True iff stored values reproduce."""

@@ -16,12 +16,13 @@ time face.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .errors import ConfigError, TrainingError, UsageError
+from .grid import nodes, space_time, write_csv, write_grid
 from .neural import (
     AdamState,
     DenseNetwork,
@@ -111,14 +112,8 @@ class TrainingDataset:
     @classmethod
     def from_grid(cls, axes, times, values, provenance="FD"):
         """Tensor grid -> rows.  values shaped (len(times), *grid)."""
-        axes = [np.asarray(a, dtype=np.float64) for a in axes]
-        times = np.asarray(times, dtype=np.float64)
-        values = np.asarray(values, dtype=np.float64)
-        grids = np.meshgrid(*axes, indexing="ij")
-        nodes = np.column_stack([g.ravel() for g in grids])
-        xi = np.tile(nodes, (times.size, 1))
-        tt = np.repeat(times, nodes.shape[0])
-        return cls(xi=xi, t=tt, target=values.reshape(-1),
+        xi, tt = space_time(axes, times)
+        return cls(xi=xi, t=tt, target=np.reshape(values, -1),
                    provenance=provenance)
 
     def inputs(self) -> np.ndarray:
@@ -258,9 +253,8 @@ class TrainResult:
 
     def log_to_csv(self, path: str):
         arr = np.asarray(self.log, dtype=np.float64)
-        np.savetxt(path, arr, delimiter=",",
-                   header="epoch,loss_physics,loss_data", comments="",
-                   fmt=("%d", "%.17g", "%.17g"))
+        write_csv(path, "epoch,loss_physics,loss_data", arr,
+                  ("%d", "%.17g", "%.17g"))
 
 
 def train(problem: PdeProblem, data: Optional[TrainingDataset],
@@ -368,17 +362,7 @@ class PredictionGrid:
     values: np.ndarray  # (len(times), *grid shape)
 
     def to_csv(self, path: str):
-        k = len(self.axes)
-        grids = np.meshgrid(*self.axes, indexing="ij")
-        nodes = np.column_stack([g.ravel() for g in grids])
-        blocks = []
-        for j, t in enumerate(self.times):
-            tcol = np.full((nodes.shape[0], 1), t)
-            blocks.append(np.hstack([nodes, tcol,
-                                     self.values[j].reshape(-1, 1)]))
-        header = ",".join(f"xi{i + 1}" for i in range(k)) + ",t,value"
-        np.savetxt(path, np.vstack(blocks), delimiter=",", header=header,
-                   comments="", fmt="%.17g")
+        write_grid(path, self.axes, self.times, self.values)
 
 
 def predict_grid(net: DenseNetwork, axes, times) -> PredictionGrid:
@@ -390,11 +374,10 @@ def predict_grid(net: DenseNetwork, axes, times) -> PredictionGrid:
             f"network input width {net.d_in} != len(axes) + 1 = "
             f"{len(axes) + 1}"
         )
-    grids = np.meshgrid(*axes, indexing="ij")
-    nodes = np.column_stack([g.ravel() for g in grids])
+    pts = nodes(axes)
     shape = tuple(len(a) for a in axes)
     out = np.empty((times.size, *shape))
     for j, t in enumerate(times):
-        x = np.column_stack([nodes, np.full(nodes.shape[0], t)])
+        x = np.column_stack([pts, np.full(pts.shape[0], t)])
         out[j] = forward(net, x)[:, 0].reshape(shape)
     return PredictionGrid(axes=axes, times=times, values=out)

@@ -17,6 +17,7 @@ from scipy import sparse
 
 from .errors import UsageError
 from .featureid import AeTrainConfig
+from .grid import nodes
 from .pde import LqSpec, PdeProblem, assemble_safety_pde, assemble_value_pde
 from .pinn import PinnConfig
 from .reduction import FeatureMap, ReducedSde, build_reduced_sde
@@ -195,10 +196,6 @@ class Preset:
         if self.task == "safety":
             return assemble_safety_pde(self.reduced, self.r, dom, T)
         raise UsageError(f"preset {self.name!r} has no PDE formulation")
-
-    def oracle_problem(self) -> PdeProblem:
-        """The same PDE on the enlarged finite-difference oracle domain."""
-        return self.pde_problem(domain=self.oracle_domain)
 
 
 def _times(horizon, step=0.1):
@@ -452,8 +449,7 @@ def feature_state_grid(preset: Preset) -> np.ndarray:
     (lo, hi), step = preset.state_grid
     n = preset.system.state_dim
     axis = np.round(np.arange(lo, hi + 1e-9, step), 10)
-    grids = np.meshgrid(*([axis] * n), indexing="ij")
-    return np.column_stack([g.ravel() for g in grids])
+    return nodes([axis] * n)
 
 
 _BUILDERS = {

@@ -13,7 +13,7 @@ SDE dxi_i = alpha_i(xi_i) beta_i(xi_i) dt + sqrt(alpha_i(xi_i)) dB_i.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import json
@@ -153,11 +153,6 @@ class ReducedSde:
     alpha: Sequence[Callable]
     beta: Sequence[Callable]
     ranges: Sequence[tuple]
-
-
-def _sigma_sigma_t(system: StochasticSystem, x1: np.ndarray) -> np.ndarray:
-    sig = system.sigma_at(x1)[0]
-    return sig @ sig.T
 
 
 def apply_generator(

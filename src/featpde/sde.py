@@ -37,6 +37,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import DomainError, SimulationError, UsageError
+from .grid import write_csv
 
 __all__ = [
     "StochasticSystem",
@@ -163,10 +164,8 @@ class TrajectoryBatch:
         idx = np.repeat(np.arange(n), s)
         tt = np.tile(self.times, n)
         flat = self.states.reshape(n * s, d)
-        body = np.column_stack([idx, tt, flat])
-        fmt = ["%d", "%.17g"] + ["%.17g"] * d
-        np.savetxt(path, body, delimiter=",", header=header, comments="",
-                   fmt=fmt)
+        write_csv(path, header, np.column_stack([idx, tt, flat]),
+                  ["%d"] + ["%.17g"] * (d + 1))
 
 
 def step_noise(seed: int, step: int, n: int, m: int) -> np.ndarray:

@@ -5,10 +5,14 @@ parameter gradients and training logs that the closure-tape autodiff
 computed on these inputs at commit ddb9a0c, before the explicit adjoint
 replaced it.  Every builder here uses only the public featpde API, so the
 same cases can be evaluated by any version of the package.
+
+The one-point network oracles the neural tests compare against live here
+too: ``forward_with_derivatives`` and the central-difference ``grad_params``.
 """
 
 import json
 import os
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,7 +22,7 @@ from featpde.featureid import (
     build_preimage,
     epsilon_default,
 )
-from featpde.neural import DenseNetwork, glorot_init
+from featpde.neural import DenseNetwork, derivatives_batch, glorot_init
 from featpde.pde import assemble_safety_pde, assemble_value_pde
 from featpde.pinn import CollocationSet, PinnConfig, TrainingDataset
 from featpde.reduction import build_reduced_sde
@@ -191,3 +195,56 @@ def ae_log_cases():
         "joint": (states, AeTrainConfig(**base)),
         "frozen": (states, AeTrainConfig(**base, freeze_encoder=True)),
     }
+
+
+# ------------------------------------------------ one-point network oracles
+
+
+@dataclass
+class DerivativeBundle:
+    """Value and input derivatives at one point.
+
+    ``value``: (d_out,); ``input_jacobian``: (d_out, d_in);
+    ``input_hessian_diag``: (d_out, d_in) with entries (d^2 out_o / d in_i^2).
+    """
+
+    value: np.ndarray
+    input_jacobian: np.ndarray
+    input_hessian_diag: np.ndarray
+
+
+def forward_with_derivatives(net: DenseNetwork, x) -> DerivativeBundle:
+    """Value, input Jacobian and per-input second derivatives at one point."""
+    xv = np.asarray(x, dtype=np.float64)
+    if xv.ndim != 1:
+        raise ValueError("forward_with_derivatives expects a single vector")
+    u, jac, hess = derivatives_batch(net, xv.reshape(1, -1))
+    return DerivativeBundle(
+        value=u[0],
+        input_jacobian=jac[0].T.copy(),
+        input_hessian_diag=hess[0].T.copy(),
+    )
+
+
+def grad_params(net: DenseNetwork, loss, step=1e-6):
+    """Central-difference gradient of a scalar loss in the flat parameters.
+
+    ``loss(net_at)`` receives a copy of the network at each perturbed
+    parameter vector and returns a float.  This is the test oracle for
+    :func:`grad`: 2 loss evaluations per parameter, steps
+    ``step * (1 + |theta_j|)``.
+    """
+    theta0 = net.theta.copy()
+
+    def at(theta):
+        return float(loss(DenseNetwork(net.widths, theta)))
+
+    g = np.empty_like(theta0)
+    for j in range(theta0.size):
+        h = step * (1.0 + abs(theta0[j]))
+        tp = theta0.copy()
+        tp[j] += h
+        tm = theta0.copy()
+        tm[j] -= h
+        g[j] = (at(tp) - at(tm)) / (2.0 * h)
+    return g

@@ -10,16 +10,15 @@ from featpde.neural import (
     adam_step,
     derivatives_batch,
     forward,
-    forward_with_derivatives,
     glorot_init,
     grad,
-    grad_params,
     load_checkpoint,
     param_count,
     save_checkpoint,
 )
 
 from conftest import assert_close
+from gradient_cases import forward_with_derivatives, grad_params
 
 
 # ---------------------------------------------------------- initialization

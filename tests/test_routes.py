@@ -192,6 +192,19 @@ def test_benchmark_refusals(bench, message, tmp_path):
     assert str(info.value) == message
 
 
+def test_benchmark_refuses_mc_full_before_sampling(tmp_path, monkeypatch):
+    counts = _counting(monkeypatch, ["value_grid_reduced"])
+    bench = {"estimators": ["mc_reduced", "mc_full"], "n_samples": [50],
+             "oracle": "riccati", "repetitions": 1, "points": [[0.5]],
+             "time": 0.0, "dt": 0.01}
+    with pytest.raises(UsageError) as info:
+        run({"preset": "lq-scalar", "benchmark": bench}, "benchmark",
+            out=str(tmp_path))
+    assert str(info.value) == ("preset 'lq-scalar' has no full system; "
+                               "mc_full does not apply")
+    assert counts == {"value_grid_reduced": 0}
+
+
 # ---------------------------------------------------------------------------
 # default evaluation time
 
