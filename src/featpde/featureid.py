@@ -164,7 +164,6 @@ class PreimageIndex:
         return len(self.keys[i])
 
 
-
 def build_preimage(states, encoder: DenseNetwork, epsilons) -> PreimageIndex:
     states = np.atleast_2d(np.asarray(states, dtype=np.float64))
     feats = np.atleast_2d(forward(encoder, states))
