@@ -473,17 +473,21 @@ class ExperimentConfig:
     def eval_points(self):
         """Evaluation rows (points, time) from the eval section."""
         ev = self.raw.get("eval", {})
-        p = self.preset
         t = float(ev.get("time", self.default_time))
         if "points" in ev:
-            pts = np.atleast_2d(np.asarray(ev["points"], dtype=np.float64))
-            if pts.shape[1] != p.k:
-                raise ConfigError(
-                    f"eval.points rows have {pts.shape[1]} coordinates, "
-                    f"preset has k = {p.k}"
-                )
-            return pts, t
+            return self.points("eval", ev["points"]), t
         return nodes(self.eval_axes()), t
+
+    def points(self, section: str, rows) -> np.ndarray:
+        """The (P, k) points of ``section``.points; each row needs k
+        coordinates."""
+        pts = np.atleast_2d(np.asarray(rows, dtype=np.float64))
+        if pts.shape[1] != self.preset.k:
+            raise ConfigError(
+                f"{section}.points rows have {pts.shape[1]} coordinates, "
+                f"preset has k = {self.preset.k}"
+            )
+        return pts
 
     def eval_axes(self) -> list:
         """Axes of the eval section's tensor grid."""
@@ -570,15 +574,13 @@ def _mc_reduced_rows(xc: ExperimentConfig, points, times, mc) -> McGrid:
                      else (r > 0).astype(np.float64))
     run = ~edge
     if run.any():
-        t0 = float(times[run][0])
         if value:
-            grid = value_grid_reduced(
-                p.reduced, points[run], times[run], p.horizon, p.r,
-                _sim(mc, p.horizon - t0), terminal_weight=p.terminal_weight,
-            )
+            grid = value_grid_reduced(p.reduced, points[run], times[run],
+                                      p.horizon, p.r, mc,
+                                      terminal_weight=p.terminal_weight)
         else:
             grid = safety_grid_reduced(p.reduced, points[run], times[run],
-                                       p.r, _sim(mc, t0))
+                                       p.r, mc)
         est[run], se[run] = grid.estimates, grid.std_errors
     return McGrid(points=points, times=times, estimates=est, std_errors=se)
 
@@ -785,10 +787,6 @@ def error_against(estimates: np.ndarray, oracle: np.ndarray,
 def benchmark(xc: ExperimentConfig, out_path: str) -> str:
     """Run the error-vs-samples study; rows `estimator,n_samples,rep,error_pct`."""
     b = dict(xc.raw.get("benchmark", {}))
-    points = np.atleast_2d(np.asarray(
-        b.get("points", [[1.1, 1.1], [1.5, 1.5], [1.9, 1.9]]),
-        dtype=np.float64,
-    ))
     spec = BenchmarkSpec(
         estimators=list(b.get("estimators", ["mc_reduced"])),
         n_samples=[int(n) for n in b.get("n_samples", [1000])],
@@ -798,6 +796,8 @@ def benchmark(xc: ExperimentConfig, out_path: str) -> str:
         time=float(b.get("time", xc.default_time)),
         dt=float(b.get("dt", 1e-3)),
     )
+    points = xc.points("benchmark",
+                       b.get("points", [[1.1, 1.1], [1.5, 1.5], [1.9, 1.9]]))
     times = np.full(points.shape[0], spec.time)
     truth = ROUTES[spec.oracle].rows(xc, points, times, None).estimates
     for est in spec.estimators:  # on no rows: refuses before any sampling

@@ -419,21 +419,26 @@ class McGrid:
         ))
 
 
-def _grid(points, times, n_paths, block) -> McGrid:
-    """Estimates over (xi, t) rows: ``block(starts, t)`` runs a block of rows
-    that share a time and returns their (estimates, std_errors).
+def _grid(points, times, mc, span, block) -> McGrid:
+    """Estimates over (xi, t) rows: ``block(starts, t, cfg)`` runs a block of
+    rows that share time t and returns their (estimates, std_errors).
 
-    Each time's rows are split into at least two blocks of at most
-    ``_BLOCK_ROWS`` path rows.  The calling thread runs the even blocks and
-    one helper thread the odd ones.  If blocks raise, the error re-raised is
-    the one a single block of all the time's rows would raise: the earliest
-    ``march_position`` (errors raised outside the march rank last), then
-    the lowest rows.
+    ``cfg`` is the budget ``mc`` = (dt, n_paths, seed) over horizon
+    ``span(t)``; every time's budget is checked before any block is
+    marched.  Each time's rows are split into at least two blocks of at
+    most ``_BLOCK_ROWS`` path rows.  The calling thread runs the even blocks
+    and one helper thread the odd ones.  If blocks raise, the error
+    re-raised is the one a single block of all the time's rows would raise:
+    the earliest ``march_position`` (errors raised outside the march rank
+    last), then the lowest rows.
     """
     points = np.atleast_2d(np.asarray(points, dtype=np.float64))
     times = np.broadcast_to(
         np.asarray(times, dtype=np.float64), (points.shape[0],)
     ).copy()
+    dt, n_paths, seed = mc
+    cfgs = {float(t): SimConfig(dt=dt, horizon=span(float(t)), seed=seed,
+                                n_paths=n_paths) for t in np.unique(times)}
     est = np.empty(points.shape[0])
     se = np.empty(points.shape[0])
     per_block = max(1, _BLOCK_ROWS // n_paths)
@@ -442,19 +447,19 @@ def _grid(points, times, n_paths, block) -> McGrid:
         out = []
         for idx in blocks:
             try:
-                out.append(block(points[idx], t))
+                out.append(block(points[idx], t, cfgs[t]))
             except Exception as err:
                 out.append(err)
         return out
 
     with ThreadPoolExecutor(1, thread_name_prefix="featpde-lane") as helper:
-        for tj in np.unique(times):
+        for tj in cfgs:
             rows = np.flatnonzero(times == tj)
             n_blocks = max(2, -(-rows.size // per_block))
             blocks = np.array_split(rows, min(rows.size, n_blocks))
-            odd = helper.submit(lane, blocks[1::2], float(tj))
+            odd = helper.submit(lane, blocks[1::2], tj)
             results = [None] * len(blocks)
-            results[0::2] = lane(blocks[0::2], float(tj))
+            results[0::2] = lane(blocks[0::2], tj)
             results[1::2] = odd.result()
             errors = [(getattr(res, "march_position", (np.inf,)), b)
                       for b, res in enumerate(results)
@@ -467,34 +472,30 @@ def _grid(points, times, n_paths, block) -> McGrid:
 
 
 def value_grid_reduced(
-    reduced, points, times, T, r, cfg: SimConfig, terminal_weight: float = 1.0
+    reduced, points, times, T, r, mc, terminal_weight: float = 1.0
 ) -> McGrid:
     """exp(-V) estimates on (xi, t) rows (desirability scale, with matching
-    delta-method standard errors)."""
+    delta-method standard errors) with budget ``mc`` = (dt, n_paths,
+    seed)."""
 
-    def block(starts, t):
-        sub = SimConfig(
-            dt=cfg.dt, horizon=T - t, seed=cfg.seed, n_paths=cfg.n_paths
-        )
+    def block(starts, t, cfg):
         value, se = _estimates_from_scores(
-            _value_scores(reduced, starts, t, r, sub, terminal_weight)
+            _value_scores(reduced, starts, t, r, cfg, terminal_weight)
         )
         phi = np.exp(-value)
         return phi, phi * se
 
-    return _grid(points, times, cfg.n_paths, block)
+    return _grid(points, times, mc, lambda t: T - t, block)
 
 
-def safety_grid_reduced(reduced, points, horizons, r, cfg: SimConfig) -> McGrid:
-    """Safety probabilities over (xi0, horizon) rows; every start point is
-    checked to be safe before any is marched."""
+def safety_grid_reduced(reduced, points, horizons, r, mc) -> McGrid:
+    """Safety probabilities over (xi0, horizon) rows with budget ``mc`` =
+    (dt, n_paths, seed); every start point is checked to be safe before any
+    is marched."""
     points = np.atleast_2d(np.asarray(points, dtype=np.float64))
     _check_safe_starts(r, points)
 
-    def block(starts, horizon):
-        sub = SimConfig(
-            dt=cfg.dt, horizon=horizon, seed=cfg.seed, n_paths=cfg.n_paths
-        )
-        return _safety_estimates(_safe_paths(reduced, starts, r, sub))
+    def block(starts, horizon, cfg):
+        return _safety_estimates(_safe_paths(reduced, starts, r, cfg))
 
-    return _grid(points, horizons, cfg.n_paths, block)
+    return _grid(points, horizons, mc, lambda h: h, block)

@@ -424,6 +424,11 @@ class FdSolution:
         (k,) and a scalar t, otherwise a (P,) array for points (P, k)."""
         scalar = np.isscalar(t) and np.ndim(xi) <= 1
         xi = np.atleast_2d(np.asarray(xi, dtype=np.float64))
+        if xi.shape[1] != len(self.axes):
+            raise UsageError(
+                f"points have {xi.shape[1]} coordinates, the solution has "
+                f"k = {len(self.axes)}"
+            )
         tt = np.broadcast_to(np.asarray(t, dtype=np.float64), (xi.shape[0],))
         grids = [self.times] + list(self.axes)
         pts = np.column_stack([tt, xi])

@@ -305,9 +305,11 @@ def _sys1000d_value() -> Preset:
         lambda s: np.full_like(np.asarray(s, dtype=np.float64), 500.0),
         lambda s: np.full_like(np.asarray(s, dtype=np.float64), 500.0),
     ]
+    # every row and column of the coupling matrix sums to 1.1, so each
+    # block sum drifts at -1.1 times itself
     beta = [
-        lambda s: -np.asarray(s, dtype=np.float64) / 500.0,
-        lambda s: -np.asarray(s, dtype=np.float64) / 500.0,
+        lambda s: -1.1 * np.asarray(s, dtype=np.float64) / 500.0,
+        lambda s: -1.1 * np.asarray(s, dtype=np.float64) / 500.0,
     ]
     oracle_domain = [(-85.0, 85.0), (-85.0, 85.0)]
 
@@ -343,7 +345,7 @@ def _sys1000d_value() -> Preset:
         oracle_dt=2e-3,
         oracle_save_every=50,
         lq=LqSpec(
-            M=-np.eye(2),
+            M=-1.1 * np.eye(2),
             Sigma=500.0 * np.eye(2),
             R=np.eye(2) / 500.0,
             R_T=np.eye(2) / 500.0,

@@ -380,6 +380,20 @@ def test_benchmark_oracle_must_differ_from_estimators(tmp_path):
         )
 
 
+@pytest.mark.parametrize("points", [None, [[0.0, 1.0]]])
+def test_benchmark_points_dimension_checked(points, tmp_path):
+    # lq-scalar has k = 1; the default points have two coordinates
+    bench = {"estimators": ["mc_reduced"], "oracle": "riccati",
+             "n_samples": [100]}
+    if points is not None:
+        bench["points"] = points
+    with pytest.raises(ConfigError) as info:
+        run({"preset": "lq-scalar", "benchmark": bench}, "benchmark",
+            out=str(tmp_path))
+    assert str(info.value) == ("benchmark.points rows have 2 coordinates, "
+                               "preset has k = 1")
+
+
 def test_error_metric_is_zero_against_itself():
     vals = np.array([0.3, 0.5, 0.9])
     assert error_against(vals, vals, "percentage") == 0.0

@@ -365,7 +365,7 @@ def test_safety_rejects_bad_inputs():
     with pytest.raises(UsageError,
                        match=r"initial feature state \[5\. 0\.\]"):
         safety_grid_reduced(red, np.array([[1.0, 1.0], [5.0, 0.0]]),
-                            [0.5, 1.0], min_barrier, cfg)
+                            [0.5, 1.0], min_barrier, (1e-2, 8, 0))
 
 
 def test_bridge_correction_removes_monitoring_bias():
@@ -465,8 +465,8 @@ def test_refine_validates_delta():
 def test_value_grid_schema_and_consistency(tmp_path):
     red = stable_reduced()
     pts = np.array([[1.0, 1.0], [1.5, 1.5]])
-    cfg = SimConfig(dt=5e-3, horizon=1.0, seed=51, n_paths=500)
-    grid = value_grid_reduced(red, pts, 0.5, 1.5, quad_cost, cfg)
+    mc = (5e-3, 500, 51)
+    grid = value_grid_reduced(red, pts, 0.5, 1.5, quad_cost, mc)
     single = value_pathintegral_reduced(
         red, [1.5, 1.5], 0.5, 1.5, quad_cost,
         SimConfig(dt=5e-3, horizon=1.0, seed=51, n_paths=500),
@@ -485,8 +485,8 @@ def test_value_grid_schema_and_consistency(tmp_path):
 def test_safety_grid_runs_per_row_horizons(tmp_path):
     red = unstable_reduced()
     pts = np.array([[1.1, 1.1], [1.1, 1.1]])
-    cfg = SimConfig(dt=1e-2, horizon=1.0, seed=53, n_paths=400)
-    grid = safety_grid_reduced(red, pts, [0.5, 1.0], min_barrier, cfg)
+    mc = (1e-2, 400, 53)
+    grid = safety_grid_reduced(red, pts, [0.5, 1.0], min_barrier, mc)
     assert grid.estimates[0] >= grid.estimates[1]
     path = tmp_path / "safety.csv"
     grid.to_csv(str(path))
@@ -540,24 +540,24 @@ def k1_level(xi):
 
 
 def pinned_grids():
-    cfg = SimConfig(dt=1e-2, horizon=1.0, seed=61, n_paths=300)
+    mc = (1e-2, 300, 61)
     pts = np.array([[1.0, 1.0], [1.5, 1.5], [0.5, -0.5], [2.0, 0.0]])
     yield "value_k2", value_grid_reduced(
-        stable_reduced(), pts, [0.5, 1.0, 0.5, 0.5], 1.5, quad_cost, cfg
+        stable_reduced(), pts, [0.5, 1.0, 0.5, 0.5], 1.5, quad_cost, mc
     )
-    cfg = SimConfig(dt=1e-2, horizon=1.0, seed=53, n_paths=400)
+    mc = (1e-2, 400, 53)
     yield "safety_k2", safety_grid_reduced(
         unstable_reduced(), np.array([[1.1, 1.1], [0.5, 2.0]]), [0.5, 1.0],
-        min_barrier, cfg,
+        min_barrier, mc,
     )
     red1 = state_dependent_k1()
-    cfg = SimConfig(dt=1e-2, horizon=1.0, seed=67, n_paths=250)
+    mc = (1e-2, 250, 67)
     yield "value_k1", value_grid_reduced(
         red1, np.array([[0.0], [0.7], [-1.2]]), [0.0, 0.5, 0.0], 1.0,
-        k1_square, cfg, terminal_weight=0.5,
+        k1_square, mc, terminal_weight=0.5,
     )
     yield "safety_k1", safety_grid_reduced(
-        red1, np.array([[0.0], [1.5]]), [0.5, 1.0], k1_level, cfg
+        red1, np.array([[0.0], [1.5]]), [0.5, 1.0], k1_level, mc
     )
 
 
@@ -588,10 +588,10 @@ def test_block_domain_error_names_coordinate_and_start_point():
         [lambda xi: 5.0 * np.ones_like(xi)],
         [(-1.0, 0.9)],
     )
-    cfg = SimConfig(dt=0.01, horizon=1.0, seed=1, n_paths=64)
+    mc = (0.01, 64, 1)
     with pytest.raises(DomainError, match=r"alpha_1 .*start point \[0\.9\]"):
         value_grid_reduced(red, np.array([[-3.0], [0.9]]), 0.0, 1.0,
-                           k1_square, cfg)
+                           k1_square, mc)
 
 
 def test_block_nonfinite_drift_names_path_start_point_and_step():
@@ -600,11 +600,11 @@ def test_block_nonfinite_drift_names_path_start_point_and_step():
         [lambda xi: np.where(xi > 3.0, np.nan, 0.0)],
         [(-3.0, 3.0)],
     )
-    cfg = SimConfig(dt=0.01, horizon=0.5, seed=1, n_paths=16)
+    mc = (0.01, 16, 1)
     with pytest.raises(SimulationError,
                        match=r"path 0 of start point \[5\.\] at step 0"):
         value_grid_reduced(red, np.array([[0.0], [5.0]]), 0.5, 1.0,
-                           k1_square, cfg)
+                           k1_square, mc)
 
 
 def error_cases():
@@ -658,9 +658,9 @@ def test_grid_error_is_the_one_block_error(monkeypatch, block_rows, case):
     if block_rows is not None:
         monkeypatch.setattr(montecarlo, "_BLOCK_ROWS", block_rows)
     red, points, r, error, message = dict(error_cases())[case]
-    cfg = SimConfig(dt=0.01, horizon=1.0, seed=1, n_paths=64)
+    mc = (0.01, 64, 1)
     with pytest.raises(error, match=message):
-        value_grid_reduced(red, np.array(points), 0.0, 1.0, r, cfg)
+        value_grid_reduced(red, np.array(points), 0.0, 1.0, r, mc)
 
 
 # --- full-system march against recorded values ----------------------------------
@@ -771,12 +771,12 @@ def test_grid_helper_lane_error_is_reraised_after_join():
         [lambda xi: 5.0 * np.ones_like(xi)],
         [(-1.0, 0.9)],
     )
-    cfg = SimConfig(dt=0.01, horizon=1.0, seed=1, n_paths=64)
+    mc = (0.01, 64, 1)
     before = threading.active_count()
     # [0.9] is the second of two blocks, marched on the helper thread
     with pytest.raises(DomainError, match=r"start point \[0\.9\]"):
         value_grid_reduced(red, np.array([[0.0], [0.9]]), 0.0, 1.0,
-                           k1_square, cfg)
+                           k1_square, mc)
     assert threading.active_count() == before
 
 
@@ -786,11 +786,11 @@ def test_grid_r_error_is_reraised_after_join():
             raise ValueError("r is undefined beyond 100")
         return k1_square(xi)
 
-    cfg = SimConfig(dt=0.01, horizon=0.5, seed=1, n_paths=16)
+    mc = (0.01, 16, 1)
     before = threading.active_count()
     with pytest.raises(ValueError, match="r is undefined beyond 100"):
         value_grid_reduced(state_dependent_k1(), np.array([[0.0], [200.0]]),
-                           0.5, 1.0, r, cfg)
+                           0.5, 1.0, r, mc)
     assert threading.active_count() == before
 
 

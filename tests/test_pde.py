@@ -397,6 +397,19 @@ def test_interpolate_rejects_out_of_grid(safety_solution):
         safety_solution.interpolate([0.0, 0.0], 1.5)
 
 
+def test_interpolate_rejects_wrong_point_width(safety_solution):
+    # a k = 2 solution refuses one and three coordinates
+    for xi in ([1.5], [[1.5, 1.5, -7.0]]):
+        with pytest.raises(UsageError) as info:
+            safety_solution.interpolate(xi, 0.5)
+        assert str(info.value) == (f"points have {np.shape(xi)[-1]} "
+                                   f"coordinates, the solution has k = 2")
+    # a k = 1 solution refuses (1.5, -7.0) instead of reading it as 1.5
+    sol = solve_fd(heat_problem(), np.pi / 100, 1e-2, save_every=20)
+    with pytest.raises(UsageError, match="points have 2 coordinates"):
+        sol.interpolate([1.5, -7.0], 0.5)
+
+
 def test_to_csv_schema_roundtrip(tmp_path):
     sol = solve_fd(heat_problem(), np.pi / 8, 0.25, save_every=2)
     path = tmp_path / "heat.csv"

@@ -12,6 +12,8 @@ from featpde.presets import (
     thousand_dim_system,
     three_dim_system,
 )
+from featpde.reduction import coeff_a, coeff_b
+from featpde.sde import ZeroPolicy
 
 ALL_NAMES = [
     "feature-ae-3d",
@@ -125,7 +127,56 @@ def test_sys1000d_value_consistency():
     assert np.isclose(p.r(xi[None])[0], 4.5 / 500.0)
     s = np.array([2.0])
     assert np.allclose(p.reduced.alpha[0](s), 500.0)
-    assert np.allclose(p.reduced.beta[0](s), -s / 500.0)
+    assert np.allclose(p.reduced.beta[0](s), -1.1 * s / 500.0)
+
+
+def _has(name, *fields):
+    p = get_preset(name)
+    return all(getattr(p, f) is not None for f in fields)
+
+
+@pytest.mark.parametrize("name", [
+    n for n in ALL_NAMES if _has(n, "system", "features", "reduced",
+                                 "x0_of_xi")])
+def test_reduced_sde_matches_full_system(name):
+    # at an embedded state the generator coefficients of each feature are
+    # the reduced SDE's, and the full cost or barrier is r
+    p = get_preset(name)
+    full_r = p.cost_full if p.task == "value" else p.barrier_full
+    nominal = ZeroPolicy(p.system.control_dim)
+    for xi in ([1.5, 1.5], [1.1, 1.9], [-0.7, 2.3]):
+        xi = np.array(xi)
+        x0 = p.x0_of_xi(xi)
+        for i in range(p.k):
+            s = xi[i:i + 1]
+            assert coeff_a(p.system, p.features, i, x0) == pytest.approx(
+                p.reduced.alpha[i](s)[0], rel=1e-12)
+            assert coeff_b(p.system, nominal, p.features, i, x0) == \
+                pytest.approx(p.reduced.beta[i](s)[0], rel=1e-12)
+        assert full_r(x0[None])[0] == pytest.approx(p.r(xi[None])[0],
+                                                   rel=1e-12)
+
+
+@pytest.mark.parametrize("name", [n for n in ALL_NAMES
+                                  if _has(n, "lq", "reduced")])
+def test_lq_form_matches_reduced_sde(name):
+    # d xi = M xi dt + Sigma^(1/2) dB with cost xi^T R xi and terminal
+    # weight R_T is the reduced SDE d xi_i = alpha_i beta_i dt +
+    # alpha_i^(1/2) dB_i with cost r
+    p = get_preset(name)
+    xi = np.linspace(-1.5, 2.0, 3 * p.k).reshape(3, p.k)
+    alpha = np.column_stack([p.reduced.alpha[i](xi[:, i])
+                             for i in range(p.k)])
+    beta = np.column_stack([p.reduced.beta[i](xi[:, i])
+                            for i in range(p.k)])
+    np.testing.assert_allclose(xi @ p.lq.M.T, alpha * beta, rtol=1e-12)
+    np.testing.assert_allclose(np.broadcast_to(p.lq.Sigma, (3, p.k, p.k)),
+                               alpha[:, :, None] * np.eye(p.k), rtol=1e-12)
+    np.testing.assert_allclose(np.einsum("ni,ij,nj->n", xi, p.lq.R, xi),
+                               p.r(xi), rtol=1e-12)
+    np.testing.assert_allclose(p.lq.R_T, p.terminal_weight * p.lq.R,
+                               rtol=1e-12)
+    assert p.lq.horizon == p.horizon
 
 
 def test_lq_scalar_reference_value():
