@@ -142,32 +142,25 @@ def epsilon_default(samples) -> float:
 
 @dataclass
 class PreimageIndex:
-    """Single-linkage buckets of states by feature value, one set per feature.
+    """Single-linkage buckets of a state batch by feature value.
 
-    ``keys[i]`` holds the bucket representatives (cluster means) of feature
-    i; ``members[i][j]`` the state indices of bucket j.  Two states share a
-    bucket exactly when their feature values are chain-connected by gaps
-    strictly below ``epsilons[i]``.
+    ``labels[j, i]`` is the bucket of state j under feature i, numbered
+    0, 1, ... in ascending feature order.  Two states share a bucket exactly
+    when their feature values are chain-connected by gaps strictly below
+    that feature's threshold.
     """
 
     states: np.ndarray
-    feats: np.ndarray
-    epsilons: np.ndarray
-    keys: list
-    members: list
-
-    @property
-    def k(self) -> int:
-        return len(self.keys)
-
-    def n_buckets(self, i: int) -> int:
-        return len(self.keys[i])
+    labels: np.ndarray
 
 
-def build_preimage(states, encoder: DenseNetwork, epsilons) -> PreimageIndex:
+def build_preimage(states, feats, epsilons) -> PreimageIndex:
+    """Bucket ``states`` by their (m, k) feature values ``feats``."""
     states = np.atleast_2d(np.asarray(states, dtype=np.float64))
-    feats = np.atleast_2d(forward(encoder, states))
-    k = feats.shape[1]
+    feats = np.atleast_2d(np.asarray(feats, dtype=np.float64))
+    m, k = feats.shape
+    if m != states.shape[0]:
+        raise UsageError(f"{m} feature rows for {states.shape[0]} states")
     eps = np.asarray(epsilons, dtype=np.float64)
     if eps.ndim == 0:
         eps = np.full(k, float(eps))
@@ -176,16 +169,13 @@ def build_preimage(states, encoder: DenseNetwork, epsilons) -> PreimageIndex:
         raise UsageError(f"{eps.size} thresholds for {k} features")
     if np.any(eps <= 0):
         raise UsageError("thresholds must be positive")
-    keys, members = [], []
-    for i in range(k):
-        order = np.argsort(feats[:, i], kind="stable")
-        gaps = np.diff(feats[order, i])
-        cuts = np.flatnonzero(gaps >= eps[i]) + 1
-        groups = np.split(order, cuts)
-        keys.append(np.array([feats[g, i].mean() for g in groups]))
-        members.append([np.sort(g) for g in groups])
-    return PreimageIndex(states=states, feats=feats, epsilons=eps,
-                         keys=keys, members=members)
+    order = np.argsort(feats, axis=0, kind="stable")
+    gaps = np.diff(np.take_along_axis(feats, order, axis=0), axis=0)
+    ranks = np.zeros((m, k), dtype=np.intp)
+    np.cumsum(gaps >= eps, axis=0, out=ranks[1:])
+    labels = np.empty_like(ranks)
+    np.put_along_axis(labels, order, ranks, axis=0)
+    return PreimageIndex(states=states, labels=labels)
 
 
 def loss_rc(net: AutoencoderNet, states, cost: Callable) -> float:
@@ -229,6 +219,13 @@ def _diffusion_diagonal(system: StochasticSystem, probes):
     return ss_diag
 
 
+def _bucket_weights(labels, k: int) -> np.ndarray:
+    """Per-state weights of one feature's two-level average: buckets weigh
+    equally, members within a bucket weigh equally, features weigh 1/k."""
+    sizes = np.bincount(labels)
+    return 1.0 / (k * sizes.size * sizes[labels])
+
+
 def _ct_loss(encoder: DenseNetwork, system: StochasticSystem,
              preimage: PreimageIndex):
     """(penalty, clamped probe count, vjp); ``vjp(weight)`` is the gradient
@@ -240,7 +237,7 @@ def _ct_loss(encoder: DenseNetwork, system: StochasticSystem,
         raise UsageError(
             f"encoder expects {encoder.d_in}-dimensional states, got {n}"
         )
-    if preimage.k != k:
+    if preimage.labels.shape[1] != k:
         raise UsageError("preimage was built for a different feature count")
     probes, steps = _ct_probes(states)
     cache = []
@@ -267,12 +264,7 @@ def _ct_loss(encoder: DenseNetwork, system: StochasticSystem,
         gb = (b2[:, 0] - b2[:, 1]) / (2.0 * steps)
         pen = (ga * ga + gb * gb).sum(axis=0)
 
-        # two-level average: buckets weigh equally, members within a bucket
-        # weigh equally, features weigh 1/k
-        w = np.zeros(m)
-        buckets = preimage.members[i]
-        for idx in buckets:
-            w[idx] = 1.0 / (k * len(buckets) * idx.size)
+        w = _bucket_weights(preimage.labels[:, i], k)
         total += float(np.sum(pen * w))
         levels.append((kept, a_c, b, ga, gb, w))
 
@@ -435,7 +427,7 @@ def train_autoencoder(system: StochasticSystem, cost: Callable, states,
                 feats = net.encode(batch)
                 eps_vec = np.array([epsilon_default(feats[:, j])
                                     for j in range(net.k)])
-                preimage = build_preimage(batch, net.encoder, eps_vec)
+                preimage = build_preimage(batch, feats, eps_vec)
 
             cvals = (np.asarray(cost(batch), dtype=np.float64).reshape(-1)
                      if cfg.w_rc > 0 else None)

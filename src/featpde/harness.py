@@ -218,17 +218,28 @@ def load_config(path: str) -> dict:
 # resolution: config dict -> concrete objects
 
 
-def _axes(domain, step: float) -> list:
-    """Nodes at spacing ``step`` on each (lo, hi) of ``domain``; every
-    interval must be a whole number of cells."""
+def _intervals(rows, key: str) -> list:
+    """The rows of config entry ``key`` as (lo, hi) float pairs."""
+    try:
+        return [(float(lo), float(hi)) for lo, hi in rows]
+    except (TypeError, ValueError):
+        raise ConfigError(f"{key} rows must be [lo, hi] pairs") from None
+
+
+def _axes(domain, step: float, section: str) -> list:
+    """Nodes at spacing ``step`` on each (lo, hi) of ``domain``, the
+    ``section``.domain and .step of the config; every interval must be a
+    whole number of cells."""
     step = float(step)
+    if not step > 0:
+        raise ConfigError(f"{section}.step must be positive, got {step}")
     axes = []
-    for lo, hi in domain:
-        lo, hi = float(lo), float(hi)
+    for lo, hi in _intervals(domain, f"{section}.domain"):
         n = round((hi - lo) / step)
         if n < 1 or abs(lo + n * step - hi) > 1e-9 * max(1.0, abs(hi)):
             raise ConfigError(
-                f"step {step} does not resolve [{lo}, {hi}] into whole cells"
+                f"{section}.step {step} does not resolve [{lo}, {hi}] into "
+                f"whole cells"
             )
         axes.append(np.round(lo + step * np.arange(n + 1), 12))
     return axes
@@ -240,7 +251,7 @@ def _inline_preset(inline: dict) -> Preset:
             raise ConfigError(f"inline.{req} is required")
     alpha_c = [float(a) for a in inline["alpha"]]
     slope = [float(b) for b in inline["beta_slope"]]
-    ranges = [tuple(map(float, ab)) for ab in inline["ranges"]]
+    ranges = _intervals(inline["ranges"], "inline.ranges")
     if not (len(alpha_c) == len(slope) == len(ranges)):
         raise ConfigError(
             "inline.alpha, beta_slope and ranges must have equal length"
@@ -298,7 +309,7 @@ def _reduced_from_encoder(system, red_cfg: dict, seed: int):
     if "state_domain" not in red_cfg:
         raise ConfigError("reduction.state_domain is required with an "
                           "encoder checkpoint")
-    box = [tuple(map(float, ab)) for ab in red_cfg["state_domain"]]
+    box = _intervals(red_cfg["state_domain"], "reduction.state_domain")
     if len(box) != system.state_dim:
         raise ConfigError(
             f"reduction.state_domain lists {len(box)} intervals, system "
@@ -376,9 +387,8 @@ class ExperimentConfig:
                               "system block")
         red = cfg.get("reduction")
         if red and {"alpha", "beta_slope"} <= set(red):
-            ranges = red.get(
-                "ranges", [list(ab) for ab in (preset.oracle_domain or [])]
-            )
+            ranges = _intervals(red.get("ranges", preset.oracle_domain or []),
+                                "reduction.ranges")
             preset.reduced = _inline_preset(
                 {
                     "alpha": red["alpha"],
@@ -495,7 +505,7 @@ class ExperimentConfig:
         domain = ev.get("domain", self.preset.data_domain)
         if domain is None:
             raise ConfigError("eval.domain is required for this preset")
-        return _axes(domain, ev.get("step", self.preset.data_step))
+        return _axes(domain, ev.get("step", self.preset.data_step), "eval")
 
 
 # ---------------------------------------------------------------------------
@@ -506,8 +516,7 @@ def _solve_oracle(xc: ExperimentConfig) -> FdSolution:
     """The FD solve of the preset's PDE with the fd section's settings."""
     fd = xc.raw.get("fd", {})
     p = xc.preset
-    domain = [tuple(map(float, ab))
-              for ab in fd.get("domain", p.oracle_domain)]
+    domain = _intervals(fd.get("domain", p.oracle_domain), "fd.domain")
     return solve_fd(p.pde_problem(domain=domain),
                     [float(fd.get("dxi", p.oracle_dxi))] * p.k,
                     float(fd.get("dt", p.oracle_dt)),
@@ -647,7 +656,8 @@ def _pinn_dataset(xc: ExperimentConfig) -> TrainingDataset:
     if p.train_window is not None:
         lo, hi = p.train_window
         times = times[(times >= lo - 1e-9) & (times <= hi + 1e-9)]
-    points, times = space_time(_axes(p.data_domain, p.data_step), times)
+    points, times = space_time(
+        _axes(p.data_domain, p.data_step, "preset.data"), times)
     grid = ROUTES["fd"].rows(xc, points, times, None)
     return TrainingDataset(xi=points, t=times, target=grid.estimates,
                            provenance="FD")
@@ -659,6 +669,11 @@ def _trained_or_loaded_net(xc: ExperimentConfig) -> DenseNetwork:
         if not os.path.exists(ckpt):
             raise ConfigError(f"pinn.checkpoint does not exist: {ckpt}")
         net, _ = load_checkpoint(ckpt)
+        if net.d_in != xc.preset.k + 1:
+            raise ConfigError(
+                f"pinn.checkpoint takes {net.d_in} inputs, the preset needs "
+                f"k + 1 = {xc.preset.k + 1}"
+            )
         return net
     return train(xc.preset.pde_problem(), _pinn_dataset(xc),
                  xc.pinn_config()).net
@@ -680,7 +695,7 @@ def make_dataset(xc: ExperimentConfig, out_path: str) -> str:
     ds = xc.raw.get("dataset", {})
     source = ds.get("source", "fd")
     axes = _axes(ds.get("domain", p.data_domain),
-                 ds.get("step", p.data_step))
+                 ds.get("step", p.data_step), "dataset")
     points, times = space_time(axes, ds.get("times", p.data_times))
     header = ",".join(f"xi{i + 1}" for i in range(p.k)) + ",t,value"
     fmt = "%.17g"
@@ -908,6 +923,9 @@ def cmd_train_features(xc: ExperimentConfig) -> list:
     states = feature_state_grid(p)
     n_states = ae.get("n_states")
     if n_states is not None:
+        if not 1 <= int(n_states) <= len(states):
+            raise ConfigError(f"ae.n_states must be in [1, {len(states)}], "
+                              f"the state grid size; got {n_states}")
         gen = np.random.Generator(
             np.random.Philox(key=np.array([xc.seed, 0xA11], dtype=np.uint64))
         )

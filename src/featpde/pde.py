@@ -501,10 +501,8 @@ def solve_fd(problem: PdeProblem, d_xi, dt, save_every: int = 1) -> FdSolution:
     if problem.kind == "value":
         times = problem.horizon - s_times[::-1]
         vals = vals[::-1]
-        saved = steps_saved  # kept in marching order for verify()
     else:
         times = s_times
-        saved = steps_saved
     metadata = {
         "scheme": "crank-nicolson" if problem.k == 1 else
         "crank-nicolson-adi",
@@ -523,7 +521,7 @@ def solve_fd(problem: PdeProblem, d_xi, dt, save_every: int = 1) -> FdSolution:
         d_xi=engine.d_xi,
         dt=engine.dt,
         metadata=metadata,
-        saved_steps=saved,
+        saved_steps=steps_saved,  # kept in marching order for verify()
         _engine=engine,
     )
 

@@ -13,7 +13,7 @@ SDE dxi_i = alpha_i(xi_i) beta_i(xi_i) dt + sqrt(alpha_i(xi_i)) dB_i.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
 import json
@@ -440,19 +440,7 @@ def feature_map_from_encoder(encoder: DenseNetwork) -> FeatureMap:
         _, jac, _ = derivatives_batch(encoder, xb)
         return np.swapaxes(jac, 1, 2)  # (N, k, n)
 
-    def hess_p(x, i):
-        x = np.asarray(x, dtype=np.float64)
-        rows = np.empty((n, n))
-        for j in range(n):
-            h = 1e-5 * (1.0 + abs(x[j]))
-            xp = x.copy()
-            xp[j] += h
-            xm = x.copy()
-            xm[j] -= h
-            rows[j] = (grad_p(xp[None])[0, i] - grad_p(xm[None])[0, i]) / (
-                2.0 * h
-            )
-        return 0.5 * (rows + rows.T)
-
-    return FeatureMap(k=k, n=n, p=p, grad_p=grad_p, hess_p=hess_p,
-                      synthesized=False)
+    # the Hessian is a central difference of the exact gradient; not marked
+    # synthesized, so verify_feature_derivatives still checks both
+    return replace(FeatureMap.from_functions(k, n, p, grad_p),
+                   synthesized=False)

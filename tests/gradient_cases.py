@@ -180,7 +180,7 @@ def feature_cases():
                               ("clamped", clamped, False)):
         feats = net.encode(batch)
         eps = [epsilon_default(feats[:, j]) for j in range(net.k)]
-        pre = build_preimage(batch, net.encoder, eps)
+        pre = build_preimage(batch, feats, eps)
         cfg = AeTrainConfig(w_rc=1.0, w_ct=10.0, freeze_encoder=frozen)
         cases[name] = (net, batch, cvals, pre, cfg)
     return cases

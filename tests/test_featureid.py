@@ -20,7 +20,7 @@ from featpde.featureid import (
     train_autoencoder,
     _ct_loss,
 )
-from featpde.neural import DenseNetwork
+from featpde.neural import DenseNetwork, forward
 from featpde.sde import StochasticSystem
 
 
@@ -84,72 +84,57 @@ def test_epsilon_degenerate_and_short():
 # -------------------------------------------------------------- preimage
 
 
-def test_preimage_is_a_partition_with_mean_keys(batch):
-    enc = linear_encoder()
-    pre = build_preimage(batch, enc, [0.05, 0.05])
+def linear_feats(states):
+    return forward(linear_encoder(), states)
+
+
+def test_preimage_labels_are_a_partition(batch):
+    # labels run 0..n_buckets-1 without holes, in ascending feature order
+    feats = linear_feats(batch)
+    pre = build_preimage(batch, feats, [0.05, 0.05])
+    assert pre.labels.shape == (len(batch), 2)
     for i in range(2):
-        seen = np.concatenate(pre.members[i])
-        assert np.array_equal(np.sort(seen), np.arange(len(batch)))
-        for key, idx in zip(pre.keys[i], pre.members[i]):
-            assert idx.size > 0
-            assert key == pytest.approx(pre.feats[idx, i].mean(), rel=1e-12)
+        lab = pre.labels[:, i]
+        assert lab.min() == 0
+        assert np.all(np.bincount(lab) > 0)
+        assert np.all(np.diff(lab[np.argsort(feats[:, i])]) >= 0)
 
 
 def test_preimage_chainwise_rule(batch):
-    enc = linear_encoder()
+    feats = linear_feats(batch)
     eps = 0.05
-    pre = build_preimage(batch, enc, eps)
+    pre = build_preimage(batch, feats, eps)
     for i in range(2):
-        vals = np.sort(pre.feats[:, i])
-        for idx in pre.members[i]:
-            v = np.sort(pre.feats[idx, i])
+        lab = pre.labels[:, i]
+        for b in range(lab.max() + 1):
+            v = np.sort(feats[lab == b, i])
             if v.size > 1:
                 # members chain with gaps strictly below the threshold
                 assert np.max(np.diff(v)) < eps
-        # distinct buckets are separated by at least the threshold
-        key_order = np.argsort(pre.keys[i])
-        sorted_members = [pre.members[i][j] for j in key_order]
-        for a, b in zip(sorted_members[:-1], sorted_members[1:]):
-            assert pre.feats[b, i].min() - pre.feats[a, i].max() >= eps
+            if b > 0:
+                # consecutive buckets are separated by at least the threshold
+                assert v.min() - feats[lab == b - 1, i].max() >= eps
 
 
 def test_preimage_threshold_extremes(batch):
-    enc = linear_encoder()
-    one = build_preimage(batch, enc, 10.0)
-    assert one.n_buckets(0) == 1 and one.n_buckets(1) == 1
-    assert one.members[0][0].size == len(batch)
-    tiny = build_preimage(batch, enc, 1e-15)
-    assert tiny.n_buckets(0) == len(batch)
-
-
-def test_preimage_member_reencoding_stays_near_key(batch):
-    # chain-linked buckets bound the spread by (len - 1) gaps, each below
-    # the threshold; on grid-snapped states buckets are pure duplicates and
-    # members sit exactly on their key
-    enc = linear_encoder()
-    pre = build_preimage(batch, enc, [0.05, 0.05])
-    for i in range(2):
-        for key, idx in zip(pre.keys[i], pre.members[i]):
-            bound = max(idx.size - 1, 1) * pre.epsilons[i]
-            assert np.max(np.abs(pre.feats[idx, i] - key)) < bound
-
-    ax = np.round(np.arange(0.0, 1.0001, 0.01), 10)
-    grid = np.stack(np.meshgrid(ax, ax, ax, indexing="ij"), -1).reshape(-1, 3)
-    sub = grid[np.random.default_rng(1).choice(len(grid), 500, replace=False)]
-    feats = np.column_stack([sub[:, 0] + sub[:, 1], sub[:, 2]])
-    eps = [epsilon_default(feats[:, 0]), epsilon_default(feats[:, 1])]
-    snapped = build_preimage(sub, enc, eps)
-    for i in range(2):
-        for key, idx in zip(snapped.keys[i], snapped.members[i]):
-            assert np.max(np.abs(snapped.feats[idx, i] - key)) < eps[i]
+    feats = linear_feats(batch)
+    one = build_preimage(batch, feats, 10.0)
+    assert np.all(one.labels == 0)
+    tiny = build_preimage(batch, feats, 1e-15)
+    assert np.array_equal(np.sort(tiny.labels[:, 0]), np.arange(len(batch)))
 
 
 def test_preimage_rejects_bad_thresholds(batch):
-    enc = linear_encoder()
+    feats = linear_feats(batch)
     with pytest.raises(UsageError):
-        build_preimage(batch, enc, [0.05, 0.05, 0.05])
+        build_preimage(batch, feats, [0.05, 0.05, 0.05])
     with pytest.raises(UsageError):
-        build_preimage(batch, enc, 0.0)
+        build_preimage(batch, feats, 0.0)
+
+
+def test_preimage_rejects_mismatched_features(batch):
+    with pytest.raises(UsageError):
+        build_preimage(batch, linear_feats(batch)[1:], 0.05)
 
 
 def test_bucket_count_on_grid_snapped_features():
@@ -159,15 +144,32 @@ def test_bucket_count_on_grid_snapped_features():
     grid = np.stack(np.meshgrid(ax, ax, ax, indexing="ij"), -1).reshape(-1, 3)
     sub = grid[np.random.default_rng(0).choice(len(grid), 1000,
                                                replace=False)]
-    enc = linear_encoder()
-    feats = np.column_stack([sub[:, 0] + sub[:, 1], sub[:, 2]])
+    feats = linear_feats(sub)
     eps = [epsilon_default(feats[:, 0]), epsilon_default(feats[:, 1])]
-    pre = build_preimage(sub, enc, eps)
-    assert pre.n_buckets(0) == len(np.unique(np.round(feats[:, 0], 9)))
-    assert pre.n_buckets(1) == len(np.unique(np.round(feats[:, 1], 9)))
+    pre = build_preimage(sub, feats, eps)
+    for i in range(2):
+        distinct = np.unique(np.round(feats[:, i], 9))
+        assert pre.labels[:, i].max() + 1 == len(distinct)
 
 
 # ---------------------------------------------------------------- losses
+
+
+def test_ct_weights_match_per_bucket_formula(batch):
+    feats = linear_feats(batch)
+    eps = [0.05, 0.05]
+    pre = build_preimage(batch, feats, eps)
+    for i in range(2):
+        # reference: one weight assignment per bucket
+        order = np.argsort(feats[:, i], kind="stable")
+        cuts = np.flatnonzero(np.diff(feats[order, i]) >= eps[i]) + 1
+        buckets = np.split(order, cuts)
+        assert max(idx.size for idx in buckets) > 1
+        old = np.zeros(len(batch))
+        for idx in buckets:
+            old[idx] = 1.0 / (2 * len(buckets) * idx.size)
+        assert np.array_equal(
+            featureid._bucket_weights(pre.labels[:, i], 2), old)
 
 
 def test_loss_rc_exact_affine_reconstruction(batch):
@@ -194,7 +196,7 @@ def test_loss_rc_constant_decoder_gives_variance(batch):
 def test_loss_ct_zero_for_driftless_linear_features(batch):
     net = AutoencoderNet(encoder=linear_encoder(),
                          decoder=DenseNetwork.init((2, 4, 1), seed=1))
-    pre = build_preimage(batch, net.encoder, [0.05, 0.05])
+    pre = build_preimage(batch, linear_feats(batch), [0.05, 0.05])
     assert loss_ct(net, zero_drift_system(), pre) == 0.0
 
 
@@ -204,21 +206,9 @@ def test_loss_ct_hand_value_for_analytic_features(batch):
     # for every bucket member: loss = (1/2) (1/2 + 1) = 3/4
     net = AutoencoderNet(encoder=linear_encoder(),
                          decoder=DenseNetwork.init((2, 4, 1), seed=1))
-    pre = build_preimage(batch, net.encoder, [0.05, 0.05])
+    pre = build_preimage(batch, linear_feats(batch), [0.05, 0.05])
     assert loss_ct(net, literal_system(), pre) == pytest.approx(0.75,
                                                                 rel=1e-10)
-
-
-def test_loss_ct_invariant_under_member_permutation(batch):
-    net = AutoencoderNet(encoder=linear_encoder(),
-                         decoder=DenseNetwork.init((2, 4, 1), seed=1))
-    pre = build_preimage(batch, net.encoder, [0.05, 0.05])
-    base = loss_ct(net, literal_system(), pre)
-    rng = np.random.default_rng(5)
-    pre.members = [[rng.permutation(idx) for idx in side]
-                   for side in pre.members]
-    assert loss_ct(net, literal_system(), pre) == pytest.approx(base,
-                                                                rel=1e-12)
 
 
 def test_loss_ct_clamps_dead_features(batch):
@@ -228,7 +218,7 @@ def test_loss_ct_clamps_dead_features(batch):
     enc.theta[:6] = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 0.0]]).ravel()
     net = AutoencoderNet(encoder=enc,
                          decoder=DenseNetwork.init((2, 4, 1), seed=1))
-    pre = build_preimage(batch, enc, [0.05, 1.0])
+    pre = build_preimage(batch, forward(enc, batch), [0.05, 1.0])
     val, clamped, _ = _ct_loss(enc, literal_system(), pre)
     assert clamped == 6 * len(batch)  # every probe of the dead feature
     # the dead feature contributes nothing (its generator drift vanishes
@@ -240,7 +230,7 @@ def test_loss_ct_clamps_dead_features(batch):
 def test_loss_ct_rejects_correlated_diffusion(batch):
     net = AutoencoderNet(encoder=linear_encoder(),
                          decoder=DenseNetwork.init((2, 4, 1), seed=1))
-    pre = build_preimage(batch, net.encoder, [0.05, 0.05])
+    pre = build_preimage(batch, linear_feats(batch), [0.05, 0.05])
     sig = np.array([[1.0, 0.5, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
     crooked = StochasticSystem(state_dim=3, control_dim=3,
                                drift=lambda x: np.zeros_like(np.atleast_2d(x)),

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -18,7 +19,8 @@ from featpde.harness import (
     run,
     validate_config,
 )
-from featpde.neural import load_checkpoint
+from featpde.neural import (DenseNetwork, load_checkpoint,
+                            save_checkpoint)
 from featpde.pde import riccati_value
 from featpde.presets import get_preset
 from featpde.sde import SimConfig, simulate_reduced
@@ -479,6 +481,44 @@ def test_inline_system_runs_value_estimate(tmp_path):
     assert float(lines[1].split(",")[2]) == pytest.approx(
         0.7436954806413412, rel=1e-12
     )
+
+
+_BAD_RANGES = {"alpha": [1.0], "beta_slope": [-1.0],
+               "ranges": [[-6.0, 0.0, 6.0]]}
+
+
+@pytest.mark.parametrize(
+    "command,cfg,key",
+    [
+        ("estimate-value",
+         {"preset": "lq-scalar", "estimator": "riccati", "eval": {"step": 0}},
+         "eval.step"),
+        ("make-dataset", {"preset": "lq-scalar", "dataset": {"step": 0}},
+         "dataset.step"),
+        ("train-features",
+         {"preset": "feature-ae-3d", "ae": {"n_states": 101 ** 3 + 1}},
+         "ae.n_states"),
+        ("estimate-value",
+         {"inline": dict(_BAD_RANGES, horizon=1.0), "estimator": "riccati"},
+         "inline.ranges"),
+        ("estimate-value",
+         {"preset": "lq-scalar", "estimator": "riccati",
+          "reduction": _BAD_RANGES},
+         "reduction.ranges"),
+        ("estimate-value",
+         {"preset": "sys3d-value", "estimator": "pinn",
+          "eval": {"points": [[1.5, 1.5]]}},
+         "pinn.checkpoint"),
+    ],
+)
+def test_bad_config_values_name_their_key(command, cfg, key, tmp_path):
+    if key == "pinn.checkpoint":
+        # a network on (xi1, t) where the preset needs (xi1, xi2, t)
+        ckpt = str(tmp_path / "narrow.json")
+        save_checkpoint(DenseNetwork.init((2, 4, 1), seed=0), ckpt)
+        cfg = dict(cfg, pinn={"checkpoint": ckpt})
+    with pytest.raises(ConfigError, match=re.escape(key)):
+        run(cfg, command, out=str(tmp_path / "out"))
 
 
 def test_inline_requires_consistent_lengths():
