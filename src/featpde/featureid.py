@@ -41,6 +41,7 @@ from .grid import write_csv
 from .neural import (
     AdamState,
     DenseNetwork,
+    Workspace,
     adam_step,
     derivatives_batch,
     forward,
@@ -227,9 +228,10 @@ def _bucket_weights(labels, k: int) -> np.ndarray:
 
 
 def _ct_loss(encoder: DenseNetwork, system: StochasticSystem,
-             preimage: PreimageIndex):
+             preimage: PreimageIndex, cache: Workspace):
     """(penalty, clamped probe count, vjp); ``vjp(weight)`` is the gradient
-    of weight * penalty in the encoder parameters."""
+    of weight * penalty in the encoder parameters.  The encoder's derivative
+    bundle lives in ``cache``, so call ``vjp`` before its next use."""
     states = preimage.states
     m, n = states.shape
     k = encoder.d_out
@@ -240,7 +242,6 @@ def _ct_loss(encoder: DenseNetwork, system: StochasticSystem,
     if preimage.labels.shape[1] != k:
         raise UsageError("preimage was built for a different feature count")
     probes, steps = _ct_probes(states)
-    cache = []
     u, jac, hess = derivatives_batch(encoder, probes, cache)
     f = np.asarray(system.drift(probes), dtype=np.float64)
     ss_diag = _diffusion_diagonal(system, probes)
@@ -291,27 +292,30 @@ def loss_ct(net: AutoencoderNet, system: StochasticSystem,
             preimage: PreimageIndex) -> float:
     """Mean squared state-gradient of the level coefficients a_i, b_i of the
     learned features, averaged per bucket, per level, per feature."""
-    return _ct_loss(net.encoder, system, preimage)[0]
+    return _ct_loss(net.encoder, system, preimage, Workspace())[0]
 
 
 def _loss_and_grad(net: AutoencoderNet, system: StochasticSystem, batch,
-                   cvals, preimage, cfg: AeTrainConfig):
+                   cvals, preimage, cfg: AeTrainConfig, caches):
     """(L_rc, L_ct, clamped probes, gradient) of one training iteration.
 
     The gradient of w_rc L_rc + w_ct L_ct is flat over the encoder then the
     decoder parameters, and None when that loss is not finite.  A frozen
     encoder gets a zero gradient without a reverse pass through it: the CT
     penalty depends on the encoder alone, so it is then only evaluated.
+    ``caches`` holds the workspaces of the encoder and the decoder in the
+    reconstruction and of the encoder in the penalty, in that order.
     """
+    enc_cache, dec_cache, ct_cache = caches
     lrc = lct = 0.0
     clamped = 0
     if cfg.w_rc > 0:
-        enc_cache, dec_cache = [], []
         feats = forward(net.encoder, batch, enc_cache)
         diff = forward(net.decoder, feats, dec_cache)[:, 0] - cvals
         lrc = float(np.mean(diff * diff))
     if cfg.w_ct > 0:
-        lct, clamped, ct_vjp = _ct_loss(net.encoder, system, preimage)
+        lct, clamped, ct_vjp = _ct_loss(net.encoder, system, preimage,
+                                        ct_cache)
     if not np.isfinite(cfg.w_rc * lrc + cfg.w_ct * lct):
         return lrc, lct, clamped, None
 
@@ -415,6 +419,7 @@ def train_autoencoder(system: StochasticSystem, cost: Callable, states,
     adam = AdamState.init(ne + net.decoder.theta.size)
     bs = min(cfg.batch_size, n_states)
 
+    caches = (Workspace(), Workspace(), Workspace())
     preimage = None
     eps_vec = None
     log = []
@@ -432,7 +437,7 @@ def train_autoencoder(system: StochasticSystem, cost: Callable, states,
             cvals = (np.asarray(cost(batch), dtype=np.float64).reshape(-1)
                      if cfg.w_rc > 0 else None)
             lrc, lct, clamped, g = _loss_and_grad(net, system, batch, cvals,
-                                                  preimage, cfg)
+                                                  preimage, cfg, caches)
             if g is None:
                 raise TrainingError(
                     f"non-finite training loss at iteration {it}"

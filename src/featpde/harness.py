@@ -226,13 +226,24 @@ def _intervals(rows, key: str) -> list:
         raise ConfigError(f"{key} rows must be [lo, hi] pairs") from None
 
 
+def _num(value, key: str, kind=float, positive: bool = False):
+    """Config entry ``key``'s ``value`` as a ``kind``; a value that does not
+    convert, or is not positive where it must be, raises a ConfigError
+    naming ``key``."""
+    try:
+        out = kind(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{key} must be a number, got {value!r}") from None
+    if positive and not out > 0:
+        raise ConfigError(f"{key} must be positive, got {value!r}")
+    return out
+
+
 def _axes(domain, step: float, section: str) -> list:
     """Nodes at spacing ``step`` on each (lo, hi) of ``domain``, the
     ``section``.domain and .step of the config; every interval must be a
     whole number of cells."""
-    step = float(step)
-    if not step > 0:
-        raise ConfigError(f"{section}.step must be positive, got {step}")
+    step = _num(step, f"{section}.step", positive=True)
     axes = []
     for lo, hi in _intervals(domain, f"{section}.domain"):
         n = round((hi - lo) / step)
@@ -249,8 +260,8 @@ def _inline_preset(inline: dict) -> Preset:
     for req in ("alpha", "beta_slope", "ranges", "horizon"):
         if req not in inline:
             raise ConfigError(f"inline.{req} is required")
-    alpha_c = [float(a) for a in inline["alpha"]]
-    slope = [float(b) for b in inline["beta_slope"]]
+    alpha_c = [_num(a, "inline.alpha") for a in inline["alpha"]]
+    slope = [_num(b, "inline.beta_slope") for b in inline["beta_slope"]]
     ranges = _intervals(inline["ranges"], "inline.ranges")
     if not (len(alpha_c) == len(slope) == len(ranges)):
         raise ConfigError(
@@ -265,8 +276,10 @@ def _inline_preset(inline: dict) -> Preset:
         (lambda m: lambda s: m * np.asarray(s, dtype=np.float64))(m)
         for m in slope
     ]
-    r_scale = float(inline.get("r_scale", 0.5))
-    horizon = float(inline["horizon"])
+    r_scale = _num(inline.get("r_scale", 0.5), "inline.r_scale")
+    horizon = _num(inline["horizon"], "inline.horizon")
+    terminal_weight = _num(inline.get("terminal_weight", 1.0),
+                           "inline.terminal_weight")
     k = len(alpha_c)
     # constant alpha + linear beta + quadratic r is exactly the
     # linear-quadratic form, so the Riccati reference is always available
@@ -274,7 +287,7 @@ def _inline_preset(inline: dict) -> Preset:
         M=np.diag([alpha_c[i] * slope[i] for i in range(k)]),
         Sigma=np.diag(alpha_c),
         R=r_scale * np.eye(k),
-        R_T=float(inline.get("terminal_weight", 1.0)) * r_scale * np.eye(k),
+        R_T=terminal_weight * r_scale * np.eye(k),
         horizon=horizon,
     )
     return Preset(
@@ -284,7 +297,7 @@ def _inline_preset(inline: dict) -> Preset:
         k=k,
         reduced=build_reduced_sde(alpha, beta, ranges),
         r=_quad_r(r_scale),
-        terminal_weight=float(inline.get("terminal_weight", 1.0)),
+        terminal_weight=terminal_weight,
         data_domain=ranges,
         data_times=np.round(np.arange(0.0, horizon + 1e-9, 0.1), 10),
         train_window=(0.0, horizon),
@@ -315,8 +328,10 @@ def _reduced_from_encoder(system, red_cfg: dict, seed: int):
             f"reduction.state_domain lists {len(box)} intervals, system "
             f"has {system.state_dim} coordinates"
         )
-    n_states = int(red_cfg.get("n_states", 1000))
-    n_levels = int(red_cfg.get("n_levels", 16))
+    n_states = _num(red_cfg.get("n_states", 1000), "reduction.n_states", int,
+                    positive=True)
+    n_levels = _num(red_cfg.get("n_levels", 16), "reduction.n_levels", int,
+                    positive=True)
     gen = np.random.Generator(
         np.random.Philox(key=np.array([seed, 0x5EDC], dtype=np.uint64))
     )
@@ -404,7 +419,7 @@ class ExperimentConfig:
                     "full system"
                 )
             preset.reduced, preset.features = _reduced_from_encoder(
-                preset.system, red, int(cfg.get("seed", 0))
+                preset.system, red, _num(cfg.get("seed", 0), "seed", int)
             )
         task = cfg.get("task", preset.task)
         if task != preset.task and preset.name != "inline":
@@ -412,7 +427,8 @@ class ExperimentConfig:
                 f"preset {preset.name!r} is a {preset.task} task, config "
                 f"says {task!r}"
             )
-        resolved_seed = int(seed if seed is not None else cfg.get("seed", 0))
+        resolved_seed = _num(seed if seed is not None else cfg.get("seed", 0),
+                             "seed", int)
         resolved_out = str(out if out is not None else cfg.get("out", "."))
         raw = dict(cfg)
         raw["seed"] = resolved_seed
@@ -429,27 +445,38 @@ class ExperimentConfig:
 
     # --- resolved sub-configs -------------------------------------------
 
-    def mc_budget(self, defaults=None) -> tuple:
+    def mc_budget(self, section: str = "mc") -> tuple:
         """(dt, n_paths, seed) of the sampled routes: the mc section over
-        ``defaults``."""
-        mc = dict(defaults or {})
-        mc.update(self.raw.get("mc", {}))
-        return (float(mc.get("dt", 1e-3)), int(mc.get("n_paths", 10000)),
-                self.seed)
+        config section ``section``'s dt and n_paths."""
+
+        def num(name, default, kind):
+            for where in ("mc", section):
+                values = self.raw.get(where, {})
+                if name in values:
+                    return _num(values[name], f"{where}.{name}", kind)
+            return default
+
+        return num("dt", 1e-3, float), num("n_paths", 10000, int), self.seed
 
     def pinn_config(self) -> PinnConfig:
         base = self.preset.pinn or PinnConfig()
         over = self.raw.get("pinn", {})
+
+        def num(name, kind=float):
+            return _num(over.get(name, getattr(base, name)), f"pinn.{name}",
+                        kind)
+
         return PinnConfig(
-            omega_p=float(over.get("omega_p", base.omega_p)),
-            omega_d=float(over.get("omega_d", base.omega_d)),
-            n_domain=int(over.get("n_domain", base.n_domain)),
-            epochs=int(over.get("epochs", base.epochs)),
-            lr=float(over.get("lr", base.lr)),
+            omega_p=num("omega_p"),
+            omega_d=num("omega_d"),
+            n_domain=num("n_domain", int),
+            epochs=num("epochs", int),
+            lr=num("lr"),
             seed=self.seed,
-            widths=tuple(int(w) for w in over.get("widths", base.widths)),
+            widths=tuple(_num(w, "pinn.widths", int)
+                         for w in over.get("widths", base.widths)),
             batch_size=over.get("batch_size", base.batch_size),
-            log_every=int(over.get("log_every", base.log_every)),
+            log_every=num("log_every", int),
             resample_collocation=bool(
                 over.get("resample_collocation", base.resample_collocation)
             ),
@@ -458,18 +485,24 @@ class ExperimentConfig:
     def ae_config(self) -> AeTrainConfig:
         base = self.preset.ae or AeTrainConfig()
         over = dict(self.raw.get("ae", {}))
+
+        def num(name, kind=float):
+            return _num(over.get(name, getattr(base, name)), f"ae.{name}",
+                        kind)
+
         return AeTrainConfig(
-            w_rc=float(over.get("w_rc", base.w_rc)),
-            w_ct=float(over.get("w_ct", base.w_ct)),
-            k=int(over.get("k", base.k)),
-            d=int(over.get("d", base.d)),
-            epochs=int(over.get("epochs", base.epochs)),
-            iterations=int(over.get("iterations", base.iterations)),
-            batch_size=int(over.get("batch_size", base.batch_size)),
-            lr=float(over.get("lr", base.lr)),
+            w_rc=num("w_rc"),
+            w_ct=num("w_ct"),
+            k=num("k", int),
+            d=num("d", int),
+            epochs=num("epochs", int),
+            iterations=num("iterations", int),
+            batch_size=num("batch_size", int),
+            lr=num("lr"),
             seed=self.seed,
             encoder_hidden=tuple(
-                int(w) for w in over.get("encoder_hidden", base.encoder_hidden)
+                _num(w, "ae.encoder_hidden", int)
+                for w in over.get("encoder_hidden", base.encoder_hidden)
             ),
         )
 
@@ -483,7 +516,7 @@ class ExperimentConfig:
     def eval_points(self):
         """Evaluation rows (points, time) from the eval section."""
         ev = self.raw.get("eval", {})
-        t = float(ev.get("time", self.default_time))
+        t = _num(ev.get("time", self.default_time), "eval.time")
         if "points" in ev:
             return self.points("eval", ev["points"]), t
         return nodes(self.eval_axes()), t
@@ -518,9 +551,11 @@ def _solve_oracle(xc: ExperimentConfig) -> FdSolution:
     p = xc.preset
     domain = _intervals(fd.get("domain", p.oracle_domain), "fd.domain")
     return solve_fd(p.pde_problem(domain=domain),
-                    [float(fd.get("dxi", p.oracle_dxi))] * p.k,
-                    float(fd.get("dt", p.oracle_dt)),
-                    save_every=int(fd.get("save_every", p.oracle_save_every)))
+                    [_num(fd.get("dxi", p.oracle_dxi), "fd.dxi",
+                          positive=True)] * p.k,
+                    _num(fd.get("dt", p.oracle_dt), "fd.dt"),
+                    save_every=_num(fd.get("save_every", p.oracle_save_every),
+                                    "fd.save_every", int))
 
 
 def _sim(mc, horizon: float) -> SimConfig:
@@ -703,9 +738,8 @@ def make_dataset(xc: ExperimentConfig, out_path: str) -> str:
         grid = ROUTES["fd"].rows(xc, points, times, None)
         body = np.column_stack([points, times, grid.estimates])
     elif source == "mc":
-        ceiling = float(ds.get("se_ceiling", np.inf))
-        mc = xc.mc_budget({"dt": ds.get("dt", 1e-3),
-                           "n_paths": ds.get("n_paths", 10000)})
+        ceiling = _num(ds.get("se_ceiling", np.inf), "dataset.se_ceiling")
+        mc = xc.mc_budget("dataset")
         grid = ROUTES["mc_reduced"].rows(xc, points, times, mc)
         header += ",std_error,flagged"
         body = np.column_stack([points, times, grid.estimates,
@@ -804,12 +838,14 @@ def benchmark(xc: ExperimentConfig, out_path: str) -> str:
     b = dict(xc.raw.get("benchmark", {}))
     spec = BenchmarkSpec(
         estimators=list(b.get("estimators", ["mc_reduced"])),
-        n_samples=[int(n) for n in b.get("n_samples", [1000])],
+        n_samples=[_num(n, "benchmark.n_samples", int)
+                   for n in b.get("n_samples", [1000])],
         oracle=b.get("oracle", "fd"),
-        repetitions=int(b.get("repetitions", 10)),
+        repetitions=_num(b.get("repetitions", 10), "benchmark.repetitions",
+                         int),
         metric=b.get("metric", "percentage"),
-        time=float(b.get("time", xc.default_time)),
-        dt=float(b.get("dt", 1e-3)),
+        time=_num(b.get("time", xc.default_time), "benchmark.time"),
+        dt=_num(b.get("dt", 1e-3), "benchmark.dt"),
     )
     points = xc.points("benchmark",
                        b.get("points", [[1.1, 1.1], [1.5, 1.5], [1.9, 1.9]]))
@@ -854,10 +890,10 @@ def _artifact(xc: ExperimentConfig, name: str) -> str:
 def cmd_simulate(xc: ExperimentConfig) -> list:
     sim = xc.raw.get("sim", {})
     kind = sim.get("kind", "reduced")
-    dt = float(sim.get("dt", 1e-3))
-    horizon = float(sim.get("horizon", xc.preset.horizon or 1.0))
-    n_paths = int(sim.get("n_paths", 100))
-    t0 = float(sim.get("t0", 0.0))
+    dt = _num(sim.get("dt", 1e-3), "sim.dt")
+    horizon = _num(sim.get("horizon", xc.preset.horizon or 1.0), "sim.horizon")
+    n_paths = _num(sim.get("n_paths", 100), "sim.n_paths", int)
+    t0 = _num(sim.get("t0", 0.0), "sim.t0")
     cfg = SimConfig(dt=dt, horizon=horizon, seed=xc.seed, n_paths=n_paths)
     p = xc.preset
     if kind == "full":
@@ -923,14 +959,14 @@ def cmd_train_features(xc: ExperimentConfig) -> list:
     states = feature_state_grid(p)
     n_states = ae.get("n_states")
     if n_states is not None:
-        if not 1 <= int(n_states) <= len(states):
+        n_states = _num(n_states, "ae.n_states", int)
+        if not 1 <= n_states <= len(states):
             raise ConfigError(f"ae.n_states must be in [1, {len(states)}], "
                               f"the state grid size; got {n_states}")
         gen = np.random.Generator(
             np.random.Philox(key=np.array([xc.seed, 0xA11], dtype=np.uint64))
         )
-        states = states[gen.choice(states.shape[0], int(n_states),
-                                   replace=False)]
+        states = states[gen.choice(states.shape[0], n_states, replace=False)]
     init = None
     if "encoder_init" in ae or "decoder_init" in ae:
         if not ("encoder_init" in ae and "decoder_init" in ae):

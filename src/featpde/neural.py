@@ -5,10 +5,21 @@ the input Hessian diagonal H of a tanh network layer by layer; :func:`grad`
 is the hand-derived reverse pass of that recursion (Griewank & Walther,
 *Evaluating Derivatives*, 2008).  Given the cotangents of a scalar loss with
 respect to (u, J, H) it returns the gradient in the flat parameters and in
-the input, reusing the intermediates the forward pass stored in ``cache``.
-With no J/H cotangents it is plain backpropagation, so the same function
+the input, reusing the intermediates the forward pass recorded.  With no
+J/H cotangents it is plain backpropagation, so the same function
 differentiates losses on values (a data term, a decoder) and losses on input
 derivatives (a physics residual) without a generic autodiff engine.
+
+A :class:`Workspace` holds one network's intermediates at one call site of a
+training loop: every (B, .) array of the forward call (layer outputs t, the
+tanh slopes s = 1 - t^2 and c = t s, Jz, Hz, J', H') and of the reverse pass
+(the cotangents of every layer).  Each buffer is allocated on first use and
+again only when its shape changes, so after the first step a training loop
+that passes the same workspace every step allocates no batch-sized arrays.
+What a call returns from a workspace (the values, the bundle, the input
+cotangent) is a view into it, valid until the next call with that
+workspace.  Without a workspace, :func:`forward` and
+:func:`derivatives_batch` run the same operations into fresh arrays.
 
 Hidden activations are tanh, the output layer is affine.  Parameters live in
 one flat float64 vector; per-layer views are provided for inspection.
@@ -19,6 +30,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -26,6 +38,7 @@ from .errors import TrainingError
 
 __all__ = [
     "DenseNetwork",
+    "Workspace",
     "AdamState",
     "glorot_init",
     "param_count",
@@ -111,27 +124,88 @@ def _check_width(net: DenseNetwork, width: int):
         )
 
 
-def forward(net: DenseNetwork, x, cache=None):
+class _Record(NamedTuple):
+    """One layer of the forward record :func:`grad` reads.
+
+    ``h`` is the layer input; ``t`` its tanh output, with s = 1 - t^2 and
+    c = t s (None on the affine output layer; ``c`` only from
+    :func:`derivatives_batch`).  ``jac``/``hess`` are the input derivatives
+    of h (None where implicit: the raw input and the first layer's rank-one
+    ones) and ``jz``/``hz`` the pre-activation derivatives (None from
+    :func:`forward`).
+    """
+
+    h: np.ndarray
+    t: Optional[np.ndarray] = None
+    s: Optional[np.ndarray] = None
+    c: Optional[np.ndarray] = None
+    jac: Optional[np.ndarray] = None
+    hess: Optional[np.ndarray] = None
+    jz: Optional[np.ndarray] = None
+    hz: Optional[np.ndarray] = None
+
+
+class Workspace:
+    """The buffers and the forward record of one network at one call site.
+
+    Pass the same workspace to :func:`forward` or :func:`derivatives_batch`
+    and then to :func:`grad` at every training step.  Each call writes its
+    (B, .) intermediates into the buffers held here, allocating one only on
+    its first use or when its shape changes, so the arrays these calls
+    return are views that the next call with this workspace overwrites.
+    """
+
+    def __init__(self):
+        self.records = []
+        self._buffers = {}
+
+    def buffer(self, key, shape) -> np.ndarray:
+        """The float64 buffer ``key`` of ``shape``, allocated anew only when
+        it is missing or has another shape."""
+        buf = self._buffers.get(key)
+        if buf is None or buf.shape != shape:
+            buf = self._buffers[key] = np.empty(shape)
+        return buf
+
+
+def _out(cache, key, shape):
+    """``cache``'s buffer ``key``, or None (a fresh array) without one."""
+    return None if cache is None else cache.buffer(key, shape)
+
+
+def _slopes(cache, li, t):
+    """s = 1 - t^2 and c = t s of layer ``li``'s tanh output t."""
+    s = np.multiply(t, t, out=_out(cache, ("s", li), t.shape))
+    np.subtract(1.0, s, out=s)
+    return s, np.multiply(t, s, out=_out(cache, ("c", li), t.shape))
+
+
+def forward(net: DenseNetwork, x, cache: Optional[Workspace] = None):
     """Evaluate the network.  ``x``: (d_in,) or (B, d_in).
 
-    When ``cache`` is a list, one record per layer is appended to it for
-    :func:`grad` (plain backpropagation of the returned values).
+    With a :class:`Workspace` the layers are computed in its buffers and
+    recorded for :func:`grad` (plain backpropagation of the returned
+    values); the result is then a view valid until the next call with that
+    workspace.  Without one every array is fresh.
     """
     xv = np.asarray(x, dtype=np.float64)
     single = xv.ndim == 1
     h = xv.reshape(1, -1) if single else xv
     _check_width(net, h.shape[-1])
+    records = [] if cache is None else cache.records
+    records.clear()
     layers = net.layer_views()
-    for w, b in layers[:-1]:
-        t = np.tanh(h @ w + b)
+    for li, (w, b) in enumerate(layers):
+        z = np.matmul(h, w, out=_out(cache, ("z", li), (len(h), w.shape[1])))
+        z += b
+        if li == len(layers) - 1:
+            records.append(_Record(h))
+            return z[0] if single else z
+        t = np.tanh(z, out=z)
         if cache is not None:
-            cache.append((h, t, None, None, None, None))
+            s = np.multiply(t, t, out=cache.buffer(("s", li), t.shape))
+            records.append(_Record(h, t, np.subtract(1.0, s, out=s)))
         h = t
-    w, b = layers[-1]
-    if cache is not None:
-        cache.append((h, None, None, None, None, None))
-    out = h @ w + b
-    return out[0] if single else out
 
 
 def _rank_one_weights(w0, w1):
@@ -148,7 +222,7 @@ def _rank_one_weights(w0, w1):
     return ws.reshape(len(w1), -1), wh.reshape(len(w1), -1)
 
 
-def derivatives_batch(net: DenseNetwork, x, cache=None):
+def derivatives_batch(net: DenseNetwork, x, cache: Optional[Workspace] = None):
     """Batched value + input derivatives.
 
     Returns ``(u, J, H)`` with shapes (B, d_out), (B, d_in, d_out),
@@ -159,75 +233,79 @@ def derivatives_batch(net: DenseNetwork, x, cache=None):
         J' = (1 - t^2) Jz,    H' = (1 - t^2) Hz - 2 t (1 - t^2) Jz^2.
 
     The first layer's J', H' are never formed (see ``_rank_one_weights``).
-    When ``cache`` is a list, one record per layer (its inputs, t, Jz, Hz)
-    is appended to it, so :func:`grad` can differentiate any loss of
-    (u, J, H) in the parameters.
+    With a :class:`Workspace` every layer's inputs, t, s = 1 - t^2, c = t s,
+    Jz and Hz live in its buffers and are recorded, so :func:`grad` can
+    differentiate any loss of (u, J, H) in the parameters; the returned
+    bundle is then a view valid until the next call with that workspace.
+    Without one every array is fresh.
     """
     xv = np.asarray(x, dtype=np.float64)
     if xv.ndim != 2:
         raise ValueError("derivatives_batch expects (B, d_in) input")
     bsz, d_in = xv.shape
     _check_width(net, d_in)
+    records = [] if cache is None else cache.records
+    records.clear()
     layers = net.layer_views()
 
     w, b = layers[0]
-    z = xv @ w + b
+    z = np.matmul(xv, w, out=_out(cache, ("z", 0), (bsz, w.shape[1])))
+    z += b
     if len(layers) == 1:  # affine network: J = W for every row, H = 0
-        if cache is not None:
-            cache.append((xv, None, None, None, w[None], None))
+        records.append(_Record(xv, jz=w[None]))
         jac = np.broadcast_to(w, (bsz, d_in, net.d_out)).copy()
         return z, jac, np.zeros((bsz, d_in, net.d_out))
-    t = np.tanh(z)
-    if cache is not None:
-        cache.append((xv, t, None, None, None, None))
-    one_m_t2 = 1.0 - t * t
+    t = np.tanh(z, out=z)
+    s, c = _slopes(cache, 0, t)
+    records.append(_Record(xv, t, s, c))
     ws, wh = _rank_one_weights(w, layers[1][0])
-    jz = (one_m_t2 @ ws).reshape(bsz, d_in, -1)
-    hz = ((t * one_m_t2) @ wh).reshape(bsz, d_in, -1)
+    flat = (bsz, ws.shape[1])
+    jz = np.matmul(s, ws, out=_out(cache, ("jz", 1), flat)).reshape(
+        bsz, d_in, -1)
+    hz = np.matmul(c, wh, out=_out(cache, ("hz", 1), flat)).reshape(
+        bsz, d_in, -1)
     h, jac, hess = t, None, None
     for li in range(1, len(layers)):
         w, b = layers[li]
-        z = h @ w + b
+        shape = (bsz, d_in, w.shape[1])
+        z = np.matmul(h, w, out=_out(cache, ("z", li), (bsz, w.shape[1])))
+        z += b
         if li > 1:
-            jz = jac @ w
-            hz = hess @ w
+            jz = np.matmul(jac, w, out=_out(cache, ("jz", li), shape))
+            hz = np.matmul(hess, w, out=_out(cache, ("hz", li), shape))
         if li == len(layers) - 1:
-            if cache is not None:
-                cache.append((h, None, jac, hess, jz, hz))
+            records.append(_Record(h, jac=jac, hess=hess, jz=jz, hz=hz))
             return z, jz, hz
-        t = np.tanh(z)
-        if cache is not None:
-            cache.append((h, t, jac, hess, jz, hz))
-        one_m_t2 = 1.0 - t * t
-        s = one_m_t2[:, None, :]
-        jsq = jz * jz
-        jsq *= 2.0 * (t * one_m_t2)[:, None, :]
-        hess = s * hz
+        t = np.tanh(z, out=z)
+        s, c = _slopes(cache, li, t)
+        records.append(_Record(h, t, s, c, jac, hess, jz, hz))
+        c2 = np.multiply(c, 2.0, out=_out(cache, ("c2", li), c.shape))
+        jsq = np.multiply(jz, jz, out=_out(cache, ("jsq", li), shape))
+        jsq *= c2[:, None, :]
+        hess = np.multiply(s[:, None, :], hz, out=_out(cache, ("H", li), shape))
         hess -= jsq
-        jac = s * jz
+        jac = np.multiply(s[:, None, :], jz, out=_out(cache, ("J", li), shape))
         h = t
 
 
-def grad(net: DenseNetwork, cache, g_u, g_J=None, g_H=None):
+def grad(net: DenseNetwork, cache: Workspace, g_u, g_J=None, g_H=None):
     """Reverse pass of :func:`forward` / :func:`derivatives_batch`.
 
-    ``cache`` is the list the forward call filled; ``g_u`` (B, d_out),
+    ``cache`` is the workspace the forward call filled; ``g_u`` (B, d_out),
     ``g_J`` and ``g_H`` (B, d_in, d_out) are the cotangents dL/du, dL/dJ and
-    dL/dH of a scalar loss L.  Returns ``(dtheta, g_x)``: dL/dtheta in the
-    flat parameter order and dL/dx (B, d_in), the input cotangent that
-    chains a network fed by another network.  With ``g_J`` and ``g_H`` both
-    None this is plain backpropagation and any cache will do; otherwise the
-    cache must come from :func:`derivatives_batch`, and a missing one of the
-    two counts as zero.
-
-    A cache record is ``(h, t, J, H, Jz, Hz)`` per layer: its input, its
-    tanh output (None on the output layer), the input derivatives (None
-    where implicit: the raw input and the first layer's rank-one ones) and
-    the pre-activation derivatives (None in a :func:`forward` cache).
+    dL/dH of a scalar loss L.  Returns ``(dtheta, g_x)``: dL/dtheta, a fresh
+    array in the flat parameter order, and dL/dx (B, d_in), the input
+    cotangent that chains a network fed by another network, a view into the
+    workspace valid until its next call.  With ``g_J`` and ``g_H`` both
+    None this is plain backpropagation and either forward call will do;
+    otherwise the workspace must come from :func:`derivatives_batch`, and a
+    missing one of the two counts as zero.  The cotangents of the hidden
+    layers are written into the workspace's buffers.
     """
+    records = cache.records
     bundle = g_J is not None or g_H is not None
     if bundle:
-        if cache[-1][4] is None:
+        if records[-1].jz is None:
             raise ValueError("J/H cotangents need a derivatives_batch cache")
         g_J = np.zeros_like(g_H) if g_J is None else g_J
         g_H = np.zeros_like(g_J) if g_H is None else g_H
@@ -237,56 +315,69 @@ def grad(net: DenseNetwork, cache, g_u, g_J=None, g_H=None):
     g_h, g_jo, g_ho = np.asarray(g_u, dtype=np.float64), g_J, g_H
     for li in range(len(layers) - 1, -1, -1):
         (w, _), (dw, db) = layers[li], dlayers[li]
-        h, t, jac, hess, jz, hz = cache[li]
+        h, t, s, c, jac, hess, jz, hz = records[li]
         # g_z, g_jz, g_hz: cotangents of this layer's affine outputs z, Jz, Hz
         if t is None:
             g_z, g_jz, g_hz = g_h, g_jo, g_ho
         else:
-            s = 1.0 - t * t
             if bundle:
+                tmp = cache.buffer(("tmp", li), t.shape)
                 # J' = s Jz and H' = s Hz - 2 c Jz^2 with c = t s, so
                 # dL/ds = sum_i (g_J' Jz + g_H' Hz), dL/dc = -2 sum_i g_H' Jz^2
                 # (the first layer's g_s, g_c come from layer 1 below)
                 if li > 0:
-                    g_s = (np.einsum("bin,bin->bn", g_jo, jz)
-                           + np.einsum("bin,bin->bn", g_ho, hz))
-                    gh_jz = g_ho * jz
-                    g_c = -2.0 * np.einsum("bin,bin->bn", gh_jz, jz)
+                    g_s = np.einsum("bin,bin->bn", g_jo, jz,
+                                    out=cache.buffer(("g_s", li), t.shape))
+                    g_s += np.einsum("bin,bin->bn", g_ho, hz, out=tmp)
+                    gh_jz = np.multiply(g_ho, jz,
+                                        out=cache.buffer(("gh_jz", li),
+                                                         jz.shape))
+                    g_c = np.einsum("bin,bin->bn", gh_jz, jz,
+                                    out=cache.buffer(("g_c", li), t.shape))
+                    g_c *= -2.0
                     # g_jo and g_ho came from the layer above: update in place
                     # to g_Jz = s g_J' - 4 c Jz g_H' and g_Hz = s g_H'
-                    gh_jz *= 4.0 * (t * s)[:, None, :]
+                    gh_jz *= np.multiply(c, 4.0, out=tmp)[:, None, :]
                     g_jz = np.multiply(g_jo, s[:, None, :], out=g_jo)
                     g_jz -= gh_jz
                     g_hz = np.multiply(g_ho, s[:, None, :], out=g_ho)
-                # ds/dt = -2t, dc/dt = 1 - 3t^2
-                g_h = g_h - 2.0 * t * g_s + (1.0 - 3.0 * t * t) * g_c
-            g_z = g_h * s
+                # ds/dt = -2t, dc/dt = 1 - 3t^2: g_h - 2t g_s + (1 - 3t^2) g_c
+                g_s *= np.multiply(t, 2.0, out=tmp)
+                g_h = np.subtract(g_h, g_s, out=tmp)
+                dc_dt = np.multiply(t, 3.0, out=g_s)  # g_s is spent
+                dc_dt *= t
+                g_c *= np.subtract(1.0, dc_dt, out=dc_dt)
+                g_h += g_c
+            # g_h is this layer's own buffer (never the caller's g_u)
+            g_z = np.multiply(g_h, s, out=g_h)
         dw[...] = h.T @ g_z
         db[...] = g_z.sum(axis=0)
         if bundle and li > 1:
             n_in, n_out = w.shape
             dw += jac.reshape(-1, n_in).T @ g_jz.reshape(-1, n_out)
             dw += hess.reshape(-1, n_in).T @ g_hz.reshape(-1, n_out)
-            g_jo = g_jz @ w.T
-            g_ho = g_hz @ w.T
+            g_jo = np.matmul(g_jz, w.T, out=cache.buffer(("g_jin", li),
+                                                         jac.shape))
+            g_ho = np.matmul(g_hz, w.T, out=cache.buffer(("g_hin", li),
+                                                         hess.shape))
         elif bundle and li == 1:
             # input J, H are the first layer's rank-one s W0, -2 c W0^2
             w0 = layers[0][0]
-            t0 = cache[0][1]
-            s0 = 1.0 - t0 * t0
+            s0, c0 = records[0].s, records[0].c
             ws, wh = _rank_one_weights(w0, w)
             g_jz, g_hz = g_jz.reshape(len(h), -1), g_hz.reshape(len(h), -1)
             # sg[n, i, m] = sum_b s0[b, n] g_Jz[b, i, m], likewise cg with c0
             sg = (s0.T @ g_jz).reshape(w0.shape[1], w0.shape[0], -1)
-            cg = ((t0 * s0).T @ g_hz).reshape(sg.shape)
+            cg = (c0.T @ g_hz).reshape(sg.shape)
             dw += (np.einsum("nim,in->nm", sg, w0)
                    - 2.0 * np.einsum("nim,in->nm", cg, w0 * w0))
             dw0 = (np.einsum("nim,nm->in", sg, w)
                    - 4.0 * w0 * np.einsum("nim,nm->in", cg, w))
-            g_s, g_c = g_jz @ ws.T, g_hz @ wh.T
+            g_s = np.matmul(g_jz, ws.T, out=cache.buffer(("g_s", 0), s0.shape))
+            g_c = np.matmul(g_hz, wh.T, out=cache.buffer(("g_c", 0), s0.shape))
         elif bundle:  # li == 0
             dw += dw0 if t is not None else g_jz.sum(axis=0)
-        g_h = g_z @ w.T
+        g_h = np.matmul(g_z, w.T, out=cache.buffer(("g_in", li), h.shape))
     return dtheta, g_h
 
 

@@ -26,6 +26,7 @@ from .grid import nodes, space_time, write_csv, write_grid
 from .neural import (
     AdamState,
     DenseNetwork,
+    Workspace,
     adam_step,
     derivatives_batch,
     forward,
@@ -190,17 +191,18 @@ def data_loss(net: DenseNetwork, data: TrainingDataset) -> float:
 
 
 def _loss_and_grad(net, problem, colloc_inputs, coeffs, data_inputs,
-                   targets, omega_p, omega_d):
+                   targets, omega_p, omega_d, caches):
     """(L_p, L_d, gradient of omega_p L_p + omega_d L_d in theta).
 
     A term is skipped (and reads 0.0) when its inputs are None.  The
-    gradient is None when the weighted loss is not finite.
+    gradient is None when the weighted loss is not finite.  ``caches`` is
+    the (physics, data) pair of workspaces the two terms run in.
     """
+    cache_p, cache_d = caches
     k = problem.k
     lp = ld = 0.0
     res = diff = None
     if colloc_inputs is not None:
-        cache_p = []
         u, jac, hess = derivatives_batch(net, colloc_inputs, cache_p)
         drift, diag, react = coeffs
         transport = ((drift * jac[:, :k, 0]).sum(axis=1)
@@ -211,7 +213,6 @@ def _loss_and_grad(net, problem, colloc_inputs, coeffs, data_inputs,
             res = jac[:, k, 0] - transport
         lp = float(np.mean(res * res))
     if data_inputs is not None:
-        cache_d = []
         diff = forward(net, data_inputs, cache_d)[:, 0] - targets
         ld = float(np.mean(diff * diff))
     if not np.isfinite(omega_p * lp + omega_d * ld):
@@ -303,6 +304,7 @@ def train(problem: PdeProblem, data: Optional[TrainingDataset],
             np.random.Philox(key=np.array([cfg.seed, 0xBA7C4], dtype=np.uint64))
         )
 
+    caches = (Workspace(), Workspace())
     log = []
     checkpoint = net.theta.copy()
     checkpoint_epoch = 0
@@ -326,7 +328,7 @@ def train(problem: PdeProblem, data: Optional[TrainingDataset],
 
         lp, ld, g = _loss_and_grad(net, problem, colloc_inputs, coeffs,
                                    data_inputs, targets, cfg.omega_p,
-                                   cfg.omega_d)
+                                   cfg.omega_d, caches)
         if g is None:
             net.theta = checkpoint
             aborted = epoch

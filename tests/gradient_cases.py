@@ -22,7 +22,8 @@ from featpde.featureid import (
     build_preimage,
     epsilon_default,
 )
-from featpde.neural import DenseNetwork, derivatives_batch, glorot_init
+from featpde.neural import (DenseNetwork, Workspace, derivatives_batch,
+                            glorot_init)
 from featpde.pde import assemble_safety_pde, assemble_value_pde
 from featpde.pinn import CollocationSet, PinnConfig, TrainingDataset
 from featpde.reduction import build_reduced_sde
@@ -50,6 +51,11 @@ def rel_dev(actual, expected):
     expected = np.asarray(expected, float)
     return np.abs(np.asarray(actual, float) - expected).max() / np.abs(
         expected).max()
+
+
+def workspaces(n):
+    """``n`` fresh workspaces, one per call site of a training loss."""
+    return tuple(Workspace() for _ in range(n))
 
 
 def perturbed_net(widths, seed):

@@ -20,7 +20,7 @@ from featpde.featureid import (
     train_autoencoder,
     _ct_loss,
 )
-from featpde.neural import DenseNetwork, forward
+from featpde.neural import DenseNetwork, Workspace, forward
 from featpde.sde import StochasticSystem
 
 
@@ -219,7 +219,7 @@ def test_loss_ct_clamps_dead_features(batch):
     net = AutoencoderNet(encoder=enc,
                          decoder=DenseNetwork.init((2, 4, 1), seed=1))
     pre = build_preimage(batch, forward(enc, batch), [0.05, 1.0])
-    val, clamped, _ = _ct_loss(enc, literal_system(), pre)
+    val, clamped, _ = _ct_loss(enc, literal_system(), pre, Workspace())
     assert clamped == 6 * len(batch)  # every probe of the dead feature
     # the dead feature contributes nothing (its generator drift vanishes
     # too); what remains is feature 1's constant-gradient term at half
@@ -389,7 +389,7 @@ def test_gradient_matches_recorded_tape_gradient(name):
     assert np.array_equal(net.encoder.theta, gc.from_hex(ref["encoder_theta"]))
     assert np.array_equal(net.decoder.theta, gc.from_hex(ref["decoder_theta"]))
     lrc, lct, clamped, g = featureid._loss_and_grad(
-        net, gc.feature_system(), batch, cvals, pre, cfg)
+        net, gc.feature_system(), batch, cvals, pre, cfg, gc.workspaces(3))
     assert clamped == ref["clamped"]
     assert gc.rel_dev([lrc, lct], gc.from_hex(ref["losses"])) <= 1e-10
     assert gc.rel_dev(g, gc.from_hex(ref["grad"])) <= 1e-10
@@ -398,10 +398,10 @@ def test_gradient_matches_recorded_tape_gradient(name):
 def test_frozen_encoder_keeps_the_decoder_gradient():
     net, batch, cvals, pre, cfg = gc.feature_cases()["smooth"]
     _, _, _, g_joint = featureid._loss_and_grad(
-        net, gc.feature_system(), batch, cvals, pre, cfg)
+        net, gc.feature_system(), batch, cvals, pre, cfg, gc.workspaces(3))
     cfg.freeze_encoder = True
     _, _, _, g_frozen = featureid._loss_and_grad(
-        net, gc.feature_system(), batch, cvals, pre, cfg)
+        net, gc.feature_system(), batch, cvals, pre, cfg, gc.workspaces(3))
     ne = net.encoder.theta.size
     assert np.all(g_frozen[:ne] == 0.0)
     assert np.array_equal(g_frozen[ne:], g_joint[ne:])

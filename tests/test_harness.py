@@ -509,6 +509,31 @@ _BAD_RANGES = {"alpha": [1.0], "beta_slope": [-1.0],
          {"preset": "sys3d-value", "estimator": "pinn",
           "eval": {"points": [[1.5, 1.5]]}},
          "pinn.checkpoint"),
+        ("estimate-value",
+         {"preset": "lq-scalar", "estimator": "fd", "fd": {"dxi": 0},
+          "eval": {"points": [[0.0]]}},
+         "fd.dxi"),
+        ("estimate-value",
+         {"preset": "lq-scalar", "estimator": "riccati",
+          "eval": {"points": [[0.0]], "time": "x"}},
+         "eval.time"),
+        ("estimate-value",
+         {"preset": "lq-scalar", "estimator": "fd", "fd": {"dt": "x"},
+          "eval": {"points": [[0.0]]}},
+         "fd.dt"),
+        ("estimate-value",
+         {"preset": "lq-scalar", "estimator": "mc_reduced",
+          "mc": {"n_paths": "x"}, "eval": {"points": [[0.0]]}},
+         "mc.n_paths"),
+        ("make-dataset",
+         {"preset": "lq-scalar",
+          "dataset": {"source": "mc", "domain": [[-1.0, 1.0]], "step": 0.5,
+                      "times": [0.0], "n_paths": "x"}},
+         "dataset.n_paths"),
+        ("estimate-value",
+         {"preset": "sys3d-value", "estimator": "riccati",
+          "eval": {"points": [[1.5, 1.5]]}},
+         "reduction.n_levels"),
     ],
 )
 def test_bad_config_values_name_their_key(command, cfg, key, tmp_path):
@@ -517,6 +542,11 @@ def test_bad_config_values_name_their_key(command, cfg, key, tmp_path):
         ckpt = str(tmp_path / "narrow.json")
         save_checkpoint(DenseNetwork.init((2, 4, 1), seed=0), ckpt)
         cfg = dict(cfg, pinn={"checkpoint": ckpt})
+    if key == "reduction.n_levels":
+        ckpt = str(tmp_path / "encoder.json")
+        save_checkpoint(DenseNetwork.init((3, 4, 2), seed=0), ckpt)
+        cfg = dict(cfg, reduction={"encoder_checkpoint": ckpt, "n_levels": 0,
+                                   "state_domain": [[0.0, 1.0]] * 3})
     with pytest.raises(ConfigError, match=re.escape(key)):
         run(cfg, command, out=str(tmp_path / "out"))
 

@@ -1,12 +1,17 @@
-"""Network engine: nested derivatives, their adjoint, Adam."""
+"""Network engine: nested derivatives, their adjoint, workspaces, Adam."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from featpde import featureid, pinn
 from featpde.errors import TrainingError
+from featpde.featureid import AutoencoderNet, build_preimage, epsilon_default
 from featpde.neural import (
     AdamState,
     DenseNetwork,
+    Workspace,
     adam_step,
     derivatives_batch,
     forward,
@@ -16,6 +21,8 @@ from featpde.neural import (
     param_count,
     save_checkpoint,
 )
+from featpde.pinn import CollocationSet
+from featpde.presets import get_preset
 
 from conftest import assert_close
 from gradient_cases import forward_with_derivatives, grad_params
@@ -175,7 +182,7 @@ def test_adjoint_matches_fd_on_random_nets(widths, terms):
     bh = rng.normal(size=(bsz, d_in, d_out)) if "H" in terms else None
     loss, cotangents = bundle_loss(x, a, bj, bh)
 
-    cache = []
+    cache = Workspace()
     bundle = derivatives_batch(net, x, cache)
     g, g_x = grad(net, cache, *cotangents(*bundle))
     assert_close(g, grad_params(net, loss), rel=1e-4, abs_=1e-7)
@@ -196,7 +203,7 @@ def test_adjoint_matches_fd_on_random_nets(widths, terms):
 def test_adjoint_rejects_bundle_cotangents_on_plain_cache():
     net = random_net((2, 4, 1), seed=1)
     x = np.ones((3, 2))
-    cache = []
+    cache = Workspace()
     forward(net, x, cache)
     with pytest.raises(ValueError):
         grad(net, cache, np.ones((3, 1)), np.ones((3, 2, 1)))
@@ -205,7 +212,7 @@ def test_adjoint_rejects_bundle_cotangents_on_plain_cache():
 def test_grad_params_constant_loss_zero():
     net = random_net((2, 4, 1), seed=1)
     x = np.random.default_rng(2).normal(size=(4, 2))
-    cache = []
+    cache = Workspace()
     u, jac, hess = derivatives_batch(net, x, cache)
     g, g_x = grad(net, cache, np.zeros_like(u), np.zeros_like(jac),
                   np.zeros_like(hess))
@@ -217,7 +224,7 @@ def test_grad_params_sum_of_squares():
     # L = 1/2 sum u^2 of an affine layer u = x W + b: dW = x^T u, db = sum u
     net = random_net((3, 2), seed=4)
     x = np.random.default_rng(5).normal(size=(6, 3))
-    cache = []
+    cache = Workspace()
     u = forward(net, x, cache)
     g, g_x = grad(net, cache, u)
     (w, _), = net.layer_views()
@@ -232,7 +239,7 @@ def test_grad_of_unused_leaf_is_zero():
     # get exactly zero gradient, also through the J/H cotangents
     net = random_net((2, 4, 2), seed=6)
     x = np.random.default_rng(7).normal(size=(5, 2))
-    cache = []
+    cache = Workspace()
     u, jac, hess = derivatives_batch(net, x, cache)
     g_u, g_j, g_h = (np.zeros_like(u), np.zeros_like(jac),
                      np.zeros_like(hess))
@@ -256,7 +263,7 @@ def test_grad_params_matches_fd_on_random_nets():
             res = u[:, 0] - y + 0.3 * jac[:, 0, 0] + 0.1 * hess[:, 1, 0]
             return np.mean(res * res)
 
-        cache = []
+        cache = Workspace()
         u, jac, hess = derivatives_batch(net, x, cache)
         res = u[:, 0] - y + 0.3 * jac[:, 0, 0] + 0.1 * hess[:, 1, 0]
         g_res = 2.0 * res / res.size
@@ -274,11 +281,72 @@ def test_derivative_tower_consistency():
     net = DenseNetwork.init((2, 5, 1), seed=8)
     x = np.random.default_rng(3).normal(size=(6, 2))
     g_u = np.full((6, 1), 1.0 / 6.0)
-    c_forward, c_bundle = [], []
+    c_forward, c_bundle = Workspace(), Workspace()
     forward(net, x, c_forward)
     derivatives_batch(net, x, c_bundle)
     assert_close(grad(net, c_forward, g_u)[0], grad(net, c_bundle, g_u)[0],
                  rel=1e-12)
+
+
+# --------------------------------------------------------------- workspace
+
+
+def _warm_peak(step):
+    """tracemalloc peak in bytes of ``step()`` after one warm-up call."""
+    step()
+    tracemalloc.start()
+    try:
+        step()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_workspace_returns_the_bundle_in_the_same_buffers():
+    net = random_net((3, 6, 4, 2), seed=2)
+    rng = np.random.default_rng(3)
+    ws = Workspace()
+    first = derivatives_batch(net, rng.normal(size=(5, 3)), ws)
+    x = rng.normal(size=(5, 3))
+    second = derivatives_batch(net, x, ws)
+    for a, b, fresh in zip(first, second, derivatives_batch(net, x)):
+        assert np.shares_memory(a, b)
+        assert np.array_equal(b, fresh)
+    g_x = grad(net, ws, *second)[1]
+    assert np.shares_memory(g_x, grad(net, ws, *second)[1])
+
+
+def test_pinn_step_allocates_no_batch_arrays():
+    # sys3d-value shapes: 600 collocation points, widths (32, 32, 32)
+    problem = get_preset("sys3d-value").pde_problem()
+    colloc = CollocationSet.sample(problem.domain, problem.horizon, 600, 0)
+    coeffs = (problem.drift(colloc.xi), problem.diffusion_diag(colloc.xi),
+              problem.reaction(colloc.xi))
+    data = CollocationSet.sample(problem.domain, problem.horizon, 200, 1)
+    inputs, data_inputs = colloc.inputs(), data.inputs()
+    targets = np.linspace(0.0, 1.0, len(data))
+    net = DenseNetwork.init((3, 32, 32, 32, 1), seed=0)
+    caches = (Workspace(), Workspace())
+    peak = _warm_peak(lambda: pinn._loss_and_grad(
+        net, problem, inputs, coeffs, data_inputs, targets, 1.0, 1.0, caches))
+    # below one (600, 3, 32) float64 array
+    assert peak < 600 * 3 * 32 * 8
+
+
+def test_autoencoder_step_allocates_no_batch_arrays():
+    # feature-ae-3d shapes: 1000 states, 6000 probes, hidden (100, 10)
+    preset = get_preset("feature-ae-3d")
+    cfg = preset.ae
+    batch = np.random.default_rng(4).uniform(size=(cfg.batch_size, 3))
+    net = AutoencoderNet.init(3, cfg.k, cfg.encoder_hidden, seed=0)
+    feats = net.encode(batch)
+    pre = build_preimage(batch, feats, [epsilon_default(f) for f in feats.T])
+    cvals = preset.cost_full(batch)
+    caches = (Workspace(), Workspace(), Workspace())
+    peak = _warm_peak(lambda: featureid._loss_and_grad(
+        net, preset.system, batch, cvals, pre, cfg, caches))
+    # below one (probes, first hidden width) float64 array
+    assert peak < 2 * 3 * cfg.batch_size * cfg.encoder_hidden[0] * 8
 
 
 @pytest.mark.parametrize("module", ["pinn", "featureid"])

@@ -407,7 +407,7 @@ def test_gradient_matches_recorded_tape_gradient(name):
     ref = gc.load_reference()["pinn"][name]
     assert np.array_equal(net.theta, gc.from_hex(ref["theta"]))
     lp, ld, g = pinn._loss_and_grad(net, prob, colloc, coeffs, data, targets,
-                                    w_p, w_d)
+                                    w_p, w_d, gc.workspaces(2))
     assert gc.rel_dev([lp, ld], gc.from_hex(ref["losses"])) <= 1e-10
     assert gc.rel_dev(g, gc.from_hex(ref["grad"])) <= 1e-10
 

@@ -3,9 +3,14 @@ the refusals of the estimator routes, and the names the tracer wraps.
 
 ``tests/data/route_outputs.json`` maps each case name to the sha256 of every
 file the command writes, ``run.json`` included (the out directory is a
-relative path, so it is the same on every machine).  Regenerate it only when
-an output is meant to change, with ``python3 tests/test_routes.py`` run from
-the repository root with ``src`` on ``PYTHONPATH``.
+relative path, so it is the same on every machine).  Run from the repository
+root with ``src`` on ``PYTHONPATH``,
+
+    python3 tests/test_routes.py [CASE ...]
+
+records the cases that have no pin yet and re-pins only the cases named on
+the command line, so an existing pin changes only when its output is meant
+to change.
 """
 
 import hashlib
@@ -116,6 +121,16 @@ CASES = {
         "ae": {"epochs": 1, "iterations": 3, "batch_size": 64,
                "encoder_hidden": [8], "n_states": 300},
     }, 14),
+    # two hidden layers reach the reverse pass's deeper-layer branches
+    "train_pinn_deep": ("train-pinn", {
+        "preset": "lq-scalar", "fd": FD_SCALAR,
+        "pinn": {**PINN, "widths": [8, 8]}, "eval": {"time": 0.5},
+    }, 15),
+    "train_features_deep": ("train-features", {
+        "preset": "feature-ae-3d",
+        "ae": {"epochs": 1, "iterations": 3, "batch_size": 64,
+               "encoder_hidden": [8, 4], "n_states": 300},
+    }, 16),
 }
 
 
@@ -270,11 +285,18 @@ def test_routes_call_the_traced_names(name, expected, tmp_path, monkeypatch):
 if __name__ == "__main__":
     import tempfile
 
-    table = {}
+    repin = sys.argv[1:]
+    unknown = sorted(set(repin) - set(CASES))
+    if unknown:
+        sys.exit(f"unknown case(s): {', '.join(unknown)}")
+    with open(PINS) as fh:
+        table = json.load(fh)
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
         for case in sorted(CASES):
-            table[case] = artifact_hashes(case)
+            if case not in table or case in repin:
+                table[case] = artifact_hashes(case)
+                print(f"pinned {case}")
     with open(PINS, "w") as fh:
         json.dump(table, fh, indent=1, sort_keys=True)
         fh.write("\n")
