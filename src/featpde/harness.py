@@ -462,10 +462,11 @@ class ExperimentConfig:
         base = self.preset.pinn or PinnConfig()
         over = self.raw.get("pinn", {})
 
-        def num(name, kind=float):
+        def num(name, kind=float, positive=False):
             return _num(over.get(name, getattr(base, name)), f"pinn.{name}",
-                        kind)
+                        kind, positive)
 
+        unbatched = over.get("batch_size", base.batch_size) is None
         return PinnConfig(
             omega_p=num("omega_p"),
             omega_d=num("omega_d"),
@@ -475,7 +476,8 @@ class ExperimentConfig:
             seed=self.seed,
             widths=tuple(_num(w, "pinn.widths", int)
                          for w in over.get("widths", base.widths)),
-            batch_size=over.get("batch_size", base.batch_size),
+            batch_size=(None if unbatched
+                        else num("batch_size", int, positive=True)),
             log_every=num("log_every", int),
             resample_collocation=bool(
                 over.get("resample_collocation", base.resample_collocation)

@@ -233,11 +233,8 @@ def _run_full(system, policy, x0, cfg, t0, observer):
                 ahead = helper.submit(step_noise, cfg.seed, s + 1, n, m)
             f = np.asarray(system.drift(x), dtype=np.float64)
             _check_finite(f, s, "drift")
-            # a zero control is never formed: 0 * dt + z * sq equals z * sq
-            # bit for bit, except that it turns a -0.0 draw into +0.0
-            du = z * sq
-            if not isinstance(policy, ZeroPolicy):
-                du += policy(x, t) * dt
+            u = policy(x, t)
+            du = u * dt + z * sq
             if const_diag is not None:
                 noise = du * const_diag
             elif system.diffusion_const is not None:

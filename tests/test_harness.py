@@ -534,6 +534,10 @@ _BAD_RANGES = {"alpha": [1.0], "beta_slope": [-1.0],
          {"preset": "sys3d-value", "estimator": "riccati",
           "eval": {"points": [[1.5, 1.5]]}},
          "reduction.n_levels"),
+        ("train-pinn", {"preset": "lq-scalar", "pinn": {"batch_size": "x"}},
+         "pinn.batch_size"),
+        ("train-pinn", {"preset": "lq-scalar", "pinn": {"batch_size": 0}},
+         "pinn.batch_size"),
     ],
 )
 def test_bad_config_values_name_their_key(command, cfg, key, tmp_path):
