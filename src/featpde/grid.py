@@ -2,10 +2,12 @@
 
 Grid tables and grid evaluations list the nodes of a tensor grid in
 lexicographic order, first axis slowest, repeated once per time,
-time-major.  ``write_csv`` writes byte for byte what ``np.savetxt(path,
-body, fmt, delimiter=",", header=header, comments="")`` writes, formatting
-``_CHUNK_ROWS`` rows per ``%`` pass, so the text of a large table is never
-held in memory at once.
+time-major.  ``write_csv`` and ``write_grid`` write byte for byte what
+``np.savetxt(path, body, fmt, delimiter=",", header=header, comments="")``
+writes, formatting ``_CHUNK_ROWS`` rows per ``%`` pass, so the text of a
+large table is never held in memory at once.  ``write_csv`` holds one
+chunk's text; ``write_grid`` holds the node text of its table, formatted
+once, plus one chunk's text.
 """
 
 from __future__ import annotations
@@ -43,19 +45,32 @@ def write_csv(path: str, header: str, body, fmt="%.17g"):
 
 def write_grid(path: str, axes, times, values):
     """The ``xi1,...,xik,t,value`` table of ``values`` shaped
-    (len(times), *grid), built and written one time at a time."""
+    (len(times), *grid).  Each node's ``xi1,...,xik,`` text is formatted
+    once, into one ``%`` template per chunk of nodes; each time fills its
+    ``t`` text into the templates, and only the values are formatted per
+    row."""
     pts = nodes(axes)
+    k = pts.shape[1]
+    row = "%.17g," * k + "{t},%%.17g\n"
+    templates = [row * len(c) % tuple(c.ravel().tolist())
+                 for c in _chunks(pts)]
     with open(path, "w") as fh:
-        fh.write(",".join(f"xi{i + 1}" for i in range(len(axes)))
-                 + ",t,value\n")
+        fh.write(",".join(f"xi{i + 1}" for i in range(k)) + ",t,value\n")
         for t, v in zip(times, values):
-            _write_rows(fh, np.column_stack(
-                [pts, np.full(pts.shape[0], t), np.ravel(v)]), "%.17g")
+            t_text = "%.17g" % t
+            for template, chunk in zip(templates, _chunks(np.ravel(v))):
+                fh.write(template.replace("{t}", t_text)
+                         % tuple(chunk.tolist()))
+
+
+def _chunks(body):
+    """``body`` in runs of ``_CHUNK_ROWS`` rows."""
+    return (body[i:i + _CHUNK_ROWS]
+            for i in range(0, len(body), _CHUNK_ROWS))
 
 
 def _write_rows(fh, body, fmt):
     fmts = [fmt] * body.shape[1] if isinstance(fmt, str) else list(fmt)
     line = ",".join(fmts) + "\n"
-    for start in range(0, body.shape[0], _CHUNK_ROWS):
-        chunk = body[start:start + _CHUNK_ROWS]
-        fh.write(line * chunk.shape[0] % tuple(chunk.ravel().tolist()))
+    for chunk in _chunks(body):
+        fh.write(line * len(chunk) % tuple(chunk.ravel().tolist()))

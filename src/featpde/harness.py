@@ -555,9 +555,9 @@ def _solve_oracle(xc: ExperimentConfig) -> FdSolution:
     return solve_fd(p.pde_problem(domain=domain),
                     [_num(fd.get("dxi", p.oracle_dxi), "fd.dxi",
                           positive=True)] * p.k,
-                    _num(fd.get("dt", p.oracle_dt), "fd.dt"),
+                    _num(fd.get("dt", p.oracle_dt), "fd.dt", positive=True),
                     save_every=_num(fd.get("save_every", p.oracle_save_every),
-                                    "fd.save_every", int))
+                                    "fd.save_every", int, positive=True))
 
 
 def _sim(mc, horizon: float) -> SimConfig:

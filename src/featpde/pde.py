@@ -20,6 +20,12 @@ matrix factored once per axis (LAPACK gttrf) and only back-substituted
 is zero at the first node of every line and ``up`` at the last, for
 reflecting and Dirichlet faces alike, so the flattened matrix has no entry
 coupling one line to the next.
+
+The march never leaves line order: the state is held in the line order of
+the axis being solved, and each half-step forms its right-hand side in the
+previous axis's line order and moves it into the next with one strided
+copy.  Every product and solve is written in place into buffers the engine
+allocates once, so a step allocates only the array it returns.
 """
 
 from __future__ import annotations
@@ -195,6 +201,12 @@ def _axis_nodes(lo, hi, h):
     return lo + h * np.arange(n + 1)
 
 
+def _line_order(a, ax):
+    """Grid array ``a`` flattened with axis ``ax`` last: its lines along
+    ``ax`` are contiguous runs of the result."""
+    return np.moveaxis(a, ax, -1).ravel()
+
+
 class _FdEngine:
     """Precomputed stencils + step routine for one problem/grid pair.
 
@@ -203,6 +215,12 @@ class _FdEngine:
     order: the grid flattened with that axis last.  ``lo`` is zero at the
     first node of each line and ``up`` at the last, so the lines decouple
     and one tridiagonal solve or mat-vec covers all of them.
+
+    The nodes ``_clamp`` pins (data edges, nodes outside the safe set) are
+    kept per axis in line order too, and the reaction factors in the last
+    axis's, which is the grid's own.  ``step`` works in buffers allocated
+    here; ``gttrs`` overwrites each right-hand side, and the last axis's is
+    the one new array a step makes and returns.
     """
 
     def __init__(self, problem: PdeProblem, d_xi, dt):
@@ -239,23 +257,24 @@ class _FdEngine:
         self.g_mesh = np.asarray(problem.data(mesh), dtype=np.float64).reshape(
             self.shape
         )
-        self.react_half = np.exp(-0.5 * self.dt * react.reshape(self.shape))
+        self.react_half = np.exp(-0.5 * self.dt * react)
         self.has_reaction = bool(np.any(react != 0.0))
 
         if problem.kind == "safety":
             # strict interior: the barrier zero level set is Dirichlet 0
-            self.inside = (
+            inside = (
                 np.asarray(problem.barrier(mesh), dtype=np.float64) > 0
             ).reshape(self.shape)
             self.rannacher_steps = 2
             self.max_clip = 0.0  # largest probability-range trim applied
         else:
-            self.inside = None
+            inside = None
             self.rannacher_steps = 0
 
         half = 0.5 * self.dt
+        pinned = np.zeros(self.shape, dtype=bool)  # nodes _clamp pins
         self.upwind_fraction = []
-        self.stencils = []  # per axis: line-ordered (lo, di, up), see _lines
+        self.stencils = []  # per axis: line-ordered (lo[1:], di, up[:-1])
         self.factors = []  # per axis: gttrf factors of (I - dt/2 A_ax)
         for ax in range(k):
             v = drift[:, ax].reshape(self.shape)
@@ -295,16 +314,16 @@ class _FdEngine:
             else:
                 # Dirichlet rows act as identity; values clamped to data
                 for edge in (first, last):
+                    pinned[edge] = True
                     lo[edge] = 0.0
                     di[edge] = 0.0
                     up[edge] = 0.0
-            if self.inside is not None:
-                outside = ~self.inside
-                lo[outside] = 0.0
-                di[outside] = 0.0
-                up[outside] = 0.0
-            lo, di, up = (self._lines(ax, c) for c in (lo, di, up))
-            self.stencils.append((lo, di, up))
+            if inside is not None:
+                lo[~inside] = 0.0
+                di[~inside] = 0.0
+                up[~inside] = 0.0
+            lo, di, up = (_line_order(c, ax) for c in (lo, di, up))
+            self.stencils.append((lo[1:], di, up[:-1]))
             *factors, info = dgttrf(-half * lo[1:], 1.0 - half * di,
                                     -half * up[:-1])
             if info != 0:
@@ -325,78 +344,102 @@ class _FdEngine:
                 "first-order upwinding engaged at those nodes"
             )
 
-        self._edge_mask = np.zeros(self.shape, dtype=bool)
+        # pinned values: the data on dirichlet-data edges, 0 outside the
+        # safe set
+        pins = np.where(pinned, self.g_mesh, 0.0)
+        if inside is not None:
+            pinned |= ~inside
+            pins[~inside] = 0.0
+        self._pins = []  # per axis: (line-order indices, values)
         for ax in range(k):
-            sl = [slice(None)] * k
-            sl[ax] = 0
-            self._edge_mask[tuple(sl)] = True
-            sl[ax] = -1
-            self._edge_mask[tuple(sl)] = True
+            idx = np.flatnonzero(_line_order(pinned, ax))
+            self._pins.append((idx, _line_order(pins, ax)[idx]))
+
+        # per axis: the grid's shape with that axis last, and the buffer its
+        # solves overwrite (the last axis solves into the array step returns)
+        self._line_shapes = [self.shape[:ax] + self.shape[ax + 1:]
+                             + self.shape[ax:ax + 1] for ax in range(k)]
+        size = self.g_mesh.size
+        self._rhs = [np.empty(size) for _ in range(k - 1)]
+        self._work = np.empty(size)
+        self._products = np.empty(size)
 
     # -- line-ordered building blocks ---------------------------------------
 
-    def _lines(self, ax, u):
-        """Grid array flattened with axis ``ax`` last: its lines are
-        contiguous runs of the result."""
-        return np.moveaxis(u, ax, -1).reshape(-1)
-
-    def _grid(self, ax, x):
-        """Inverse of ``_lines``."""
-        moved = self.shape[:ax] + self.shape[ax + 1:] + (self.shape[ax],)
-        return np.moveaxis(x.reshape(moved), -1, ax)
-
-    def _apply(self, ax, u):
-        """A_ax u as one tridiagonal mat-vec over all lines along ax."""
+    def _explicit(self, ax, x):
+        """x + dt/2 A_ax x into the work buffer, ``x`` in ax's line order."""
         lo, di, up = self.stencils[ax]
-        x = self._lines(ax, u)
-        out = di * x
-        out[1:] += lo[1:] * x[:-1]
-        out[:-1] += up[:-1] * x[1:]
-        return self._grid(ax, out)
+        out, prod = self._work, self._products
+        np.multiply(di, x, out=out)
+        np.multiply(lo, x[:-1], out=prod[1:])
+        out[1:] += prod[1:]
+        np.multiply(up, x[1:], out=prod[:-1])
+        out[:-1] += prod[:-1]
+        out *= 0.5 * self.dt
+        out += x
+        return out
+
+    def _to_lines(self, ax, x, dst):
+        """``x``, in the line order of the axis before ``ax``, copied into
+        ``dst`` in the line order of ``ax``."""
+        k = self.problem.k
+        dst.reshape(self._line_shapes[ax])[...] = x.reshape(
+            self._line_shapes[(ax - 1) % k]).T
+        return dst
 
     def _solve(self, ax, rhs):
-        """(I - dt/2 A_ax)^{-1} rhs as one factored solve over all lines."""
-        x, info = dgttrs(*self.factors[ax], self._lines(ax, rhs))
+        """(I - dt/2 A_ax)^{-1} rhs, overwriting the line-ordered ``rhs``."""
+        x, info = dgttrs(*self.factors[ax], rhs, overwrite_b=1)
         if info != 0:
             raise NumericalError(f"gttrs failed on axis {ax + 1} (info {info})")
-        return self._grid(ax, x)
+        return x
 
-    def _clamp(self, u):
-        if self.problem.boundary == "dirichlet-data":
-            u[self._edge_mask] = self.g_mesh[self._edge_mask]
-        if self.inside is not None:
-            u[~self.inside] = 0.0
+    def _clamp(self, ax, x):
+        """Pin ``x``, in ax's line order, in place; trim probabilities."""
+        idx, pins = self._pins[ax]
+        x[idx] = pins
+        if self.problem.kind == "safety":
             # probabilities live in [0,1]; trim roundoff drift and record the
-            # largest trim so tests can confirm nothing real was masked
-            excess = max(float(-u.min()), float(u.max() - 1.0), 0.0)
+            # largest trim so tests can confirm nothing real was masked; clip
+            # keeps -0.0, so it changes nothing when both ends are in range
+            low, high = float(x.min()), float(x.max())
+            excess = max(-low, high - 1.0, 0.0)
             if excess > self.max_clip:
                 self.max_clip = excess
-            np.clip(u, 0.0, 1.0, out=u)
-        return u
+            if not (low >= 0.0 and high <= 1.0):
+                np.clip(x, 0.0, 1.0, out=x)
+        return x
 
     def step(self, u, step_index):
-        """Advance one dt from step_index; pure given (u, step_index)."""
-        half = 0.5 * self.dt
+        """Advance one dt from step_index; pure given (u, step_index).
+
+        ``u`` is only read, and the result is a new array."""
         k = self.problem.k
+        rhs = self._rhs + [np.empty(self.g_mesh.size)]
+        x = np.ravel(u)  # the last axis's line order
         if self.has_reaction:
-            u = u * self.react_half
+            x = np.multiply(x, self.react_half, out=rhs[-1])
         if step_index < self.rannacher_steps:
             # damped startup: each dt is two implicit-Euler half-steps
             for _ in range(2):
                 for ax in range(k):
-                    u = self._clamp(self._solve(ax, u))
+                    x = self._clamp(ax, self._solve(
+                        ax, self._to_lines(ax, x, rhs[ax])))
         else:
             # Peaceman-Rachford: explicit in the other axis, implicit in ax
             for ax in range(k):
                 if ax:
-                    u = self._clamp(u)
-                u = self._solve(ax, u + half * self._apply((ax - 1) % k, u))
+                    self._clamp(ax - 1, x)
+                x = self._solve(ax, self._to_lines(
+                    ax, self._explicit((ax - 1) % k, x), rhs[ax]))
         if self.has_reaction:
-            u = u * self.react_half
-        return self._clamp(u)
+            x *= self.react_half
+        return self._clamp(k - 1, x).reshape(self.shape)
 
     def initial(self):
-        return self._clamp(self.g_mesh.copy())
+        u = self.g_mesh.copy()
+        self._clamp(self.problem.k - 1, u.reshape(-1))
+        return u
 
 
 @dataclass
@@ -485,24 +528,24 @@ class FdSolution:
 
 def solve_fd(problem: PdeProblem, d_xi, dt, save_every: int = 1) -> FdSolution:
     """March the problem over its horizon, saving every save_every-th slice."""
-    engine = _FdEngine(problem, d_xi, dt)
     if save_every < 1:
         raise UsageError("save_every must be >= 1")
+    engine = _FdEngine(problem, d_xi, dt)
     u = engine.initial()
-    slices = [u.copy()]
+    slices = [u]  # step never writes its input, so no slice needs a copy
     steps_saved = [0]
     for s in range(engine.n_steps):
         u = engine.step(u, s)
         if (s + 1) % save_every == 0 or s + 1 == engine.n_steps:
-            slices.append(u.copy())
+            slices.append(u)
             steps_saved.append(s + 1)
     s_times = dt * np.asarray(steps_saved, dtype=np.float64)
-    vals = np.stack(slices)
     if problem.kind == "value":
         times = problem.horizon - s_times[::-1]
-        vals = vals[::-1]
+        slices = slices[::-1]
     else:
         times = s_times
+    vals = np.stack(slices)
     metadata = {
         "scheme": "crank-nicolson" if problem.k == 1 else
         "crank-nicolson-adi",
@@ -516,8 +559,8 @@ def solve_fd(problem: PdeProblem, d_xi, dt, save_every: int = 1) -> FdSolution:
     return FdSolution(
         problem=problem,
         axes=engine.axes,
-        times=np.ascontiguousarray(times),
-        values=np.ascontiguousarray(vals),
+        times=times,
+        values=vals,
         d_xi=engine.d_xi,
         dt=engine.dt,
         metadata=metadata,

@@ -52,3 +52,34 @@ def test_write_grid_rows_match_the_space_time_table(tmp_path, monkeypatch):
                fmt="%.17g")
     assert (tmp_path / "g.csv").read_bytes() == (
         tmp_path / "ref.csv").read_bytes()
+
+
+_SPECIALS = [np.nan, np.inf, -np.inf, -0.0, 5e-324]
+
+
+def _awkward(n, seed):
+    """``n`` floats of wide magnitude, the first five nan, +-inf, -0.0 and
+    the smallest subnormal."""
+    rng = np.random.default_rng(seed)
+    out = rng.standard_normal(n) * 10.0 ** rng.integers(-320, 300, n)
+    out[:len(_SPECIALS)] = _SPECIALS
+    return out
+
+
+# 8195 = 5 * 11 * 149 and 8633 = 89 * 97 nodes: no chunk size divides them
+@pytest.mark.parametrize("chunk", [3, 7, 8192])
+@pytest.mark.parametrize("sizes", [(8195,), (89, 97)])
+def test_write_grid_equals_savetxt_of_the_space_time_table(
+        sizes, chunk, tmp_path, monkeypatch):
+    monkeypatch.setattr(grid, "_CHUNK_ROWS", chunk)
+    axes = [_awkward(n, seed) for seed, n in enumerate(sizes)]
+    times = np.array([0.25, *_SPECIALS])
+    values = _awkward(times.size * int(np.prod(sizes)), 9).reshape(
+        (times.size, *sizes))
+    grid.write_grid(str(tmp_path / "g.csv"), axes, times, values)
+    xi, t = grid.space_time(axes, times)
+    header = ",".join(f"xi{i + 1}" for i in range(len(sizes))) + ",t,value"
+    np.savetxt(tmp_path / "ref.csv", np.column_stack([xi, t, values.ravel()]),
+               delimiter=",", header=header, comments="", fmt="%.17g")
+    assert (tmp_path / "g.csv").read_bytes() == (
+        tmp_path / "ref.csv").read_bytes()

@@ -538,6 +538,18 @@ _BAD_RANGES = {"alpha": [1.0], "beta_slope": [-1.0],
          "pinn.batch_size"),
         ("train-pinn", {"preset": "lq-scalar", "pinn": {"batch_size": 0}},
          "pinn.batch_size"),
+        ("estimate-value",
+         {"preset": "lq-scalar", "estimator": "fd", "fd": {"dt": -0.01},
+          "eval": {"points": [[0.0]]}},
+         "fd.dt"),
+        ("estimate-value",
+         {"preset": "lq-scalar", "estimator": "fd", "fd": {"dt": 0},
+          "eval": {"points": [[0.0]]}},
+         "fd.dt"),
+        ("estimate-value",
+         {"preset": "lq-scalar", "estimator": "fd", "fd": {"save_every": 0},
+          "eval": {"points": [[0.0]]}},
+         "fd.save_every"),
     ],
 )
 def test_bad_config_values_name_their_key(command, cfg, key, tmp_path):

@@ -6,6 +6,8 @@ scalar Riccati fixed point P = 1/2, and the decaying sine solution of the
 heat equation.  The 2-d solves are then cross-checked Riccati-vs-FD.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -312,6 +314,50 @@ def test_fd_engine_matches_recorded_thomas_values(value_solution,
         for idx, ref in recorded.items():
             got = sols[name].values[idx]
             assert abs(got - ref) <= 1e-12, (name, idx, got, ref)
+
+
+# sha256 of the saved slices' bytes, recorded from the engine that moved each
+# axis into line order with moveaxis copies and allocated every stencil
+# product (commit 7d8b59f); the march's arithmetic is fixed, so any rewrite of
+# it must reproduce these bit for bit
+VALUES_SHA256 = {
+    "value": "ca0b4d7e6226234bd1fe414ed7457aac31d8e71021bb1126d35b05e8214aa3cd",
+    "safety": "377f49eaf093eb3dfcbb970a34ab2d3c82ccb672b2960daad875fd86414fe002",
+    "heat": "19e503b3060c26628652f22df65bd3c368cbf1fb6d1394a234f6c14b42856fd8",
+}
+
+
+@pytest.fixture(scope="module")
+def fd_solutions(value_solution, safety_solution):
+    return {
+        "value": value_solution,
+        "safety": safety_solution,
+        "heat": solve_fd(heat_problem(), np.pi / 100, 1e-2, save_every=20),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(VALUES_SHA256))
+def test_fd_values_are_bitwise_pinned(fd_solutions, name):
+    values = fd_solutions[name].values
+    assert hashlib.sha256(values.tobytes()).hexdigest() == VALUES_SHA256[name]
+
+
+@pytest.mark.parametrize("name", sorted(VALUES_SHA256))
+def test_engine_step_neither_writes_its_input_nor_reuses_its_output(
+        fd_solutions, name):
+    # value: reaction factors and pinned data edges; safety: Rannacher
+    # startup, the inside mask and reflecting faces; heat: k = 1
+    engine = fd_solutions[name]._engine
+    u = fd_solutions[name].values[1].copy()
+    for s in (0, 2):  # safety's steps 0 and 1 are the Rannacher startup
+        before = u.tobytes()
+        out = engine.step(u, s)
+        assert u.tobytes() == before
+        kept = out.tobytes()
+        nxt = engine.step(out, s + 1)
+        assert out.tobytes() == kept
+        assert not np.shares_memory(out, nxt)
+        u = nxt
 
 
 # --- residual ------------------------------------------------------------------
