@@ -296,7 +296,7 @@ def loss_ct(net: AutoencoderNet, system: StochasticSystem,
 
 
 def _loss_and_grad(net: AutoencoderNet, system: StochasticSystem, batch,
-                   cvals, preimage, cfg: AeTrainConfig, caches):
+                   cvals, preimage, cfg: AeTrainConfig, caches, feats=None):
     """(L_rc, L_ct, clamped probes, gradient) of one training iteration.
 
     The gradient of w_rc L_rc + w_ct L_ct is flat over the encoder then the
@@ -305,12 +305,16 @@ def _loss_and_grad(net: AutoencoderNet, system: StochasticSystem, batch,
     penalty depends on the encoder alone, so it is then only evaluated.
     ``caches`` holds the workspaces of the encoder and the decoder in the
     reconstruction and of the encoder in the penalty, in that order.
+    ``feats``, when given, are the encoder's features of ``batch`` from a
+    :func:`forward` call into the first workspace at the current
+    parameters; the reconstruction then reuses that call.
     """
     enc_cache, dec_cache, ct_cache = caches
     lrc = lct = 0.0
     clamped = 0
     if cfg.w_rc > 0:
-        feats = forward(net.encoder, batch, enc_cache)
+        if feats is None:
+            feats = forward(net.encoder, batch, enc_cache)
         diff = forward(net.decoder, feats, dec_cache)[:, 0] - cvals
         lrc = float(np.mean(diff * diff))
     if cfg.w_ct > 0:
@@ -323,7 +327,8 @@ def _loss_and_grad(net: AutoencoderNet, system: StochasticSystem, batch,
     g_dec = np.zeros_like(net.decoder.theta)
     if cfg.w_rc > 0:
         g_recon = (2.0 * cfg.w_rc / diff.size) * diff
-        g_dec, g_feats = grad(net.decoder, dec_cache, g_recon[:, None])
+        g_dec, g_feats = grad(net.decoder, dec_cache, g_recon[:, None],
+                              input_cotangent=not cfg.freeze_encoder)
         if not cfg.freeze_encoder:
             g_enc += grad(net.encoder, enc_cache, g_feats)[0]
     if cfg.w_ct > 0 and not cfg.freeze_encoder:
@@ -428,8 +433,11 @@ def train_autoencoder(system: StochasticSystem, cost: Callable, states,
         for _ in range(cfg.iterations):
             idx = gen.choice(n_states, size=bs, replace=False)
             batch = states[idx]
+            feats = None
             if use_ct and it % cfg.d == 0:
-                feats = net.encode(batch)
+                # the reconstruction reuses this forward (same bits as
+                # net.encode)
+                feats = forward(net.encoder, batch, caches[0])
                 eps_vec = np.array([epsilon_default(feats[:, j])
                                     for j in range(net.k)])
                 preimage = build_preimage(batch, feats, eps_vec)
@@ -437,7 +445,7 @@ def train_autoencoder(system: StochasticSystem, cost: Callable, states,
             cvals = (np.asarray(cost(batch), dtype=np.float64).reshape(-1)
                      if cfg.w_rc > 0 else None)
             lrc, lct, clamped, g = _loss_and_grad(net, system, batch, cvals,
-                                                  preimage, cfg, caches)
+                                                  preimage, cfg, caches, feats)
             if g is None:
                 raise TrainingError(
                     f"non-finite training loss at iteration {it}"

@@ -239,6 +239,19 @@ def _num(value, key: str, kind=float, positive: bool = False):
     return out
 
 
+def _checkpoint(path, key: str) -> DenseNetwork:
+    """The network in config entry ``key``'s checkpoint file ``path``; a
+    missing, unreadable or malformed file raises a ConfigError naming
+    ``key``."""
+    if not isinstance(path, str) or not os.path.exists(path):
+        raise ConfigError(f"{key} does not exist: {path}")
+    try:
+        return load_checkpoint(path)[0]
+    except (OSError, KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(
+            f"{key} is not a valid checkpoint: {path} ({exc!r})") from None
+
+
 def _axes(domain, step: float, section: str) -> list:
     """Nodes at spacing ``step`` on each (lo, hi) of ``domain``, the
     ``section``.domain and .step of the config; every interval must be a
@@ -318,7 +331,8 @@ def _reduced_from_encoder(system, red_cfg: dict, seed: int):
     coefficients a_i, b_i of each learned feature, averages them over
     feature-value bins, and interpolates the bin means into callables.
     """
-    encoder, _ = load_checkpoint(red_cfg["encoder_checkpoint"])
+    encoder = _checkpoint(red_cfg["encoder_checkpoint"],
+                          "reduction.encoder_checkpoint")
     if "state_domain" not in red_cfg:
         raise ConfigError("reduction.state_domain is required with an "
                           "encoder checkpoint")
@@ -703,9 +717,7 @@ def _pinn_dataset(xc: ExperimentConfig) -> TrainingDataset:
 def _trained_or_loaded_net(xc: ExperimentConfig) -> DenseNetwork:
     ckpt = xc.raw.get("pinn", {}).get("checkpoint")
     if ckpt is not None:
-        if not os.path.exists(ckpt):
-            raise ConfigError(f"pinn.checkpoint does not exist: {ckpt}")
-        net, _ = load_checkpoint(ckpt)
+        net = _checkpoint(ckpt, "pinn.checkpoint")
         if net.d_in != xc.preset.k + 1:
             raise ConfigError(
                 f"pinn.checkpoint takes {net.d_in} inputs, the preset needs "
@@ -974,7 +986,9 @@ def cmd_train_features(xc: ExperimentConfig) -> list:
         if not ("encoder_init" in ae and "decoder_init" in ae):
             raise ConfigError("ae.encoder_init and ae.decoder_init must be "
                               "given together")
-        init = AutoencoderNet.load(ae["encoder_init"], ae["decoder_init"])
+        init = AutoencoderNet(
+            _checkpoint(ae["encoder_init"], "ae.encoder_init"),
+            _checkpoint(ae["decoder_init"], "ae.decoder_init"))
     result = train_autoencoder(p.system, p.cost_full, states, cfg,
                                init_net=init)
     arts = [_artifact(xc, "encoder_checkpoint.json"),

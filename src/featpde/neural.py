@@ -4,15 +4,29 @@
 the input Hessian diagonal H of a tanh network layer by layer; :func:`grad`
 is the hand-derived reverse pass of that recursion (Griewank & Walther,
 *Evaluating Derivatives*, 2008).  Given the cotangents of a scalar loss with
-respect to (u, J, H) it returns the gradient in the flat parameters and in
-the input, reusing the intermediates the forward pass recorded.  With no
-J/H cotangents it is plain backpropagation, so the same function
+respect to (u, J, H) it returns the gradient in the flat parameters and, on
+request, in the input, reusing the intermediates the forward pass recorded.
+With no J/H cotangents it is plain backpropagation, so the same function
 differentiates losses on values (a data term, a decoder) and losses on input
 derivatives (a physics residual) without a generic autodiff engine.
 
+Layout: a layer's J and H are one channel-major (2 d_in, B, n) array, the
+d_in J channels first, then the d_in H channels.  A tanh slope (B, n) then
+scales every channel as one contiguous slice, each layer takes J and H
+through its weight in one flat (2 d_in B, n) @ W product (and its reverse
+pass in one product with a contiguous copy of W^T), and the sums over
+inputs i are sums over channels.  The bundle is returned, and its
+cotangents taken, as (B, d_in, d_out) arrays.
+
+Every matrix product that sums over the batch (the weight gradients
+X^T G) goes through :func:`_batch_sum`, which sums fixed row blocks in
+block order.  Each block is small enough that OpenBLAS computes it the
+same way on one thread or two, so training does not depend on the BLAS
+thread count.
+
 A :class:`Workspace` holds one network's intermediates at one call site of a
 training loop: every (B, .) array of the forward call (layer outputs t, the
-tanh slopes s = 1 - t^2 and c = t s, Jz, Hz, J', H') and of the reverse pass
+tanh slopes s = 1 - t^2 and c = t s, the J/H arrays) and of the reverse pass
 (the cotangents of every layer).  Each buffer is allocated on first use and
 again only when its shape changes, so after the first step a training loop
 that passes the same workspace every step allocates no batch-sized arrays.
@@ -129,20 +143,18 @@ class _Record(NamedTuple):
 
     ``h`` is the layer input; ``t`` its tanh output, with s = 1 - t^2 and
     c = t s (None on the affine output layer; ``c`` only from
-    :func:`derivatives_batch`).  ``jac``/``hess`` are the input derivatives
-    of h (None where implicit: the raw input and the first layer's rank-one
-    ones) and ``jz``/``hz`` the pre-activation derivatives (None from
-    :func:`forward`).
+    :func:`derivatives_batch`).  ``tan`` holds the input derivatives J, H
+    of h as one channel-major (2 d_in, B, .) array (None where implicit:
+    the raw input and the first layer's rank-one ones) and ``tz`` those of
+    the pre-activation (None from :func:`forward`).
     """
 
     h: np.ndarray
     t: Optional[np.ndarray] = None
     s: Optional[np.ndarray] = None
     c: Optional[np.ndarray] = None
-    jac: Optional[np.ndarray] = None
-    hess: Optional[np.ndarray] = None
-    jz: Optional[np.ndarray] = None
-    hz: Optional[np.ndarray] = None
+    tan: Optional[np.ndarray] = None
+    tz: Optional[np.ndarray] = None
 
 
 class Workspace:
@@ -169,8 +181,8 @@ class Workspace:
 
 
 def _out(cache, key, shape):
-    """``cache``'s buffer ``key``, or None (a fresh array) without one."""
-    return None if cache is None else cache.buffer(key, shape)
+    """``cache``'s buffer ``key``, or a fresh array without one."""
+    return np.empty(shape) if cache is None else cache.buffer(key, shape)
 
 
 def _slopes(cache, li, t):
@@ -178,6 +190,30 @@ def _slopes(cache, li, t):
     s = np.multiply(t, t, out=_out(cache, ("s", li), t.shape))
     np.subtract(1.0, s, out=s)
     return s, np.multiply(t, s, out=_out(cache, ("c", li), t.shape))
+
+
+# Limits on each block product of _batch_sum: at most _BLOCK_ROWS rows and
+# _BLOCK_MULADDS multiply-adds.  A sweep of X.T @ G over widths m, n from 1
+# to 1000 found every such block bitwise equal at 1 and 2 OpenBLAS threads
+# (tests/test_threads.py repeats it at the presets' shapes).  Without the
+# limits, products of about 10^6 multiply-adds differed, and so did
+# matrix-vector ones (n = 1) of 1747 rows by 300 and 5242 rows by 100.
+_BLOCK_ROWS = 1024
+_BLOCK_MULADDS = 2 ** 19
+
+
+def _batch_sum(x, g, out):
+    """Add x.T @ g, a sum over the batch rows, to ``out`` block by block.
+
+    The rows are cut into fixed blocks within the limits above and summed
+    in block order, so the result does not depend on how many threads BLAS
+    splits a product over.
+    """
+    rows = max(1, min(_BLOCK_ROWS,
+                      _BLOCK_MULADDS // (x.shape[1] * g.shape[1])))
+    for r in range(0, len(x), rows):
+        out += x[r:r + rows].T @ g[r:r + rows]
+    return out
 
 
 def forward(net: DenseNetwork, x, cache: Optional[Workspace] = None):
@@ -232,12 +268,14 @@ def derivatives_batch(net: DenseNetwork, x, cache: Optional[Workspace] = None):
 
         J' = (1 - t^2) Jz,    H' = (1 - t^2) Hz - 2 t (1 - t^2) Jz^2.
 
-    The first layer's J', H' are never formed (see ``_rank_one_weights``).
-    With a :class:`Workspace` every layer's inputs, t, s = 1 - t^2, c = t s,
-    Jz and Hz live in its buffers and are recorded, so :func:`grad` can
-    differentiate any loss of (u, J, H) in the parameters; the returned
-    bundle is then a view valid until the next call with that workspace.
-    Without one every array is fresh.
+    J and H are held channel-major (see the module docstring) and returned
+    as (B, d_in, d_out) views of that array.  The first layer's J', H' are
+    never formed (see ``_rank_one_weights``).  With a :class:`Workspace`
+    every layer's inputs, t, s = 1 - t^2, c = t s and derivatives live in
+    its buffers and are recorded, so :func:`grad` can differentiate any
+    loss of (u, J, H) in the parameters; the returned bundle is then a view
+    valid until the next call with that workspace.  Without one every array
+    is fresh.
     """
     xv = np.asarray(x, dtype=np.float64)
     if xv.ndim != 2:
@@ -252,133 +290,158 @@ def derivatives_batch(net: DenseNetwork, x, cache: Optional[Workspace] = None):
     z = np.matmul(xv, w, out=_out(cache, ("z", 0), (bsz, w.shape[1])))
     z += b
     if len(layers) == 1:  # affine network: J = W for every row, H = 0
-        records.append(_Record(xv, jz=w[None]))
+        records.append(_Record(xv, tz=w[None]))
         jac = np.broadcast_to(w, (bsz, d_in, net.d_out)).copy()
         return z, jac, np.zeros((bsz, d_in, net.d_out))
     t = np.tanh(z, out=z)
     s, c = _slopes(cache, 0, t)
     records.append(_Record(xv, t, s, c))
     ws, wh = _rank_one_weights(w, layers[1][0])
-    flat = (bsz, ws.shape[1])
-    jz = np.matmul(s, ws, out=_out(cache, ("jz", 1), flat)).reshape(
-        bsz, d_in, -1)
-    hz = np.matmul(c, wh, out=_out(cache, ("hz", 1), flat)).reshape(
-        bsz, d_in, -1)
-    h, jac, hess = t, None, None
+    # the B-major products, in a buffer grad reuses, moved to channel-major
+    flat = _out(cache, ("rank1", 1), (2, bsz, ws.shape[1]))
+    np.matmul(s, ws, out=flat[0])
+    np.matmul(c, wh, out=flat[1])
+    tz = _out(cache, ("tz", 1), (2 * d_in, bsz, layers[1][0].shape[1]))
+    tz.reshape(2, d_in, bsz, -1)[...] = flat.reshape(
+        2, bsz, d_in, -1).transpose(0, 2, 1, 3)
+    h, tan = t, None
     for li in range(1, len(layers)):
         w, b = layers[li]
-        shape = (bsz, d_in, w.shape[1])
-        z = np.matmul(h, w, out=_out(cache, ("z", li), (bsz, w.shape[1])))
+        n = w.shape[1]
+        z = np.matmul(h, w, out=_out(cache, ("z", li), (bsz, n)))
         z += b
         if li > 1:
-            jz = np.matmul(jac, w, out=_out(cache, ("jz", li), shape))
-            hz = np.matmul(hess, w, out=_out(cache, ("hz", li), shape))
+            tz = np.matmul(tan.reshape(-1, w.shape[0]), w,
+                           out=_out(cache, ("tz", li), (2 * d_in * bsz, n))
+                           ).reshape(2 * d_in, bsz, n)
         if li == len(layers) - 1:
-            records.append(_Record(h, jac=jac, hess=hess, jz=jz, hz=hz))
-            return z, jz, hz
+            records.append(_Record(h, tan=tan, tz=tz))
+            return (z, tz[:d_in].transpose(1, 0, 2),
+                    tz[d_in:].transpose(1, 0, 2))
         t = np.tanh(z, out=z)
         s, c = _slopes(cache, li, t)
-        records.append(_Record(h, t, s, c, jac, hess, jz, hz))
-        c2 = np.multiply(c, 2.0, out=_out(cache, ("c2", li), c.shape))
-        jsq = np.multiply(jz, jz, out=_out(cache, ("jsq", li), shape))
-        jsq *= c2[:, None, :]
-        hess = np.multiply(s[:, None, :], hz, out=_out(cache, ("H", li), shape))
-        hess -= jsq
-        jac = np.multiply(s[:, None, :], jz, out=_out(cache, ("J", li), shape))
+        records.append(_Record(h, t, s, c, tan, tz))
+        # J' = s Jz on every channel, then H' -= 2 c Jz^2
+        tan = np.multiply(tz, s, out=_out(cache, ("tan", li), tz.shape))
+        jsq = np.multiply(tz[:d_in], tz[:d_in],
+                          out=_out(cache, ("jsq", li), (d_in, bsz, n)))
+        jsq *= np.multiply(c, 2.0, out=_out(cache, ("c2", li), c.shape))
+        tan[d_in:] -= jsq
         h = t
 
 
-def grad(net: DenseNetwork, cache: Workspace, g_u, g_J=None, g_H=None):
+def grad(net: DenseNetwork, cache: Workspace, g_u, g_J=None, g_H=None,
+         input_cotangent: bool = False):
     """Reverse pass of :func:`forward` / :func:`derivatives_batch`.
 
     ``cache`` is the workspace the forward call filled; ``g_u`` (B, d_out),
     ``g_J`` and ``g_H`` (B, d_in, d_out) are the cotangents dL/du, dL/dJ and
     dL/dH of a scalar loss L.  Returns ``(dtheta, g_x)``: dL/dtheta, a fresh
-    array in the flat parameter order, and dL/dx (B, d_in), the input
-    cotangent that chains a network fed by another network, a view into the
-    workspace valid until its next call.  With ``g_J`` and ``g_H`` both
-    None this is plain backpropagation and either forward call will do;
-    otherwise the workspace must come from :func:`derivatives_batch`, and a
-    missing one of the two counts as zero.  The cotangents of the hidden
-    layers are written into the workspace's buffers.
+    array in the flat parameter order, and, with ``input_cotangent``,
+    dL/dx (B, d_in), the input cotangent that chains a network fed by
+    another network, a view into the workspace valid until its next call
+    (else None).  With ``g_J`` and ``g_H`` both None this is plain
+    backpropagation and either forward call will do; otherwise the
+    workspace must come from :func:`derivatives_batch`, and a missing one
+    of the two counts as zero.  The cotangents of the hidden layers are
+    written into the workspace's buffers.
     """
     records = cache.records
+    layers = net.layer_views()
+    dtheta = np.zeros_like(net.theta)
+    dlayers = net.layer_views(dtheta)
+    g_h = np.asarray(g_u, dtype=np.float64)
+    d_in, bsz = net.d_in, len(g_h)
     bundle = g_J is not None or g_H is not None
     if bundle:
-        if records[-1].jz is None:
+        if records[-1].tz is None:
             raise ValueError("J/H cotangents need a derivatives_batch cache")
-        g_J = np.zeros_like(g_H) if g_J is None else g_J
-        g_H = np.zeros_like(g_J) if g_H is None else g_H
-    layers = net.layer_views()
-    dtheta = np.empty_like(net.theta)
-    dlayers = net.layer_views(dtheta)
-    g_h, g_jo, g_ho = np.asarray(g_u, dtype=np.float64), g_J, g_H
+        # the output layer's cotangents of (J, H), channel-major
+        g_to = cache.buffer(("g_tan", len(layers)),
+                            (2 * d_in, bsz, net.d_out))
+        for half, g in ((g_to[:d_in], g_J), (g_to[d_in:], g_H)):
+            if g is None:
+                half.fill(0.0)
+            else:
+                np.copyto(half, np.transpose(g, (1, 0, 2)))
     for li in range(len(layers) - 1, -1, -1):
         (w, _), (dw, db) = layers[li], dlayers[li]
-        h, t, s, c, jac, hess, jz, hz = records[li]
-        # g_z, g_jz, g_hz: cotangents of this layer's affine outputs z, Jz, Hz
+        h, t, s, c, tan, tz = records[li]
+        wt = np.ascontiguousarray(w.T)
+        # g_z, g_to: cotangents of this layer's affine outputs z, (Jz, Hz)
         if t is None:
-            g_z, g_jz, g_hz = g_h, g_jo, g_ho
+            g_z = g_h
         else:
             if bundle:
-                tmp = cache.buffer(("tmp", li), t.shape)
                 # J' = s Jz and H' = s Hz - 2 c Jz^2 with c = t s, so
-                # dL/ds = sum_i (g_J' Jz + g_H' Hz), dL/dc = -2 sum_i g_H' Jz^2
-                # (the first layer's g_s, g_c come from layer 1 below)
+                # dL/ds = sum over channels of g_T' Tz and
+                # dL/dc = -2 sum_i g_H' Jz^2 (the first layer's g_s, g_c
+                # come from layer 1 below)
                 if li > 0:
-                    g_s = np.einsum("bin,bin->bn", g_jo, jz,
+                    g_s = np.einsum("cbn,cbn->bn", g_to, tz,
                                     out=cache.buffer(("g_s", li), t.shape))
-                    g_s += np.einsum("bin,bin->bn", g_ho, hz, out=tmp)
-                    gh_jz = np.multiply(g_ho, jz,
+                    gh_jz = np.multiply(g_to[d_in:], tz[:d_in],
                                         out=cache.buffer(("gh_jz", li),
-                                                         jz.shape))
-                    g_c = np.einsum("bin,bin->bn", gh_jz, jz,
+                                                         (d_in, *t.shape)))
+                    g_c = np.einsum("cbn,cbn->bn", gh_jz, tz[:d_in],
                                     out=cache.buffer(("g_c", li), t.shape))
                     g_c *= -2.0
-                    # g_jo and g_ho came from the layer above: update in place
-                    # to g_Jz = s g_J' - 4 c Jz g_H' and g_Hz = s g_H'
-                    gh_jz *= np.multiply(c, 4.0, out=tmp)[:, None, :]
-                    g_jz = np.multiply(g_jo, s[:, None, :], out=g_jo)
-                    g_jz -= gh_jz
-                    g_hz = np.multiply(g_ho, s[:, None, :], out=g_ho)
-                # ds/dt = -2t, dc/dt = 1 - 3t^2: g_h - 2t g_s + (1 - 3t^2) g_c
-                g_s *= np.multiply(t, 2.0, out=tmp)
-                g_h = np.subtract(g_h, g_s, out=tmp)
+                    # g_to came from the layer above: update it in place to
+                    # g_Jz = s g_J' - 4 c Jz g_H' and g_Hz = s g_H'
+                    gh_jz *= np.multiply(c, 4.0, out=cache.buffer(
+                        ("c4", li), t.shape))
+                    g_to *= s
+                    g_to[:d_in] -= gh_jz
+                # ds/dt = -2t, dc/dt = 1 - 3t^2: g_h - 2t g_s + (1 - 3t^2) g_c,
+                # in place: g_h is this layer's own buffer (never the
+                # caller's g_u)
+                g_s *= t
+                g_s *= 2.0
+                g_h -= g_s
                 dc_dt = np.multiply(t, 3.0, out=g_s)  # g_s is spent
                 dc_dt *= t
                 g_c *= np.subtract(1.0, dc_dt, out=dc_dt)
                 g_h += g_c
-            # g_h is this layer's own buffer (never the caller's g_u)
             g_z = np.multiply(g_h, s, out=g_h)
-        dw[...] = h.T @ g_z
-        db[...] = g_z.sum(axis=0)
+        _batch_sum(h, g_z, dw)
+        g_z.sum(axis=0, out=db)
         if bundle and li > 1:
             n_in, n_out = w.shape
-            dw += jac.reshape(-1, n_in).T @ g_jz.reshape(-1, n_out)
-            dw += hess.reshape(-1, n_in).T @ g_hz.reshape(-1, n_out)
-            g_jo = np.matmul(g_jz, w.T, out=cache.buffer(("g_jin", li),
-                                                         jac.shape))
-            g_ho = np.matmul(g_hz, w.T, out=cache.buffer(("g_hin", li),
-                                                         hess.shape))
+            g_tz = g_to.reshape(-1, n_out)
+            _batch_sum(tan.reshape(-1, n_in), g_tz, dw)
+            out = cache.buffer(("g_tan", li), (len(g_tz), n_in))
+            if n_out == 1:  # an outer product, which einsum runs faster
+                np.einsum("rk,kn->rn", g_tz, wt, out=out)
+            else:
+                np.matmul(g_tz, wt, out=out)
+            g_to = out.reshape(tan.shape)
         elif bundle and li == 1:
             # input J, H are the first layer's rank-one s W0, -2 c W0^2
             w0 = layers[0][0]
             s0, c0 = records[0].s, records[0].c
-            ws, wh = _rank_one_weights(w0, w)
-            g_jz, g_hz = g_jz.reshape(len(h), -1), g_hz.reshape(len(h), -1)
-            # sg[n, i, m] = sum_b s0[b, n] g_Jz[b, i, m], likewise cg with c0
-            sg = (s0.T @ g_jz).reshape(w0.shape[1], w0.shape[0], -1)
-            cg = (c0.T @ g_hz).reshape(sg.shape)
+            n0, n1 = w.shape
+            g_flat = cache.buffer(("rank1", 1), (2, bsz, d_in * n1))
+            g_flat.reshape(2, bsz, d_in, n1)[...] = g_to.reshape(
+                2, d_in, bsz, n1).transpose(0, 2, 1, 3)
+            # sg[n, i, m] = sum_b s0[b, n] g_Jz[i, b, m], likewise cg with c0
+            sg = _batch_sum(s0, g_flat[0], np.zeros((n0, d_in * n1))
+                            ).reshape(n0, d_in, n1)
+            cg = _batch_sum(c0, g_flat[1], np.zeros((n0, d_in * n1))
+                            ).reshape(sg.shape)
             dw += (np.einsum("nim,in->nm", sg, w0)
                    - 2.0 * np.einsum("nim,in->nm", cg, w0 * w0))
             dw0 = (np.einsum("nim,nm->in", sg, w)
                    - 4.0 * w0 * np.einsum("nim,nm->in", cg, w))
-            g_s = np.matmul(g_jz, ws.T, out=cache.buffer(("g_s", 0), s0.shape))
-            g_c = np.matmul(g_hz, wh.T, out=cache.buffer(("g_c", 0), s0.shape))
+            ws, wh = _rank_one_weights(w0, w)
+            g_s = np.matmul(g_flat[0], np.ascontiguousarray(ws.T),
+                            out=cache.buffer(("g_s", 0), s0.shape))
+            g_c = np.matmul(g_flat[1], np.ascontiguousarray(wh.T),
+                            out=cache.buffer(("g_c", 0), s0.shape))
         elif bundle:  # li == 0
-            dw += dw0 if t is not None else g_jz.sum(axis=0)
-        g_h = np.matmul(g_z, w.T, out=cache.buffer(("g_in", li), h.shape))
-    return dtheta, g_h
+            dw += dw0 if t is not None else g_to[:d_in].sum(axis=1)
+        if li > 0 or input_cotangent:
+            g_h = np.matmul(g_z, wt, out=cache.buffer(("g_in", li), h.shape))
+    return dtheta, g_h if input_cotangent else None
 
 
 @dataclass

@@ -1,7 +1,25 @@
+import os
 import threading
 
 import numpy as np
 import pytest
+
+import featpde
+
+# the directory holding the featpde this process imported
+_PKG_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(featpde.__file__)))
+
+
+def child_env(**extra):
+    """This process's environment plus ``extra``, for a child Python that
+    must import the same featpde: its directory goes first on PYTHONPATH,
+    since a relative PYTHONPATH does not resolve from the child's working
+    directory."""
+    env = dict(os.environ, **extra)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (_PKG_ROOT, env.get("PYTHONPATH")) if p
+    )
+    return env
 
 
 def numeric_grad(f, x, step=1e-6):

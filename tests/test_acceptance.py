@@ -6,8 +6,7 @@ commands, and is compared with the Riccati reference or with another route.
 The sampled routes are taken from ``harness.ROUTES``.  Shared work runs once
 per module: one FD solve per preset, one PINN and one autoencoder, each
 trained at its preset's budget.  Each bound comes from recorded runs at seed
-0 with one and with two BLAS threads (the PINN's error depends on the thread
-count); CHANGES.md lists the runs.
+0 with one and with two BLAS threads; CHANGES.md lists the runs.
 
 Select the gate with ``pytest -m acceptance`` and leave it out with
 ``pytest -m "not acceptance"``.
@@ -47,16 +46,16 @@ SAFETY_MC_BIAS = 0.01
 N_FULL_1000D = 500
 N_BENCH_FULL = 100
 # Relative-L1 error of the PINN against Riccati on the [1,2]^2 surface at
-# t = 0.5; recorded 9.25% (one BLAS thread) and 5.64% (two).
+# t = 0.5; recorded 9.08%, the same bytes at one and two BLAS threads.
 PINN_MAX_PCT = 12.0
 # The same error at each later data time t = 0.6, ..., 1.5; recorded at
-# most 7.9% (one thread, t = 0.6) and 6.0% (two threads, t = 1.5).
+# most 7.75% (t = 0.6).
 PINN_PROFILE_MAX_PCT = 10.0
 # Relative-L1 error of the autoencoder's cost reconstruction on the state
-# grid; recorded 14.9% with one and with two threads.
+# grid; recorded 14.9%.
 RECON_MAX_PCT = 19.0
 # R^2 of each true feature (x1 + x2, x3) regressed on the learned pair with
-# an intercept; recorded 0.990 and 0.862 with one and with two threads.
+# an intercept; recorded 0.990 and 0.862.
 R_SQUARED_MIN = (0.985, 0.825)
 
 

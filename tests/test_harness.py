@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-import featpde
+from conftest import child_env
 from featpde.errors import ConfigError, UsageError
 from featpde.harness import (
     ExperimentConfig,
@@ -485,6 +485,37 @@ def test_inline_system_runs_value_estimate(tmp_path):
 
 _BAD_RANGES = {"alpha": [1.0], "beta_slope": [-1.0],
                "ranges": [[-6.0, 0.0, 6.0]]}
+_PINN_AT = {"preset": "sys3d-value", "estimator": "pinn",
+            "eval": {"points": [[1.5, 1.5]]}}
+_ENCODER_AT = {"preset": "sys3d-value", "estimator": "riccati",
+               "eval": {"points": [[1.5, 1.5]]}}
+
+
+def _checkpoint_file(tmp_path, kind):
+    """Write the checkpoint ``kind`` names and return its path: ``narrow``
+    is a network on (xi1, t) where sys3d-value needs (xi1, xi2, t),
+    ``encoder`` a valid (3, 4, 2) encoder, and the rest a sys3d-value PINN
+    (2,273 parameters) with one fault."""
+    path = str(tmp_path / f"{kind}.json")
+    widths = {"narrow": (2, 4, 1), "encoder": (3, 4, 2)}.get(
+        kind, (3, 32, 32, 32, 1))
+    save_checkpoint(DenseNetwork.init(widths, seed=0), path)
+    with open(path) as fh:
+        text = fh.read()
+    payload = json.loads(text)
+    if kind == "truncated":
+        text = text[: len(text) // 2]
+    elif kind == "no_theta":
+        del payload["theta"]
+    elif kind == "short_theta":
+        payload["theta"] = payload["theta"][:2270]
+    elif kind == "relu":
+        payload["activation"] = "relu"
+    if kind in ("no_theta", "short_theta", "relu"):
+        text = json.dumps(payload)
+    with open(path, "w") as fh:
+        fh.write(text)
+    return path
 
 
 @pytest.mark.parametrize(
@@ -505,9 +536,7 @@ _BAD_RANGES = {"alpha": [1.0], "beta_slope": [-1.0],
          {"preset": "lq-scalar", "estimator": "riccati",
           "reduction": _BAD_RANGES},
          "reduction.ranges"),
-        ("estimate-value",
-         {"preset": "sys3d-value", "estimator": "pinn",
-          "eval": {"points": [[1.5, 1.5]]}},
+        ("estimate-value", dict(_PINN_AT, pinn={"checkpoint": "@narrow"}),
          "pinn.checkpoint"),
         ("estimate-value",
          {"preset": "lq-scalar", "estimator": "fd", "fd": {"dxi": 0},
@@ -531,8 +560,9 @@ _BAD_RANGES = {"alpha": [1.0], "beta_slope": [-1.0],
                       "times": [0.0], "n_paths": "x"}},
          "dataset.n_paths"),
         ("estimate-value",
-         {"preset": "sys3d-value", "estimator": "riccati",
-          "eval": {"points": [[1.5, 1.5]]}},
+         dict(_ENCODER_AT, reduction={"encoder_checkpoint": "@encoder",
+                                      "n_levels": 0,
+                                      "state_domain": [[0.0, 1.0]] * 3}),
          "reduction.n_levels"),
         ("train-pinn", {"preset": "lq-scalar", "pinn": {"batch_size": "x"}},
          "pinn.batch_size"),
@@ -550,19 +580,39 @@ _BAD_RANGES = {"alpha": [1.0], "beta_slope": [-1.0],
          {"preset": "lq-scalar", "estimator": "fd", "fd": {"save_every": 0},
           "eval": {"points": [[0.0]]}},
          "fd.save_every"),
+        # malformed checkpoint files, written by _checkpoint_file
+        ("estimate-value", dict(_PINN_AT, pinn={"checkpoint": "@truncated"}),
+         "pinn.checkpoint"),
+        ("estimate-value", dict(_PINN_AT, pinn={"checkpoint": "@no_theta"}),
+         "pinn.checkpoint"),
+        ("estimate-value",
+         dict(_PINN_AT, pinn={"checkpoint": "@short_theta"}),
+         "pinn.checkpoint"),
+        ("estimate-value", dict(_PINN_AT, pinn={"checkpoint": "@relu"}),
+         "pinn.checkpoint"),
+        ("estimate-value",
+         dict(_ENCODER_AT, reduction={"encoder_checkpoint": "@truncated",
+                                      "state_domain": [[0.0, 1.0]] * 3}),
+         "reduction.encoder_checkpoint"),
+        ("estimate-value",
+         dict(_ENCODER_AT, reduction={"encoder_checkpoint": "@relu",
+                                      "state_domain": [[0.0, 1.0]] * 3}),
+         "reduction.encoder_checkpoint"),
+        ("train-features",
+         {"preset": "feature-ae-3d",
+          "ae": {"encoder_init": "@no_theta", "decoder_init": "@no_theta"}},
+         "ae.encoder_init"),
     ],
 )
 def test_bad_config_values_name_their_key(command, cfg, key, tmp_path):
-    if key == "pinn.checkpoint":
-        # a network on (xi1, t) where the preset needs (xi1, xi2, t)
-        ckpt = str(tmp_path / "narrow.json")
-        save_checkpoint(DenseNetwork.init((2, 4, 1), seed=0), ckpt)
-        cfg = dict(cfg, pinn={"checkpoint": ckpt})
-    if key == "reduction.n_levels":
-        ckpt = str(tmp_path / "encoder.json")
-        save_checkpoint(DenseNetwork.init((3, 4, 2), seed=0), ckpt)
-        cfg = dict(cfg, reduction={"encoder_checkpoint": ckpt, "n_levels": 0,
-                                   "state_domain": [[0.0, 1.0]] * 3})
+    # an "@kind" entry names a checkpoint file that _checkpoint_file writes
+    cfg = {
+        name: {k: _checkpoint_file(tmp_path, v[1:])
+               if isinstance(v, str) and v.startswith("@") else v
+               for k, v in section.items()}
+        if isinstance(section, dict) else section
+        for name, section in cfg.items()
+    }
     with pytest.raises(ConfigError, match=re.escape(key)):
         run(cfg, command, out=str(tmp_path / "out"))
 
@@ -579,19 +629,10 @@ def test_inline_requires_consistent_lengths():
 # command-line interface
 
 
-# the directory holding the featpde this process imported; the child gets
-# it first on its path, since a relative PYTHONPATH does not resolve from cwd
-_PKG_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(featpde.__file__)))
-
-
 def _cli(args, cwd):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (_PKG_ROOT, env.get("PYTHONPATH")) if p
-    )
     return subprocess.run(
         [sys.executable, "-m", "featpde.cli", *args],
-        capture_output=True, text=True, cwd=cwd, env=env, timeout=120,
+        capture_output=True, text=True, cwd=cwd, env=child_env(), timeout=120,
     )
 
 

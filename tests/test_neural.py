@@ -184,7 +184,7 @@ def test_adjoint_matches_fd_on_random_nets(widths, terms):
 
     cache = Workspace()
     bundle = derivatives_batch(net, x, cache)
-    g, g_x = grad(net, cache, *cotangents(*bundle))
+    g, g_x = grad(net, cache, *cotangents(*bundle), input_cotangent=True)
     assert_close(g, grad_params(net, loss), rel=1e-4, abs_=1e-7)
 
     # the input cotangent, by central differences in each input entry
@@ -215,7 +215,7 @@ def test_grad_params_constant_loss_zero():
     cache = Workspace()
     u, jac, hess = derivatives_batch(net, x, cache)
     g, g_x = grad(net, cache, np.zeros_like(u), np.zeros_like(jac),
-                  np.zeros_like(hess))
+                  np.zeros_like(hess), input_cotangent=True)
     assert np.all(g == 0.0) and np.all(g_x == 0.0)
     assert np.all(grad_params(net, lambda n: 3.0) == 0.0)
 
@@ -226,7 +226,7 @@ def test_grad_params_sum_of_squares():
     x = np.random.default_rng(5).normal(size=(6, 3))
     cache = Workspace()
     u = forward(net, x, cache)
-    g, g_x = grad(net, cache, u)
+    g, g_x = grad(net, cache, u, input_cotangent=True)
     (w, _), = net.layer_views()
     (dw, db), = net.layer_views(g)
     assert_close(dw, x.T @ u, rel=1e-14)
@@ -312,8 +312,9 @@ def test_workspace_returns_the_bundle_in_the_same_buffers():
     for a, b, fresh in zip(first, second, derivatives_batch(net, x)):
         assert np.shares_memory(a, b)
         assert np.array_equal(b, fresh)
-    g_x = grad(net, ws, *second)[1]
-    assert np.shares_memory(g_x, grad(net, ws, *second)[1])
+    g_x = grad(net, ws, *second, input_cotangent=True)[1]
+    assert np.shares_memory(g_x, grad(net, ws, *second,
+                                      input_cotangent=True)[1])
 
 
 def test_pinn_step_allocates_no_batch_arrays():
