@@ -14,14 +14,17 @@ dynamics with k scalar SDEs, so a small penalty certifies the learned
 features, not just the reconstruction.
 
 The penalty differentiates a_i and b_i in the STATE by central differences
-(step 1e-4 * (1 + |x_j|) per coordinate) of the encoder's Jacobian and
-Hessian diagonal at the probes.  Its cotangents with respect to those
-derivatives are closed-form in a_i and b_i (through the clamp, the
-central-difference weights and the bucket weights), and `neural.grad`, the
-reverse pass of the derivative bundle, turns them into exact parameter
-gradients.  Nested exact third derivatives of the encoder are deliberately
-avoided.  The reconstruction term backpropagates through the decoder and,
-via the decoder's input cotangent, through the encoder.
+(step 1e-4 * (1 + |x_j|) per coordinate) of the encoder's Jacobian and Ito
+term at the probes.  The Ito term 1/2 sum_l S_ll d^2 p_i / dx_l^2 of A p_i
+is the derivative bundle's weighted Hessian trace with weights 1/2 S_ll,
+so no per-coordinate Hessian is formed.  The penalty's cotangents with
+respect to the Jacobian and the Ito term are closed-form in a_i and b_i
+(through the clamp, the central-difference weights and the bucket
+weights), and `neural.grad`, the reverse pass of the derivative bundle,
+turns them into exact parameter gradients.  Nested exact third derivatives
+of the encoder are deliberately avoided.  The reconstruction term
+backpropagates through the decoder and, via the decoder's input cotangent,
+through the encoder.
 """
 
 from __future__ import annotations
@@ -242,19 +245,21 @@ def _ct_loss(encoder: DenseNetwork, system: StochasticSystem,
     if preimage.labels.shape[1] != k:
         raise UsageError("preimage was built for a different feature count")
     probes, steps = _ct_probes(states)
-    u, jac, hess = derivatives_batch(encoder, probes, cache)
     f = np.asarray(system.drift(probes), dtype=np.float64)
     ss_diag = _diffusion_diagonal(system, probes)
+    # ito[:, i] = 1/2 sum_l S_ll d^2 p_i / dx_l^2, the Ito term of A p_i
+    u, jac, ito = derivatives_batch(encoder, probes, 0.5 * ss_diag, cache)
 
     total = 0.0
     n_clamped = 0
     levels = []
     for i in range(k):
-        a = ap = 0.0
+        a = 0.0
+        ap = ito[:, i]
         for l in range(n):
             g_l = jac[:, l, i]
             a = a + ss_diag[:, l] * (g_l * g_l)
-            ap = ap + (f[:, l] * g_l + 0.5 * ss_diag[:, l] * hess[:, l, i])
+            ap = ap + f[:, l] * g_l
         n_clamped += int(np.count_nonzero(a < CT_CLAMP_FLOOR))
         kept = a >= CT_CLAMP_FLOOR
         a_c = np.maximum(a, CT_CLAMP_FLOOR)
@@ -271,7 +276,7 @@ def _ct_loss(encoder: DenseNetwork, system: StochasticSystem,
 
     def vjp(weight):
         g_jac = np.empty_like(jac)
-        g_hess = np.empty_like(hess)
+        g_ito = np.empty_like(ito)
         for i, (kept, a_c, b, ga, gb, w) in enumerate(levels):
             # d pen / d ga_j = 2 ga_j, d ga_j / d a[+-e_j] = +-1 / (2 h_j)
             c_a = weight * w * ga / steps
@@ -282,8 +287,8 @@ def _ct_loss(encoder: DenseNetwork, system: StochasticSystem,
             g_a = g_a - kept * (g_b * b / a_c)
             g_jac[:, :, i] = (2.0 * (g_a[:, None] * ss_diag) * jac[:, :, i]
                               + g_ap[:, None] * f)
-            g_hess[:, :, i] = 0.5 * g_ap[:, None] * ss_diag
-        return grad(encoder, cache, np.zeros_like(u), g_jac, g_hess)[0]
+            g_ito[:, i] = g_ap
+        return grad(encoder, cache, np.zeros_like(u), g_jac, g_ito)[0]
 
     return total, n_clamped, vjp
 

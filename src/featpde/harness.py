@@ -239,6 +239,15 @@ def _num(value, key: str, kind=float, positive: bool = False):
     return out
 
 
+def _widths(value, key: str) -> tuple:
+    """Config entry ``key``'s hidden widths: a nonempty list of positive
+    integers, else a ConfigError naming ``key``."""
+    if not isinstance(value, (list, tuple)) or not value:
+        raise ConfigError(f"{key} must be a list of positive widths, "
+                          f"got {value!r}")
+    return tuple(_num(w, key, int, positive=True) for w in value)
+
+
 def _checkpoint(path, key: str) -> DenseNetwork:
     """The network in config entry ``key``'s checkpoint file ``path``; a
     missing, unreadable or malformed file raises a ConfigError naming
@@ -488,8 +497,7 @@ class ExperimentConfig:
             epochs=num("epochs", int),
             lr=num("lr"),
             seed=self.seed,
-            widths=tuple(_num(w, "pinn.widths", int)
-                         for w in over.get("widths", base.widths)),
+            widths=_widths(over.get("widths", base.widths), "pinn.widths"),
             batch_size=(None if unbatched
                         else num("batch_size", int, positive=True)),
             log_every=num("log_every", int),
@@ -516,10 +524,9 @@ class ExperimentConfig:
             batch_size=num("batch_size", int),
             lr=num("lr"),
             seed=self.seed,
-            encoder_hidden=tuple(
-                _num(w, "ae.encoder_hidden", int)
-                for w in over.get("encoder_hidden", base.encoder_hidden)
-            ),
+            encoder_hidden=_widths(
+                over.get("encoder_hidden", base.encoder_hidden),
+                "ae.encoder_hidden"),
         )
 
     @property

@@ -1,22 +1,32 @@
 """Dense feedforward networks with input derivatives and their adjoint.
 
 :func:`derivatives_batch` propagates the value u, the input Jacobian J and
-the input Hessian diagonal H of a tanh network layer by layer; :func:`grad`
-is the hand-derived reverse pass of that recursion (Griewank & Walther,
-*Evaluating Derivatives*, 2008).  Given the cotangents of a scalar loss with
-respect to (u, J, H) it returns the gradient in the flat parameters and, on
-request, in the input, reusing the intermediates the forward pass recorded.
-With no J/H cotangents it is plain backpropagation, so the same function
+one weighted Hessian trace L = sum_{i<m} w_i d^2u/dx_i^2 of a tanh network
+layer by layer (the forward-Laplacian scheme of Li et al., *Forward
+Laplacian*, Nat. Mach. Intell. 2024); :func:`grad` is the hand-derived
+reverse pass of that recursion (Griewank & Walther, *Evaluating
+Derivatives*, 2008).  Given the cotangents of a scalar loss with respect to
+(u, J, L) it returns the gradient in the flat parameters and, on request,
+in the input, reusing the intermediates the forward pass recorded.  With no
+J/L cotangents it is plain backpropagation, so the same function
 differentiates losses on values (a data term, a decoder) and losses on input
-derivatives (a physics residual) without a generic autodiff engine.
+derivatives (a physics residual) without a generic autodiff engine.  The
+weights w (B, m) differ per row and cover the leading m <= d_in inputs, so
+a PDE residual that reads the Hessian only as diag . hess u (the PINN's,
+the feature penalty's Ito term) gets it as one channel, and an input with
+no weight (the PINN's time) costs no Hessian work.
 
-Layout: a layer's J and H are one channel-major (2 d_in, B, n) array, the
-d_in J channels first, then the d_in H channels.  A tanh slope (B, n) then
-scales every channel as one contiguous slice, each layer takes J and H
-through its weight in one flat (2 d_in B, n) @ W product (and its reverse
-pass in one product with a contiguous copy of W^T), and the sums over
-inputs i are sums over channels.  The bundle is returned, and its
-cotangents taken, as (B, d_in, d_out) arrays.
+Layout: a layer's J and L are one channel-major (d_in + 1, B, n) array,
+the d_in J channels first, then L.  Through a tanh layer with slopes
+s = 1 - t^2 and c = t s they follow
+
+    J' = s Jz,    L' = s Lz - 2 c sum_{i<m} w_i Jz_i^2,
+
+so the slope scales every channel as one contiguous slice, each layer
+takes J and L through its weight in one flat ((d_in + 1) B, n) @ W product
+(and its reverse pass in one product with a contiguous copy of W^T), and
+the sums over inputs i are sums over channels.  J is returned, and its
+cotangent taken, as a (B, d_in, d_out) array, L as (B, d_out).
 
 Every matrix product that sums over the batch (the weight gradients
 X^T G) goes through :func:`_batch_sum`, which sums fixed row blocks in
@@ -26,7 +36,7 @@ thread count.
 
 A :class:`Workspace` holds one network's intermediates at one call site of a
 training loop: every (B, .) array of the forward call (layer outputs t, the
-tanh slopes s = 1 - t^2 and c = t s, the J/H arrays) and of the reverse pass
+tanh slopes s = 1 - t^2 and c = t s, the J/L arrays) and of the reverse pass
 (the cotangents of every layer).  Each buffer is allocated on first use and
 again only when its shape changes, so after the first step a training loop
 that passes the same workspace every step allocates no batch-sized arrays.
@@ -143,10 +153,12 @@ class _Record(NamedTuple):
 
     ``h`` is the layer input; ``t`` its tanh output, with s = 1 - t^2 and
     c = t s (None on the affine output layer; ``c`` only from
-    :func:`derivatives_batch`).  ``tan`` holds the input derivatives J, H
-    of h as one channel-major (2 d_in, B, .) array (None where implicit:
+    :func:`derivatives_batch`).  ``tan`` holds the input derivatives J, L
+    of h as one channel-major (d_in + 1, B, .) array (None where implicit:
     the raw input and the first layer's rank-one ones) and ``tz`` those of
-    the pre-activation (None from :func:`forward`).
+    the pre-activation (None from :func:`forward`).  On the hidden layers
+    after the first, ``wj`` holds w_i Jz_i for the m weighted inputs and
+    ``wsq`` their sum sum_i w_i Jz_i^2.
     """
 
     h: np.ndarray
@@ -155,6 +167,8 @@ class _Record(NamedTuple):
     c: Optional[np.ndarray] = None
     tan: Optional[np.ndarray] = None
     tz: Optional[np.ndarray] = None
+    wj: Optional[np.ndarray] = None
+    wsq: Optional[np.ndarray] = None
 
 
 class Workspace:
@@ -165,10 +179,17 @@ class Workspace:
     (B, .) intermediates into the buffers held here, allocating one only on
     its first use or when its shape changes, so the arrays these calls
     return are views that the next call with this workspace overwrites.
+    The forward call also leaves what :func:`grad` reads besides the
+    layers: the (W, b) views it ran with and, from
+    :func:`derivatives_batch`, the first layer's rank-one weights and the
+    (m, B) Hessian weights.
     """
 
     def __init__(self):
         self.records = []
+        self.layers = []
+        self.rank_one = None
+        self.weights = None
         self._buffers = {}
 
     def buffer(self, key, shape) -> np.ndarray:
@@ -180,16 +201,11 @@ class Workspace:
         return buf
 
 
-def _out(cache, key, shape):
-    """``cache``'s buffer ``key``, or a fresh array without one."""
-    return np.empty(shape) if cache is None else cache.buffer(key, shape)
-
-
 def _slopes(cache, li, t):
     """s = 1 - t^2 and c = t s of layer ``li``'s tanh output t."""
-    s = np.multiply(t, t, out=_out(cache, ("s", li), t.shape))
+    s = np.multiply(t, t, out=cache.buffer(("s", li), t.shape))
     np.subtract(1.0, s, out=s)
-    return s, np.multiply(t, s, out=_out(cache, ("c", li), t.shape))
+    return s, np.multiply(t, s, out=cache.buffer(("c", li), t.shape))
 
 
 # Limits on each block product of _batch_sum: at most _BLOCK_ROWS rows and
@@ -210,7 +226,7 @@ def _batch_sum(x, g, out):
     splits a product over.
     """
     rows = max(1, min(_BLOCK_ROWS,
-                      _BLOCK_MULADDS // (x.shape[1] * g.shape[1])))
+                      _BLOCK_MULADDS // max(1, x.shape[1] * g.shape[1])))
     for r in range(0, len(x), rows):
         out += x[r:r + rows].T @ g[r:r + rows]
     return out
@@ -228,170 +244,187 @@ def forward(net: DenseNetwork, x, cache: Optional[Workspace] = None):
     single = xv.ndim == 1
     h = xv.reshape(1, -1) if single else xv
     _check_width(net, h.shape[-1])
-    records = [] if cache is None else cache.records
-    records.clear()
-    layers = net.layer_views()
+    traced = cache is not None
+    cache = Workspace() if cache is None else cache
+    cache.records.clear()
+    layers = cache.layers = net.layer_views()
     for li, (w, b) in enumerate(layers):
-        z = np.matmul(h, w, out=_out(cache, ("z", li), (len(h), w.shape[1])))
+        z = np.matmul(h, w, out=cache.buffer(("z", li), (len(h), w.shape[1])))
         z += b
         if li == len(layers) - 1:
-            records.append(_Record(h))
+            cache.records.append(_Record(h))
             return z[0] if single else z
         t = np.tanh(z, out=z)
-        if cache is not None:
+        if traced:
             s = np.multiply(t, t, out=cache.buffer(("s", li), t.shape))
-            records.append(_Record(h, t, np.subtract(1.0, s, out=s)))
+            cache.records.append(_Record(h, t, np.subtract(1.0, s, out=s)))
         h = t
 
 
-def _rank_one_weights(w0, w1):
-    """(n, d_in * m) weights taking the first tanh layer's s = 1 - t^2 and
-    c = t s to the second layer's Jz and Hz, flattened over (input, unit).
+def _rank_one_weights(w0, w1, m):
+    """(n, d_in * m_1) and (n, m * m_1) weights taking the first tanh layer's
+    s = 1 - t^2 and c = t s to the second layer's Jz and to the terms
+    w_i Hz_i of its Lz, flattened over (input, unit); m_1 is w1's width.
 
     The first layer's derivatives are rank one per input i, J[b, i] =
     s[b] W0[i] and H[b, i] = -2 c[b] W0[i]^2, so Jz[b, i] = s[b] @ (W0[i]
-    * W1) and Hz[b, i] = c[b] @ (-2 W0[i]^2 * W1) without forming J or H.
+    * W1) and Hz[b, i] = c[b] @ (-2 W0[i]^2 * W1) without forming J or H;
+    only the m weighted inputs need Hz.
     """
     w0t = w0.T[:, :, None]
     ws = w0t * w1[:, None, :]
-    wh = -2.0 * (w0t * w0t) * w1[:, None, :]
+    wh = -2.0 * (w0t[:, :m] * w0t[:, :m]) * w1[:, None, :]
     return ws.reshape(len(w1), -1), wh.reshape(len(w1), -1)
 
 
-def derivatives_batch(net: DenseNetwork, x, cache: Optional[Workspace] = None):
-    """Batched value + input derivatives.
+def derivatives_batch(net: DenseNetwork, x, weights,
+                      cache: Optional[Workspace] = None):
+    """Batched value, input Jacobian and weighted Hessian trace.
 
-    Returns ``(u, J, H)`` with shapes (B, d_out), (B, d_in, d_out),
-    (B, d_in, d_out): ``J[b, i, o] = d out_o / d in_i`` and ``H`` the
-    per-input second derivatives.  Through a tanh layer with pre-activation
-    z, derivatives Jz = J W and Hz = H W and t = tanh(z):
+    ``weights`` is (B, m) for the leading m <= d_in inputs.  Returns
+    ``(u, J, L)`` with shapes (B, d_out), (B, d_in, d_out), (B, d_out):
+    ``J[b, i, o] = d out_o / d in_i`` and ``L[b, o] = sum_{i < m}
+    weights[b, i] d^2 out_o / d in_i^2``.  Through a tanh layer with
+    pre-activation z, derivatives Jz = J W and Lz = L W and t = tanh(z):
 
-        J' = (1 - t^2) Jz,    H' = (1 - t^2) Hz - 2 t (1 - t^2) Jz^2.
+        J' = (1 - t^2) Jz,
+        L' = (1 - t^2) Lz - 2 t (1 - t^2) sum_{i<m} w_i Jz_i^2.
 
-    J and H are held channel-major (see the module docstring) and returned
-    as (B, d_in, d_out) views of that array.  The first layer's J', H' are
-    never formed (see ``_rank_one_weights``).  With a :class:`Workspace`
-    every layer's inputs, t, s = 1 - t^2, c = t s and derivatives live in
-    its buffers and are recorded, so :func:`grad` can differentiate any
-    loss of (u, J, H) in the parameters; the returned bundle is then a view
-    valid until the next call with that workspace.  Without one every array
-    is fresh.
+    J and L are held channel-major (see the module docstring) and returned
+    as (B, d_in, d_out) and (B, d_out) views of that array.  The first
+    layer's J', L' are never formed (see ``_rank_one_weights``).  With a
+    :class:`Workspace` every layer's inputs, t, s = 1 - t^2, c = t s and
+    derivatives live in its buffers and are recorded, so :func:`grad` can
+    differentiate any loss of (u, J, L) in the parameters; the returned
+    bundle is then a view valid until the next call with that workspace.
+    Without one every array is fresh.
     """
     xv = np.asarray(x, dtype=np.float64)
     if xv.ndim != 2:
         raise ValueError("derivatives_batch expects (B, d_in) input")
     bsz, d_in = xv.shape
     _check_width(net, d_in)
-    records = [] if cache is None else cache.records
+    wv = np.asarray(weights, dtype=np.float64)
+    if wv.ndim != 2 or len(wv) != bsz or wv.shape[1] > d_in:
+        raise ValueError(f"weights must be (B, m) with B = {bsz} and "
+                         f"m <= {d_in}, got {wv.shape}")
+    m = wv.shape[1]
+    cache = Workspace() if cache is None else cache
+    records = cache.records
     records.clear()
-    layers = net.layer_views()
+    layers = cache.layers = net.layer_views()
+    wts = cache.weights = cache.buffer("weights", (m, bsz))
+    np.copyto(wts, wv.T)
 
     w, b = layers[0]
-    z = np.matmul(xv, w, out=_out(cache, ("z", 0), (bsz, w.shape[1])))
+    z = np.matmul(xv, w, out=cache.buffer(("z", 0), (bsz, w.shape[1])))
     z += b
-    if len(layers) == 1:  # affine network: J = W for every row, H = 0
+    if len(layers) == 1:  # affine network: J = W for every row, L = 0
         records.append(_Record(xv, tz=w[None]))
         jac = np.broadcast_to(w, (bsz, d_in, net.d_out)).copy()
-        return z, jac, np.zeros((bsz, d_in, net.d_out))
+        return z, jac, np.zeros((bsz, net.d_out))
     t = np.tanh(z, out=z)
     s, c = _slopes(cache, 0, t)
     records.append(_Record(xv, t, s, c))
-    ws, wh = _rank_one_weights(w, layers[1][0])
-    # the B-major products, in a buffer grad reuses, moved to channel-major
-    flat = _out(cache, ("rank1", 1), (2, bsz, ws.shape[1]))
-    np.matmul(s, ws, out=flat[0])
-    np.matmul(c, wh, out=flat[1])
-    tz = _out(cache, ("tz", 1), (2 * d_in, bsz, layers[1][0].shape[1]))
-    tz.reshape(2, d_in, bsz, -1)[...] = flat.reshape(
-        2, bsz, d_in, -1).transpose(0, 2, 1, 3)
+    n1 = layers[1][0].shape[1]
+    ws, wh = cache.rank_one = _rank_one_weights(w, layers[1][0], m)
+    # the B-major products, in buffers grad reuses, moved to channel-major
+    # and, for L, summed with the row weights
+    flat_j = np.matmul(s, ws, out=cache.buffer(("rank1", "J"),
+                                               (bsz, d_in * n1)))
+    flat_l = np.matmul(c, wh, out=cache.buffer(("rank1", "L"), (bsz, m * n1)))
+    tz = cache.buffer(("tz", 1), (d_in + 1, bsz, n1))
+    tz[:d_in] = flat_j.reshape(bsz, d_in, n1).transpose(1, 0, 2)
+    np.einsum("ib,bin->bn", wts, flat_l.reshape(bsz, m, n1), out=tz[d_in])
     h, tan = t, None
     for li in range(1, len(layers)):
         w, b = layers[li]
         n = w.shape[1]
-        z = np.matmul(h, w, out=_out(cache, ("z", li), (bsz, n)))
+        z = np.matmul(h, w, out=cache.buffer(("z", li), (bsz, n)))
         z += b
         if li > 1:
             tz = np.matmul(tan.reshape(-1, w.shape[0]), w,
-                           out=_out(cache, ("tz", li), (2 * d_in * bsz, n))
-                           ).reshape(2 * d_in, bsz, n)
+                           out=cache.buffer(("tz", li), ((d_in + 1) * bsz, n))
+                           ).reshape(d_in + 1, bsz, n)
         if li == len(layers) - 1:
             records.append(_Record(h, tan=tan, tz=tz))
-            return (z, tz[:d_in].transpose(1, 0, 2),
-                    tz[d_in:].transpose(1, 0, 2))
+            return z, tz[:d_in].transpose(1, 0, 2), tz[d_in]
         t = np.tanh(z, out=z)
         s, c = _slopes(cache, li, t)
-        records.append(_Record(h, t, s, c, tan, tz))
-        # J' = s Jz on every channel, then H' -= 2 c Jz^2
-        tan = np.multiply(tz, s, out=_out(cache, ("tan", li), tz.shape))
-        jsq = np.multiply(tz[:d_in], tz[:d_in],
-                          out=_out(cache, ("jsq", li), (d_in, bsz, n)))
-        jsq *= np.multiply(c, 2.0, out=_out(cache, ("c2", li), c.shape))
-        tan[d_in:] -= jsq
+        wj = np.einsum("ibn,ib->ibn", tz[:m], wts,
+                       out=cache.buffer(("wj", li), (m, bsz, n)))
+        wsq = np.einsum("ibn,ibn->bn", wj, tz[:m],
+                        out=cache.buffer(("wsq", li), t.shape))
+        records.append(_Record(h, t, s, c, tan, tz, wj, wsq))
+        # J' = s Jz and L' = s Lz on every channel, then L' -= 2 c wsq
+        tan = np.multiply(tz, s, out=cache.buffer(("tan", li), tz.shape))
+        c2 = np.multiply(c, 2.0, out=cache.buffer(("c2", li), t.shape))
+        tan[d_in] -= np.multiply(c2, wsq, out=c2)
         h = t
 
 
-def grad(net: DenseNetwork, cache: Workspace, g_u, g_J=None, g_H=None,
+def grad(net: DenseNetwork, cache: Workspace, g_u, g_J=None, g_L=None,
          input_cotangent: bool = False):
     """Reverse pass of :func:`forward` / :func:`derivatives_batch`.
 
     ``cache`` is the workspace the forward call filled; ``g_u`` (B, d_out),
-    ``g_J`` and ``g_H`` (B, d_in, d_out) are the cotangents dL/du, dL/dJ and
-    dL/dH of a scalar loss L.  Returns ``(dtheta, g_x)``: dL/dtheta, a fresh
-    array in the flat parameter order, and, with ``input_cotangent``,
-    dL/dx (B, d_in), the input cotangent that chains a network fed by
-    another network, a view into the workspace valid until its next call
-    (else None).  With ``g_J`` and ``g_H`` both None this is plain
-    backpropagation and either forward call will do; otherwise the
-    workspace must come from :func:`derivatives_batch`, and a missing one
-    of the two counts as zero.  The cotangents of the hidden layers are
+    ``g_J`` (B, d_in, d_out) and ``g_L`` (B, d_out) are the cotangents of
+    a scalar loss with respect to u, J and L.  Returns ``(dtheta, g_x)``:
+    the loss's gradient in the flat parameters, a fresh array, and, with
+    ``input_cotangent``, its gradient in the input (B, d_in), the input
+    cotangent that chains a network fed by another network, a view into
+    the workspace valid until its next call (else None).  The Hessian
+    weights count as constants.  With ``g_J`` and ``g_L`` both None this
+    is plain backpropagation and either forward call will do; otherwise
+    the workspace must come from :func:`derivatives_batch`, and a missing
+    one of the two counts as zero.  The cotangents of the hidden layers are
     written into the workspace's buffers.
     """
-    records = cache.records
-    layers = net.layer_views()
+    records, layers = cache.records, cache.layers
     dtheta = np.zeros_like(net.theta)
     dlayers = net.layer_views(dtheta)
     g_h = np.asarray(g_u, dtype=np.float64)
     d_in, bsz = net.d_in, len(g_h)
-    bundle = g_J is not None or g_H is not None
+    bundle = g_J is not None or g_L is not None
     if bundle:
         if records[-1].tz is None:
-            raise ValueError("J/H cotangents need a derivatives_batch cache")
-        # the output layer's cotangents of (J, H), channel-major
+            raise ValueError("J/L cotangents need a derivatives_batch cache")
+        wts = cache.weights
+        m = len(wts)
+        # the output layer's cotangents of (J, L), channel-major
         g_to = cache.buffer(("g_tan", len(layers)),
-                            (2 * d_in, bsz, net.d_out))
-        for half, g in ((g_to[:d_in], g_J), (g_to[d_in:], g_H)):
-            if g is None:
-                half.fill(0.0)
-            else:
-                np.copyto(half, np.transpose(g, (1, 0, 2)))
+                            (d_in + 1, bsz, net.d_out))
+        g_to[:d_in] = 0.0 if g_J is None else np.transpose(g_J, (1, 0, 2))
+        g_to[d_in] = 0.0 if g_L is None else g_L
     for li in range(len(layers) - 1, -1, -1):
         (w, _), (dw, db) = layers[li], dlayers[li]
-        h, t, s, c, tan, tz = records[li]
+        h, t, s, c, tan, tz, wj, wsq = records[li]
         wt = np.ascontiguousarray(w.T)
-        # g_z, g_to: cotangents of this layer's affine outputs z, (Jz, Hz)
+        # g_z, g_to: cotangents of this layer's affine outputs z, (Jz, Lz)
         if t is None:
             g_z = g_h
         else:
             if bundle:
-                # J' = s Jz and H' = s Hz - 2 c Jz^2 with c = t s, so
-                # dL/ds = sum over channels of g_T' Tz and
-                # dL/dc = -2 sum_i g_H' Jz^2 (the first layer's g_s, g_c
-                # come from layer 1 below)
+                # J' = s Jz and L' = s Lz - 2 c wsq with c = t s, so the
+                # cotangents of s and c are g_s = sum over channels of
+                # g_T' Tz and g_c = -2 g_L' wsq
+                # (the first layer's g_s, g_c come from layer 1 below)
                 if li > 0:
                     g_s = np.einsum("cbn,cbn->bn", g_to, tz,
                                     out=cache.buffer(("g_s", li), t.shape))
-                    gh_jz = np.multiply(g_to[d_in:], tz[:d_in],
-                                        out=cache.buffer(("gh_jz", li),
-                                                         (d_in, *t.shape)))
-                    g_c = np.einsum("cbn,cbn->bn", gh_jz, tz[:d_in],
-                                    out=cache.buffer(("g_c", li), t.shape))
+                    g_l = g_to[d_in]
+                    g_c = np.multiply(g_l, wsq,
+                                      out=cache.buffer(("g_c", li), t.shape))
                     g_c *= -2.0
                     # g_to came from the layer above: update it in place to
-                    # g_Jz = s g_J' - 4 c Jz g_H' and g_Hz = s g_H'
-                    gh_jz *= np.multiply(c, 4.0, out=cache.buffer(
-                        ("c4", li), t.shape))
+                    # g_Jz_i = s g_J'_i - 4 c g_L' w_i Jz_i, g_Lz = s g_L'
+                    q = np.multiply(c, g_l,
+                                    out=cache.buffer(("q", li), t.shape))
+                    q *= 4.0
+                    q = np.multiply(wj, q,
+                                    out=cache.buffer(("qj", li), wj.shape))
                     g_to *= s
-                    g_to[:d_in] -= gh_jz
+                    g_to[:m] -= q
                 # ds/dt = -2t, dc/dt = 1 - 3t^2: g_h - 2t g_s + (1 - 3t^2) g_c,
                 # in place: g_h is this layer's own buffer (never the
                 # caller's g_u)
@@ -416,27 +449,31 @@ def grad(net: DenseNetwork, cache: Workspace, g_u, g_J=None, g_H=None,
                 np.matmul(g_tz, wt, out=out)
             g_to = out.reshape(tan.shape)
         elif bundle and li == 1:
-            # input J, H are the first layer's rank-one s W0, -2 c W0^2
+            # input J, L come from the first layer's rank-one s W0 and
+            # -2 c W0^2 (see _rank_one_weights)
             w0 = layers[0][0]
             s0, c0 = records[0].s, records[0].c
+            ws, wh = cache.rank_one
             n0, n1 = w.shape
-            g_flat = cache.buffer(("rank1", 1), (2, bsz, d_in * n1))
-            g_flat.reshape(2, bsz, d_in, n1)[...] = g_to.reshape(
-                2, d_in, bsz, n1).transpose(0, 2, 1, 3)
-            # sg[n, i, m] = sum_b s0[b, n] g_Jz[i, b, m], likewise cg with c0
-            sg = _batch_sum(s0, g_flat[0], np.zeros((n0, d_in * n1))
+            g_j = cache.buffer(("rank1", "J"), (bsz, d_in * n1))
+            g_j.reshape(bsz, d_in, n1)[...] = g_to[:d_in].transpose(1, 0, 2)
+            # the cotangent of c0 @ wh: g_Lz on each weighted input's block
+            g_l = cache.buffer(("rank1", "L"), (bsz, m * n1))
+            np.einsum("ib,bk->bik", wts, g_to[d_in],
+                      out=g_l.reshape(bsz, m, n1))
+            # sg[n, i, k] = sum_b s0[b, n] g_Jz[i, b, k], likewise cg with
+            # c0 and the weighted g_Lz
+            sg = _batch_sum(s0, g_j, np.zeros((n0, d_in * n1))
                             ).reshape(n0, d_in, n1)
-            cg = _batch_sum(c0, g_flat[1], np.zeros((n0, d_in * n1))
-                            ).reshape(sg.shape)
-            dw += (np.einsum("nim,in->nm", sg, w0)
-                   - 2.0 * np.einsum("nim,in->nm", cg, w0 * w0))
-            dw0 = (np.einsum("nim,nm->in", sg, w)
-                   - 4.0 * w0 * np.einsum("nim,nm->in", cg, w))
-            ws, wh = _rank_one_weights(w0, w)
-            g_s = np.matmul(g_flat[0], np.ascontiguousarray(ws.T),
-                            out=cache.buffer(("g_s", 0), s0.shape))
-            g_c = np.matmul(g_flat[1], np.ascontiguousarray(wh.T),
-                            out=cache.buffer(("g_c", 0), s0.shape))
+            cg = _batch_sum(c0, g_l, np.zeros((n0, m * n1))
+                            ).reshape(n0, m, n1)
+            w0m = w0[:m]
+            dw += (np.einsum("nik,in->nk", sg, w0)
+                   - 2.0 * np.einsum("nik,in->nk", cg, w0m * w0m))
+            dw0 = np.einsum("nik,nk->in", sg, w)
+            dw0[:m] -= 4.0 * w0m * np.einsum("nik,nk->in", cg, w)
+            g_s = np.matmul(g_j, ws.T, out=cache.buffer(("g_s", 0), s0.shape))
+            g_c = np.matmul(g_l, wh.T, out=cache.buffer(("g_c", 0), s0.shape))
         elif bundle:  # li == 0
             dw += dw0 if t is not None else g_to[:d_in].sum(axis=1)
         if li > 0 or input_cotangent:

@@ -6,12 +6,15 @@ The network maps (xi_1 .. xi_k, t) to a scalar.  Training minimizes
   + omega_d * mean((prediction - target)^2 over data points)
 
 with full-batch Adam.  The residual is the expression `pde.residual`
-evaluates, in the same operation order.  Its parameter gradient flows
-through the network's input derivatives: the cotangents dL/du, dL/dJ and
-dL/dH are closed-form in the residual and go through `neural.grad`, the
-reverse pass of the derivative bundle.  Terminal/initial conditions are not
-a separate loss term: they enter through data rows on the corresponding
-time face.
+evaluates, but not in its operation order: the derivative bundle of
+`neural.derivatives_batch`, weighted 1/2 diag on the k feature inputs and
+not on time, yields the diffusion term 1/2 diag . hess u as one channel L,
+so the two agree to rounding, not bitwise.  `physics_loss` computes the
+training expression.  The parameter gradient flows through the network's
+input derivatives: the cotangents of u, J and L are closed-form in the
+residual and go through `neural.grad`, the reverse pass of the bundle.
+Terminal/initial conditions are not a separate loss term: they enter
+through data rows on the corresponding time face.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from .neural import (
     grad,
     param_count,
 )
-from .pde import PdeProblem, residual as pde_residual
+from .pde import PdeProblem
 
 __all__ = [
     "PinnConfig",
@@ -171,14 +174,8 @@ def physics_loss(net: DenseNetwork, problem: PdeProblem,
         )
     if len(colloc) == 0:
         raise ConfigError("collocation set is empty")
-    k = problem.k
-
-    def candidate(xi, tt):
-        u, jac, hess = derivatives_batch(net, np.column_stack([xi, tt]))
-        return (u[:, 0], jac[:, k, 0], jac[:, :k, 0], hess[:, :k, 0])
-
-    res = pde_residual(problem, candidate, colloc.xi, colloc.t)
-    res = np.atleast_1d(res)
+    res = _residual(net, problem, colloc.inputs(),
+                    _coefficients(problem, colloc.xi))[0]
     return float(np.mean(res * res))
 
 
@@ -188,6 +185,31 @@ def data_loss(net: DenseNetwork, data: TrainingDataset) -> float:
         raise ConfigError("training dataset is empty")
     pred = forward(net, data.inputs())[:, 0]
     return float(np.mean((pred - data.target) ** 2))
+
+
+def _coefficients(problem: PdeProblem, xi):
+    """(drift, diffusion diagonal, reaction) of ``problem`` at ``xi``."""
+    return (
+        np.asarray(problem.drift(xi), dtype=np.float64),
+        np.asarray(problem.diffusion_diag(xi), dtype=np.float64),
+        np.asarray(problem.reaction(xi), dtype=np.float64),
+    )
+
+
+def _residual(net, problem, inputs, coeffs, cache=None):
+    """(residual, u, J) of the network at the (xi, t) rows ``inputs``.
+
+    The bundle's weighted Hessian trace, with weights 1/2 diag on the k
+    feature inputs and none on time, is the diffusion term
+    1/2 diag . hess u itself.
+    """
+    k = problem.k
+    drift, diag, react = coeffs
+    u, jac, diffusion = derivatives_batch(net, inputs, 0.5 * diag, cache)
+    transport = (drift * jac[:, :k, 0]).sum(axis=1) + diffusion[:, 0]
+    if problem.kind == "value":
+        return react * u[:, 0] - jac[:, k, 0] - transport, u, jac
+    return jac[:, k, 0] - transport, u, jac
 
 
 def _loss_and_grad(net, problem, colloc_inputs, coeffs, data_inputs,
@@ -203,14 +225,7 @@ def _loss_and_grad(net, problem, colloc_inputs, coeffs, data_inputs,
     lp = ld = 0.0
     res = diff = None
     if colloc_inputs is not None:
-        u, jac, hess = derivatives_batch(net, colloc_inputs, cache_p)
-        drift, diag, react = coeffs
-        transport = ((drift * jac[:, :k, 0]).sum(axis=1)
-                     + 0.5 * (diag * hess[:, :k, 0]).sum(axis=1))
-        if problem.kind == "value":
-            res = react * u[:, 0] - jac[:, k, 0] - transport
-        else:
-            res = jac[:, k, 0] - transport
+        res, u, jac = _residual(net, problem, colloc_inputs, coeffs, cache_p)
         lp = float(np.mean(res * res))
     if data_inputs is not None:
         diff = forward(net, data_inputs, cache_d)[:, 0] - targets
@@ -220,19 +235,18 @@ def _loss_and_grad(net, problem, colloc_inputs, coeffs, data_inputs,
 
     g = np.zeros_like(net.theta)
     if res is not None:
-        # residual = [r u] +- u_t - sum_i (drift_i J_i + diag_i H_i / 2)
+        # residual = [r u] +- u_t - sum_i drift_i J_i - L
         g_res = (2.0 * omega_p / res.size) * res
+        drift, _, react = coeffs
         g_u = np.zeros_like(u)
         g_jac = np.zeros_like(jac)
-        g_hess = np.zeros_like(hess)
         g_jac[:, :k, 0] = -g_res[:, None] * drift
-        g_hess[:, :k, 0] = -0.5 * g_res[:, None] * diag
         if problem.kind == "value":
             g_u[:, 0] = g_res * react
             g_jac[:, k, 0] = -g_res
         else:
             g_jac[:, k, 0] = g_res
-        g += grad(net, cache_p, g_u, g_jac, g_hess)[0]
+        g += grad(net, cache_p, g_u, g_jac, -g_res[:, None])[0]
     if diff is not None:
         g_pred = (2.0 * omega_d / diff.size) * diff
         g += grad(net, cache_d, g_pred[:, None])[0]
@@ -286,15 +300,8 @@ def train(problem: PdeProblem, data: Optional[TrainingDataset],
     net = DenseNetwork.init((k + 1, *cfg.widths, 1), cfg.seed)
     adam = AdamState.init(param_count(net.widths))
 
-    def coeffs_at(cset):
-        return (
-            np.asarray(problem.drift(cset.xi), dtype=np.float64),
-            np.asarray(problem.diffusion_diag(cset.xi), dtype=np.float64),
-            np.asarray(problem.reaction(cset.xi), dtype=np.float64),
-        )
-
     colloc_inputs = colloc.inputs() if use_phys else None
-    coeffs = coeffs_at(colloc) if use_phys else None
+    coeffs = _coefficients(problem, colloc.xi) if use_phys else None
     full_data_inputs = data.inputs() if use_data else None
     full_targets = data.target if use_data else None
 
@@ -317,7 +324,7 @@ def train(problem: PdeProblem, data: Optional[TrainingDataset],
                 cfg.seed + epoch
             )
             colloc_inputs = colloc.inputs()
-            coeffs = coeffs_at(colloc)
+            coeffs = _coefficients(problem, colloc.xi)
         if batch_gen is not None:
             idx = batch_gen.choice(len(data), size=cfg.batch_size,
                                    replace=False)

@@ -437,7 +437,7 @@ def feature_map_from_encoder(encoder: DenseNetwork) -> FeatureMap:
 
     def grad_p(xb):
         xb = np.atleast_2d(np.asarray(xb, dtype=np.float64))
-        _, jac, _ = derivatives_batch(encoder, xb)
+        _, jac, _ = derivatives_batch(encoder, xb, np.empty((len(xb), 0)))
         return np.swapaxes(jac, 1, 2)  # (N, k, n)
 
     # the Hessian is a central difference of the exact gradient; not marked

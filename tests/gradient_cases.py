@@ -220,15 +220,23 @@ class DerivativeBundle:
 
 
 def forward_with_derivatives(net: DenseNetwork, x) -> DerivativeBundle:
-    """Value, input Jacobian and per-input second derivatives at one point."""
+    """Value, input Jacobian and per-input second derivatives at one point.
+
+    Input i's second derivatives are the bundle's weighted Hessian trace L
+    with one-hot weights on input i.
+    """
     xv = np.asarray(x, dtype=np.float64)
     if xv.ndim != 1:
         raise ValueError("forward_with_derivatives expects a single vector")
-    u, jac, hess = derivatives_batch(net, xv.reshape(1, -1))
+    row = xv.reshape(1, -1)
+    u, jac, _ = derivatives_batch(net, row, np.empty((1, 0)))
+    one_hot = np.eye(net.d_in)
+    hess = [derivatives_batch(net, row, one_hot[i:i + 1])[2][0]
+            for i in range(net.d_in)]
     return DerivativeBundle(
         value=u[0],
         input_jacobian=jac[0].T.copy(),
-        input_hessian_diag=hess[0].T.copy(),
+        input_hessian_diag=np.stack(hess, axis=1),
     )
 
 

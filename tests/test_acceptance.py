@@ -46,10 +46,10 @@ SAFETY_MC_BIAS = 0.01
 N_FULL_1000D = 500
 N_BENCH_FULL = 100
 # Relative-L1 error of the PINN against Riccati on the [1,2]^2 surface at
-# t = 0.5; recorded 9.08%, the same bytes at one and two BLAS threads.
+# t = 0.5; recorded 9.11%, the same bytes at one and two BLAS threads.
 PINN_MAX_PCT = 12.0
 # The same error at each later data time t = 0.6, ..., 1.5; recorded at
-# most 7.75% (t = 0.6).
+# most 7.78% (t = 0.6).
 PINN_PROFILE_MAX_PCT = 10.0
 # Relative-L1 error of the autoencoder's cost reconstruction on the state
 # grid; recorded 14.9%.

@@ -602,6 +602,19 @@ def _checkpoint_file(tmp_path, kind):
          {"preset": "feature-ae-3d",
           "ae": {"encoder_init": "@no_theta", "decoder_init": "@no_theta"}},
          "ae.encoder_init"),
+        # network widths: a list of positive integers
+        ("train-pinn", {"preset": "lq-scalar", "pinn": {"widths": [0]}},
+         "pinn.widths"),
+        ("train-pinn", {"preset": "lq-scalar", "pinn": {"widths": [-3]}},
+         "pinn.widths"),
+        ("train-pinn", {"preset": "lq-scalar", "pinn": {"widths": 32}},
+         "pinn.widths"),
+        ("train-features",
+         {"preset": "feature-ae-3d", "ae": {"encoder_hidden": 10}},
+         "ae.encoder_hidden"),
+        ("train-features",
+         {"preset": "feature-ae-3d", "ae": {"encoder_hidden": [0]}},
+         "ae.encoder_hidden"),
     ],
 )
 def test_bad_config_values_name_their_key(command, cfg, key, tmp_path):

@@ -80,7 +80,7 @@ def test_forward_single_affine_layer_exact():
 def test_forward_matches_bundle_value_bitwise():
     net = DenseNetwork.init((2, 8, 8, 1), seed=4)
     x = np.random.default_rng(5).normal(size=(6, 2))
-    u, _, _ = derivatives_batch(net, x)
+    u, _, _ = derivatives_batch(net, x, np.ones((6, 2)))
     assert np.array_equal(forward(net, x), u)
 
 
@@ -131,6 +131,39 @@ def test_random_net_derivatives_match_central_differences():
             assert_close(b.input_hessian_diag[0, i], h_fd, rel=1e-4, abs_=1e-5)
 
 
+@pytest.mark.parametrize("widths", [(2, 5, 1), (3, 6, 5, 2), (4, 7, 7, 7, 1),
+                                    (3, 2)])
+def test_weighted_trace_matches_central_differences(widths):
+    # L = sum_{i < m} w_i d^2 u / dx_i^2 with weights that differ per row,
+    # for no weighted input, some and all of them
+    net = random_net(widths, seed=sum(widths))
+    rng = np.random.default_rng(len(widths))
+    bsz, d_in = 6, widths[0]
+    x = rng.normal(size=(bsz, d_in))
+    f0 = forward(net, x)
+    second = np.empty((d_in, bsz, widths[-1]))
+    for i in range(d_in):
+        h = 1e-4 * (1.0 + np.abs(x[:, i:i + 1]))
+        e = np.zeros_like(x)
+        e[:, i:i + 1] = h
+        second[i] = (forward(net, x + e) - 2.0 * f0 + forward(net, x - e)) / (
+            h * h)
+    for m in range(d_in + 1):
+        w = rng.uniform(-1.0, 2.0, size=(bsz, m))
+        u, _, lap = derivatives_batch(net, x, w)
+        assert lap.shape == u.shape
+        expected = np.einsum("bi,ibo->bo", w, second[:m])
+        assert_close(lap, expected, rel=1e-4, abs_=1e-5)
+
+
+def test_bundle_rejects_weights_of_another_shape():
+    net = random_net((2, 4, 1), seed=1)
+    x = np.ones((3, 2))
+    for w in (np.ones((3, 3)), np.ones((2, 1)), np.ones(3)):
+        with pytest.raises(ValueError):
+            derivatives_batch(net, x, w)
+
+
 def test_bundle_orientation_d_out_by_d_in():
     net = DenseNetwork.init((3, 6, 2), seed=2)
     b = forward_with_derivatives(net, np.zeros(3))
@@ -148,23 +181,23 @@ def random_net(widths, seed):
     return DenseNetwork(widths, 0.6 * rng.normal(size=param_count(widths)))
 
 
-def bundle_loss(x, a, bj, bh):
-    """A scalar loss of (u, J, H) with nonlinear terms in each, and its
-    cotangents; ``bj``/``bh`` None drop the J/H terms."""
+def bundle_loss(x, weights, a, bj, bl):
+    """A scalar loss of (u, J, L) with nonlinear terms in each, and its
+    cotangents; ``bj``/``bl`` None drop the J/L terms."""
 
     def loss(net):
-        u, jac, hess = derivatives_batch(net, x)
+        u, jac, lap = derivatives_batch(net, x, weights)
         val = np.sum(a * u) + 0.5 * np.sum(u * u)
         if bj is not None:
             val += np.sum(bj * jac) + 0.3 * np.sum(jac * jac)
-        if bh is not None:
-            val += np.sum(bh * hess) + 0.2 * np.sum(hess * hess)
+        if bl is not None:
+            val += np.sum(bl * lap) + 0.2 * np.sum(lap * lap)
         return val
 
-    def cotangents(u, jac, hess):
+    def cotangents(u, jac, lap):
         g_j = None if bj is None else bj + 0.6 * jac
-        g_h = None if bh is None else bh + 0.4 * hess
-        return a + u, g_j, g_h
+        g_l = None if bl is None else bl + 0.4 * lap
+        return a + u, g_j, g_l
 
     return loss, cotangents
 
@@ -173,31 +206,35 @@ def bundle_loss(x, a, bj, bh):
                                     (4, 5, 5, 5, 3)])
 @pytest.mark.parametrize("terms", ["u", "uJ", "uH", "uJH"])
 def test_adjoint_matches_fd_on_random_nets(widths, terms):
+    # "H" is the weighted Hessian trace L, with per-row weights on the
+    # first m inputs for every m from 0 to d_in
     net = random_net(widths, seed=len(widths) * 10 + widths[-1])
     rng = np.random.default_rng(sum(widths))
     bsz, d_in, d_out = 5, widths[0], widths[-1]
     x = rng.normal(size=(bsz, d_in))
     a = rng.normal(size=(bsz, d_out))
     bj = rng.normal(size=(bsz, d_in, d_out)) if "J" in terms else None
-    bh = rng.normal(size=(bsz, d_in, d_out)) if "H" in terms else None
-    loss, cotangents = bundle_loss(x, a, bj, bh)
+    bl = rng.normal(size=(bsz, d_out)) if "H" in terms else None
+    for m in range(d_in + 1):
+        weights = rng.uniform(-1.0, 2.0, size=(bsz, m))
+        loss, cotangents = bundle_loss(x, weights, a, bj, bl)
 
-    cache = Workspace()
-    bundle = derivatives_batch(net, x, cache)
-    g, g_x = grad(net, cache, *cotangents(*bundle), input_cotangent=True)
-    assert_close(g, grad_params(net, loss), rel=1e-4, abs_=1e-7)
+        cache = Workspace()
+        bundle = derivatives_batch(net, x, weights, cache)
+        g, g_x = grad(net, cache, *cotangents(*bundle), input_cotangent=True)
+        assert_close(g, grad_params(net, loss), rel=1e-4, abs_=1e-7)
 
-    # the input cotangent, by central differences in each input entry
-    g_x_fd = np.empty_like(x)
-    for idx in np.ndindex(*x.shape):
-        h = 1e-6 * (1.0 + abs(x[idx]))
-        xp, xm = x.copy(), x.copy()
-        xp[idx] += h
-        xm[idx] -= h
-        lp = bundle_loss(xp, a, bj, bh)[0](net)
-        lm = bundle_loss(xm, a, bj, bh)[0](net)
-        g_x_fd[idx] = (lp - lm) / (2.0 * h)
-    assert_close(g_x, g_x_fd, rel=1e-4, abs_=1e-7)
+        # the input cotangent, by central differences in each input entry
+        g_x_fd = np.empty_like(x)
+        for idx in np.ndindex(*x.shape):
+            h = 1e-6 * (1.0 + abs(x[idx]))
+            xp, xm = x.copy(), x.copy()
+            xp[idx] += h
+            xm[idx] -= h
+            lp = bundle_loss(xp, weights, a, bj, bl)[0](net)
+            lm = bundle_loss(xm, weights, a, bj, bl)[0](net)
+            g_x_fd[idx] = (lp - lm) / (2.0 * h)
+        assert_close(g_x, g_x_fd, rel=1e-4, abs_=1e-7)
 
 
 def test_adjoint_rejects_bundle_cotangents_on_plain_cache():
@@ -213,9 +250,9 @@ def test_grad_params_constant_loss_zero():
     net = random_net((2, 4, 1), seed=1)
     x = np.random.default_rng(2).normal(size=(4, 2))
     cache = Workspace()
-    u, jac, hess = derivatives_batch(net, x, cache)
+    u, jac, lap = derivatives_batch(net, x, np.ones((4, 2)), cache)
     g, g_x = grad(net, cache, np.zeros_like(u), np.zeros_like(jac),
-                  np.zeros_like(hess), input_cotangent=True)
+                  np.zeros_like(lap), input_cotangent=True)
     assert np.all(g == 0.0) and np.all(g_x == 0.0)
     assert np.all(grad_params(net, lambda n: 3.0) == 0.0)
 
@@ -236,15 +273,15 @@ def test_grad_params_sum_of_squares():
 
 def test_grad_of_unused_leaf_is_zero():
     # the loss reads output 0 only: the output weights and bias of output 1
-    # get exactly zero gradient, also through the J/H cotangents
+    # get exactly zero gradient, also through the J/L cotangents
     net = random_net((2, 4, 2), seed=6)
     x = np.random.default_rng(7).normal(size=(5, 2))
     cache = Workspace()
-    u, jac, hess = derivatives_batch(net, x, cache)
-    g_u, g_j, g_h = (np.zeros_like(u), np.zeros_like(jac),
-                     np.zeros_like(hess))
-    g_u[:, 0], g_j[:, :, 0], g_h[:, :, 0] = 1.0, 0.5, -0.25
-    g, _ = grad(net, cache, g_u, g_j, g_h)
+    u, jac, lap = derivatives_batch(net, x, np.ones((5, 2)), cache)
+    g_u, g_j, g_l = (np.zeros_like(u), np.zeros_like(jac),
+                     np.zeros_like(lap))
+    g_u[:, 0], g_j[:, :, 0], g_l[:, 0] = 1.0, 0.5, -0.25
+    g, _ = grad(net, cache, g_u, g_j, g_l)
     w_out, b_out = net.layer_views(g)[-1]
     assert np.all(w_out[:, 1] == 0.0) and b_out[1] == 0.0
     assert np.all(w_out[:, 0] != 0.0)
@@ -257,22 +294,22 @@ def test_grad_params_matches_fd_on_random_nets():
         net = DenseNetwork.init(widths, seed=int(rng.integers(1e6)))
         x = rng.normal(size=(4, 2))
         y = rng.normal(size=4)
+        # L with one-hot weights is input 1's second derivative
+        one_hot = np.tile([0.0, 1.0], (4, 1))
 
         def loss(n):
-            u, jac, hess = derivatives_batch(n, x)
-            res = u[:, 0] - y + 0.3 * jac[:, 0, 0] + 0.1 * hess[:, 1, 0]
+            u, jac, h11 = derivatives_batch(n, x, one_hot)
+            res = u[:, 0] - y + 0.3 * jac[:, 0, 0] + 0.1 * h11[:, 0]
             return np.mean(res * res)
 
         cache = Workspace()
-        u, jac, hess = derivatives_batch(net, x, cache)
-        res = u[:, 0] - y + 0.3 * jac[:, 0, 0] + 0.1 * hess[:, 1, 0]
+        u, jac, h11 = derivatives_batch(net, x, one_hot, cache)
+        res = u[:, 0] - y + 0.3 * jac[:, 0, 0] + 0.1 * h11[:, 0]
         g_res = 2.0 * res / res.size
-        g_u, g_j, g_h = (np.zeros_like(u), np.zeros_like(jac),
-                         np.zeros_like(hess))
+        g_u, g_j = np.zeros_like(u), np.zeros_like(jac)
         g_u[:, 0] = g_res
         g_j[:, 0, 0] = 0.3 * g_res
-        g_h[:, 1, 0] = 0.1 * g_res
-        g, _ = grad(net, cache, g_u, g_j, g_h)
+        g, _ = grad(net, cache, g_u, g_j, 0.1 * g_res[:, None])
         assert_close(g, grad_params(net, loss), rel=1e-4, abs_=1e-7)
 
 
@@ -283,7 +320,7 @@ def test_derivative_tower_consistency():
     g_u = np.full((6, 1), 1.0 / 6.0)
     c_forward, c_bundle = Workspace(), Workspace()
     forward(net, x, c_forward)
-    derivatives_batch(net, x, c_bundle)
+    derivatives_batch(net, x, np.ones((6, 2)), c_bundle)
     assert_close(grad(net, c_forward, g_u)[0], grad(net, c_bundle, g_u)[0],
                  rel=1e-12)
 
@@ -305,11 +342,13 @@ def _warm_peak(step):
 def test_workspace_returns_the_bundle_in_the_same_buffers():
     net = random_net((3, 6, 4, 2), seed=2)
     rng = np.random.default_rng(3)
+    weights = rng.uniform(size=(5, 2))
     ws = Workspace()
-    first = derivatives_batch(net, rng.normal(size=(5, 3)), ws)
+    first = derivatives_batch(net, rng.normal(size=(5, 3)), weights, ws)
     x = rng.normal(size=(5, 3))
-    second = derivatives_batch(net, x, ws)
-    for a, b, fresh in zip(first, second, derivatives_batch(net, x)):
+    second = derivatives_batch(net, x, weights, ws)
+    for a, b, fresh in zip(first, second,
+                           derivatives_batch(net, x, weights)):
         assert np.shares_memory(a, b)
         assert np.array_equal(b, fresh)
     g_x = grad(net, ws, *second, input_cotangent=True)[1]

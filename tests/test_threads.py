@@ -42,14 +42,16 @@ print(json.dumps(out))
 """
 
 # (m, n) of every batch sum the preset networks run: PINN (3, 32, 32, 32, 1)
-# with its rank-one first layer (32 x 3*32), encoder (3, 100, 10, 2) with
-# (100 x 3*10), decoder (2, 10, 100, 1); then square layers up to 128
-_WIDTHS = [(3, 32), (32, 32), (32, 96), (32, 1), (3, 100), (100, 10),
-           (100, 30), (10, 2), (2, 10), (10, 100), (100, 1), (64, 64),
-           (100, 100), (128, 128)]
-# batch rows: PINN data and collocation, autoencoder batch and probes, and
-# the channel-major (2 d_in B) stacks of both
-_ROWS = [200, 600, 726, 1000, 3600, 6000, 36000]
+# with its rank-one first layer (32 x 3*32 for J, 32 x 2*32 for the two
+# weighted inputs of L), encoder (3, 100, 10, 2) with (100 x 3*10), decoder
+# (2, 10, 100, 1); then square layers up to 128
+_WIDTHS = [(3, 32), (32, 32), (32, 96), (32, 64), (32, 1), (3, 100),
+           (100, 10), (100, 30), (10, 2), (2, 10), (10, 100), (100, 1),
+           (64, 64), (100, 100), (128, 128)]
+# batch rows: PINN data and collocation, autoencoder batch and probes, the
+# channel-major ((d_in + 1) B) stacks of both, 2400 and 24000, and 3600 and
+# 36000 rows besides
+_ROWS = [200, 600, 726, 1000, 2400, 3600, 6000, 24000, 36000]
 _SHAPES = [(rows, m, n) for m, n in _WIDTHS for rows in _ROWS
            if rows * m * n <= 4e7]
 
