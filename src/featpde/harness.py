@@ -1,13 +1,18 @@
 """Experiment runner: validated configs, one route per estimator, CSV
 artifacts.
 
-A run is described by a single YAML file (nested key/value sections; unknown
+A run is described by a single YAML file of nested key/value sections.
+``_SCHEMA`` gives every key its kind, its bound and its constant default,
+if it has one.  ``validate_config`` converts and checks every given value
+once, at load, and an error names the ``section.key`` at fault: unknown
 keys are errors, so typos fail loudly instead of silently falling back to
-defaults).  Every command writes its tables plus a ``run.json`` holding the
-fully resolved configuration and seed; re-running from that file reproduces
-the artifacts byte-for-byte.  All file writes go through a
-write-temp-then-rename helper so concurrent runs never observe half-written
-artifacts.
+defaults; bool keys take only true or false; int keys take only whole
+numbers.  ``ExperimentConfig.typed`` holds the converted values, so the
+commands convert nothing.  Every command writes its tables plus a
+``run.json`` holding the fully resolved configuration and seed; re-running
+from that file reproduces the artifacts byte-for-byte.  All file writes go
+through a write-temp-then-rename helper so concurrent runs never observe
+half-written artifacts.
 
 ``ROUTES`` is the one table of estimators.  A route's ``rows(xc, points,
 times, mc)`` returns the ``McGrid`` of the config's task on the given rows,
@@ -24,7 +29,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -58,7 +63,6 @@ from .sde import SimConfig, ZeroPolicy, simulate, simulate_reduced
 
 __all__ = [
     "ExperimentConfig",
-    "BenchmarkSpec",
     "ROUTES",
     "load_config",
     "validate_config",
@@ -93,181 +97,17 @@ def _write_text(path: str, text: str) -> str:
 
 
 # ---------------------------------------------------------------------------
-# config schema
-
-
-_EVAL_KEYS = {"domain", "step", "time", "points"}
-_MC_KEYS = {"dt", "n_paths"}
-_FD_KEYS = {"dxi", "dt", "save_every", "domain"}
-_PINN_KEYS = {
-    "omega_p",
-    "omega_d",
-    "n_domain",
-    "epochs",
-    "lr",
-    "widths",
-    "batch_size",
-    "log_every",
-    "resample_collocation",
-    "data_source",
-    "data_path",
-    "checkpoint",
-}
-_AE_KEYS = {
-    "w_rc",
-    "w_ct",
-    "k",
-    "d",
-    "epochs",
-    "iterations",
-    "batch_size",
-    "lr",
-    "encoder_hidden",
-    "n_states",
-    "encoder_init",
-    "decoder_init",
-}
-_DATASET_KEYS = {"source", "domain", "step", "times", "se_ceiling", "dt",
-                 "n_paths"}
-_BENCH_KEYS = {"estimators", "n_samples", "metric", "oracle", "repetitions",
-               "points", "time", "dt"}
-_SIM_KEYS = {"kind", "x0", "xi0", "dt", "horizon", "n_paths", "t0"}
-_INLINE_KEYS = {"alpha", "beta_slope", "ranges", "r_scale", "terminal_weight",
-                "horizon", "task"}
-_REDUCTION_KEYS = {"alpha", "beta_slope", "ranges", "encoder_checkpoint",
-                   "state_domain", "n_states", "n_levels"}
-
-_SCHEMA = {
-    "preset": None,
-    "inline": _INLINE_KEYS,
-    "task": None,
-    "estimator": None,
-    "seed": None,
-    "out": None,
-    "eval": _EVAL_KEYS,
-    "mc": _MC_KEYS,
-    "fd": _FD_KEYS,
-    "pinn": _PINN_KEYS,
-    "ae": _AE_KEYS,
-    "dataset": _DATASET_KEYS,
-    "benchmark": _BENCH_KEYS,
-    "sim": _SIM_KEYS,
-    "reduction": _REDUCTION_KEYS,
-}
-
-
-def validate_config(cfg: dict) -> dict:
-    """Strict-schema check; returns the config unchanged on success."""
-    if not isinstance(cfg, dict):
-        raise ConfigError("config root must be a mapping")
-    for key, sub in cfg.items():
-        if key not in _SCHEMA:
-            raise ConfigError(f"unknown config key {key!r}")
-        allowed = _SCHEMA[key]
-        if allowed is None:
-            continue
-        if not isinstance(sub, dict):
-            raise ConfigError(f"config section {key!r} must be a mapping")
-        for name in sub:
-            if name not in allowed:
-                raise ConfigError(f"unknown config key '{key}.{name}'")
-    if "preset" in cfg and cfg["preset"] not in preset_names():
-        raise ConfigError(
-            f"unknown preset {cfg['preset']!r}; available: "
-            f"{', '.join(preset_names())}"
-        )
-    if "preset" in cfg and "inline" in cfg:
-        raise ConfigError("give either 'preset' or 'inline', not both")
-    est = cfg.get("estimator")
-    if est is not None and est not in ROUTES:
-        raise ConfigError(
-            f"unknown estimator {est!r}; one of {', '.join(ROUTES)}"
-        )
-    task = cfg.get("task")
-    if task is not None and task not in ("value", "safety"):
-        raise ConfigError(f"task must be 'value' or 'safety', got {task!r}")
-    red = cfg.get("reduction")
-    if red is not None:
-        analytic = {"alpha", "beta_slope"} & set(red)
-        learned = "encoder_checkpoint" in red
-        if analytic and learned:
-            raise ConfigError(
-                "reduction: give analytic alpha/beta_slope or an "
-                "encoder_checkpoint, not both"
-            )
-        if learned and not os.path.exists(red["encoder_checkpoint"]):
-            raise ConfigError(
-                f"reduction.encoder_checkpoint does not exist: "
-                f"{red['encoder_checkpoint']}"
-            )
-    return cfg
-
-
-def load_config(path: str) -> dict:
-    try:
-        with open(path) as fh:
-            cfg = yaml.safe_load(fh)
-    except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}") from None
-    except yaml.YAMLError as exc:
-        raise ConfigError(f"config file {path} is not valid YAML: {exc}") from None
-    return validate_config(cfg if cfg is not None else {})
-
-
-# ---------------------------------------------------------------------------
 # resolution: config dict -> concrete objects
-
-
-def _intervals(rows, key: str) -> list:
-    """The rows of config entry ``key`` as (lo, hi) float pairs."""
-    try:
-        return [(float(lo), float(hi)) for lo, hi in rows]
-    except (TypeError, ValueError):
-        raise ConfigError(f"{key} rows must be [lo, hi] pairs") from None
-
-
-def _num(value, key: str, kind=float, positive: bool = False):
-    """Config entry ``key``'s ``value`` as a ``kind``; a value that does not
-    convert, or is not positive where it must be, raises a ConfigError
-    naming ``key``."""
-    try:
-        out = kind(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{key} must be a number, got {value!r}") from None
-    if positive and not out > 0:
-        raise ConfigError(f"{key} must be positive, got {value!r}")
-    return out
-
-
-def _widths(value, key: str) -> tuple:
-    """Config entry ``key``'s hidden widths: a nonempty list of positive
-    integers, else a ConfigError naming ``key``."""
-    if not isinstance(value, (list, tuple)) or not value:
-        raise ConfigError(f"{key} must be a list of positive widths, "
-                          f"got {value!r}")
-    return tuple(_num(w, key, int, positive=True) for w in value)
-
-
-def _checkpoint(path, key: str) -> DenseNetwork:
-    """The network in config entry ``key``'s checkpoint file ``path``; a
-    missing, unreadable or malformed file raises a ConfigError naming
-    ``key``."""
-    if not isinstance(path, str) or not os.path.exists(path):
-        raise ConfigError(f"{key} does not exist: {path}")
-    try:
-        return load_checkpoint(path)[0]
-    except (OSError, KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(
-            f"{key} is not a valid checkpoint: {path} ({exc!r})") from None
 
 
 def _axes(domain, step: float, section: str) -> list:
     """Nodes at spacing ``step`` on each (lo, hi) of ``domain``, the
     ``section``.domain and .step of the config; every interval must be a
     whole number of cells."""
-    step = _num(step, f"{section}.step", positive=True)
+    if domain is None:
+        raise ConfigError(f"{section}.domain is required for this preset")
     axes = []
-    for lo, hi in _intervals(domain, f"{section}.domain"):
+    for lo, hi in domain:
         n = round((hi - lo) / step)
         if n < 1 or abs(lo + n * step - hi) > 1e-9 * max(1.0, abs(hi)):
             raise ConfigError(
@@ -278,16 +118,13 @@ def _axes(domain, step: float, section: str) -> list:
     return axes
 
 
-def _inline_preset(inline: dict) -> Preset:
-    for req in ("alpha", "beta_slope", "ranges", "horizon"):
-        if req not in inline:
-            raise ConfigError(f"inline.{req} is required")
-    alpha_c = [_num(a, "inline.alpha") for a in inline["alpha"]]
-    slope = [_num(b, "inline.beta_slope") for b in inline["beta_slope"]]
-    ranges = _intervals(inline["ranges"], "inline.ranges")
+def _analytic_reduced(section: str, alpha_c, slope, ranges):
+    """The reduced SDE of config section ``section``: constant diffusion
+    coefficients ``alpha_c`` and linear drifts of slopes ``slope`` on
+    ``ranges``."""
     if not (len(alpha_c) == len(slope) == len(ranges)):
         raise ConfigError(
-            "inline.alpha, beta_slope and ranges must have equal length"
+            f"{section}.alpha, beta_slope and ranges must have equal length"
         )
     alpha = [
         (lambda c: lambda s: np.full_like(
@@ -298,10 +135,17 @@ def _inline_preset(inline: dict) -> Preset:
         (lambda m: lambda s: m * np.asarray(s, dtype=np.float64))(m)
         for m in slope
     ]
-    r_scale = _num(inline.get("r_scale", 0.5), "inline.r_scale")
-    horizon = _num(inline["horizon"], "inline.horizon")
-    terminal_weight = _num(inline.get("terminal_weight", 1.0),
-                           "inline.terminal_weight")
+    return build_reduced_sde(alpha, beta, ranges)
+
+
+def _inline_preset(inline: dict) -> Preset:
+    for req in ("alpha", "beta_slope", "ranges", "horizon"):
+        if req not in inline:
+            raise ConfigError(f"inline.{req} is required")
+    alpha_c, slope = inline["alpha"], inline["beta_slope"]
+    ranges, horizon = inline["ranges"], inline["horizon"]
+    r_scale, terminal_weight = inline["r_scale"], inline["terminal_weight"]
+    reduced = _analytic_reduced("inline", alpha_c, slope, ranges)
     k = len(alpha_c)
     # constant alpha + linear beta + quadratic r is exactly the
     # linear-quadratic form, so the Riccati reference is always available
@@ -314,10 +158,10 @@ def _inline_preset(inline: dict) -> Preset:
     )
     return Preset(
         name="inline",
-        task=str(inline.get("task", "value")),
+        task=inline["task"],
         horizon=horizon,
         k=k,
-        reduced=build_reduced_sde(alpha, beta, ranges),
+        reduced=reduced,
         r=_quad_r(r_scale),
         terminal_weight=terminal_weight,
         data_domain=ranges,
@@ -333,35 +177,30 @@ def _inline_preset(inline: dict) -> Preset:
     )
 
 
-def _reduced_from_encoder(system, red_cfg: dict, seed: int):
+def _reduced_from_encoder(system, red: dict, seed: int):
     """Tabulated reduced SDE of a learned encoder.
 
     Samples states from the declared box, evaluates the generator
     coefficients a_i, b_i of each learned feature, averages them over
     feature-value bins, and interpolates the bin means into callables.
     """
-    encoder = _checkpoint(red_cfg["encoder_checkpoint"],
-                          "reduction.encoder_checkpoint")
-    if "state_domain" not in red_cfg:
+    if "state_domain" not in red:
         raise ConfigError("reduction.state_domain is required with an "
                           "encoder checkpoint")
-    box = _intervals(red_cfg["state_domain"], "reduction.state_domain")
+    box = red["state_domain"]
     if len(box) != system.state_dim:
         raise ConfigError(
             f"reduction.state_domain lists {len(box)} intervals, system "
             f"has {system.state_dim} coordinates"
         )
-    n_states = _num(red_cfg.get("n_states", 1000), "reduction.n_states", int,
-                    positive=True)
-    n_levels = _num(red_cfg.get("n_levels", 16), "reduction.n_levels", int,
-                    positive=True)
+    n_states, n_levels = red["n_states"], red["n_levels"]
     gen = np.random.Generator(
         np.random.Philox(key=np.array([seed, 0x5EDC], dtype=np.uint64))
     )
     lo = np.array([ab[0] for ab in box])
     hi = np.array([ab[1] for ab in box])
     states = gen.uniform(lo, hi, (n_states, system.state_dim))
-    fm = feature_map_from_encoder(encoder)
+    fm = feature_map_from_encoder(red["encoder_checkpoint"])
     feats = fm.p(states)
     nominal = ZeroPolicy(system.control_dim)
     alpha, beta, ranges = [], [], []
@@ -397,15 +236,26 @@ def _reduced_from_encoder(system, red_cfg: dict, seed: int):
     return build_reduced_sde(alpha, beta, ranges), fm
 
 
+def _with_section(base, values: dict, seed: int):
+    """Library config ``base`` with ``seed`` and a config section's
+    ``values`` of its fields."""
+    names = {f.name for f in fields(base)}
+    return replace(base, seed=seed,
+                   **{k: v for k, v in values.items() if k in names})
+
+
 @dataclass
 class ExperimentConfig:
     """A validated config resolved against its preset.
 
     ``raw`` is the merged, JSON-serializable dictionary embedded in
-    ``run.json``; the object fields are the live counterparts.
+    ``run.json``; ``typed`` is the same config converted by the schema, with
+    the constant defaults of absent keys; the object fields are the live
+    counterparts.
     """
 
     raw: dict
+    typed: dict
     preset: Preset
     task: str
     estimator: Optional[str]
@@ -415,119 +265,68 @@ class ExperimentConfig:
     @classmethod
     def resolve(cls, cfg: dict, out: Optional[str] = None,
                 seed: Optional[int] = None) -> "ExperimentConfig":
-        cfg = validate_config(dict(cfg))
+        typed = _typed_config(cfg)
         if "inline" in cfg:
-            preset = _inline_preset(cfg["inline"])
+            preset = _inline_preset(typed["inline"])
         elif "preset" in cfg:
-            preset = get_preset(cfg["preset"])
+            preset = get_preset(typed["preset"])
         else:
             raise ConfigError("config needs a 'preset' name or an 'inline' "
                               "system block")
-        red = cfg.get("reduction")
-        if red and {"alpha", "beta_slope"} <= set(red):
-            ranges = _intervals(red.get("ranges", preset.oracle_domain or []),
-                                "reduction.ranges")
-            preset.reduced = _inline_preset(
-                {
-                    "alpha": red["alpha"],
-                    "beta_slope": red["beta_slope"],
-                    "ranges": ranges,
-                    "horizon": preset.horizon or 1.0,
-                }
-            ).reduced
-        elif red and "encoder_checkpoint" in red:
+        red = typed["reduction"]
+        if {"alpha", "beta_slope"} <= red.keys():
+            preset.reduced = _analytic_reduced(
+                "reduction", red["alpha"], red["beta_slope"],
+                red.get("ranges", preset.oracle_domain or []))
+        elif "encoder_checkpoint" in red:
             if preset.system is None:
                 raise ConfigError(
                     "an encoder-checkpoint reduction needs a preset with a "
                     "full system"
                 )
+            # the config's own seed, before any override
             preset.reduced, preset.features = _reduced_from_encoder(
-                preset.system, red, _num(cfg.get("seed", 0), "seed", int)
-            )
-        task = cfg.get("task", preset.task)
+                preset.system, red, typed["seed"])
+        task = typed.get("task", preset.task)
         if task != preset.task and preset.name != "inline":
             raise ConfigError(
                 f"preset {preset.name!r} is a {preset.task} task, config "
                 f"says {task!r}"
             )
-        resolved_seed = _num(seed if seed is not None else cfg.get("seed", 0),
-                             "seed", int)
-        resolved_out = str(out if out is not None else cfg.get("out", "."))
+        for name, given in (("seed", seed), ("out", out)):
+            if given is not None:
+                typed[name] = _value(given, _SCHEMA[name], name)
         raw = dict(cfg)
-        raw["seed"] = resolved_seed
-        raw["out"] = resolved_out
+        raw["seed"] = typed["seed"]
+        raw["out"] = typed["out"]
         raw.setdefault("task", task)
         return cls(
             raw=raw,
+            typed=typed,
             preset=preset,
             task=task,
-            estimator=cfg.get("estimator"),
-            seed=resolved_seed,
-            out=resolved_out,
+            estimator=typed.get("estimator"),
+            seed=typed["seed"],
+            out=typed["out"],
         )
 
     # --- resolved sub-configs -------------------------------------------
 
     def mc_budget(self, section: str = "mc") -> tuple:
-        """(dt, n_paths, seed) of the sampled routes: the mc section over
-        config section ``section``'s dt and n_paths."""
-
-        def num(name, default, kind):
-            for where in ("mc", section):
-                values = self.raw.get(where, {})
-                if name in values:
-                    return _num(values[name], f"{where}.{name}", kind)
-            return default
-
-        return num("dt", 1e-3, float), num("n_paths", 10000, int), self.seed
+        """(dt, n_paths, seed) of the sampled routes: the mc section's dt
+        and n_paths where the config gives them, else config section
+        ``section``'s."""
+        given = self.raw.get("mc", {})
+        return tuple(self.typed["mc" if name in given else section][name]
+                     for name in ("dt", "n_paths")) + (self.seed,)
 
     def pinn_config(self) -> PinnConfig:
-        base = self.preset.pinn or PinnConfig()
-        over = self.raw.get("pinn", {})
-
-        def num(name, kind=float, positive=False):
-            return _num(over.get(name, getattr(base, name)), f"pinn.{name}",
-                        kind, positive)
-
-        unbatched = over.get("batch_size", base.batch_size) is None
-        return PinnConfig(
-            omega_p=num("omega_p"),
-            omega_d=num("omega_d"),
-            n_domain=num("n_domain", int),
-            epochs=num("epochs", int),
-            lr=num("lr"),
-            seed=self.seed,
-            widths=_widths(over.get("widths", base.widths), "pinn.widths"),
-            batch_size=(None if unbatched
-                        else num("batch_size", int, positive=True)),
-            log_every=num("log_every", int),
-            resample_collocation=bool(
-                over.get("resample_collocation", base.resample_collocation)
-            ),
-        )
+        return _with_section(self.preset.pinn or PinnConfig(),
+                             self.typed["pinn"], self.seed)
 
     def ae_config(self) -> AeTrainConfig:
-        base = self.preset.ae or AeTrainConfig()
-        over = dict(self.raw.get("ae", {}))
-
-        def num(name, kind=float):
-            return _num(over.get(name, getattr(base, name)), f"ae.{name}",
-                        kind)
-
-        return AeTrainConfig(
-            w_rc=num("w_rc"),
-            w_ct=num("w_ct"),
-            k=num("k", int),
-            d=num("d", int),
-            epochs=num("epochs", int),
-            iterations=num("iterations", int),
-            batch_size=num("batch_size", int),
-            lr=num("lr"),
-            seed=self.seed,
-            encoder_hidden=_widths(
-                over.get("encoder_hidden", base.encoder_hidden),
-                "ae.encoder_hidden"),
-        )
+        return _with_section(self.preset.ae or AeTrainConfig(),
+                             self.typed["ae"], self.seed)
 
     @property
     def default_time(self) -> float:
@@ -538,16 +337,15 @@ class ExperimentConfig:
 
     def eval_points(self):
         """Evaluation rows (points, time) from the eval section."""
-        ev = self.raw.get("eval", {})
-        t = _num(ev.get("time", self.default_time), "eval.time")
+        ev = self.typed["eval"]
+        t = ev.get("time", self.default_time)
         if "points" in ev:
             return self.points("eval", ev["points"]), t
         return nodes(self.eval_axes()), t
 
-    def points(self, section: str, rows) -> np.ndarray:
-        """The (P, k) points of ``section``.points; each row needs k
+    def points(self, section: str, pts: np.ndarray) -> np.ndarray:
+        """``section``.points, the (P, k) array ``pts``; each row needs k
         coordinates."""
-        pts = np.atleast_2d(np.asarray(rows, dtype=np.float64))
         if pts.shape[1] != self.preset.k:
             raise ConfigError(
                 f"{section}.points rows have {pts.shape[1]} coordinates, "
@@ -557,11 +355,9 @@ class ExperimentConfig:
 
     def eval_axes(self) -> list:
         """Axes of the eval section's tensor grid."""
-        ev = self.raw.get("eval", {})
-        domain = ev.get("domain", self.preset.data_domain)
-        if domain is None:
-            raise ConfigError("eval.domain is required for this preset")
-        return _axes(domain, ev.get("step", self.preset.data_step), "eval")
+        ev = self.typed["eval"]
+        return _axes(ev.get("domain", self.preset.data_domain),
+                     ev.get("step", self.preset.data_step), "eval")
 
 
 # ---------------------------------------------------------------------------
@@ -570,15 +366,12 @@ class ExperimentConfig:
 
 def _solve_oracle(xc: ExperimentConfig) -> FdSolution:
     """The FD solve of the preset's PDE with the fd section's settings."""
-    fd = xc.raw.get("fd", {})
+    fd = xc.typed["fd"]
     p = xc.preset
-    domain = _intervals(fd.get("domain", p.oracle_domain), "fd.domain")
-    return solve_fd(p.pde_problem(domain=domain),
-                    [_num(fd.get("dxi", p.oracle_dxi), "fd.dxi",
-                          positive=True)] * p.k,
-                    _num(fd.get("dt", p.oracle_dt), "fd.dt", positive=True),
-                    save_every=_num(fd.get("save_every", p.oracle_save_every),
-                                    "fd.save_every", int, positive=True))
+    return solve_fd(p.pde_problem(domain=fd.get("domain", p.oracle_domain)),
+                    [fd.get("dxi", p.oracle_dxi)] * p.k,
+                    fd.get("dt", p.oracle_dt),
+                    save_every=fd.get("save_every", p.oracle_save_every))
 
 
 def _sim(mc, horizon: float) -> SimConfig:
@@ -700,16 +493,12 @@ def _with_role(role: str) -> tuple:
 
 def _pinn_dataset(xc: ExperimentConfig) -> TrainingDataset:
     p = xc.preset
-    block = xc.raw.get("pinn", {})
-    source = block.get("data_source", "fd")
-    if source == "file":
+    block = xc.typed["pinn"]
+    if block["data_source"] == "file":
         if "data_path" not in block:
             raise ConfigError("pinn.data_path is required with "
                               "data_source: file")
         return load_dataset_csv(block["data_path"])
-    if source != "fd":
-        raise ConfigError(f"pinn.data_source must be 'fd' or 'file', got "
-                          f"{source!r}")
     times = p.data_times
     if p.train_window is not None:
         lo, hi = p.train_window
@@ -722,9 +511,8 @@ def _pinn_dataset(xc: ExperimentConfig) -> TrainingDataset:
 
 
 def _trained_or_loaded_net(xc: ExperimentConfig) -> DenseNetwork:
-    ckpt = xc.raw.get("pinn", {}).get("checkpoint")
-    if ckpt is not None:
-        net = _checkpoint(ckpt, "pinn.checkpoint")
+    net = xc.typed["pinn"].get("checkpoint")
+    if net is not None:
         if net.d_in != xc.preset.k + 1:
             raise ConfigError(
                 f"pinn.checkpoint takes {net.d_in} inputs, the preset needs "
@@ -733,6 +521,237 @@ def _trained_or_loaded_net(xc: ExperimentConfig) -> DenseNetwork:
         return net
     return train(xc.preset.pde_problem(), _pinn_dataset(xc),
                  xc.pinn_config()).net
+
+
+# ---------------------------------------------------------------------------
+# config schema
+#
+# Each key's spec is (kind, bound) or (kind, bound, default).  A kind is
+# float, int (a whole number), bool (YAML true or false), str, a tuple of
+# the allowed names, a list [kind] (a nonempty list of that kind, each item
+# meeting the bound), "intervals" ([lo, hi] rows), "points" (rows of
+# coordinates), "file" (an existing file) or "checkpoint" (a network
+# checkpoint file, loaded).  The bound of a number is _POS, _NONNEG or None.
+# An absent key takes its default; a default of None only lets the key be
+# null (pinn.batch_size: null is full-batch training, the other three mean
+# the key is unset).  Defaults that come from the preset are applied where
+# a value is read.
+
+_POS, _NONNEG = "positive", "nonnegative"
+_TASKS = ("value", "safety")
+
+_SCHEMA = {
+    "preset": (tuple(preset_names()), None),
+    "task": (_TASKS, None),
+    "estimator": (tuple(ROUTES), None, None),
+    "seed": (int, _NONNEG, 0),
+    "out": (str, None, "."),
+    "inline": {
+        "alpha": ([float], None),
+        "beta_slope": ([float], None),
+        "ranges": ("intervals", None),
+        "r_scale": (float, None, 0.5),
+        "terminal_weight": (float, None, 1.0),
+        "horizon": (float, _POS),
+        "task": (_TASKS, None, "value"),
+    },
+    "eval": {
+        "domain": ("intervals", None),
+        "step": (float, _POS),
+        "time": (float, None),
+        "points": ("points", None),
+    },
+    "mc": {"dt": (float, _POS, 1e-3), "n_paths": (int, _POS, 10000)},
+    "fd": {
+        "dxi": (float, _POS),
+        "dt": (float, _POS),
+        "save_every": (int, _POS),
+        "domain": ("intervals", None),
+    },
+    "pinn": {
+        "omega_p": (float, _NONNEG),
+        "omega_d": (float, _NONNEG),
+        "n_domain": (int, _POS),
+        "epochs": (int, _POS),
+        "lr": (float, _POS),
+        "widths": ([int], _POS),
+        "batch_size": (int, _POS, None),
+        "log_every": (int, _POS),
+        "resample_collocation": (bool, None),
+        "data_source": (("fd", "file"), None, "fd"),
+        "data_path": ("file", None),
+        "checkpoint": ("checkpoint", None, None),
+    },
+    "ae": {
+        "w_rc": (float, _NONNEG),
+        "w_ct": (float, _NONNEG),
+        "k": (int, _POS),
+        "d": (int, _POS),
+        "epochs": (int, _POS),
+        "iterations": (int, _POS),
+        "batch_size": (int, _POS),
+        "lr": (float, _POS),
+        "encoder_hidden": ([int], _POS),
+        "n_states": (int, _POS, None),
+        "encoder_init": ("checkpoint", None),
+        "decoder_init": ("checkpoint", None),
+    },
+    "dataset": {
+        "source": (("fd", "mc"), None, "fd"),
+        "domain": ("intervals", None),
+        "step": (float, _POS),
+        "times": ([float], None),
+        "se_ceiling": (float, None, np.inf),
+        "dt": (float, _POS, 1e-3),
+        "n_paths": (int, _POS, 10000),
+    },
+    "benchmark": {
+        "estimators": ([str], None, ("mc_reduced",)),
+        "n_samples": ([int], _POS, (1000,)),
+        "metric": (("percentage", "absolute"), None, "percentage"),
+        "oracle": (str, None, "fd"),
+        "repetitions": (int, _POS, 10),
+        "points": ("points", None,
+                   np.array([[1.1, 1.1], [1.5, 1.5], [1.9, 1.9]])),
+        "time": (float, None),
+        "dt": (float, _POS, 1e-3),
+    },
+    "sim": {
+        "kind": (("full", "reduced"), None, "reduced"),
+        "x0": ([float], None),
+        "xi0": ([float], None),
+        "dt": (float, _POS, 1e-3),
+        "horizon": (float, _POS),
+        "n_paths": (int, _POS, 100),
+        "t0": (float, None, 0.0),
+    },
+    "reduction": {
+        "alpha": ([float], None),
+        "beta_slope": ([float], None),
+        "ranges": ("intervals", None),
+        "encoder_checkpoint": ("checkpoint", None),
+        "state_domain": ("intervals", None),
+        "n_states": (int, _POS, 1000),
+        "n_levels": (int, _POS, 16),
+    },
+}
+
+
+def _value(value, spec: tuple, key: str):
+    """Config entry ``key``'s ``value`` converted to the kind of its
+    ``spec``; a value of another kind, or out of bound, raises a
+    ConfigError naming ``key``."""
+    kind, bound = spec[:2]
+    if value is None and len(spec) > 2 and spec[2] is None:
+        return None
+    if isinstance(kind, list):
+        if not isinstance(value, (list, tuple, np.ndarray)):
+            raise ConfigError(f"{key} must be a list, got {value!r}")
+        if not len(value):
+            raise ConfigError(f"{key} must be nonempty")
+        return tuple(_value(v, (kind[0], bound), key) for v in value)
+    if isinstance(kind, tuple):
+        if value not in kind:
+            raise ConfigError(f"unknown {key} {value!r}: {key} must be one "
+                              f"of {', '.join(kind)}")
+        return value
+    if kind in (bool, str):
+        if not isinstance(value, kind):
+            what = "true or false" if kind is bool else "a string"
+            raise ConfigError(f"{key} must be {what}, got {value!r}")
+        return value
+    if kind in ("file", "checkpoint"):
+        if not isinstance(value, str) or not os.path.exists(value):
+            raise ConfigError(f"{key} does not exist: {value}")
+        if kind == "file":
+            return value
+        try:
+            return load_checkpoint(value)[0]
+        except (OSError, KeyError, TypeError, ValueError) as exc:
+            raise ConfigError(f"{key} is not a valid checkpoint: {value} "
+                              f"({exc!r})") from None
+    try:
+        if kind == "intervals":
+            return [(float(lo), float(hi)) for lo, hi in value]
+        if kind == "points":
+            out = np.atleast_2d(np.asarray(value, dtype=np.float64))
+            if np.ndim(value) == 0 or out.ndim != 2:
+                raise ValueError(value)
+            return out
+        if kind is float:
+            out = float(value)
+        else:
+            out = (value if isinstance(value, (int, np.integer))
+                   else float(value))
+            if out != int(out):
+                raise ValueError(value)
+            out = int(out)
+    except (TypeError, ValueError, OverflowError):
+        what = {"intervals": "a list of [lo, hi] rows",
+                "points": "a list of coordinate rows",
+                float: "a number", int: "a whole number"}[kind]
+        raise ConfigError(f"{key} must be {what}, got {value!r}") from None
+    if bound == _POS and not out > 0 or bound == _NONNEG and not out >= 0:
+        raise ConfigError(f"{key} must be {bound}, got {value!r}")
+    return out
+
+
+def _typed_section(given: dict, schema: dict, prefix: str = "") -> dict:
+    """Mapping ``given`` converted by ``schema``, whose keys are named
+    ``prefix`` + name: each given key's value, and each absent key's
+    default."""
+    for name in given:
+        if name not in schema:
+            raise ConfigError(f"unknown config key '{prefix}{name}'")
+    typed = {}
+    for name, spec in schema.items():
+        if isinstance(spec, dict):
+            sub = given.get(name, {})
+            if not isinstance(sub, dict):
+                raise ConfigError(f"config section {name!r} must be a "
+                                  f"mapping")
+            typed[name] = _typed_section(sub, spec, f"{name}.")
+        elif name in given:
+            typed[name] = _value(given[name], spec, prefix + name)
+        elif len(spec) > 2 and spec[2] is not None:
+            typed[name] = spec[2]
+    return typed
+
+
+def _typed_config(cfg) -> dict:
+    """The typed view of config ``cfg``: every key converted and checked
+    once, each section a mapping of its keys."""
+    if not isinstance(cfg, dict):
+        raise ConfigError("config root must be a mapping")
+    # the rules that join keys, on the given values
+    if "preset" in cfg and "inline" in cfg:
+        raise ConfigError("give either 'preset' or 'inline', not both")
+    red = cfg.get("reduction")
+    if (isinstance(red, dict) and "encoder_checkpoint" in red
+            and {"alpha", "beta_slope"} & red.keys()):
+        raise ConfigError(
+            "reduction: give analytic alpha/beta_slope or an "
+            "encoder_checkpoint, not both"
+        )
+    return _typed_section(cfg, _SCHEMA)
+
+
+def validate_config(cfg: dict) -> dict:
+    """Strict-schema check: every key known, every value converted and
+    checked; returns the config unchanged on success."""
+    _typed_config(cfg)
+    return cfg
+
+
+def load_config(path: str) -> dict:
+    try:
+        with open(path) as fh:
+            cfg = yaml.safe_load(fh)
+    except FileNotFoundError:
+        raise ConfigError(f"config file not found: {path}") from None
+    except yaml.YAMLError as exc:
+        raise ConfigError(f"config file {path} is not valid YAML: {exc}") from None
+    return validate_config(cfg if cfg is not None else {})
 
 
 # ---------------------------------------------------------------------------
@@ -748,8 +767,8 @@ def make_dataset(xc: ExperimentConfig, out_path: str) -> str:
     ``dataset.se_ceiling``.  A provenance comment precedes the header.
     """
     p = xc.preset
-    ds = xc.raw.get("dataset", {})
-    source = ds.get("source", "fd")
+    ds = xc.typed["dataset"]
+    source = ds["source"]
     axes = _axes(ds.get("domain", p.data_domain),
                  ds.get("step", p.data_step), "dataset")
     points, times = space_time(axes, ds.get("times", p.data_times))
@@ -758,17 +777,14 @@ def make_dataset(xc: ExperimentConfig, out_path: str) -> str:
     if source == "fd":
         grid = ROUTES["fd"].rows(xc, points, times, None)
         body = np.column_stack([points, times, grid.estimates])
-    elif source == "mc":
-        ceiling = _num(ds.get("se_ceiling", np.inf), "dataset.se_ceiling")
-        mc = xc.mc_budget("dataset")
-        grid = ROUTES["mc_reduced"].rows(xc, points, times, mc)
+    else:
+        grid = ROUTES["mc_reduced"].rows(xc, points, times,
+                                         xc.mc_budget("dataset"))
         header += ",std_error,flagged"
         body = np.column_stack([points, times, grid.estimates,
-                                grid.std_errors, grid.std_errors > ceiling])
+                                grid.std_errors,
+                                grid.std_errors > ds["se_ceiling"]])
         fmt = [fmt] * (body.shape[1] - 1) + ["%d"]
-    else:
-        raise ConfigError(f"dataset.source must be 'fd' or 'mc', got "
-                          f"{source!r}")
     return _atomic_write(out_path, lambda tmp: write_csv(
         tmp, f"# provenance: {source}\n{header}", body, fmt))
 
@@ -802,45 +818,6 @@ def load_dataset_csv(path: str) -> TrainingDataset:
 # benchmark
 
 
-@dataclass
-class BenchmarkSpec:
-    """Error-versus-sample-count study description."""
-
-    estimators: list
-    n_samples: list
-    oracle: str
-    repetitions: int = 10
-    metric: str = "percentage"
-    time: float = 0.5
-    dt: float = 1e-3
-
-    def __post_init__(self):
-        if not self.estimators:
-            raise ConfigError("benchmark.estimators must be nonempty")
-        sampled = _with_role("sampled")
-        for est in self.estimators:
-            if est not in sampled:
-                raise ConfigError(
-                    f"benchmark estimator {est!r} not supported; use "
-                    f"{' or '.join(sampled)}"
-                )
-        if self.oracle in self.estimators:
-            raise ConfigError(
-                "benchmark.oracle must be distinct from the estimators "
-                "under test"
-            )
-        oracles = _with_role("oracle")
-        if self.oracle not in oracles:
-            raise ConfigError("benchmark.oracle must be "
-                              + " or ".join(map(repr, oracles)))
-        if self.metric not in ("percentage", "absolute"):
-            raise ConfigError("benchmark.metric must be 'percentage' or "
-                              "'absolute'")
-        if self.repetitions < 1 or not self.n_samples:
-            raise ConfigError("benchmark needs repetitions >= 1 and a "
-                              "nonempty n_samples list")
-
-
 def error_against(estimates: np.ndarray, oracle: np.ndarray,
                   metric: str = "percentage") -> float:
     """Aggregate error of estimates vs oracle values over a point set.
@@ -855,32 +832,33 @@ def error_against(estimates: np.ndarray, oracle: np.ndarray,
 
 
 def benchmark(xc: ExperimentConfig, out_path: str) -> str:
-    """Run the error-vs-samples study; rows `estimator,n_samples,rep,error_pct`."""
-    b = dict(xc.raw.get("benchmark", {}))
-    spec = BenchmarkSpec(
-        estimators=list(b.get("estimators", ["mc_reduced"])),
-        n_samples=[_num(n, "benchmark.n_samples", int)
-                   for n in b.get("n_samples", [1000])],
-        oracle=b.get("oracle", "fd"),
-        repetitions=_num(b.get("repetitions", 10), "benchmark.repetitions",
-                         int),
-        metric=b.get("metric", "percentage"),
-        time=_num(b.get("time", xc.default_time), "benchmark.time"),
-        dt=_num(b.get("dt", 1e-3), "benchmark.dt"),
-    )
-    points = xc.points("benchmark",
-                       b.get("points", [[1.1, 1.1], [1.5, 1.5], [1.9, 1.9]]))
-    times = np.full(points.shape[0], spec.time)
-    truth = ROUTES[spec.oracle].rows(xc, points, times, None).estimates
-    for est in spec.estimators:  # on no rows: refuses before any sampling
+    """Run the error-vs-samples study of the benchmark section; rows
+    `estimator,n_samples,rep,error_pct`."""
+    b = xc.typed["benchmark"]
+    sampled = _with_role("sampled")
+    for est in b["estimators"]:
+        if est not in sampled:
+            raise ConfigError(f"benchmark estimator {est!r} not supported; "
+                              f"use {' or '.join(sampled)}")
+    if b["oracle"] in b["estimators"]:
+        raise ConfigError("benchmark.oracle must be distinct from the "
+                          "estimators under test")
+    oracles = _with_role("oracle")
+    if b["oracle"] not in oracles:
+        raise ConfigError("benchmark.oracle must be "
+                          + " or ".join(map(repr, oracles)))
+    points = xc.points("benchmark", b["points"])
+    times = np.full(points.shape[0], b.get("time", xc.default_time))
+    truth = ROUTES[b["oracle"]].rows(xc, points, times, None).estimates
+    for est in b["estimators"]:  # on no rows: refuses before any sampling
         ROUTES[est].rows(xc, points[:0], times[:0], None)
     lines = ["estimator,n_samples,rep,error_pct"]
-    for est in spec.estimators:
-        for n in spec.n_samples:
-            for rep in range(spec.repetitions):
+    for est in b["estimators"]:
+        for n in b["n_samples"]:
+            for rep in range(b["repetitions"]):
                 grid = ROUTES[est].rows(xc, points, times,
-                                        (spec.dt, n, xc.seed + rep))
-                err = error_against(grid.estimates, truth, spec.metric)
+                                        (b["dt"], n, xc.seed + rep))
+                err = error_against(grid.estimates, truth, b["metric"])
                 lines.append(f"{est},{n},{rep},{err:.17g}")
     return _write_text(out_path, "\n".join(lines) + "\n")
 
@@ -909,35 +887,26 @@ def _artifact(xc: ExperimentConfig, name: str) -> str:
 
 
 def cmd_simulate(xc: ExperimentConfig) -> list:
-    sim = xc.raw.get("sim", {})
-    kind = sim.get("kind", "reduced")
-    dt = _num(sim.get("dt", 1e-3), "sim.dt")
-    horizon = _num(sim.get("horizon", xc.preset.horizon or 1.0), "sim.horizon")
-    n_paths = _num(sim.get("n_paths", 100), "sim.n_paths", int)
-    t0 = _num(sim.get("t0", 0.0), "sim.t0")
-    cfg = SimConfig(dt=dt, horizon=horizon, seed=xc.seed, n_paths=n_paths)
+    sim = xc.typed["sim"]
     p = xc.preset
-    if kind == "full":
+    cfg = SimConfig(dt=sim["dt"], horizon=sim.get("horizon", p.horizon or 1.0),
+                    seed=xc.seed, n_paths=sim["n_paths"])
+    if sim["kind"] == "full":
         if p.system is None:
             raise ConfigError(f"preset {p.name!r} has no full system")
         if "x0" in sim:
-            x0 = np.asarray(sim["x0"], dtype=np.float64)
+            x0 = sim["x0"]
         elif "xi0" in sim and p.x0_of_xi is not None:
-            x0 = p.x0_of_xi(np.asarray(sim["xi0"], dtype=np.float64))
+            x0 = p.x0_of_xi(sim["xi0"])
         else:
             raise ConfigError("sim.x0 (or sim.xi0) is required for full "
                               "simulation")
         batch = simulate(p.system, ZeroPolicy(p.system.control_dim), x0, cfg,
-                         t0=t0)
-    elif kind == "reduced":
+                         t0=sim["t0"])
+    else:
         if "xi0" not in sim:
             raise ConfigError("sim.xi0 is required for reduced simulation")
-        batch = simulate_reduced(
-            p.reduced, np.asarray(sim["xi0"], dtype=np.float64), cfg, t0=t0
-        )
-    else:
-        raise ConfigError(f"sim.kind must be 'full' or 'reduced', got "
-                          f"{kind!r}")
+        batch = simulate_reduced(p.reduced, sim["xi0"], cfg, t0=sim["t0"])
     return [_atomic_write(_artifact(xc, "trajectories.csv"), batch.to_csv)]
 
 
@@ -961,7 +930,7 @@ def cmd_train_pinn(xc: ExperimentConfig) -> list:
     save_checkpoint(result.net, ckpt, seed=xc.seed, extra={"config": xc.raw})
     arts = [ckpt, _atomic_write(_artifact(xc, "pinn_loss_log.csv"),
                                 result.log_to_csv)]
-    if "points" not in xc.raw.get("eval", {}):
+    if "points" not in xc.typed["eval"]:
         # surface table only makes sense on a tensor grid
         surface = predict_grid(result.net, xc.eval_axes(),
                                [xc.eval_points()[1]])
@@ -976,12 +945,11 @@ def cmd_train_features(xc: ExperimentConfig) -> list:
         raise ConfigError(f"preset {p.name!r} does not define a "
                           f"feature-learning problem")
     cfg = xc.ae_config()
-    ae = xc.raw.get("ae", {})
+    ae = xc.typed["ae"]
     states = feature_state_grid(p)
     n_states = ae.get("n_states")
     if n_states is not None:
-        n_states = _num(n_states, "ae.n_states", int)
-        if not 1 <= n_states <= len(states):
+        if n_states > len(states):
             raise ConfigError(f"ae.n_states must be in [1, {len(states)}], "
                               f"the state grid size; got {n_states}")
         gen = np.random.Generator(
@@ -993,9 +961,7 @@ def cmd_train_features(xc: ExperimentConfig) -> list:
         if not ("encoder_init" in ae and "decoder_init" in ae):
             raise ConfigError("ae.encoder_init and ae.decoder_init must be "
                               "given together")
-        init = AutoencoderNet(
-            _checkpoint(ae["encoder_init"], "ae.encoder_init"),
-            _checkpoint(ae["decoder_init"], "ae.decoder_init"))
+        init = AutoencoderNet(ae["encoder_init"], ae["decoder_init"])
     result = train_autoencoder(p.system, p.cost_full, states, cfg,
                                init_net=init)
     arts = [_artifact(xc, "encoder_checkpoint.json"),
@@ -1029,9 +995,7 @@ def run(config, command: str, out: Optional[str] = None,
         raise UsageError(
             f"unknown command {command!r}; one of {', '.join(COMMANDS)}"
         )
-    cfg = load_config(config) if isinstance(config, str) else validate_config(
-        dict(config)
-    )
+    cfg = load_config(config) if isinstance(config, str) else config
     xc = ExperimentConfig.resolve(cfg, out=out, seed=seed)
     arts = COMMANDS[command](xc)
     return arts + [_emit_run_json(xc.out, command, xc, arts)]

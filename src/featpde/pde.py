@@ -1,5 +1,5 @@
-"""Reduced value/safety PDEs, the finite-difference reference solver, PDE
-residual evaluation, and the Riccati oracle for linear-quadratic presets.
+"""Reduced value/safety PDEs, the finite-difference reference solver and
+the Riccati oracle for linear-quadratic presets.
 
 Both PDE kinds march the same parabolic form forward in an internal time s:
 
@@ -52,7 +52,6 @@ __all__ = [
     "assemble_value_pde",
     "assemble_safety_pde",
     "solve_fd",
-    "residual",
     "riccati_solution",
     "riccati_value",
 ]
@@ -567,33 +566,6 @@ def solve_fd(problem: PdeProblem, d_xi, dt, save_every: int = 1) -> FdSolution:
         saved_steps=steps_saved,  # kept in marching order for verify()
         _engine=engine,
     )
-
-
-def residual(problem: PdeProblem, candidate, xi, t):
-    """Signed PDE residual of a candidate solution at (xi, t).
-
-    ``candidate(xi, t)`` must return (u, u_t, grad, hess_diag) with shapes
-    (N,), (N,), (N, k), (N, k); u_t is the physical time derivative.  For
-    value problems the residual is r u - u_t - drift.grad - 1/2 diag.hess;
-    for safety problems it is u_t - drift.grad - 1/2 diag.hess.
-    """
-    xi = np.atleast_2d(np.asarray(xi, dtype=np.float64))
-    tt = np.broadcast_to(np.asarray(t, dtype=np.float64), (xi.shape[0],))
-    scalar = np.isscalar(t) and xi.shape[0] == 1
-    u, u_t, grad, hess = candidate(xi, tt)
-    u = np.asarray(u, dtype=np.float64).reshape(xi.shape[0])
-    u_t = np.asarray(u_t, dtype=np.float64).reshape(xi.shape[0])
-    grad = np.asarray(grad, dtype=np.float64).reshape(xi.shape)
-    hess = np.asarray(hess, dtype=np.float64).reshape(xi.shape)
-    drift = np.asarray(problem.drift(xi), dtype=np.float64)
-    diag = np.asarray(problem.diffusion_diag(xi), dtype=np.float64)
-    transport = (drift * grad).sum(axis=1) + 0.5 * (diag * hess).sum(axis=1)
-    if problem.kind == "value":
-        r = np.asarray(problem.reaction(xi), dtype=np.float64)
-        w = r * u - u_t - transport
-    else:
-        w = u_t - transport
-    return float(w[0]) if scalar else w
 
 
 # ---------------------------------------------------------------------------

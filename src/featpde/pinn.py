@@ -5,16 +5,19 @@ The network maps (xi_1 .. xi_k, t) to a scalar.  Training minimizes
     omega_p * mean(residual^2 over collocation points)
   + omega_d * mean((prediction - target)^2 over data points)
 
-with full-batch Adam.  The residual is the expression `pde.residual`
-evaluates, but not in its operation order: the derivative bundle of
+with full-batch Adam.  The residual is r u - u_t - drift . grad u -
+1/2 diag . hess u for value problems and u_t - drift . grad u -
+1/2 diag . hess u for safety problems.  The derivative bundle of
 `neural.derivatives_batch`, weighted 1/2 diag on the k feature inputs and
-not on time, yields the diffusion term 1/2 diag . hess u as one channel L,
-so the two agree to rounding, not bitwise.  `physics_loss` computes the
-training expression.  The parameter gradient flows through the network's
-input derivatives: the cotangents of u, J and L are closed-form in the
-residual and go through `neural.grad`, the reverse pass of the bundle.
-Terminal/initial conditions are not a separate loss term: they enter
-through data rows on the corresponding time face.
+not on time, yields the diffusion term 1/2 diag . hess u as one channel L.
+The tests' reference residual evaluates the same expression from one-point
+derivatives in another operation order, so the two agree to rounding, not
+bitwise.  `physics_loss` computes the training expression.  The parameter
+gradient flows through the network's input derivatives: the cotangents of
+u, J and L are closed-form in the residual and go through `neural.grad`,
+the reverse pass of the bundle.  Terminal/initial conditions are not a
+separate loss term: they enter through data rows on the corresponding time
+face.
 """
 
 from __future__ import annotations

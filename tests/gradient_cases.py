@@ -6,8 +6,10 @@ computed on these inputs at commit ddb9a0c, before the explicit adjoint
 replaced it.  Every builder here uses only the public featpde API, so the
 same cases can be evaluated by any version of the package.
 
-The one-point network oracles the neural tests compare against live here
-too: ``forward_with_derivatives`` and the central-difference ``grad_params``.
+The oracles the neural and PINN tests compare against live here too: the
+one-point ``forward_with_derivatives``, the central-difference
+``grad_params``, and ``residual``, the PDE residual of any candidate
+solution.
 """
 
 import json
@@ -238,6 +240,33 @@ def forward_with_derivatives(net: DenseNetwork, x) -> DerivativeBundle:
         input_jacobian=jac[0].T.copy(),
         input_hessian_diag=np.stack(hess, axis=1),
     )
+
+
+def residual(problem, candidate, xi, t):
+    """Signed PDE residual of a candidate solution at (xi, t).
+
+    ``candidate(xi, t)`` must return (u, u_t, grad, hess_diag) with shapes
+    (N,), (N,), (N, k), (N, k); u_t is the physical time derivative.  For
+    value problems the residual is r u - u_t - drift.grad - 1/2 diag.hess;
+    for safety problems it is u_t - drift.grad - 1/2 diag.hess.
+    """
+    xi = np.atleast_2d(np.asarray(xi, dtype=np.float64))
+    tt = np.broadcast_to(np.asarray(t, dtype=np.float64), (xi.shape[0],))
+    scalar = np.isscalar(t) and xi.shape[0] == 1
+    u, u_t, grad, hess = candidate(xi, tt)
+    u = np.asarray(u, dtype=np.float64).reshape(xi.shape[0])
+    u_t = np.asarray(u_t, dtype=np.float64).reshape(xi.shape[0])
+    grad = np.asarray(grad, dtype=np.float64).reshape(xi.shape)
+    hess = np.asarray(hess, dtype=np.float64).reshape(xi.shape)
+    drift = np.asarray(problem.drift(xi), dtype=np.float64)
+    diag = np.asarray(problem.diffusion_diag(xi), dtype=np.float64)
+    transport = (drift * grad).sum(axis=1) + 0.5 * (diag * hess).sum(axis=1)
+    if problem.kind == "value":
+        r = np.asarray(problem.reaction(xi), dtype=np.float64)
+        w = r * u - u_t - transport
+    else:
+        w = u_t - transport
+    return float(w[0]) if scalar else w
 
 
 def grad_params(net: DenseNetwork, loss, step=1e-6):

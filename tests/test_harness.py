@@ -12,6 +12,7 @@ import pytest
 from conftest import child_env
 from featpde.errors import ConfigError, UsageError
 from featpde.harness import (
+    _SCHEMA,
     ExperimentConfig,
     error_against,
     load_config,
@@ -485,6 +486,9 @@ def test_inline_system_runs_value_estimate(tmp_path):
 
 _BAD_RANGES = {"alpha": [1.0], "beta_slope": [-1.0],
                "ranges": [[-6.0, 0.0, 6.0]]}
+_INLINE = {"alpha": [1.0], "beta_slope": [-1.0], "ranges": [[-6.0, 6.0]],
+           "horizon": 1.0}
+_AT_ZERO = {"points": [[0.0]]}
 _PINN_AT = {"preset": "sys3d-value", "estimator": "pinn",
             "eval": {"points": [[1.5, 1.5]]}}
 _ENCODER_AT = {"preset": "sys3d-value", "estimator": "riccati",
@@ -615,6 +619,76 @@ def _checkpoint_file(tmp_path, kind):
         ("train-features",
          {"preset": "feature-ae-3d", "ae": {"encoder_hidden": [0]}},
          "ae.encoder_hidden"),
+        # bounds that the library configs check without naming the key
+        ("simulate", {"preset": "lq-scalar", "sim": {"xi0": [0.0], "dt": 0}},
+         "sim.dt"),
+        ("simulate",
+         {"preset": "lq-scalar", "sim": {"xi0": [0.0], "horizon": 0}},
+         "sim.horizon"),
+        ("simulate",
+         {"preset": "lq-scalar", "sim": {"xi0": [0.0], "n_paths": 0}},
+         "sim.n_paths"),
+        ("estimate-value",
+         {"preset": "lq-scalar", "estimator": "mc_reduced", "mc": {"dt": 0},
+          "eval": _AT_ZERO},
+         "mc.dt"),
+        ("estimate-value",
+         {"preset": "lq-scalar", "estimator": "mc_reduced",
+          "mc": {"n_paths": 0}, "eval": _AT_ZERO},
+         "mc.n_paths"),
+        ("benchmark",
+         {"preset": "lq-scalar",
+          "benchmark": {"oracle": "riccati", "points": [[0.0]], "dt": 0}},
+         "benchmark.dt"),
+        ("benchmark",
+         {"preset": "lq-scalar",
+          "benchmark": {"oracle": "riccati", "points": [[0.0]],
+                        "n_samples": [0]}},
+         "benchmark.n_samples"),
+        ("estimate-value",
+         {"inline": dict(_INLINE, horizon=0), "estimator": "riccati",
+          "eval": _AT_ZERO},
+         "inline.horizon"),
+        ("train-pinn", {"preset": "lq-scalar", "pinn": {"epochs": -1}},
+         "pinn.epochs"),
+        ("train-pinn", {"preset": "lq-scalar", "pinn": {"log_every": 0}},
+         "pinn.log_every"),
+        ("train-pinn", {"preset": "lq-scalar", "pinn": {"n_domain": 0}},
+         "pinn.n_domain"),
+        ("train-features",
+         {"preset": "feature-ae-3d", "ae": {"batch_size": 0}},
+         "ae.batch_size"),
+        ("train-features",
+         {"preset": "feature-ae-3d", "ae": {"iterations": 0}},
+         "ae.iterations"),
+        ("train-features", {"preset": "feature-ae-3d", "ae": {"k": 0}},
+         "ae.k"),
+        ("benchmark",
+         {"preset": "lq-scalar", "benchmark": {"repetitions": 0}},
+         "benchmark.repetitions"),
+        # values of the wrong kind
+        ("estimate-value",
+         {"preset": "lq-scalar", "estimator": "riccati",
+          "eval": {"points": "x"}},
+         "eval.points"),
+        ("make-dataset", {"preset": "lq-scalar", "dataset": {"times": "x"}},
+         "dataset.times"),
+        ("simulate", {"preset": "lq-scalar", "sim": {"xi0": "x"}}, "sim.xi0"),
+        ("estimate-value",
+         {"inline": dict(_INLINE, alpha=1.0), "estimator": "riccati",
+          "eval": _AT_ZERO},
+         "inline.alpha"),
+        ("estimate-value",
+         {"inline": dict(_INLINE, task="foo"), "estimator": "riccati",
+          "eval": _AT_ZERO},
+         "inline.task"),
+        # values that used to be misread: bool("false") and int(2.5)
+        ("train-pinn",
+         {"preset": "lq-scalar",
+          "pinn": {"resample_collocation": "false", "epochs": 1}},
+         "pinn.resample_collocation"),
+        ("train-pinn", {"preset": "lq-scalar", "pinn": {"epochs": 2.5}},
+         "pinn.epochs"),
     ],
 )
 def test_bad_config_values_name_their_key(command, cfg, key, tmp_path):
@@ -628,6 +702,35 @@ def test_bad_config_values_name_their_key(command, cfg, key, tmp_path):
     }
     with pytest.raises(ConfigError, match=re.escape(key)):
         run(cfg, command, out=str(tmp_path / "out"))
+
+
+def _schema_keys():
+    for name, spec in _SCHEMA.items():
+        if isinstance(spec, dict):
+            yield from (f"{name}.{sub}" for sub in spec)
+        else:
+            yield name
+
+
+@pytest.mark.parametrize("key", list(_schema_keys()))
+def test_every_schema_key_rejects_a_value_of_the_wrong_kind(key):
+    section, _, name = key.rpartition(".")
+    kind = (_SCHEMA[section][name] if section else _SCHEMA[name])[0]
+    # a string is no number; a number is no name, list, row or path
+    bad = "x" if kind in (float, int) else 1.5
+    cfg = {section: {name: bad}} if section else {name: bad}
+    if "preset" not in cfg and "inline" not in cfg:
+        cfg["preset"] = "lq-scalar"
+    with pytest.raises(ConfigError, match=re.escape(key)):
+        validate_config(cfg)
+
+
+def test_int_keys_take_integral_floats():
+    xc = ExperimentConfig.resolve(
+        {"preset": "lq-scalar", "pinn": {"epochs": 4000.0}, "seed": 7.0})
+    assert xc.pinn_config().epochs == 4000
+    assert type(xc.pinn_config().epochs) is int
+    assert xc.seed == 7 and xc.raw["seed"] == 7
 
 
 def test_inline_requires_consistent_lengths():

@@ -11,6 +11,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from gradient_cases import residual
 from featpde.errors import DomainError, RiccatiBlowupError, UsageError
 from featpde.pde import (
     FdSolution,
@@ -18,7 +19,6 @@ from featpde.pde import (
     PdeProblem,
     assemble_safety_pde,
     assemble_value_pde,
-    residual,
     riccati_solution,
     riccati_value,
     solve_fd,

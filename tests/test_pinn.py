@@ -108,6 +108,30 @@ def test_physics_loss_matches_hand_computed_residual():
     assert physics_loss(net, prob, colloc) == pytest.approx(expected, rel=1e-13)
 
 
+@pytest.mark.parametrize("make_problem", [value_problem, heat_problem])
+def test_residual_matches_the_reference_residual(make_problem):
+    # the training residual from the bundle's weighted trace against the
+    # reference expression on one-point derivatives
+    prob = make_problem()
+    k = prob.k
+    net = DenseNetwork.init((k + 1, 6, 6, 1), seed=4)
+    colloc = CollocationSet.sample(prob.domain, prob.horizon, 25, seed=3)
+    res = pinn._residual(net, prob, colloc.inputs(),
+                         pinn._coefficients(prob, colloc.xi))[0]
+
+    def candidate(xi, t):
+        rows = [gc.forward_with_derivatives(net, np.append(x, s))
+                for x, s in zip(xi, t)]
+        jac = np.array([b.input_jacobian[0] for b in rows])
+        hess = np.array([b.input_hessian_diag[0] for b in rows])
+        u = np.array([b.value[0] for b in rows])
+        return u, jac[:, k], jac[:, :k], hess[:, :k]
+
+    ref = gc.residual(prob, candidate, colloc.xi, colloc.t)
+    np.testing.assert_allclose(res, ref, rtol=0,
+                               atol=1e-14 * np.abs(ref).max())
+
+
 def test_physics_loss_rejects_width_mismatch():
     prob = heat_problem()
     net = DenseNetwork.init((4, 3, 1), seed=0)
