@@ -266,6 +266,9 @@ class ExperimentConfig:
     def resolve(cls, cfg: dict, out: Optional[str] = None,
                 seed: Optional[int] = None) -> "ExperimentConfig":
         typed = _typed_config(cfg)
+        for name, given in (("seed", seed), ("out", out)):
+            if given is not None:
+                typed[name] = _value(given, _SCHEMA[name], name)
         if "inline" in cfg:
             preset = _inline_preset(typed["inline"])
         elif "preset" in cfg:
@@ -284,7 +287,6 @@ class ExperimentConfig:
                     "an encoder-checkpoint reduction needs a preset with a "
                     "full system"
                 )
-            # the config's own seed, before any override
             preset.reduced, preset.features = _reduced_from_encoder(
                 preset.system, red, typed["seed"])
         task = typed.get("task", preset.task)
@@ -293,9 +295,6 @@ class ExperimentConfig:
                 f"preset {preset.name!r} is a {preset.task} task, config "
                 f"says {task!r}"
             )
-        for name, given in (("seed", seed), ("out", out)):
-            if given is not None:
-                typed[name] = _value(given, _SCHEMA[name], name)
         raw = dict(cfg)
         raw["seed"] = typed["seed"]
         raw["out"] = typed["out"]

@@ -15,9 +15,11 @@ as alpha and beta already do, and each point's log-sum-exp, mean and
 standard error come from its own N paths, so a grid row equals the
 one-point estimate bit for bit.  Each time's rows are split into at least
 two blocks, marched in two lanes: the calling thread takes the even blocks
-and one helper thread the odd ones.  So alpha, beta and r must be safe to
-call from two threads at once, i.e. pure functions of their input, as
-every preset's are.
+and one helper thread the odd ones.  The two blocks of a round (blocks 2j
+and 2j + 1) read one shared ``sde.DrawSource``, so each step is drawn once
+for both lanes; a block without a partner has the helper draw ahead for
+it.  So alpha, beta and r must be safe to call from two threads at once,
+i.e. pure functions of their input, as every preset's are.
 """
 
 from __future__ import annotations
@@ -31,7 +33,8 @@ from scipy.special import logsumexp
 
 from .errors import DegenerateEstimateError, UsageError
 from .grid import write_csv
-from .sde import ControlPolicy, SimConfig, StochasticSystem, ZeroPolicy, _run_full, _run_reduced
+from .sde import (ControlPolicy, DrawSource, SimConfig, StochasticSystem,
+                  ZeroPolicy, _run_full, _run_reduced)
 
 __all__ = [
     "CostSpec",
@@ -154,8 +157,9 @@ def value_pathintegral(
     return _as_mc_estimate(_estimates_from_scores(scores[None]), cfg.n_paths)
 
 
-def _value_scores(reduced, starts, t, r, cfg, terminal_weight):
-    """(P, N) path-integral scores of a block of start points at time t."""
+def _value_scores(reduced, starts, t, r, cfg, terminal_weight, draws=None):
+    """(P, N) path-integral scores of a block of start points at time t;
+    ``draws`` as in ``sde._run_reduced``."""
     w = float(terminal_weight)
     dt = cfg.dt
     steps = cfg.steps
@@ -167,7 +171,7 @@ def _value_scores(reduced, starts, t, r, cfg, terminal_weight):
         else:
             scores[:] += w * np.asarray(r(xs), dtype=np.float64)
 
-    _run_reduced(reduced, starts, cfg, t, observer)
+    _run_reduced(reduced, starts, cfg, t, observer, draws)
     return scores.reshape(len(starts), cfg.n_paths)
 
 
@@ -225,15 +229,16 @@ def _check_safe_starts(r, starts):
         )
 
 
-def _safe_paths(reduced, starts, r, cfg):
+def _safe_paths(reduced, starts, r, cfg, draws=None):
     """(P, N) masks of the paths from each start point that keep
-    r(xi_tau) >= 0 at every monitored step."""
+    r(xi_tau) >= 0 at every monitored step; ``draws`` as in
+    ``sde._run_reduced``."""
     safe = np.ones(len(starts) * cfg.n_paths, dtype=bool)
 
     def observer(s, tau, xs, z):
         safe[:] &= np.asarray(r(xs), dtype=np.float64) >= 0
 
-    _run_reduced(reduced, starts, cfg, 0.0, observer)
+    _run_reduced(reduced, starts, cfg, 0.0, observer, draws)
     return safe.reshape(len(starts), cfg.n_paths)
 
 
@@ -420,17 +425,20 @@ class McGrid:
 
 
 def _grid(points, times, mc, span, block) -> McGrid:
-    """Estimates over (xi, t) rows: ``block(starts, t, cfg)`` runs a block of
-    rows that share time t and returns their (estimates, std_errors).
+    """Estimates over (xi, t) rows: ``block(starts, t, cfg, draws)`` runs a
+    block of rows that share time t, reading its steps from ``draws`` =
+    (source, reader), and returns their (estimates, std_errors).
 
     ``cfg`` is the budget ``mc`` = (dt, n_paths, seed) over horizon
     ``span(t)``; every time's budget is checked before any block is
     marched.  Each time's rows are split into at least two blocks of at
     most ``_BLOCK_ROWS`` path rows.  The calling thread runs the even blocks
-    and one helper thread the odd ones.  If blocks raise, the error
-    re-raised is the one a single block of all the time's rows would raise:
-    the earliest ``march_position`` (errors raised outside the march rank
-    last), then the lowest rows.
+    and one helper thread the odd ones; blocks 2j and 2j + 1 are readers 0
+    and 1 of round j's draw source, and the helper fills the source of a
+    round without block 2j + 1.  If blocks raise, the error re-raised is the
+    one a single block of all the time's rows would raise: the earliest
+    ``march_position`` (errors raised outside the march rank last), then the
+    lowest rows.
     """
     points = np.atleast_2d(np.asarray(points, dtype=np.float64))
     times = np.broadcast_to(
@@ -443,13 +451,20 @@ def _grid(points, times, mc, span, block) -> McGrid:
     se = np.empty(points.shape[0])
     per_block = max(1, _BLOCK_ROWS // n_paths)
 
-    def lane(blocks, t):
+    def lane(reader, blocks, sources, t):
         out = []
-        for idx in blocks:
+        for j, source in enumerate(sources):
+            if 2 * j + reader == len(blocks):
+                source.fill()
+                continue
             try:
-                out.append(block(points[idx], t, cfgs[t]))
+                out.append(block(points[blocks[2 * j + reader]], t, cfgs[t],
+                                 (source, reader)))
             except Exception as err:
                 out.append(err)
+            finally:
+                # also when the block raises before its march reads a step
+                source.leave(reader)
         return out
 
     with ThreadPoolExecutor(1, thread_name_prefix="featpde-lane") as helper:
@@ -457,10 +472,17 @@ def _grid(points, times, mc, span, block) -> McGrid:
             rows = np.flatnonzero(times == tj)
             n_blocks = max(2, -(-rows.size // per_block))
             blocks = np.array_split(rows, min(rows.size, n_blocks))
-            odd = helper.submit(lane, blocks[1::2], tj)
-            results = [None] * len(blocks)
-            results[0::2] = lane(blocks[0::2], tj)
-            results[1::2] = odd.result()
+            sources = [DrawSource(seed, n_paths, points.shape[1],
+                                  cfgs[tj].steps, len(blocks[j:j + 2]))
+                       for j in range(0, len(blocks), 2)]
+            try:
+                odd = helper.submit(lane, 1, blocks, sources, tj)
+                results = [None] * len(blocks)
+                results[0::2] = lane(0, blocks, sources, tj)
+                results[1::2] = odd.result()
+            finally:
+                for source in sources:
+                    source.close()
             errors = [(getattr(res, "march_position", (np.inf,)), b)
                       for b, res in enumerate(results)
                       if isinstance(res, Exception)]
@@ -478,9 +500,9 @@ def value_grid_reduced(
     delta-method standard errors) with budget ``mc`` = (dt, n_paths,
     seed)."""
 
-    def block(starts, t, cfg):
+    def block(starts, t, cfg, draws):
         value, se = _estimates_from_scores(
-            _value_scores(reduced, starts, t, r, cfg, terminal_weight)
+            _value_scores(reduced, starts, t, r, cfg, terminal_weight, draws)
         )
         phi = np.exp(-value)
         return phi, phi * se
@@ -495,7 +517,7 @@ def safety_grid_reduced(reduced, points, horizons, r, mc) -> McGrid:
     points = np.atleast_2d(np.asarray(points, dtype=np.float64))
     _check_safe_starts(r, points)
 
-    def block(starts, horizon, cfg):
-        return _safety_estimates(_safe_paths(reduced, starts, r, cfg))
+    def block(starts, horizon, cfg, draws):
+        return _safety_estimates(_safe_paths(reduced, starts, r, cfg, draws))
 
     return _grid(points, horizons, mc, lambda h: h, block)

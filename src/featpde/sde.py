@@ -23,14 +23,20 @@ step's (N, m) draw.  Consequences used elsewhere in the package:
   equal those of its own one-point run bit for bit.  This needs alpha and
   beta (and any observer's r) to act row by row, as the contract above
   already requires;
-* the full-system march draws step s+1 on one helper thread while the
-  calling thread updates step s.  Outputs do not change, because a draw
-  depends only on (seed, step).
+* every march reads its steps from a ``DrawSource``, which draws each step
+  once, by whichever thread asks first: a march's own helper thread draws
+  ahead while the calling thread updates, and the two lanes of a reduced
+  grid read one shared source.  Outputs do not change, because a draw
+  depends only on (seed, step).  The draws live in a ring of
+  ``_AHEAD + 1`` buffers, so the ``z`` an observer receives is read-only
+  and valid only during that call, as is the reduced state ``xi``.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+import functools
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -49,6 +55,10 @@ __all__ = [
     "simulate_reduced",
     "step_noise",
 ]
+
+# Steps a draw source may draw past its slowest reader; its ring holds
+# _AHEAD + 1 step draws.
+_AHEAD = 3
 
 
 @dataclass
@@ -168,10 +178,138 @@ class TrajectoryBatch:
                   ["%d"] + ["%.17g"] * (d + 1))
 
 
-def step_noise(seed: int, step: int, n: int, m: int) -> np.ndarray:
-    """Standard-normal increments (n, m) for one step; pure in (seed, step)."""
+def step_noise(seed: int, step: int, n: int, m: int,
+               out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Standard-normal increments (n, m) for one step; pure in (seed, step).
+    With ``out`` (a C-contiguous float64 (n, m) array) the draw is written
+    there, with the same bits, and ``out`` is returned."""
     bitgen = np.random.Philox(key=np.array([seed, step], dtype=np.uint64))
-    return np.random.Generator(bitgen).standard_normal((n, m))
+    return np.random.Generator(bitgen).standard_normal((n, m), out=out)
+
+
+class DrawSource:
+    """The (n, m) step draws of one run, steps 0 .. steps - 1 of ``seed``,
+    shared by ``readers`` marches that each take every step in order.
+
+    Each step is drawn once, by whichever thread needs it first.  A reader
+    whose step is not ready draws the next unclaimed step itself, and waits
+    only when no step may be drawn; ``fill`` draws ahead on a helper thread.
+    At most ``_AHEAD`` steps past the slowest reader are drawn, into a ring
+    of ``_AHEAD + 1`` buffers, so the draw ``take`` returns is valid until
+    that reader's next ``take``.  A failed draw is raised to each reader of
+    its step.  A reader that is done, or raises, must ``leave``, so that
+    the window no longer waits for it; ``close`` stops every reader and
+    filler.
+    """
+
+    def __init__(self, seed: int, n: int, m: int, steps: int,
+                 readers: int = 1):
+        self._seed = seed
+        self._shape = (n, m)
+        self._steps = steps
+        self._pos = dict.fromkeys(range(readers), 0)  # reader -> its step
+        self._next = 0  # the first unclaimed step
+        self._ring = [None] * (_AHEAD + 1)
+        self._held = [-1] * (_AHEAD + 1)  # the step each buffer holds
+        self._errors = {}
+        self._closed = False
+        self._cond = threading.Condition()
+
+    def _claim(self) -> Optional[int]:
+        """Claim the next step if the window allows (lock held)."""
+        c = self._next
+        if self._closed or c >= self._steps or not self._pos:
+            return None
+        if c > min(self._pos.values()) + _AHEAD:
+            return None
+        self._next += 1
+        return c
+
+    def _draw(self, step: int):
+        slot = step % len(self._ring)
+        try:
+            if self._ring[slot] is None:
+                self._ring[slot] = np.empty(self._shape)
+            step_noise(self._seed, step, *self._shape, out=self._ring[slot])
+        except Exception as err:
+            with self._cond:
+                self._errors[step] = err
+                self._cond.notify_all()
+            return
+        with self._cond:
+            self._held[slot] = step
+            self._cond.notify_all()
+
+    def take(self, reader: int, step: int) -> np.ndarray:
+        """The read-only draw of ``step`` for ``reader``, which is done with
+        every earlier step."""
+        slot = step % len(self._ring)
+        with self._cond:
+            self._pos[reader] = step
+            self._cond.notify_all()
+        while True:
+            with self._cond:
+                claimed = None
+                while claimed is None and not (
+                        self._closed or step in self._errors
+                        or self._held[slot] == step):
+                    claimed = self._claim()
+                    if claimed is None:
+                        self._cond.wait()
+                if claimed is None:
+                    if self._closed:
+                        raise SimulationError("the step draws were closed")
+                    if step in self._errors:
+                        raise self._errors[step]
+                    z = self._ring[slot].view()
+                    z.flags.writeable = False
+                    return z
+            self._draw(claimed)
+
+    def fill(self):
+        """Draw ahead of the readers until every step is claimed or every
+        reader has left."""
+        while True:
+            with self._cond:
+                claimed = self._claim()
+                while (claimed is None and self._pos
+                       and self._next < self._steps):
+                    self._cond.wait()
+                    claimed = self._claim()
+            if claimed is None:
+                return
+            self._draw(claimed)
+
+    def leave(self, reader: int):
+        with self._cond:
+            self._pos.pop(reader, None)
+            self._cond.notify_all()
+
+    def close(self):
+        with self._cond:
+            self._closed = True
+            self._pos.clear()
+            self._cond.notify_all()
+
+
+@contextmanager
+def _step_draws(cfg, n, m, draws=None):
+    """``take(step)`` for one march: as reader ``r`` of ``draws`` = (source,
+    r), or else of its own source, filled by a helper thread that is joined
+    before this exits."""
+    helper = None
+    if draws is None:
+        source = DrawSource(cfg.seed, n, m, cfg.steps)
+        helper = threading.Thread(target=source.fill, name="featpde-noise")
+        helper.start()
+        draws = (source, 0)
+    source, reader = draws
+    try:
+        yield functools.partial(source.take, reader)
+    finally:
+        source.leave(reader)
+        if helper is not None:
+            helper.join()
 
 
 def _check_finite(x: np.ndarray, step: int, what: str, starts=None,
@@ -205,8 +343,11 @@ def _run_full(system, policy, x0, cfg, t0, observer):
 
     ``observer`` is called once with (0, t0, x, None) for the initial state,
     then after every Euler-Maruyama update with the post-step state and the
-    standard-normal draw that produced it.  One helper thread draws the next
-    step's noise meanwhile; it is joined before this returns or raises.
+    standard-normal draw that produced it.  The draws come from the march's
+    own ``DrawSource``: a helper thread draws ahead, and the calling thread
+    draws the next unclaimed step itself when its own is not ready yet.  The
+    helper is joined before this returns or raises.  A ``ZeroPolicy`` march
+    adds no control term: its increment is ``z * sqrt(dt)``.
     """
     n = cfg.n_paths
     x0 = np.asarray(x0, dtype=np.float64)
@@ -222,41 +363,44 @@ def _run_full(system, policy, x0, cfg, t0, observer):
         d = np.diagonal(system.diffusion_const)
         if np.array_equal(system.diffusion_const, np.diag(d)):
             const_diag = d.copy()
-    m = system.control_dim
-    with ThreadPoolExecutor(1, thread_name_prefix="featpde-noise") as helper:
-        ahead = helper.submit(step_noise, cfg.seed, 0, n, m)
+    uncontrolled = isinstance(policy, ZeroPolicy)
+    with _step_draws(cfg, n, system.control_dim) as take:
         observer(0, t0, x, None)
         for s in range(cfg.steps):
             t = t0 + s * dt
-            z = ahead.result()
-            if s + 1 < cfg.steps:
-                ahead = helper.submit(step_noise, cfg.seed, s + 1, n, m)
+            z = take(s)
             f = np.asarray(system.drift(x), dtype=np.float64)
             _check_finite(f, s, "drift")
-            u = policy(x, t)
-            du = u * dt + z * sq
+            if uncontrolled:
+                noise = z * sq
+            else:
+                noise = policy(x, t) * dt + z * sq
             if const_diag is not None:
-                noise = du * const_diag
+                noise *= const_diag
             elif system.diffusion_const is not None:
-                noise = du @ system.diffusion_const.T
+                noise = noise @ system.diffusion_const.T
             else:
                 sig = system.sigma_at(x)
                 _check_finite(sig, s, "diffusion")
-                noise = np.einsum("nij,nj->ni", sig, du)
+                noise = np.einsum("nij,nj->ni", sig, noise)
             x = x + f * dt + noise
+            del f, noise  # free both before the next step's drift
             observer(s + 1, t + dt, x, z)
     return x
 
 
-def _run_reduced(reduced, starts, cfg, t0, observer):
+def _run_reduced(reduced, starts, cfg, t0, observer, draws=None):
     """March the reduced feature SDE (diagonal, per-coordinate alpha/beta)
     from a block of P start points (P, k), N = cfg.n_paths paths each.
 
     Row j of the block is path j % N of start point j // N, and every start
     point reads the same step draw, so each point's paths are exactly those
-    of a one-point run.  The state is kept coordinate-major, (k, P*N), in
-    two buffers that take turns; ``observer(step, t, xi, z)`` sees it as a
-    read-only (P*N, k) view that is valid only during the call.
+    of a one-point run.  The draws come from ``draws`` = (source, reader),
+    a ``DrawSource`` shared with other marches, or else from the march's
+    own source with a helper thread drawing ahead.  The state is kept
+    coordinate-major, (k, P*N), in two buffers that take turns;
+    ``observer(step, t, xi, z)`` sees it as a (P*N, k) view and z as the
+    read-only step draw, both valid only during the call.
 
     An exception raised while marching carries ``march_position``, the
     (step, stage) it was raised at: stage i < k is coordinate i's update,
@@ -279,39 +423,41 @@ def _run_reduced(reduced, starts, cfg, t0, observer):
     drift = np.empty_like(xi)
     diff = np.empty_like(xi)
     where = (-1, k + 1)
-    try:
-        observer(0, t0, xi.T, None)
-        for s in range(cfg.steps):
-            z = step_noise(cfg.seed, s, n, k)
-            for i in range(k):
-                where = (s, i)
-                a = np.asarray(reduced.alpha[i](xi[i]), dtype=np.float64)
-                bad = ~(a > 0)
-                if bad.any():
-                    j = int(np.flatnonzero(bad)[0])
-                    raise DomainError(
-                        f"alpha_{i + 1} <= 0 at xi_{i + 1} = {xi[i, j]:.6g} "
-                        f"({_path_name(j, p * n, starts)}, step {s})"
-                    )
-                b = np.asarray(reduced.beta[i](xi[i]), dtype=np.float64)
-                np.multiply(a, b, out=drift[i])
-                # xi + drift * dt + sqrt(a) * z * sq, rounded in that order
-                np.multiply(drift[i], dt, out=new[i])
-                new[i] += xi[i]
-                np.sqrt(a, out=diff[i])
-                noise = diff[i].reshape(p, n)
-                noise *= z[:, i]
-                noise *= sq
-                new[i] += diff[i]
-            where = (s, k)
-            _check_finite(drift, s, "reduced drift", starts,
-                          coordinate_major=True)
-            xi, new = new, xi
-            where = (s, k + 1)
-            observer(s + 1, t0 + (s + 1) * dt, xi.T, z)
-    except Exception as err:
-        err.march_position = where
-        raise
+    with _step_draws(cfg, n, k, draws) as take:
+        try:
+            observer(0, t0, xi.T, None)
+            for s in range(cfg.steps):
+                z = take(s)
+                for i in range(k):
+                    where = (s, i)
+                    a = np.asarray(reduced.alpha[i](xi[i]), dtype=np.float64)
+                    bad = ~(a > 0)
+                    if bad.any():
+                        j = int(np.flatnonzero(bad)[0])
+                        raise DomainError(
+                            f"alpha_{i + 1} <= 0 at xi_{i + 1} = "
+                            f"{xi[i, j]:.6g} ({_path_name(j, p * n, starts)}, "
+                            f"step {s})"
+                        )
+                    b = np.asarray(reduced.beta[i](xi[i]), dtype=np.float64)
+                    np.multiply(a, b, out=drift[i])
+                    # xi + drift * dt + sqrt(a) * z * sq, rounded in that order
+                    np.multiply(drift[i], dt, out=new[i])
+                    new[i] += xi[i]
+                    np.sqrt(a, out=diff[i])
+                    noise = diff[i].reshape(p, n)
+                    noise *= z[:, i]
+                    noise *= sq
+                    new[i] += diff[i]
+                where = (s, k)
+                _check_finite(drift, s, "reduced drift", starts,
+                              coordinate_major=True)
+                xi, new = new, xi
+                where = (s, k + 1)
+                observer(s + 1, t0 + (s + 1) * dt, xi.T, z)
+        except Exception as err:
+            err.march_position = where
+            raise
     return xi.T
 
 

@@ -463,6 +463,34 @@ def test_train_features_and_encoder_reduction(tmp_path):
     assert np.isfinite(batch.states).all()
 
 
+def test_encoder_reduction_rerun_from_run_json_is_bit_identical(tmp_path):
+    # the reduction is tabulated from sampled states, so it must be built
+    # from the seed that run.json records, the override included
+    enc = tmp_path / "tf"
+    run({"preset": "feature-ae-3d",
+         "ae": {"epochs": 1, "iterations": 4, "batch_size": 64,
+                "encoder_hidden": [8], "n_states": 1000}},
+        "train-features", out=str(enc), seed=0)
+    cfg = {"preset": "sys3d-value", "estimator": "mc_reduced",
+           "mc": {"dt": 0.01, "n_paths": 200},
+           "eval": {"points": [[0.5, 0.5]], "time": 0.5},
+           "reduction": {
+               "encoder_checkpoint": str(enc / "encoder_checkpoint.json"),
+               "state_domain": [[0.0, 1.0]] * 3,
+               "n_states": 200,
+               "n_levels": 8,
+           }}
+    first = tmp_path / "a"
+    run(cfg, "estimate-value", out=str(first), seed=5)
+    payload = json.loads((first / "run.json").read_text())
+    assert payload["seed"] == 5
+    second = tmp_path / "b"
+    run(payload["config"], payload["command"], out=str(second))
+    assert (first / "value.csv").read_bytes() == (
+        second / "value.csv"
+    ).read_bytes()
+
+
 # ---------------------------------------------------------------------------
 # inline systems
 

@@ -7,6 +7,7 @@ reflection principle.
 """
 
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -829,10 +830,10 @@ def test_full_march_observer_error_is_raised_after_join():
 def test_full_march_noise_error_is_reraised_after_join(monkeypatch):
     real = sde.step_noise
 
-    def noise(seed, step, n, m):
+    def noise(seed, step, n, m, out=None):
         if step == 4:
             raise MemoryError("no room for step 4")
-        return real(seed, step, n, m)
+        return real(seed, step, n, m, out=out)
 
     monkeypatch.setattr(sde, "step_noise", noise)
     cfg = SimConfig(dt=0.01, horizon=0.5, seed=1, n_paths=8)
@@ -840,3 +841,106 @@ def test_full_march_noise_error_is_reraised_after_join(monkeypatch):
     with pytest.raises(MemoryError, match="no room for step 4"):
         simulate(stable_full_system(), ZeroPolicy(3), np.zeros(3), cfg)
     assert threading.active_count() == before
+
+
+# --- the shared step-draw source ------------------------------------------------
+
+def count_draws(monkeypatch):
+    """Count sde.step_noise calls by step number."""
+    real = sde.step_noise
+    drawn = []
+
+    def noise(seed, step, n, m, out=None):
+        drawn.append(step)
+        return real(seed, step, n, m, out=out)
+
+    monkeypatch.setattr(sde, "step_noise", noise)
+    return drawn
+
+
+def test_two_lane_grid_time_draws_each_step_once(monkeypatch):
+    drawn = count_draws(monkeypatch)
+    # two start points at one time are two blocks, one per lane
+    value_grid_reduced(stable_reduced(), np.array([[1.0, 1.0], [0.5, -0.5]]),
+                       0.5, 1.5, quad_cost, (1e-2, 300, 61))
+    assert sorted(drawn) == list(range(100))
+
+
+def test_full_march_draws_each_step_once(monkeypatch):
+    drawn = count_draws(monkeypatch)
+    cfg = SimConfig(dt=0.01, horizon=0.5, seed=1, n_paths=8)
+    value_pathintegral(stable_full_system(), [0.5, 0.5, 0.5], 0.0, 0.5,
+                       CostSpec(full_cost), cfg)
+    assert sorted(drawn) == list(range(50))
+
+
+@pytest.mark.parametrize("slow_lane", ["calling", "helper"])
+def test_grid_rows_equal_one_point_runs_when_one_lane_lags(monkeypatch,
+                                                          slow_lane):
+    # 64 paths per block: five blocks in three rounds, the last without a
+    # partner, so both lanes wait on the window and reuse the ring buffers
+    monkeypatch.setattr(montecarlo, "_BLOCK_ROWS", 64)
+    red = state_dependent_k1()
+    pts = np.array([[0.0], [0.7], [-1.2], [0.3], [1.1]])
+    mc = (1e-2, 64, 67)
+    pauses = np.random.default_rng(5)
+    lock = threading.Lock()
+
+    def r(xi):
+        helper = threading.current_thread() is not threading.main_thread()
+        if helper == (slow_lane == "helper"):
+            with lock:
+                pause = pauses.random() < 0.2
+            if pause:
+                time.sleep(0.002)
+        return k1_square(xi)
+
+    grid = value_grid_reduced(red, pts, 0.0, 1.0, r, mc)
+    cfg = SimConfig(dt=1e-2, horizon=1.0, seed=67, n_paths=64)
+    for p, row in enumerate(pts):
+        one = value_pathintegral_reduced(red, row, 0.0, 1.0, k1_square, cfg)
+        assert grid.estimates[p] == np.exp(-one.value), p
+        assert grid.std_errors[p] == np.exp(-one.value) * one.std_error, p
+
+
+@pytest.mark.parametrize("failing", [0, 1])
+def test_lane_that_raises_early_leaves_the_draws_to_the_other(failing):
+    # 200 steps, far past the draw window; the lane of block ``failing``
+    # (0: the calling thread, 1: the helper) raises at step 2
+    pts = np.array([[0.0], [0.5]])
+    calls = {}
+
+    def r(xi):
+        lane = int(threading.current_thread() is not threading.main_thread())
+        calls[lane] = calls.get(lane, 0) + 1
+        # observer calls: step 0 (the start), then one after every step
+        if lane == failing and calls[lane] == 3:
+            raise ValueError("r failed at step 2")
+        return k1_square(xi)
+
+    mc = (1e-2, 16, 1)
+    with pytest.raises(ValueError, match="r failed at step 2"):
+        value_grid_reduced(state_dependent_k1(), pts, 0.0, 2.0, r, mc)
+    assert calls == {failing: 3, 1 - failing: 201}
+
+
+class Interrupt(BaseException):
+    """Stands in for KeyboardInterrupt, which the lanes do not catch."""
+
+
+def test_interrupt_in_the_calling_lane_releases_the_helper(monkeypatch):
+    # four one-point blocks in two rounds: without closing the draw sources
+    # the helper would wait in round 2 for a calling lane that never comes
+    monkeypatch.setattr(montecarlo, "_BLOCK_ROWS", 16)
+    calls = []
+
+    def r(xi):
+        if threading.current_thread() is threading.main_thread():
+            calls.append(1)
+            if len(calls) == 3:
+                raise Interrupt()
+        return k1_square(xi)
+
+    with pytest.raises(Interrupt):
+        value_grid_reduced(state_dependent_k1(), np.zeros((4, 1)), 0.0, 2.0,
+                           r, (1e-2, 16, 1))

@@ -141,6 +141,12 @@ def test_step_noise_is_pure_and_prefix_stable():
     assert np.array_equal(z, step_noise(7, 3, 9, 2)[:5])
 
 
+def test_step_noise_into_a_buffer_gives_the_same_bits():
+    buf = np.empty((5, 2))
+    assert step_noise(7, 3, 5, 2, out=buf) is buf
+    assert buf.tobytes() == step_noise(7, 3, 5, 2).tobytes()
+
+
 def test_csv_round_trip(tmp_path):
     sys3 = three_dim_literal()
     cfg = SimConfig(dt=0.25, horizon=0.5, seed=4, n_paths=2)
