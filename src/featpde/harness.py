@@ -638,8 +638,9 @@ _SCHEMA = {
 
 def _value(value, spec: tuple, key: str):
     """Config entry ``key``'s ``value`` converted to the kind of its
-    ``spec``; a value of another kind, or out of bound, raises a
-    ConfigError naming ``key``."""
+    ``spec``; a value of another kind, NaN anywhere in a number, list,
+    row or interval, or a value out of bound raises a ConfigError naming
+    ``key``.  Infinity passes where the bound allows it."""
     kind, bound = spec[:2]
     if value is None and len(spec) > 2 and spec[2] is None:
         return None
@@ -671,13 +672,12 @@ def _value(value, spec: tuple, key: str):
                               f"({exc!r})") from None
     try:
         if kind == "intervals":
-            return [(float(lo), float(hi)) for lo, hi in value]
-        if kind == "points":
+            out = [(float(lo), float(hi)) for lo, hi in value]
+        elif kind == "points":
             out = np.atleast_2d(np.asarray(value, dtype=np.float64))
             if np.ndim(value) == 0 or out.ndim != 2:
                 raise ValueError(value)
-            return out
-        if kind is float:
+        elif kind is float:
             out = float(value)
         else:
             out = (value if isinstance(value, (int, np.integer))
@@ -690,6 +690,8 @@ def _value(value, spec: tuple, key: str):
                 "points": "a list of coordinate rows",
                 float: "a number", int: "a whole number"}[kind]
         raise ConfigError(f"{key} must be {what}, got {value!r}") from None
+    if np.isnan(out).any():
+        raise ConfigError(f"{key} must not be NaN, got {value!r}")
     if bound == _POS and not out > 0 or bound == _NONNEG and not out >= 0:
         raise ConfigError(f"{key} must be {bound}, got {value!r}")
     return out

@@ -517,6 +517,7 @@ _BAD_RANGES = {"alpha": [1.0], "beta_slope": [-1.0],
 _INLINE = {"alpha": [1.0], "beta_slope": [-1.0], "ranges": [[-6.0, 6.0]],
            "horizon": 1.0}
 _AT_ZERO = {"points": [[0.0]]}
+_NAN = float("nan")
 _PINN_AT = {"preset": "sys3d-value", "estimator": "pinn",
             "eval": {"points": [[1.5, 1.5]]}}
 _ENCODER_AT = {"preset": "sys3d-value", "estimator": "riccati",
@@ -717,6 +718,45 @@ def _checkpoint_file(tmp_path, kind):
          "pinn.resample_collocation"),
         ("train-pinn", {"preset": "lq-scalar", "pinn": {"epochs": 2.5}},
          "pinn.epochs"),
+        # NaN, which passes every range check, in numbers, lists, rows and
+        # intervals; the first two used to write a NaN row and exit 0
+        ("estimate-value",
+         {"preset": "lq-scalar", "estimator": "fd",
+          "eval": {"points": [[_NAN]], "time": 0.0}},
+         "eval.points"),
+        ("estimate-value",
+         {"preset": "lq-scalar", "estimator": "riccati",
+          "eval": {"points": [[0.0]], "time": _NAN}},
+         "eval.time"),
+        ("estimate-value",
+         {"preset": "lq-scalar", "estimator": "riccati",
+          "eval": {"domain": [[_NAN, 1.0]], "step": 0.5, "time": 0.0}},
+         "eval.domain"),
+        ("estimate-value",
+         {"inline": dict(_INLINE, r_scale=_NAN), "estimator": "riccati",
+          "eval": _AT_ZERO},
+         "inline.r_scale"),
+        ("estimate-value",
+         {"inline": dict(_INLINE, alpha=[_NAN]), "estimator": "riccati",
+          "eval": _AT_ZERO},
+         "inline.alpha"),
+        ("estimate-value",
+         {"inline": dict(_INLINE, ranges=[[_NAN, 6.0]]),
+          "estimator": "riccati", "eval": _AT_ZERO},
+         "inline.ranges"),
+        ("simulate", {"preset": "lq-scalar", "sim": {"xi0": [_NAN]}},
+         "sim.xi0"),
+        ("simulate",
+         {"preset": "lq-scalar", "sim": {"xi0": [0.0], "t0": _NAN}},
+         "sim.t0"),
+        ("benchmark",
+         {"preset": "lq-scalar",
+          "benchmark": {"oracle": "riccati", "points": [[0.0]],
+                        "time": _NAN}},
+         "benchmark.time"),
+        ("make-dataset",
+         {"preset": "lq-scalar", "dataset": {"times": [_NAN]}},
+         "dataset.times"),
     ],
 )
 def test_bad_config_values_name_their_key(command, cfg, key, tmp_path):
@@ -751,6 +791,12 @@ def test_every_schema_key_rejects_a_value_of_the_wrong_kind(key):
         cfg["preset"] = "lq-scalar"
     with pytest.raises(ConfigError, match=re.escape(key)):
         validate_config(cfg)
+
+
+def test_infinity_passes_where_a_default_uses_it():
+    cfg = {"preset": "lq-scalar", "dataset": {"se_ceiling": float("inf")}}
+    assert ExperimentConfig.resolve(cfg).typed["dataset"]["se_ceiling"] == (
+        np.inf)
 
 
 def test_int_keys_take_integral_floats():

@@ -7,12 +7,19 @@ heat equation.  The 2-d solves are then cross-checked Riccati-vs-FD.
 """
 
 import hashlib
+import threading
 
 import numpy as np
 import pytest
 
 from gradient_cases import residual
-from featpde.errors import DomainError, RiccatiBlowupError, UsageError
+from featpde import pde
+from featpde.errors import (
+    DomainError,
+    NumericalError,
+    RiccatiBlowupError,
+    UsageError,
+)
 from featpde.pde import (
     FdSolution,
     LqSpec,
@@ -23,6 +30,7 @@ from featpde.pde import (
     riccati_value,
     solve_fd,
 )
+from featpde.presets import get_preset
 from featpde.reduction import build_reduced_sde
 
 
@@ -360,6 +368,170 @@ def test_engine_step_neither_writes_its_input_nor_reuses_its_output(
         u = nxt
 
 
+# --- two-half line solves -------------------------------------------------------
+
+
+def _short_value_problem():
+    return assemble_value_pde(
+        stable_reduced(), quad_cost, 1.0, [(-4.5, 6.0), (-3.5, 5.0)], 0.1
+    )
+
+
+def _short_safety_problem():
+    return assemble_safety_pde(
+        unstable_reduced(), min_barrier, [(-6.0, 4.0), (-6.0, 4.0)], 0.1
+    )
+
+
+# 211 x 171 and 201 x 201 nodes: odd line counts above the floor, so the
+# halves hold unequal numbers of lines; 43 x 35 and 41 x 41 lie below it
+@pytest.mark.parametrize("make, dxi, dt", [
+    (_short_value_problem, 0.05, 2.5e-3),
+    (_short_safety_problem, 0.05, 2e-3),
+    (_short_value_problem, 0.25, 2.5e-3),
+    (_short_safety_problem, 0.25, 2e-3),
+])
+def test_split_and_whole_solves_march_the_same_bytes(monkeypatch, make,
+                                                     dxi, dt):
+    problem = make()
+    default = solve_fd(problem, dxi, dt, save_every=10)
+    size = default.values[0].size
+    split_by_default = size >= pde._SPLIT_NODES
+    for ax in range(2):
+        assert len(default._engine.halves[ax]) == 1 + split_by_default
+    # flip the floor: a grid above it runs whole, one below it split
+    monkeypatch.setattr(pde, "_SPLIT_NODES", 0 if not split_by_default
+                        else size + 1)
+    flipped = solve_fd(problem, dxi, dt, save_every=10)
+    for ax in range(2):
+        assert len(flipped._engine.halves[ax]) == 2 - split_by_default
+    assert flipped.values.tobytes() == default.values.tobytes()
+    assert flipped.verify() and default.verify()
+
+
+def test_one_line_grid_is_never_split(monkeypatch):
+    real = pde.dgttrs
+    threads = set()
+
+    def recording(*args, **kwargs):
+        threads.add(threading.current_thread().name)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(pde, "dgttrs", recording)
+    monkeypatch.setattr(pde, "_SPLIT_NODES", 0)
+    sol = solve_fd(heat_problem(), np.pi / 100, 1e-2, save_every=20)
+    assert len(sol._engine.halves[0]) == 1
+    assert threads == {threading.current_thread().name}
+    digest = hashlib.sha256(sol.values.tobytes()).hexdigest()
+    assert digest == VALUES_SHA256["heat"]
+
+
+@pytest.mark.parametrize("name", sorted(VALUES_SHA256))
+def test_verify_remarches_every_pinned_solution(fd_solutions, name):
+    sol = fd_solutions[name]
+    assert sol.verify()
+    # it compares bytes: one flipped last bit of a saved slice fails it
+    last = len(sol.times) - 1 if sol.problem.kind == "safety" else 0
+    saved = sol.values[last].copy()
+    flat = sol.values[last].reshape(-1)
+    j = int(np.flatnonzero(flat != 0.0)[0])
+    flat.view(np.int64)[j] ^= 1
+    try:
+        assert not sol.verify()
+    finally:
+        sol.values[last] = saved
+
+
+# 201 lines of 201 nodes split after line 100
+_FIRST, _SECOND = 100 * 201, 101 * 201
+
+
+def test_split_halves_run_on_two_threads_at_once(monkeypatch):
+    real = pde.dgttrs
+    begun = threading.Semaphore(0)
+    waits, second_threads = [], []
+
+    def fake(dl, d, *args, **kwargs):
+        if d.size == _SECOND:
+            second_threads.append(threading.current_thread().name)
+            begun.release()
+        else:
+            # the first half cannot end before the second has begun
+            waits.append(begun.acquire(timeout=10))
+        return real(dl, d, *args, **kwargs)
+
+    monkeypatch.setattr(pde, "dgttrs", fake)
+    solve_fd(_short_safety_problem(), 0.05, 2e-3)
+    assert len(waits) == len(second_threads) > 0 and all(waits)
+    assert all(name.startswith("featpde-fd") for name in second_threads)
+
+
+@pytest.mark.parametrize("failing", [_FIRST, _SECOND])
+def test_failed_half_solve_raises_after_both_halves_finish(monkeypatch,
+                                                           failing):
+    real = pde.dgttrs
+    finished = []
+
+    def fake(dl, d, *args, **kwargs):
+        x, info = real(dl, d, *args, **kwargs)
+        finished.append(d.size)
+        return x, int(d.size == failing)
+
+    monkeypatch.setattr(pde, "dgttrs", fake)
+    with pytest.raises(NumericalError, match=r"gttrs failed on axis 1 "
+                                             r"\(info 1\)"):
+        solve_fd(_short_safety_problem(), 0.05, 2e-3)
+    # the first solve's two halves both ran to the end, and nothing after
+    assert sorted(finished) == [_FIRST, _SECOND]
+
+
+# --- grid convergence of the preset oracles ------------------------------------
+
+# Crank-Nicolson with Rannacher start-up is second order in (d_xi, dt), so
+# halving d_xi with dt = d_xi / 50 should cut the change between successive
+# grids fourfold, and a third of the last change (Richardson, order 2)
+# estimates the error left at the finest grid.  Recorded at the nine points
+# {1, 1.5, 2}^2 (largest changes):
+#   sys3d-safety, t = 1, d_xi 0.2 -> 0.1 -> 0.05: 4.435e-3, 1.024e-3; order
+#     2.115; estimate 3.41e-4, against the gate's 0.01 allowance
+#   sys3d-value, t = 0.5, d_xi 0.25 -> 0.125 -> 0.0625 (0.2 does not divide
+#     its domain): 1.170e-3, 2.907e-4; order 2.009; estimate 9.69e-5, and the
+#     true error against Riccati 9.674e-5; extrapolated, 1.9e-7
+# Bounds are 1.25x the recorded figures; the value estimate's gap to the true
+# error (recorded 0.2%) is held under 5%.
+_NINE = np.array([[a, b] for a in (1.0, 1.5, 2.0) for b in (1.0, 1.5, 2.0)])
+
+
+def _oracle_ladder(name, spacings, t):
+    preset = get_preset(name)
+    problem = preset.pde_problem(domain=preset.oracle_domain)
+    out = []
+    for h in spacings:
+        dt = h / 50
+        sol = solve_fd(problem, h, dt, save_every=round(0.5 / dt))
+        out.append(sol.interpolate(_NINE, t))
+    changes = [np.abs(b - a).max() for a, b in zip(out, out[1:])]
+    return out, np.log2(changes[0] / changes[1]), changes[1] / 3
+
+
+def test_safety_oracle_converges_at_second_order():
+    _, order, estimate = _oracle_ladder("sys3d-safety", [0.2, 0.1, 0.05], 1.0)
+    assert abs(order - 2.0) <= 0.25
+    assert estimate <= 1.25 * 3.41e-4  # about 0.01 / 23
+
+
+def test_value_oracle_ladder_predicts_its_riccati_error():
+    values, order, estimate = _oracle_ladder(
+        "sys3d-value", [0.25, 0.125, 0.0625], 0.5)
+    assert abs(order - 2.0) <= 0.25
+    assert estimate <= 1.25 * 9.69e-5
+    ref = riccati_value(get_preset("sys3d-value").lq, _NINE, 0.5)
+    error = np.abs(values[-1] - ref).max()
+    assert abs(estimate - error) <= 0.05 * error
+    extrapolated = values[-1] + (values[-1] - values[-2]) / 3
+    assert np.abs(extrapolated - ref).max() <= 1.25 * 1.9e-7
+
+
 # --- residual ------------------------------------------------------------------
 
 
@@ -441,6 +613,15 @@ def test_interpolate_rejects_out_of_grid(safety_solution):
         safety_solution.interpolate([5.0, 0.0], 0.5)
     with pytest.raises(DomainError):
         safety_solution.interpolate([0.0, 0.0], 1.5)
+
+
+def test_interpolate_rejects_nan(safety_solution):
+    nan = float("nan")
+    for xi, t, what in (([[0.0, 0.0], [nan, 0.0]], 0.5, "xi1"),
+                        ([0.0, nan], 0.5, "xi2"),
+                        ([0.0, 0.0], nan, "t")):
+        with pytest.raises(DomainError, match=f"^{what} = nan outside"):
+            safety_solution.interpolate(xi, t)
 
 
 def test_interpolate_rejects_wrong_point_width(safety_solution):
