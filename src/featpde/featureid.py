@@ -52,6 +52,7 @@ from .neural import (
     load_checkpoint,
     save_checkpoint,
 )
+from .reduction import diffusion_diagonal, generator_terms
 from .sde import StochasticSystem
 
 __all__ = [
@@ -207,22 +208,6 @@ def _ct_probes(states):
     return probes, steps
 
 
-def _diffusion_diagonal(system: StochasticSystem, probes):
-    sig = system.sigma_at(probes)
-    ss_diag = np.einsum("plc,plc->pl", sig, sig)
-    # the Ito term below contracts the feature Hessian DIAGONAL against
-    # sigma sigma^T, which is only the full trace when S is diagonal
-    n = probes.shape[1]
-    sub = sig[: min(len(sig), 16)]
-    full = np.einsum("plc,pqc->plq", sub, sub)
-    off = full - full * np.eye(n)
-    if np.max(np.abs(off)) > 1e-12 * (1.0 + np.abs(full).max()):
-        raise UsageError(
-            "comparison-theorem loss requires diagonal sigma sigma^T"
-        )
-    return ss_diag
-
-
 def _bucket_weights(labels, k: int) -> np.ndarray:
     """Per-state weights of one feature's two-level average: buckets weigh
     equally, members within a bucket weigh equally, features weigh 1/k."""
@@ -246,20 +231,16 @@ def _ct_loss(encoder: DenseNetwork, system: StochasticSystem,
         raise UsageError("preimage was built for a different feature count")
     probes, steps = _ct_probes(states)
     f = np.asarray(system.drift(probes), dtype=np.float64)
-    ss_diag = _diffusion_diagonal(system, probes)
+    ss_diag = diffusion_diagonal(system, probes)
     # ito[:, i] = 1/2 sum_l S_ll d^2 p_i / dx_l^2, the Ito term of A p_i
     u, jac, ito = derivatives_batch(encoder, probes, 0.5 * ss_diag, cache)
+    a_all, ap_all = generator_terms(jac, ito, f, ss_diag)
 
     total = 0.0
     n_clamped = 0
     levels = []
     for i in range(k):
-        a = 0.0
-        ap = ito[:, i]
-        for l in range(n):
-            g_l = jac[:, l, i]
-            a = a + ss_diag[:, l] * (g_l * g_l)
-            ap = ap + f[:, l] * g_l
+        a, ap = a_all[:, i], ap_all[:, i]
         n_clamped += int(np.count_nonzero(a < CT_CLAMP_FLOOR))
         kept = a >= CT_CLAMP_FLOOR
         a_c = np.maximum(a, CT_CLAMP_FLOOR)

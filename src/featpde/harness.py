@@ -30,13 +30,14 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, fields, replace
+from functools import partial
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 import yaml
 
 from . import __version__
-from .errors import ConfigError, DomainError, UsageError
+from .errors import ConfigError, UsageError
 from .featureid import AeTrainConfig, AutoencoderNet, train_autoencoder
 from .grid import nodes, space_time, write_csv
 from .montecarlo import (
@@ -55,9 +56,8 @@ from .presets import (Preset, _quad_r, feature_state_grid, get_preset,
                       preset_names)
 from .reduction import (
     build_reduced_sde,
-    coeff_a,
-    coeff_b,
     feature_map_from_encoder,
+    generator_at,
 )
 from .sde import SimConfig, ZeroPolicy, simulate, simulate_reduced
 
@@ -181,8 +181,10 @@ def _reduced_from_encoder(system, red: dict, seed: int):
     """Tabulated reduced SDE of a learned encoder.
 
     Samples states from the declared box, evaluates the generator
-    coefficients a_i, b_i of each learned feature, averages them over
-    feature-value bins, and interpolates the bin means into callables.
+    coefficients a_i, b_i of every learned feature at all of them in one
+    derivative-bundle call, averages them over feature-value bins (the
+    ``n_levels`` sections of the states in feature order, as
+    ``np.array_split`` cuts them), and interpolates the bin means.
     """
     if "state_domain" not in red:
         raise ConfigError("reduction.state_domain is required with an "
@@ -193,7 +195,8 @@ def _reduced_from_encoder(system, red: dict, seed: int):
             f"reduction.state_domain lists {len(box)} intervals, system "
             f"has {system.state_dim} coordinates"
         )
-    n_states, n_levels = red["n_states"], red["n_levels"]
+    n_states = red["n_states"]
+    n_bins = min(red["n_levels"], n_states)  # no empty section
     gen = np.random.Generator(
         np.random.Philox(key=np.array([seed, 0x5EDC], dtype=np.uint64))
     )
@@ -202,37 +205,21 @@ def _reduced_from_encoder(system, red: dict, seed: int):
     states = gen.uniform(lo, hi, (n_states, system.state_dim))
     fm = feature_map_from_encoder(red["encoder_checkpoint"])
     feats = fm.p(states)
-    nominal = ZeroPolicy(system.control_dim)
-    alpha, beta, ranges = [], [], []
-    for i in range(fm.k):
-        order = np.argsort(feats[:, i], kind="stable")
-        splits = np.array_split(order, n_levels)
-        keys, amean, bmean = [], [], []
-        for idx in splits:
-            if idx.size == 0:
-                continue
-            a_vals = [coeff_a(system, fm, i, states[j]) for j in idx]
-            b_vals = [coeff_b(system, nominal, fm, i, states[j]) for j in idx]
-            keys.append(float(feats[idx, i].mean()))
-            amean.append(float(np.mean(a_vals)))
-            bmean.append(float(np.mean(b_vals)))
-        keys = np.asarray(keys)
-        amean = np.asarray(amean)
-        bmean = np.asarray(bmean)
-        if not np.all(amean > 0):
-            raise DomainError(
-                f"learned feature {i + 1} has nonpositive mean diffusion "
-                f"coefficient on the sampled states"
-            )
-        alpha.append(
-            (lambda kk, aa: lambda s: np.interp(
-                np.asarray(s, dtype=np.float64), kk, aa))(keys, amean)
-        )
-        beta.append(
-            (lambda kk, bb: lambda s: np.interp(
-                np.asarray(s, dtype=np.float64), kk, bb))(keys, bmean)
-        )
-        ranges.append((float(feats[:, i].min()), float(feats[:, i].max())))
+    a, ap = generator_at(system, ZeroPolicy(system.control_dim), fm, states)
+    # bins[j, i]: feature i's bin of state j, numbered apart per feature
+    each, extra = divmod(n_states, n_bins)
+    rank_bin = np.repeat(np.arange(n_bins),
+                         [each + 1] * extra + [each] * (n_bins - extra))
+    bins = np.empty((n_states, fm.k), dtype=np.intp)
+    np.put_along_axis(bins, np.argsort(feats, axis=0, kind="stable"),
+                      rank_bin[:, None] + n_bins * np.arange(fm.k), axis=0)
+    counts = np.bincount(bins.ravel()).reshape(fm.k, n_bins)
+    keys, amean, bmean = (
+        np.bincount(bins.ravel(), weights=v.ravel()).reshape(fm.k, n_bins)
+        / counts for v in (feats, a, ap / a))
+    alpha = [partial(np.interp, xp=kk, fp=aa) for kk, aa in zip(keys, amean)]
+    beta = [partial(np.interp, xp=kk, fp=bb) for kk, bb in zip(keys, bmean)]
+    ranges = list(zip(feats.min(axis=0), feats.max(axis=0)))
     return build_reduced_sde(alpha, beta, ranges), fm
 
 
@@ -640,7 +627,7 @@ def _value(value, spec: tuple, key: str):
     """Config entry ``key``'s ``value`` converted to the kind of its
     ``spec``; a value of another kind, NaN anywhere in a number, list,
     row or interval, or a value out of bound raises a ConfigError naming
-    ``key``.  Infinity passes where the bound allows it."""
+    ``key``.  Infinity passes only where the key's default is infinite."""
     kind, bound = spec[:2]
     if value is None and len(spec) > 2 and spec[2] is None:
         return None
@@ -692,6 +679,10 @@ def _value(value, spec: tuple, key: str):
         raise ConfigError(f"{key} must be {what}, got {value!r}") from None
     if np.isnan(out).any():
         raise ConfigError(f"{key} must not be NaN, got {value!r}")
+    default = spec[2] if len(spec) > 2 else None
+    if np.isinf(out).any() and not (isinstance(default, float)
+                                    and np.isinf(default)):
+        raise ConfigError(f"{key} must be finite, got {value!r}")
     if bound == _POS and not out > 0 or bound == _NONNEG and not out >= 0:
         raise ConfigError(f"{key} must be {bound}, got {value!r}")
     return out

@@ -63,6 +63,18 @@ def three_dim_system(stable: bool = False) -> StochasticSystem:
     )
 
 
+def _linear_derivatives(g):
+    """Batched derivatives of the linear features x -> g x: a broadcast
+    Jacobian g^T and a zero Hessian trace."""
+    k, n = g.shape
+
+    def derivatives(xb, w):
+        rows = np.atleast_2d(xb).shape[0]
+        return np.broadcast_to(g.T, (rows, n, k)), np.zeros((rows, k))
+
+    return derivatives
+
+
 def three_dim_features() -> FeatureMap:
     """Features (x1 + x2, x3) with analytic derivatives."""
     g = np.array([[1.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
@@ -70,14 +82,7 @@ def three_dim_features() -> FeatureMap:
     def p(xb):
         return np.atleast_2d(np.asarray(xb, dtype=np.float64)) @ g.T
 
-    def grad_p(xb):
-        xb = np.atleast_2d(np.asarray(xb, dtype=np.float64))
-        return np.broadcast_to(g, (xb.shape[0], 2, 3))
-
-    def hess_p(x, i):
-        return np.zeros((3, 3))
-
-    return FeatureMap(k=2, n=3, p=p, grad_p=grad_p, hess_p=hess_p)
+    return FeatureMap(k=2, n=3, p=p, derivatives=_linear_derivatives(g))
 
 
 def _block_coupling_matrix() -> sparse.csr_matrix:
@@ -127,14 +132,7 @@ def thousand_dim_features() -> FeatureMap:
             [xb[:, :500].sum(axis=1), xb[:, 500:].sum(axis=1)], axis=1
         )
 
-    def grad_p(xb):
-        xb = np.atleast_2d(np.asarray(xb, dtype=np.float64))
-        return np.broadcast_to(g, (xb.shape[0], 2, 1000))
-
-    def hess_p(x, i):
-        return np.zeros((1000, 1000))
-
-    return FeatureMap(k=2, n=1000, p=p, grad_p=grad_p, hess_p=hess_p)
+    return FeatureMap(k=2, n=1000, p=p, derivatives=_linear_derivatives(g))
 
 
 # ---------------------------------------------------------------------------

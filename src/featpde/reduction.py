@@ -3,9 +3,15 @@ checks, and construction of the reduced per-coordinate SDE.
 
 For a feature p_i and control policy U the generator drift is
 
-    A^U p_i(x) = Dp_i . f(x) + Dp_i . sigma(x) U(x) + 1/2 Tr(D^2 p_i sigma sigma^T)
+    A^U p_i(x) = Dp_i . (f(x) + sigma(x) U(x)) + 1/2 Tr(D^2 p_i S(x)),
 
-and the level diffusion coefficient is a_i(x) = Dp_i sigma sigma^T Dp_i^T.
+with S = sigma sigma^T, and the level diffusion coefficient is
+a_i(x) = Dp_i S Dp_i^T.  Only a diagonal S is accepted, so the Ito term is
+1/2 sum_l S_ll d^2 p_i / dx_l^2: the weighted Hessian trace L of a feature
+map's batched derivatives with weights 1/2 S_ll.  Every coefficient is thus
+evaluated for a whole batch of states from one ``FeatureMap.derivatives``
+call (for an encoder, one derivative-bundle call) through
+``generator_terms``, the helper the feature-learning penalty shares.
 When a_i and b_i = A^U p_i / a_i are constant on every level set of p_i (and
 positive / Lipschitz respectively), the feature process is exactly the scalar
 SDE dxi_i = alpha_i(xi_i) beta_i(xi_i) dt + sqrt(alpha_i(xi_i)) dB_i.
@@ -13,7 +19,7 @@ SDE dxi_i = alpha_i(xi_i) beta_i(xi_i) dt + sqrt(alpha_i(xi_i)) dB_i.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import json
@@ -32,14 +38,12 @@ from .sde import ControlPolicy, StochasticSystem
 
 __all__ = [
     "FeatureMap",
-    "GeneratorCoefficients",
     "ReducedSde",
     "AssumptionReport",
     "LevelSetSampler",
-    "apply_generator",
-    "coeff_a",
-    "coeff_b",
-    "generator_coefficients",
+    "diffusion_diagonal",
+    "generator_terms",
+    "generator_at",
     "level_set_bounds",
     "check_assumptions",
     "build_reduced_sde",
@@ -50,64 +54,51 @@ __all__ = [
 
 @dataclass
 class FeatureMap:
-    """Smooth feature function with derivative access.
+    """Smooth feature function with batched derivatives.
 
-    ``p``: states (N, n) -> (N, k).  ``grad_p``: (N, n) -> (N, k, n).
-    ``hess_p``: single state (n,) and feature index -> (n, n).
-    ``synthesized`` marks finite-difference derivatives (self-check skipped).
+    ``p``: states (N, n) -> (N, k).  ``derivatives(x, w)``: states (N, n)
+    and weights (N, m) of the leading m <= n coordinates -> (J, L), in the
+    orientation of :func:`derivatives_batch`: the Jacobian J (N, n, k),
+    ``J[r, l, i] = d p_i / d x_l``, and L (N, k) = sum_{l < m} w_l
+    d^2 p_i / d x_l^2.  ``synthesized`` marks central-difference derivatives
+    (self-check skipped).
     """
 
     k: int
     n: int
     p: Callable[[np.ndarray], np.ndarray]
-    grad_p: Callable[[np.ndarray], np.ndarray]
-    hess_p: Callable[[np.ndarray, int], np.ndarray]
+    derivatives: Callable[[np.ndarray, np.ndarray], tuple]
     synthesized: bool = False
 
     @classmethod
-    def from_functions(cls, k, n, p, grad_p=None, hess_p=None):
-        """Wrap a feature function, synthesizing missing derivatives by
-        central differences (step 1e-5 * (1 + |x|), per component)."""
-        synthesized = grad_p is None or hess_p is None
+    def from_functions(cls, k, n, p):
+        """Wrap a feature function with central-difference derivatives
+        (step h = 1e-5 * (1 + |x_l|) per coordinate): J from first and L
+        from second differences of p."""
 
-        def fd_grad(xb):
+        def derivatives(xb, w):
             xb = np.atleast_2d(np.asarray(xb, dtype=np.float64))
-            out = np.empty((xb.shape[0], k, n))
-            for j in range(n):
-                h = 1e-5 * (1.0 + np.abs(xb[:, j]))
-                xp = xb.copy()
-                xp[:, j] += h
-                xm = xb.copy()
-                xm[:, j] -= h
-                out[:, :, j] = (p(xp) - p(xm)) / (2.0 * h)[:, None]
-            return out
+            w = np.asarray(w, dtype=np.float64)
+            p0 = p(xb)
+            jac = np.empty((len(xb), n, k))
+            lap = np.zeros((len(xb), k))
+            for l in range(n):
+                step = np.zeros_like(xb)
+                step[:, l] = 1e-5 * (1.0 + np.abs(xb[:, l]))
+                up, down = p(xb + step), p(xb - step)
+                h = step[:, l:l + 1]
+                jac[:, l] = (up - down) / (2.0 * h)
+                if l < w.shape[1]:
+                    lap += w[:, l:l + 1] * (up - 2.0 * p0 + down) / (h * h)
+            return jac, lap
 
-        g = grad_p if grad_p is not None else fd_grad
-
-        def fd_hess(x, i):
-            x = np.asarray(x, dtype=np.float64)
-            rows = np.empty((n, n))
-            for j in range(n):
-                h = 1e-5 * (1.0 + abs(x[j]))
-                xp = x.copy()
-                xp[j] += h
-                xm = x.copy()
-                xm[j] -= h
-                rows[j] = (g(xp[None])[0, i] - g(xm[None])[0, i]) / (2.0 * h)
-            return 0.5 * (rows + rows.T)
-
-        return cls(
-            k=k,
-            n=n,
-            p=p,
-            grad_p=g,
-            hess_p=hess_p if hess_p is not None else fd_hess,
-            synthesized=synthesized,
-        )
+        return cls(k=k, n=n, p=p, derivatives=derivatives, synthesized=True)
 
 
 def verify_feature_derivatives(fm: FeatureMap, probes: np.ndarray, rtol=1e-5):
-    """Check grad_p/hess_p against central differences of p at the probes.
+    """Check ``fm.derivatives`` against central differences of p at the
+    probes: the Jacobian, then each coordinate's second derivative (L with a
+    unit weight on that coordinate).
 
     Raises AssumptionViolationError on disagreement.  Skipped (returns False)
     for synthesized derivatives, which would be compared against themselves.
@@ -116,33 +107,27 @@ def verify_feature_derivatives(fm: FeatureMap, probes: np.ndarray, rtol=1e-5):
         return False
     probes = np.atleast_2d(np.asarray(probes, dtype=np.float64))
     ref = FeatureMap.from_functions(fm.k, fm.n, fm.p)
-    g = fm.grad_p(probes)
-    g_fd = ref.grad_p(probes)
+    none = np.empty((len(probes), 0))
+    g = fm.derivatives(probes, none)[0]
+    g_fd = ref.derivatives(probes, none)[0]
     err = np.abs(g - g_fd) / (1.0 + np.abs(g_fd))
     if err.max() > rtol:
         raise AssumptionViolationError(
             f"feature gradient disagrees with finite differences "
             f"(max rel err {err.max():.3e} > {rtol:g})"
         )
-    for x in probes:
-        for i in range(fm.k):
-            h = fm.hess_p(x, i)
-            h_fd = ref.hess_p(x, i)
-            herr = np.abs(h - h_fd) / (1.0 + np.abs(h_fd))
-            if herr.max() > 100 * rtol:  # second differences are noisier
-                raise AssumptionViolationError(
-                    f"feature Hessian (coordinate {i + 1}) disagrees with "
-                    f"finite differences (max rel err {herr.max():.3e})"
-                )
+    for l in range(fm.n):
+        w = np.zeros((len(probes), l + 1))
+        w[:, l] = 1.0
+        h = fm.derivatives(probes, w)[1]
+        h_fd = ref.derivatives(probes, w)[1]
+        herr = np.abs(h - h_fd) / (1.0 + np.abs(h_fd))
+        if herr.max() > 100 * rtol:  # second differences are noisier
+            raise AssumptionViolationError(
+                f"feature second derivative in x{l + 1} disagrees with "
+                f"finite differences (max rel err {herr.max():.3e})"
+            )
     return True
-
-
-@dataclass
-class GeneratorCoefficients:
-    """Level coefficients as callables a(x, i), b(x, i)."""
-
-    a: Callable[[np.ndarray, int], float]
-    b: Callable[[np.ndarray, int], float]
 
 
 @dataclass
@@ -155,58 +140,64 @@ class ReducedSde:
     ranges: Sequence[tuple]
 
 
-def apply_generator(
-    system: StochasticSystem,
-    policy: ControlPolicy,
-    fm: FeatureMap,
-    i: int,
-    x: np.ndarray,
-) -> float:
-    """Generator drift A^U p_i(x); the policy is frozen at t = 0."""
-    x = np.asarray(x, dtype=np.float64)
-    x1 = x[None]
-    jac = fm.grad_p(x1)[0, i]  # (n,)
-    f = np.asarray(system.drift(x1), dtype=np.float64)[0]
-    sig = system.sigma_at(x1)[0]
-    u = policy(x1, 0.0)[0]
-    hess = fm.hess_p(x, i)
-    ito = 0.5 * float(np.sum(hess * (sig @ sig.T)))
-    return float(jac @ f + jac @ (sig @ u) + ito)
+def diffusion_diagonal(system: StochasticSystem, x):
+    """Diagonal S_ll of S = sigma sigma^T at states x (N, n), as (N, n).
+
+    The generator's Ito term contracts only the Hessian diagonal against S,
+    which is the full trace only when S is diagonal, so a non-diagonal S
+    (checked on the first 16 states) is refused.  A constant diffusion is
+    read once and broadcast.
+    """
+    const = system.diffusion_const is not None
+    sig = system.diffusion_const[None] if const else system.sigma_at(x)
+    ss_diag = np.einsum("plc,plc->pl", sig, sig)
+    sub = sig[:16]
+    full = np.matmul(sub, sub.transpose(0, 2, 1))
+    off = full - full * np.eye(x.shape[1])
+    if np.max(np.abs(off)) > 1e-12 * (1.0 + np.abs(full).max()):
+        raise UsageError("the feature generator requires diagonal sigma "
+                         "sigma^T")
+    return np.broadcast_to(ss_diag, x.shape)
 
 
-def coeff_a(system: StochasticSystem, fm: FeatureMap, i: int, x) -> float:
-    """Level diffusion a_i(x) = Dp_i sigma sigma^T Dp_i^T (must be > 0)."""
-    x = np.asarray(x, dtype=np.float64)
-    x1 = x[None]
-    jac = fm.grad_p(x1)[0, i]
-    sig = system.sigma_at(x1)[0]
-    a = float(np.sum((sig.T @ jac) ** 2))
-    if not a > 0.0:
+def generator_terms(jac, ito, drift, ss_diag):
+    """(a, A p) at N states, each (N, k): a_i = sum_l S_ll J_li^2 and
+    A p_i = ito_i + sum_l f_l J_li, from the Jacobian J (N, n, k), the Ito
+    term (N, k) (the weighted Hessian trace with weights 1/2 S_ll), the
+    drift f (N, n) and the diagonal S_ll (N, n) of sigma sigma^T."""
+    a = np.empty(ito.shape)
+    ap = np.empty(ito.shape)
+    for i in range(jac.shape[2]):
+        a_i, ap_i = 0.0, ito[:, i]
+        for l in range(jac.shape[1]):
+            g_l = jac[:, l, i]
+            a_i = a_i + ss_diag[:, l] * (g_l * g_l)
+            ap_i = ap_i + drift[:, l] * g_l
+        a[:, i] = a_i
+        ap[:, i] = ap_i
+    return a, ap
+
+
+def generator_at(system: StochasticSystem, policy: ControlPolicy,
+                 fm: FeatureMap, x):
+    """(a, A^U p), each (N, k), at states x (N, n) from one
+    ``fm.derivatives`` call; the policy is frozen at t = 0.  Raises
+    AssumptionViolationError where some a_i(x) is not positive, so
+    b = A^U p / a is defined."""
+    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    ss_diag = diffusion_diagonal(system, x)
+    jac, ito = fm.derivatives(x, 0.5 * ss_diag)
+    drift = np.asarray(system.drift(x), dtype=np.float64) + np.einsum(
+        "rlc,rc->rl", system.sigma_at(x), policy(x, 0.0))
+    a, ap = generator_terms(jac, ito, drift, ss_diag)
+    bad = np.argwhere(~(a > 0.0))
+    if len(bad):
+        r, i = bad[0]
         raise AssumptionViolationError(
-            f"diffusion coefficient a_{i + 1}(x) = {a:.6g} is not positive "
-            f"at x = {x.ravel()[:8]}"
+            f"diffusion coefficient a_{i + 1}(x) = {a[r, i]:.6g} is not "
+            f"positive at x = {x[r, :8]}"
         )
-    return a
-
-
-def coeff_b(
-    system: StochasticSystem,
-    policy: ControlPolicy,
-    fm: FeatureMap,
-    i: int,
-    x,
-) -> float:
-    """Level drift b_i(x) = A^U p_i(x) / a_i(x)."""
-    return apply_generator(system, policy, fm, i, x) / coeff_a(system, fm, i, x)
-
-
-def generator_coefficients(
-    system: StochasticSystem, policy: ControlPolicy, fm: FeatureMap
-) -> GeneratorCoefficients:
-    return GeneratorCoefficients(
-        a=lambda x, i: coeff_a(system, fm, i, x),
-        b=lambda x, i: coeff_b(system, policy, fm, i, x),
-    )
+    return a, ap
 
 
 @dataclass(frozen=True)
@@ -254,34 +245,34 @@ def level_set_bounds(
             f"no probe point with |p_{i + 1}(x) - {xi:.6g}| <= {band:.3g} "
             f"among {sampler.n_samples} samples"
         )
-    sel = pts[keep]
-    a_vals = np.array([coeff_a(system, fm, i, x) for x in sel])
-    b_vals = np.array(
-        [apply_generator(system, policy, fm, i, x) for x in sel]
-    ) / a_vals
+    a, ap = generator_at(system, policy, fm, pts[keep])
+    b = ap[:, i] / a[:, i]
     return (
-        float(a_vals.min()),
-        float(a_vals.max()),
-        float(b_vals.min()),
-        float(b_vals.max()),
+        float(a[:, i].min()),
+        float(a[:, i].max()),
+        float(b.min()),
+        float(b.max()),
     )
 
 
-def _project_to_level(fm: FeatureMap, i: int, x: np.ndarray, xi: float,
+def _project_to_level(fm: FeatureMap, i: int, x: np.ndarray, xi,
                       newton_steps: int = 2) -> np.ndarray:
-    """Move x onto the exact level set {p_i = xi} along the feature gradient.
+    """Move each state x (N, n) onto its level set {p_i = xi} (xi (N,))
+    along the feature gradient.
 
     Band-accepted probes sit within 1e-3 of the level, which dominates the
     coefficient spread for any xi-dependent b; one or two Newton steps remove
-    that bias so the spread measures level-set constancy only.
+    that bias so the spread measures level-set constancy only.  A state
+    where the gradient vanishes stays where it is.
     """
-    y = np.asarray(x, dtype=np.float64).copy()
+    y = np.array(x, dtype=np.float64)
+    none = np.empty((len(y), 0))
     for _ in range(newton_steps):
-        g = fm.grad_p(y[None])[0, i]
-        gn = float(g @ g)
-        if not gn > 0:
-            break
-        y = y + (xi - float(fm.p(y[None])[0, i])) / gn * g
+        g = fm.derivatives(y, none)[0][:, :, i]
+        gn = np.einsum("rl,rl->r", g, g)
+        step = np.divide(xi - fm.p(y)[:, i], gn, out=np.zeros_like(gn),
+                         where=gn > 0)
+        y += step[:, None] * g
     return y
 
 
@@ -345,9 +336,11 @@ def check_assumptions(
     Band-accepted probes are projected onto the exact level set before the
     coefficients are evaluated, so a feature like p = x1 + x2 with b
     proportional to xi reports a spread at floating-point noise rather than
-    at the acceptance-band width.  A level passes when both spreads are at
-    most ``tol * (1 + |coeff|)``.  Lipschitz estimates are max
-    finite-difference slopes of the level means across the xi grid.
+    at the acceptance-band width.  All probes of one feature, over every
+    level, are projected and evaluated as one batch.  A level passes when
+    both spreads are at most ``tol * (1 + |coeff|)``.  Lipschitz estimates
+    are max finite-difference slopes of the level means across the xi grid
+    (0 with fewer than two levels).
     """
     if fm.k == 0:
         return AssumptionReport([], [], [], tol, True)
@@ -361,43 +354,39 @@ def check_assumptions(
             grid = np.asarray(xi_values[i], dtype=np.float64)
         else:
             lo, hi = feats[:, i].min(), feats[:, i].max()
-            inner = np.linspace(lo, hi, n_levels + 2)[1:-1]
-            grid = inner
+            grid = np.linspace(lo, hi, n_levels + 2)[1:-1]
         width = float(feats[:, i].max() - feats[:, i].min())
         band = sampler.band if sampler.band is not None else 1e-3 * max(
             width, 1e-12
         )
-        mids_a, mids_b = [], []
-        for xi in grid:
-            keep = np.abs(feats[:, i] - xi) <= band
-            if not keep.any():
-                raise EmptyLevelSetError(
-                    f"no probe point with |p_{i + 1}(x) - {xi:.6g}| <= "
-                    f"{band:.3g} among {sampler.n_samples} samples"
-                )
-            proj = [_project_to_level(fm, i, x, float(xi)) for x in pts[keep]]
-            a_vals = np.array([coeff_a(system, fm, i, x) for x in proj])
-            b_vals = np.array(
-                [apply_generator(system, policy, fm, i, x) for x in proj]
-            ) / a_vals
-            a_lo, a_hi = float(a_vals.min()), float(a_vals.max())
-            b_lo, b_hi = float(b_vals.min()), float(b_vals.max())
-            pass_a = (a_hi - a_lo) <= tol * (1.0 + abs(a_hi))
-            pass_b = (b_hi - b_lo) <= tol * (1.0 + abs(b_hi))
-            verdict = "satisfied" if (pass_a and pass_b) else "violated"
-            ok = ok and pass_a and pass_b
-            entries.append(
-                LevelEntry(i + 1, float(xi), a_lo, a_hi, b_lo, b_hi, verdict)
+        keep = np.abs(feats[:, i] - grid[:, None]) <= band
+        counts = keep.sum(axis=1)
+        if not counts.all():
+            raise EmptyLevelSetError(
+                f"no probe point with |p_{i + 1}(x) - "
+                f"{grid[np.argmin(counts)]:.6g}| <= {band:.3g} among "
+                f"{sampler.n_samples} samples"
             )
-            mids_a.append(0.5 * (a_lo + a_hi))
-            mids_b.append(0.5 * (b_lo + b_hi))
-        if len(grid) >= 2:
-            dxi = np.diff(grid)
-            lips_a.append(float(np.max(np.abs(np.diff(mids_a)) / dxi)))
-            lips_b.append(float(np.max(np.abs(np.diff(mids_b)) / dxi)))
-        else:
-            lips_a.append(0.0)
-            lips_b.append(0.0)
+        # probe rows grouped by level, in grid order
+        level, probe = np.nonzero(keep)
+        proj = _project_to_level(fm, i, pts[probe], grid[level])
+        a, ap = generator_at(system, policy, fm, proj)
+        a, b = a[:, i], ap[:, i] / a[:, i]
+        starts = np.cumsum(counts) - counts
+        a_lo, a_hi = (r.reduceat(a, starts) for r in (np.minimum, np.maximum))
+        b_lo, b_hi = (r.reduceat(b, starts) for r in (np.minimum, np.maximum))
+        passed = ((a_hi - a_lo) <= tol * (1.0 + np.abs(a_hi))) & (
+            (b_hi - b_lo) <= tol * (1.0 + np.abs(b_hi)))
+        ok = ok and bool(passed.all())
+        entries += [
+            LevelEntry(i + 1, float(xi), float(al), float(ah), float(bl),
+                       float(bh), "satisfied" if p else "violated")
+            for xi, al, ah, bl, bh, p in zip(grid, a_lo, a_hi, b_lo, b_hi,
+                                             passed)
+        ]
+        for lips, c_lo, c_hi in ((lips_a, a_lo, a_hi), (lips_b, b_lo, b_hi)):
+            slopes = np.abs(np.diff(0.5 * (c_lo + c_hi))) / np.diff(grid)
+            lips.append(float(np.max(slopes, initial=0.0)))
     return AssumptionReport(entries, lips_a, lips_b, tol, ok)
 
 
@@ -425,22 +414,15 @@ def build_reduced_sde(alpha, beta, ranges, n_grid: int = 101) -> ReducedSde:
 
 
 def feature_map_from_encoder(encoder: DenseNetwork) -> FeatureMap:
-    """Wrap a trained encoder network as a FeatureMap.
-
-    Gradient comes from the network's derivative bundle; the full Hessian is
-    synthesized by central differences of the gradient.
-    """
-    n, k = encoder.d_in, encoder.d_out
+    """Wrap a trained encoder network as a FeatureMap whose derivatives are
+    one call of the network's derivative bundle."""
 
     def p(xb):
         return np.atleast_2d(forward(encoder, np.atleast_2d(xb)))
 
-    def grad_p(xb):
-        xb = np.atleast_2d(np.asarray(xb, dtype=np.float64))
-        _, jac, _ = derivatives_batch(encoder, xb, np.empty((len(xb), 0)))
-        return np.swapaxes(jac, 1, 2)  # (N, k, n)
+    def derivatives(xb, w):
+        _, jac, lap = derivatives_batch(encoder, np.atleast_2d(xb), w)
+        return jac, lap
 
-    # the Hessian is a central difference of the exact gradient; not marked
-    # synthesized, so verify_feature_derivatives still checks both
-    return replace(FeatureMap.from_functions(k, n, p, grad_p),
-                   synthesized=False)
+    return FeatureMap(k=encoder.d_out, n=encoder.d_in, p=p,
+                      derivatives=derivatives)

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from conftest import child_env
+from featpde import reduction
 from featpde.errors import ConfigError, UsageError
 from featpde.harness import (
     _SCHEMA,
@@ -491,6 +492,45 @@ def test_encoder_reduction_rerun_from_run_json_is_bit_identical(tmp_path):
     ).read_bytes()
 
 
+def test_encoder_reduction_knots_are_pinned(tmp_path, monkeypatch):
+    # the knots (level keys, mean a, mean b) of one fixed encoder's
+    # tabulated reduction, recorded as float.hex when a_i and b_i were
+    # evaluated one state at a time with a central-difference Hessian.
+    # One bundle call now gives every state's a and b: the keys and a moved
+    # by rounding (largest 2.7e-15 and 3.2e-16 relative), b by that
+    # Hessian's truncation (largest 4.3e-11 relative)
+    calls = []
+    bundle = reduction.derivatives_batch
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return bundle(*args, **kwargs)
+
+    monkeypatch.setattr(reduction, "derivatives_batch", counted)
+    path = str(tmp_path / "encoder.json")
+    save_checkpoint(DenseNetwork.init((3, 10, 2), seed=11), path)
+    xc = ExperimentConfig.resolve(
+        {"preset": "sys3d-value",
+         "reduction": {"encoder_checkpoint": path,
+                       "state_domain": [[0.0, 2.0]] * 3}})
+    assert len(calls) == 1
+    with open(os.path.join(os.path.dirname(__file__), "data",
+                           "encoder_reduction_knots.json")) as fh:
+        pins = json.load(fh)
+    red = xc.preset.reduced
+    assert red.k == len(pins) == 2
+    for alpha, beta, pin in zip(red.alpha, red.beta, pins):
+        want = {name: np.array([float.fromhex(v) for v in pin[name]])
+                for name in ("keys", "alpha", "beta")}
+        assert np.array_equal(alpha.keywords["xp"], beta.keywords["xp"])
+        np.testing.assert_allclose(alpha.keywords["xp"], want["keys"],
+                                   rtol=1e-13, atol=0)
+        np.testing.assert_allclose(alpha.keywords["fp"], want["alpha"],
+                                   rtol=1e-13, atol=0)
+        np.testing.assert_allclose(beta.keywords["fp"], want["beta"],
+                                   rtol=1e-9, atol=0)
+
+
 # ---------------------------------------------------------------------------
 # inline systems
 
@@ -518,6 +558,7 @@ _INLINE = {"alpha": [1.0], "beta_slope": [-1.0], "ranges": [[-6.0, 6.0]],
            "horizon": 1.0}
 _AT_ZERO = {"points": [[0.0]]}
 _NAN = float("nan")
+_INF = float("inf")
 _PINN_AT = {"preset": "sys3d-value", "estimator": "pinn",
             "eval": {"points": [[1.5, 1.5]]}}
 _ENCODER_AT = {"preset": "sys3d-value", "estimator": "riccati",
@@ -757,6 +798,23 @@ def _checkpoint_file(tmp_path, kind):
         ("make-dataset",
          {"preset": "lq-scalar", "dataset": {"times": [_NAN]}},
          "dataset.times"),
+        # infinity, where no default uses it; these used to write an inf
+        # row and exit 0 or fail late with a message naming no key
+        ("estimate-value",
+         {"preset": "lq-scalar", "estimator": "riccati",
+          "eval": {"points": [[_INF]], "time": 0.0}},
+         "eval.points"),
+        ("simulate",
+         {"preset": "lq-scalar", "sim": {"xi0": [0.0], "horizon": _INF}},
+         "sim.horizon"),
+        ("estimate-value",
+         {"preset": "lq-scalar", "estimator": "fd",
+          "fd": {"domain": [[-_INF, 1.0]]}, "eval": {"points": [[0.0]]}},
+         "fd.domain"),
+        ("estimate-value",
+         {"inline": dict(_INLINE, horizon=_INF), "estimator": "riccati",
+          "eval": _AT_ZERO},
+         "inline.horizon"),
     ],
 )
 def test_bad_config_values_name_their_key(command, cfg, key, tmp_path):

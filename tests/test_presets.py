@@ -12,7 +12,7 @@ from featpde.presets import (
     thousand_dim_system,
     three_dim_system,
 )
-from featpde.reduction import coeff_a, coeff_b
+from featpde.reduction import generator_at
 from featpde.sde import ZeroPolicy
 
 ALL_NAMES = [
@@ -140,21 +140,20 @@ def _has(name, *fields):
                                  "x0_of_xi")])
 def test_reduced_sde_matches_full_system(name):
     # at an embedded state the generator coefficients of each feature are
-    # the reduced SDE's, and the full cost or barrier is r
+    # the reduced SDE's, and the full cost or barrier is r; every embedded
+    # state goes through one generator call
     p = get_preset(name)
     full_r = p.cost_full if p.task == "value" else p.barrier_full
     nominal = ZeroPolicy(p.system.control_dim)
-    for xi in ([1.5, 1.5], [1.1, 1.9], [-0.7, 2.3]):
-        xi = np.array(xi)
-        x0 = p.x0_of_xi(xi)
-        for i in range(p.k):
-            s = xi[i:i + 1]
-            assert coeff_a(p.system, p.features, i, x0) == pytest.approx(
-                p.reduced.alpha[i](s)[0], rel=1e-12)
-            assert coeff_b(p.system, nominal, p.features, i, x0) == \
-                pytest.approx(p.reduced.beta[i](s)[0], rel=1e-12)
-        assert full_r(x0[None])[0] == pytest.approx(p.r(xi[None])[0],
+    xi = np.array([[1.5, 1.5], [1.1, 1.9], [-0.7, 2.3]])
+    x0 = np.stack([p.x0_of_xi(row) for row in xi])
+    a, ap = generator_at(p.system, nominal, p.features, x0)
+    for i in range(p.k):
+        s = xi[:, i]
+        assert a[:, i] == pytest.approx(p.reduced.alpha[i](s), rel=1e-12)
+        assert ap[:, i] / a[:, i] == pytest.approx(p.reduced.beta[i](s),
                                                    rel=1e-12)
+    assert full_r(x0) == pytest.approx(p.r(xi), rel=1e-12)
 
 
 @pytest.mark.parametrize("name", [n for n in ALL_NAMES

@@ -15,18 +15,16 @@ from featpde.errors import (
     AssumptionViolationError,
     DomainError,
     EmptyLevelSetError,
+    UsageError,
 )
 from featpde.neural import DenseNetwork
 from featpde.reduction import (
     FeatureMap,
     LevelSetSampler,
-    apply_generator,
     build_reduced_sde,
     check_assumptions,
-    coeff_a,
-    coeff_b,
     feature_map_from_encoder,
-    generator_coefficients,
+    generator_at,
     level_set_bounds,
     verify_feature_derivatives,
 )
@@ -46,18 +44,29 @@ def three_dim_literal():
     return StochasticSystem(3, 3, drift, diffusion_const=np.eye(3))
 
 
+def feature_map(k, n, p, jac, hess_diag):
+    """FeatureMap of ``p`` from its Jacobian ``jac``: (N, n) -> (N, n, k)
+    and its Hessian diagonals ``hess_diag``: (N, n) -> (N, n, k)."""
+
+    def derivatives(x, w):
+        lap = np.einsum("rl,rli->ri", w, hess_diag(x)[:, :w.shape[1]])
+        return jac(x), lap
+
+    return FeatureMap(k=k, n=n, p=p, derivatives=derivatives)
+
+
+def linear_map(g):
+    """The features x -> g x, g (k, n)."""
+    k, n = g.shape
+    return feature_map(
+        k, n, lambda x: x @ g.T,
+        lambda x: np.broadcast_to(g.T, (x.shape[0], n, k)),
+        lambda x: np.zeros((x.shape[0], n, k)),
+    )
+
+
 def three_dim_features():
-    def p(x):
-        return np.column_stack([x[:, 0] + x[:, 1], x[:, 2]])
-
-    def grad_p(x):
-        g = np.array([[1.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
-        return np.broadcast_to(g, (x.shape[0], 2, 3))
-
-    def hess_p(x, i):
-        return np.zeros((3, 3))
-
-    return FeatureMap(k=2, n=3, p=p, grad_p=grad_p, hess_p=hess_p)
+    return linear_map(np.array([[1.0, 1.0, 0.0], [0.0, 0.0, 1.0]]))
 
 
 def varying_sigma_system():
@@ -74,140 +83,126 @@ def varying_sigma_system():
 
 
 def first_coordinate_feature():
-    return FeatureMap(
-        k=1,
-        n=3,
-        p=lambda x: x[:, :1],
-        grad_p=lambda x: np.broadcast_to(
-            np.array([[1.0, 0.0, 0.0]]), (x.shape[0], 1, 3)
-        ),
-        hess_p=lambda x, i: np.zeros((3, 3)),
-    )
+    return linear_map(np.array([[1.0, 0.0, 0.0]]))
 
 
 def test_apply_generator_three_dim_probe():
-    val = apply_generator(
+    _, ap = generator_at(
         three_dim_literal(),
         ZeroPolicy(3),
         three_dim_features(),
-        0,
-        np.array([1.0, 2.0, 3.0]),
+        np.array([[1.0, 2.0, 3.0]]),
     )
-    assert val == pytest.approx(3.0, abs=1e-12)
+    assert ap[0, 0] == pytest.approx(3.0, abs=1e-12)
 
 
 def test_apply_generator_linear_feature_zero_drift():
     sys0 = StochasticSystem(
         3, 3, lambda x: np.zeros_like(x), diffusion_const=np.eye(3)
     )
-    val = apply_generator(
-        sys0, ZeroPolicy(3), three_dim_features(), 0, np.array([0.3, -1.0, 2.0])
+    _, ap = generator_at(
+        sys0, ZeroPolicy(3), three_dim_features(), np.array([[0.3, -1.0, 2.0]])
     )
-    assert val == 0.0
+    assert ap[0, 0] == 0.0
 
 
 def test_apply_generator_ito_correction():
     sys0 = StochasticSystem(
         2, 2, lambda x: np.zeros_like(x), diffusion_const=np.eye(2)
     )
-    fm = FeatureMap(
-        k=1,
-        n=2,
-        p=lambda x: x[:, :1] ** 2,
-        grad_p=lambda x: np.stack(
-            [np.column_stack([2.0 * x[:, 0], np.zeros(x.shape[0])])], axis=1
-        ),
-        hess_p=lambda x, i: np.diag([2.0, 0.0]),
+    fm = feature_map(
+        1, 2, lambda x: x[:, :1] ** 2,
+        lambda x: np.column_stack([2.0 * x[:, 0], np.zeros(len(x))])[:, :,
+                                                                     None],
+        lambda x: np.broadcast_to([[2.0], [0.0]], (len(x), 2, 1)),
     )
-    val = apply_generator(sys0, ZeroPolicy(2), fm, 0, np.array([0.7, -0.2]))
-    assert val == pytest.approx(1.0, abs=1e-14)
+    _, ap = generator_at(sys0, ZeroPolicy(2), fm, np.array([[0.7, -0.2]]))
+    assert ap[0, 0] == pytest.approx(1.0, abs=1e-14)
+
+
+def test_generator_refuses_non_diagonal_diffusion():
+    sigma = np.array([[1.0, 0.0, 0.0], [0.5, 1.0, 0.0], [0.0, 0.0, 1.0]])
+    sys_c = StochasticSystem(3, 3, lambda x: np.zeros_like(x),
+                             diffusion_const=sigma)
+    with pytest.raises(UsageError, match="diagonal sigma sigma"):
+        generator_at(sys_c, ZeroPolicy(3), three_dim_features(),
+                     np.zeros((4, 3)))
 
 
 def test_coeff_a_three_dim_and_thousand_dim():
     sys3 = three_dim_literal()
     fm = three_dim_features()
-    for x in (np.zeros(3), np.array([1.0, -2.0, 0.5])):
-        assert coeff_a(sys3, fm, 0, x) == 2.0
-        assert coeff_a(sys3, fm, 1, x) == 1.0
+    a, _ = generator_at(sys3, ZeroPolicy(3), fm,
+                        np.array([[0.0, 0.0, 0.0], [1.0, -2.0, 0.5]]))
+    assert np.all(a[:, 0] == 2.0)
+    assert np.all(a[:, 1] == 1.0)
 
     big = StochasticSystem(
         1000, 1000, lambda x: np.zeros_like(x), diffusion_const=np.eye(1000)
     )
     half = np.zeros((1, 1000))
     half[0, :500] = 1.0
-
-    fm_big = FeatureMap(
-        k=1,
-        n=1000,
-        p=lambda x: x[:, :500].sum(axis=1, keepdims=True),
-        grad_p=lambda x: np.broadcast_to(half, (x.shape[0], 1, 1000)),
-        hess_p=lambda x, i: np.zeros((1000, 1000)),
-    )
-    assert coeff_a(big, fm_big, 0, np.zeros(1000)) == 500.0
+    a_big, _ = generator_at(big, ZeroPolicy(1000), linear_map(half),
+                            np.zeros((1, 1000)))
+    assert a_big[0, 0] == 500.0
 
 
 def test_coeff_b_second_feature_is_xi2():
     sys3 = three_dim_literal()
     fm = three_dim_features()
-    pol = ZeroPolicy(3)
-    for x3 in (0.5, -1.2, 3.0):
-        x = np.array([9.0, 9.0, x3])
-        assert coeff_a(sys3, fm, 1, x) == 1.0
-        assert coeff_b(sys3, pol, fm, 1, x) == pytest.approx(x3, abs=1e-12)
+    x3 = np.array([0.5, -1.2, 3.0])
+    x = np.column_stack([np.full(3, 9.0), np.full(3, 9.0), x3])
+    a, ap = generator_at(sys3, ZeroPolicy(3), fm, x)
+    assert np.all(a[:, 1] == 1.0)
+    assert ap[:, 1] / a[:, 1] == pytest.approx(x3, abs=1e-12)
 
 
 def test_coefficient_reconstruction_identity():
+    # one batched call gives every state the coefficients of a call on
+    # that state alone, and b * a reconstructs A p
     sys3 = three_dim_literal()
     fm = three_dim_features()
     pol = ZeroPolicy(3)
-    coeffs = generator_coefficients(sys3, pol, fm)
-    rng = np.random.default_rng(0)
-    for x in rng.normal(size=(20, 3)):
-        for i in range(2):
-            lhs = coeffs.b(x, i) * coeffs.a(x, i)
-            rhs = apply_generator(sys3, pol, fm, i, x)
-            assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
+    x = np.random.default_rng(0).normal(size=(20, 3))
+    a, ap = generator_at(sys3, pol, fm, x)
+    b = ap / a
+    for r in range(len(x)):
+        a_r, ap_r = generator_at(sys3, pol, fm, x[r:r + 1])
+        assert b[r] * a[r] == pytest.approx(ap_r[0], rel=1e-12, abs=1e-12)
+        assert a[r] == pytest.approx(a_r[0], rel=1e-12, abs=1e-12)
 
 
 def test_generator_is_linear_in_feature_map():
     sys3 = three_dim_literal()
     pol = ZeroPolicy(3)
-    p_sum = FeatureMap(
-        k=1,
-        n=3,
-        p=lambda x: (x[:, 0] + x[:, 1] + x[:, 2] ** 2)[:, None],
-        grad_p=lambda x: np.stack(
-            [
-                np.column_stack(
-                    [np.ones(x.shape[0]), np.ones(x.shape[0]), 2 * x[:, 2]]
-                )
-            ],
-            axis=1,
-        ),
-        hess_p=lambda x, i: np.diag([0.0, 0.0, 2.0]),
+
+    def ones(x):
+        return np.ones(len(x))
+
+    def zeros(x):
+        return np.zeros(len(x))
+
+    def quad_hess(x):
+        return np.broadcast_to([[0.0], [0.0], [2.0]], (len(x), 3, 1))
+
+    p_sum = feature_map(
+        1, 3, lambda x: (x[:, 0] + x[:, 1] + x[:, 2] ** 2)[:, None],
+        lambda x: np.column_stack([ones(x), ones(x), 2 * x[:, 2]])[:, :,
+                                                                   None],
+        quad_hess,
     )
     p_lin = three_dim_features()
-    quad = FeatureMap(
-        k=1,
-        n=3,
-        p=lambda x: (x[:, 2] ** 2)[:, None],
-        grad_p=lambda x: np.stack(
-            [
-                np.column_stack(
-                    [np.zeros(x.shape[0]), np.zeros(x.shape[0]), 2 * x[:, 2]]
-                )
-            ],
-            axis=1,
-        ),
-        hess_p=lambda x, i: np.diag([0.0, 0.0, 2.0]),
+    quad = feature_map(
+        1, 3, lambda x: (x[:, 2] ** 2)[:, None],
+        lambda x: np.column_stack([zeros(x), zeros(x), 2 * x[:, 2]])[:, :,
+                                                                     None],
+        quad_hess,
     )
-    rng = np.random.default_rng(4)
-    for x in rng.normal(size=(10, 3)):
-        total = apply_generator(sys3, pol, p_sum, 0, x)
-        parts = apply_generator(sys3, pol, p_lin, 0, x) + apply_generator(
-            sys3, pol, quad, 0, x
-        )
-        assert total == pytest.approx(parts, rel=1e-12, abs=1e-12)
+    x = np.random.default_rng(4).normal(size=(10, 3))
+    total = generator_at(sys3, pol, p_sum, x)[1][:, 0]
+    parts = (generator_at(sys3, pol, p_lin, x)[1][:, 0]
+             + generator_at(sys3, pol, quad, x)[1][:, 0])
+    assert total == pytest.approx(parts, rel=1e-12, abs=1e-12)
 
 
 def test_level_set_bounds_constant_coefficient():
@@ -280,11 +275,7 @@ def test_check_assumptions_flags_violation():
 
 
 def test_check_assumptions_empty_feature_map_vacuous():
-    fm = FeatureMap(
-        k=0, n=3, p=lambda x: np.zeros((x.shape[0], 0)),
-        grad_p=lambda x: np.zeros((x.shape[0], 0, 3)),
-        hess_p=lambda x, i: np.zeros((3, 3)),
-    )
+    fm = linear_map(np.zeros((0, 3)))
     sampler = LevelSetSampler((-1.0,) * 3, (1.0,) * 3, 100, seed=0)
     report = check_assumptions(
         three_dim_literal(), ZeroPolicy(3), fm, sampler
@@ -363,21 +354,27 @@ def test_feature_map_from_encoder_derivatives():
     rng = np.random.default_rng(5)
     probes = rng.normal(size=(6, 3))
     assert verify_feature_derivatives(fm, probes, rtol=1e-5)
-    h = fm.hess_p(probes[0], 1)
-    assert np.allclose(h, h.T)
 
 
 def test_verify_derivatives_catches_wrong_gradient():
-    fm = FeatureMap(
-        k=1,
-        n=2,
-        p=lambda x: (x[:, 0] * x[:, 1])[:, None],
-        grad_p=lambda x: np.broadcast_to(
-            np.array([[1.0, 1.0]]), (x.shape[0], 1, 2)
-        ),
-        hess_p=lambda x, i: np.array([[0.0, 1.0], [1.0, 0.0]]),
+    fm = feature_map(
+        1, 2, lambda x: (x[:, 0] * x[:, 1])[:, None],
+        lambda x: np.ones((len(x), 2, 1)),
+        lambda x: np.zeros((len(x), 2, 1)),
     )
     with pytest.raises(AssumptionViolationError, match="gradient"):
+        verify_feature_derivatives(fm, np.array([[0.4, 2.0]]))
+
+
+def test_verify_derivatives_catches_wrong_second_derivative():
+    # exact Jacobian of x2^3, but a zero Hessian diagonal
+    fm = feature_map(
+        1, 2, lambda x: (x[:, 1] ** 3)[:, None],
+        lambda x: np.column_stack([np.zeros(len(x)),
+                                   3.0 * x[:, 1] ** 2])[:, :, None],
+        lambda x: np.zeros((len(x), 2, 1)),
+    )
+    with pytest.raises(AssumptionViolationError, match="in x2"):
         verify_feature_derivatives(fm, np.array([[0.4, 2.0]]))
 
 
@@ -386,10 +383,10 @@ def test_from_functions_synthesizes_derivatives():
         k=1, n=2, p=lambda x: (x[:, 0] ** 2 + 3.0 * x[:, 1])[:, None]
     )
     assert fm.synthesized
-    g = fm.grad_p(np.array([[1.5, -0.4]]))[0, 0]
-    assert g == pytest.approx([3.0, 3.0], rel=1e-7)
-    h = fm.hess_p(np.array([1.5, -0.4]), 0)
-    assert h[0, 0] == pytest.approx(2.0, rel=1e-4)
-    assert abs(h[0, 1]) < 1e-4 and abs(h[1, 1]) < 1e-4
+    x = np.array([[1.5, -0.4]])
+    g, h00 = fm.derivatives(x, np.array([[1.0, 0.0]]))
+    assert g[0, :, 0] == pytest.approx([3.0, 3.0], rel=1e-7)
+    assert h00[0, 0] == pytest.approx(2.0, rel=1e-4)
+    assert abs(fm.derivatives(x, np.array([[0.0, 1.0]]))[1][0, 0]) < 1e-4
     # synthesized derivatives skip the self-check
     assert verify_feature_derivatives(fm, np.zeros((1, 2))) is False
