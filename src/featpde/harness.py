@@ -50,10 +50,11 @@ from .montecarlo import (
     value_pathintegral,
 )
 from .neural import DenseNetwork, forward, load_checkpoint, save_checkpoint
-from .pde import FdSolution, LqSpec, riccati_value, solve_fd
+from .pde import FdSolution, riccati_value, solve_fd
 from .pinn import PinnConfig, TrainingDataset, predict_grid, train
-from .presets import (Preset, _quad_r, feature_state_grid, get_preset,
-                      preset_names)
+from .presets import (Preset, feature_state_grid, get_preset,
+                      linear_quadratic_preset, preset_names,
+                      with_linear_reduction)
 from .reduction import (
     build_reduced_sde,
     feature_map_from_encoder,
@@ -118,60 +119,31 @@ def _axes(domain, step: float, section: str) -> list:
     return axes
 
 
-def _analytic_reduced(section: str, alpha_c, slope, ranges):
-    """The reduced SDE of config section ``section``: constant diffusion
-    coefficients ``alpha_c`` and linear drifts of slopes ``slope`` on
-    ``ranges``."""
-    if not (len(alpha_c) == len(slope) == len(ranges)):
+def _check_lengths(section: str, alpha, slope, ranges) -> None:
+    if not (len(alpha) == len(slope) == len(ranges)):
         raise ConfigError(
             f"{section}.alpha, beta_slope and ranges must have equal length"
         )
-    alpha = [
-        (lambda c: lambda s: np.full_like(
-            np.asarray(s, dtype=np.float64), c))(c)
-        for c in alpha_c
-    ]
-    beta = [
-        (lambda m: lambda s: m * np.asarray(s, dtype=np.float64))(m)
-        for m in slope
-    ]
-    return build_reduced_sde(alpha, beta, ranges)
 
 
 def _inline_preset(inline: dict) -> Preset:
     for req in ("alpha", "beta_slope", "ranges", "horizon"):
         if req not in inline:
             raise ConfigError(f"inline.{req} is required")
-    alpha_c, slope = inline["alpha"], inline["beta_slope"]
     ranges, horizon = inline["ranges"], inline["horizon"]
-    r_scale, terminal_weight = inline["r_scale"], inline["terminal_weight"]
-    reduced = _analytic_reduced("inline", alpha_c, slope, ranges)
-    k = len(alpha_c)
+    _check_lengths("inline", inline["alpha"], inline["beta_slope"], ranges)
     # constant alpha + linear beta + quadratic r is exactly the
     # linear-quadratic form, so the Riccati reference is always available
-    lq = LqSpec(
-        M=np.diag([alpha_c[i] * slope[i] for i in range(k)]),
-        Sigma=np.diag(alpha_c),
-        R=r_scale * np.eye(k),
-        R_T=terminal_weight * r_scale * np.eye(k),
-        horizon=horizon,
-    )
-    return Preset(
-        name="inline",
+    return linear_quadratic_preset(
+        "inline", inline["alpha"], inline["beta_slope"], ranges,
+        inline["r_scale"], horizon,
+        terminal_weight=inline["terminal_weight"],
         task=inline["task"],
-        horizon=horizon,
-        k=k,
-        reduced=reduced,
-        r=_quad_r(r_scale),
-        terminal_weight=terminal_weight,
         data_domain=ranges,
-        data_times=np.round(np.arange(0.0, horizon + 1e-9, 0.1), 10),
         train_window=(0.0, horizon),
-        oracle_domain=ranges,
         oracle_dxi=min((hi - lo) for lo, hi in ranges) / 100.0,
         oracle_dt=1e-3,
         oracle_save_every=10,
-        lq=lq,
         pinn=PinnConfig(),
         eval_time=0.0,
     )
@@ -265,9 +237,15 @@ class ExperimentConfig:
                               "system block")
         red = typed["reduction"]
         if {"alpha", "beta_slope"} <= red.keys():
-            preset.reduced = _analytic_reduced(
-                "reduction", red["alpha"], red["beta_slope"],
-                red.get("ranges", preset.oracle_domain or []))
+            alpha, slope = red["alpha"], red["beta_slope"]
+            if len(alpha) != preset.k:
+                raise ConfigError(
+                    f"reduction.alpha has {len(alpha)} entries, preset "
+                    f"{preset.name!r} has k = {preset.k} features"
+                )
+            ranges = red.get("ranges", preset.oracle_domain or [])
+            _check_lengths("reduction", alpha, slope, ranges)
+            preset = with_linear_reduction(preset, alpha, slope, ranges)
         elif "encoder_checkpoint" in red:
             if preset.system is None:
                 raise ConfigError(
@@ -276,6 +254,8 @@ class ExperimentConfig:
                 )
             preset.reduced, preset.features = _reduced_from_encoder(
                 preset.system, red, typed["seed"])
+            # the Riccati form belongs to the analytic features
+            preset.lq = None
         task = typed.get("task", preset.task)
         if task != preset.task and preset.name != "inline":
             raise ConfigError(
@@ -517,7 +497,8 @@ def _trained_or_loaded_net(xc: ExperimentConfig) -> DenseNetwork:
 # the allowed names, a list [kind] (a nonempty list of that kind, each item
 # meeting the bound), "intervals" ([lo, hi] rows), "points" (rows of
 # coordinates), "file" (an existing file) or "checkpoint" (a network
-# checkpoint file, loaded).  The bound of a number is _POS, _NONNEG or None.
+# checkpoint file, loaded).  The bound of a number is _POS, _NONNEG or
+# None; of intervals, _POS (every row has lo < hi) or None.
 # An absent key takes its default; a default of None only lets the key be
 # null (pinn.batch_size: null is full-batch training, the other three mean
 # the key is unset).  Defaults that come from the preset are applied where
@@ -533,9 +514,9 @@ _SCHEMA = {
     "seed": (int, _NONNEG, 0),
     "out": (str, None, "."),
     "inline": {
-        "alpha": ([float], None),
+        "alpha": ([float], _POS),
         "beta_slope": ([float], None),
-        "ranges": ("intervals", None),
+        "ranges": ("intervals", _POS),
         "r_scale": (float, None, 0.5),
         "terminal_weight": (float, None, 1.0),
         "horizon": (float, _POS),
@@ -612,9 +593,9 @@ _SCHEMA = {
         "t0": (float, None, 0.0),
     },
     "reduction": {
-        "alpha": ([float], None),
+        "alpha": ([float], _POS),
         "beta_slope": ([float], None),
-        "ranges": ("intervals", None),
+        "ranges": ("intervals", _POS),
         "encoder_checkpoint": ("checkpoint", None),
         "state_domain": ("intervals", None),
         "n_states": (int, _POS, 1000),
@@ -683,7 +664,10 @@ def _value(value, spec: tuple, key: str):
     if np.isinf(out).any() and not (isinstance(default, float)
                                     and np.isinf(default)):
         raise ConfigError(f"{key} must be finite, got {value!r}")
-    if bound == _POS and not out > 0 or bound == _NONNEG and not out >= 0:
+    if kind == "intervals":
+        if bound == _POS and not all(lo < hi for lo, hi in out):
+            raise ConfigError(f"{key} rows must have lo < hi, got {value!r}")
+    elif bound == _POS and not out > 0 or bound == _NONNEG and not out >= 0:
         raise ConfigError(f"{key} must be {bound}, got {value!r}")
     return out
 

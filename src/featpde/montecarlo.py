@@ -248,67 +248,15 @@ def safety_mc_reduced(
     r: Callable,
     T: float,
     cfg: SimConfig,
-    bridge_correction: bool = False,
     return_mask: bool = False,
 ):
-    """Reduced-process safety estimate; safe iff r(xi_tau) >= 0 each step.
-
-    With ``bridge_correction`` (1-feature problems only) each step multiplies
-    the survival weight by the Brownian-bridge probability of not crossing
-    the barrier between monitored times, removing most of the
-    discrete-monitoring overestimate.
-    """
+    """Reduced-process safety estimate; safe iff r(xi_tau) >= 0 each step."""
     if abs(cfg.horizon - T) > 1e-9 * max(1.0, T):
         raise UsageError(f"cfg.horizon = {cfg.horizon} must equal T = {T}")
     starts = np.asarray(xi0, dtype=np.float64)[None]
     _check_safe_starts(r, starts)
-    if bridge_correction and reduced.k != 1:
-        raise UsageError(
-            "the Brownian-bridge correction supports single-feature "
-            "reductions only"
-        )
-    n = cfg.n_paths
-    if bridge_correction:
-        weights = np.ones(n)
-        state = {"prev_xi": None, "prev_d": None}
-        dt = cfg.dt
-
-        def observer(s, tau, xs, z):
-            d = np.asarray(r(xs), dtype=np.float64)
-            alive = d >= 0
-            if state["prev_d"] is not None:
-                xi_prev = state["prev_xi"][:, 0]
-                h = 1e-6 * (1.0 + np.abs(xi_prev))
-                rp = (
-                    np.asarray(r((xi_prev + h)[:, None]))
-                    - np.asarray(r((xi_prev - h)[:, None]))
-                ) / (2.0 * h)
-                sig2 = rp**2 * np.asarray(
-                    reduced.alpha[0](xi_prev), dtype=np.float64
-                )
-                both = alive & (state["prev_d"] >= 0) & (sig2 > 0)
-                cross = np.zeros(n)
-                with np.errstate(over="ignore"):
-                    cross[both] = np.exp(
-                        -2.0
-                        * state["prev_d"][both]
-                        * d[both]
-                        / (sig2[both] * dt)
-                    )
-                weights[:] *= np.where(alive, 1.0 - cross, 0.0)
-            else:
-                weights[:] *= alive
-            state["prev_xi"] = xs.copy()
-            state["prev_d"] = d
-
-        _run_reduced(reduced, starts, cfg, 0.0, observer)
-        fbar = float(weights.mean())
-        se = float(weights.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0
-        est = McEstimate(value=fbar, std_error=se, n_samples=n)
-        return (est, weights.copy()) if return_mask else est
-
     safe = _safe_paths(reduced, starts, r, cfg)
-    est = _as_mc_estimate(_safety_estimates(safe), n)
+    est = _as_mc_estimate(_safety_estimates(safe), cfg.n_paths)
     return (est, safe[0].copy()) if return_mask else est
 
 

@@ -9,7 +9,8 @@ enlarged finite-difference oracle settings, and default training configs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import partial
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -32,6 +33,9 @@ __all__ = [
     "thousand_dim_system",
     "thousand_dim_features",
     "feature_state_grid",
+    "linear_reduced_sde",
+    "linear_quadratic_preset",
+    "with_linear_reduction",
 ]
 
 
@@ -208,62 +212,97 @@ def _quad_r(scale):
     return r
 
 
-def _sys3d_value() -> Preset:
-    alpha = [
-        lambda s: np.full_like(np.asarray(s, dtype=np.float64), 2.0),
-        lambda s: np.ones_like(np.asarray(s, dtype=np.float64)),
-    ]
-    beta = [
-        lambda s: -np.asarray(s, dtype=np.float64) / 2.0,
-        lambda s: -np.asarray(s, dtype=np.float64),
-    ]
-    oracle_domain = [(-4.5, 6.0), (-3.5, 5.0)]
+def _constant(c, s):
+    return np.full_like(np.asarray(s, dtype=np.float64), c)
 
-    def cost_full(x):
-        x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        return 0.5 * (x[:, 0] + x[:, 1]) ** 2 + 0.5 * x[:, 2] ** 2
 
+def _linear(slope, s):
+    return slope * np.asarray(s, dtype=np.float64)
+
+
+def linear_reduced_sde(alpha, slope, ranges) -> ReducedSde:
+    """The reduced SDE of constant diffusion coefficients ``alpha`` and
+    linear drifts beta_i(s) = slope_i s on ``ranges``."""
+    return build_reduced_sde([partial(_constant, c) for c in alpha],
+                             [partial(_linear, m) for m in slope], ranges)
+
+
+def _lq_spec(alpha, slope, R, R_T, horizon) -> LqSpec:
+    """The Riccati form of ``linear_reduced_sde(alpha, slope, ...)``:
+    d xi = diag(alpha slope) xi dt + diag(alpha)^{1/2} dB."""
+    return LqSpec(M=np.diag(np.multiply(alpha, slope)), Sigma=np.diag(alpha),
+                  R=R, R_T=R_T, horizon=horizon)
+
+
+def linear_quadratic_preset(name, alpha, slope, ranges, r_scale, horizon,
+                            terminal_weight=1.0, task="value",
+                            **fields) -> Preset:
+    """Preset ``name`` whose reduced problem is linear-quadratic: the
+    reduced SDE ``linear_reduced_sde(alpha, slope, ranges)``, whose ranges
+    are also the FD oracle's domain, running cost r(xi) = r_scale |xi|^2,
+    terminal weight w, data times every 0.1 up to ``horizon``, and its
+    Riccati form with R = r_scale I and R_T = w r_scale I.  ``fields``
+    gives the other preset fields."""
+    k = len(alpha)
     return Preset(
-        name="sys3d-value",
-        task="value",
+        name=name,
+        task=task,
+        horizon=horizon,
+        k=k,
+        reduced=linear_reduced_sde(alpha, slope, ranges),
+        r=_quad_r(r_scale),
+        terminal_weight=terminal_weight,
+        data_times=_times(horizon),
+        oracle_domain=list(ranges),
+        lq=_lq_spec(alpha, slope, r_scale * np.eye(k),
+                    terminal_weight * r_scale * np.eye(k), horizon),
+        **fields,
+    )
+
+
+def with_linear_reduction(preset: Preset, alpha, slope, ranges) -> Preset:
+    """A copy of ``preset`` with the reduced SDE ``linear_reduced_sde(alpha,
+    slope, ranges)``.  Its Riccati form, if it has one, follows the new M
+    and Sigma and keeps its R, R_T and horizon."""
+    lq = preset.lq
+    if lq is not None:
+        lq = _lq_spec(alpha, slope, lq.R, lq.R_T, lq.horizon)
+    return replace(preset, reduced=linear_reduced_sde(alpha, slope, ranges),
+                   lq=lq)
+
+
+def _three_dim_cost(x):
+    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    return 0.5 * (x[:, 0] + x[:, 1]) ** 2 + 0.5 * x[:, 2] ** 2
+
+
+def _three_dim_x0(xi):
+    return np.array([xi[0] / 2.0, xi[0] / 2.0, xi[1]])
+
+
+def _sys3d_value() -> Preset:
+    return linear_quadratic_preset(
+        "sys3d-value",
+        alpha=(2.0, 1.0),
+        slope=(-0.5, -1.0),
+        ranges=[(-4.5, 6.0), (-3.5, 5.0)],
+        r_scale=0.5,
         horizon=1.5,
-        k=2,
         system=three_dim_system(stable=True),
         features=three_dim_features(),
-        reduced=build_reduced_sde(alpha, beta, oracle_domain),
-        r=_quad_r(0.5),
-        cost_full=cost_full,
-        terminal_weight=1.0,
+        cost_full=_three_dim_cost,
         data_domain=[(1.0, 2.0), (1.0, 2.0)],
-        data_step=0.1,
-        data_times=_times(1.5),
         train_window=(1.0, 1.5),
-        oracle_domain=oracle_domain,
         oracle_dxi=0.05,
         oracle_dt=2.5e-3,
         oracle_save_every=40,
-        lq=LqSpec(
-            M=-np.eye(2),
-            Sigma=np.diag([2.0, 1.0]),
-            R=0.5 * np.eye(2),
-            R_T=0.5 * np.eye(2),
-            horizon=1.5,
-        ),
         pinn=PinnConfig(),
-        x0_of_xi=lambda xi: np.array([xi[0] / 2.0, xi[0] / 2.0, xi[1]]),
+        x0_of_xi=_three_dim_x0,
         eval_time=0.5,
     )
 
 
 def _sys3d_safety() -> Preset:
-    alpha = [
-        lambda s: np.full_like(np.asarray(s, dtype=np.float64), 2.0),
-        lambda s: np.ones_like(np.asarray(s, dtype=np.float64)),
-    ]
-    beta = [
-        lambda s: np.asarray(s, dtype=np.float64) / 2.0,
-        lambda s: np.asarray(s, dtype=np.float64),
-    ]
     oracle_domain = [(-6.0, 4.0), (-6.0, 4.0)]
 
     def r(xi):
@@ -281,11 +320,10 @@ def _sys3d_safety() -> Preset:
         k=2,
         system=three_dim_system(stable=False),
         features=three_dim_features(),
-        reduced=build_reduced_sde(alpha, beta, oracle_domain),
+        reduced=linear_reduced_sde((2.0, 1.0), (0.5, 1.0), oracle_domain),
         r=r,
         barrier_full=barrier_full,
         data_domain=[(1.0, 2.0), (1.0, 2.0)],
-        data_step=0.1,
         data_times=_times(1.0),
         train_window=(0.0, 1.0),
         oracle_domain=oracle_domain,
@@ -293,24 +331,12 @@ def _sys3d_safety() -> Preset:
         oracle_dt=5e-4,
         oracle_save_every=200,
         pinn=PinnConfig(),
-        x0_of_xi=lambda xi: np.array([xi[0] / 2.0, xi[0] / 2.0, xi[1]]),
+        x0_of_xi=_three_dim_x0,
         eval_time=1.0,
     )
 
 
 def _sys1000d_value() -> Preset:
-    alpha = [
-        lambda s: np.full_like(np.asarray(s, dtype=np.float64), 500.0),
-        lambda s: np.full_like(np.asarray(s, dtype=np.float64), 500.0),
-    ]
-    # every row and column of the coupling matrix sums to 1.1, so each
-    # block sum drifts at -1.1 times itself
-    beta = [
-        lambda s: -1.1 * np.asarray(s, dtype=np.float64) / 500.0,
-        lambda s: -1.1 * np.asarray(s, dtype=np.float64) / 500.0,
-    ]
-    oracle_domain = [(-85.0, 85.0), (-85.0, 85.0)]
-
     def cost_full(x):
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
         return (
@@ -323,32 +349,23 @@ def _sys1000d_value() -> Preset:
         x0[500:] = xi[1] / 500.0
         return x0
 
-    return Preset(
-        name="sys1000d-value",
-        task="value",
+    # every row and column of the coupling matrix sums to 1.1, so each
+    # block sum drifts at -1.1 times itself: beta = -1.1 s / alpha
+    return linear_quadratic_preset(
+        "sys1000d-value",
+        alpha=(500.0, 500.0),
+        slope=(-1.1 / 500.0, -1.1 / 500.0),
+        ranges=[(-85.0, 85.0), (-85.0, 85.0)],
+        r_scale=1.0 / 500.0,
         horizon=1.5,
-        k=2,
         system=thousand_dim_system(stable=True),
         features=thousand_dim_features(),
-        reduced=build_reduced_sde(alpha, beta, oracle_domain),
-        r=_quad_r(1.0 / 500.0),
         cost_full=cost_full,
-        terminal_weight=1.0,
         data_domain=[(1.0, 2.0), (1.0, 2.0)],
-        data_step=0.1,
-        data_times=_times(1.5),
         train_window=(1.0, 1.5),
-        oracle_domain=oracle_domain,
         oracle_dxi=0.5,
         oracle_dt=2e-3,
         oracle_save_every=50,
-        lq=LqSpec(
-            M=-1.1 * np.eye(2),
-            Sigma=500.0 * np.eye(2),
-            R=np.eye(2) / 500.0,
-            R_T=np.eye(2) / 500.0,
-            horizon=1.5,
-        ),
         pinn=PinnConfig(),
         x0_of_xi=x0_of_xi,
         eval_time=0.5,
@@ -356,33 +373,18 @@ def _sys1000d_value() -> Preset:
 
 
 def _lq_scalar() -> Preset:
-    return Preset(
-        name="lq-scalar",
-        task="value",
+    return linear_quadratic_preset(
+        "lq-scalar",
+        alpha=(1.0,),
+        slope=(-1.0,),
+        ranges=[(-6.0, 6.0)],
+        r_scale=0.5,
         horizon=1.0,
-        k=1,
-        reduced=build_reduced_sde(
-            [lambda s: np.ones_like(np.asarray(s, dtype=np.float64))],
-            [lambda s: -np.asarray(s, dtype=np.float64)],
-            [(-6.0, 6.0)],
-        ),
-        r=_quad_r(0.5),
-        terminal_weight=1.0,
         data_domain=[(-2.0, 2.0)],
-        data_step=0.1,
-        data_times=_times(1.0),
         train_window=(0.5, 1.0),
-        oracle_domain=[(-6.0, 6.0)],
         oracle_dxi=0.05,
         oracle_dt=1e-3,
         oracle_save_every=100,
-        lq=LqSpec(
-            M=np.array([[-1.0]]),
-            Sigma=np.array([[1.0]]),
-            R=np.array([[0.5]]),
-            R_T=np.array([[0.5]]),
-            horizon=1.0,
-        ),
         pinn=PinnConfig(widths=(16, 16), epochs=5000),
         eval_time=0.5,
     )
@@ -426,17 +428,13 @@ def _heat_oracle() -> Preset:
 
 
 def _feature_ae_3d() -> Preset:
-    def cost_full(x):
-        x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        return 0.5 * (x[:, 0] + x[:, 1]) ** 2 + 0.5 * x[:, 2] ** 2
-
     return Preset(
         name="feature-ae-3d",
         task="features",
         k=2,
         system=three_dim_system(stable=False),
         features=three_dim_features(),
-        cost_full=cost_full,
+        cost_full=_three_dim_cost,
         ae=AeTrainConfig(),
         state_grid=((0.0, 1.0), 0.01),
     )

@@ -431,6 +431,32 @@ def test_train_pinn_artifacts(tmp_path):
     assert len(surf) - 1 == 41  # [-2, 2] at step 0.1, one time slice
 
 
+def test_pinn_trains_alike_from_a_dataset_file(tmp_path):
+    # make-dataset over the preset's training rows (the data grid at the
+    # train-window times) writes the rows the FD data source computes
+    p = get_preset("lq-scalar")
+    lo, hi = p.train_window
+    times = p.data_times[(p.data_times >= lo) & (p.data_times <= hi)]
+    run({"preset": "lq-scalar", "dataset": {"times": times.tolist()}},
+        "make-dataset", out=str(tmp_path / "ds"))
+    pinn = {"epochs": 200, "n_domain": 64}
+    sources = {"fd": {}, "file": {"data_path": str(tmp_path / "ds"
+                                                   / "dataset.csv")}}
+    outs = {}
+    for source, extra in sources.items():
+        outs[source] = tmp_path / source
+        run({"preset": "lq-scalar",
+             "pinn": dict(pinn, data_source=source, **extra)},
+            "train-pinn", out=str(outs[source]), seed=0)
+    logs, thetas = [], []
+    for out in outs.values():
+        logs.append((out / "pinn_loss_log.csv").read_bytes())
+        with open(out / "pinn_checkpoint.json") as fh:
+            thetas.append(json.load(fh)["theta"])
+    assert logs[0] == logs[1]
+    assert thetas[0] == thetas[1]
+
+
 def test_train_features_and_encoder_reduction(tmp_path):
     out = tmp_path / "tf"
     arts = run(
@@ -529,6 +555,38 @@ def test_encoder_reduction_knots_are_pinned(tmp_path, monkeypatch):
                                    rtol=1e-13, atol=0)
         np.testing.assert_allclose(beta.keywords["fp"], want["beta"],
                                    rtol=1e-9, atol=0)
+
+
+def test_riccati_follows_an_analytic_reduction_override(tmp_path):
+    # the override's M = diag(alpha slope) and Sigma = diag(alpha) replace
+    # the preset's; R, R_T and the horizon stay.  The preset's own Riccati
+    # form gives 0.6408 here, where FD on the override gives 0.8587
+    cfg = {"preset": "lq-scalar",
+           "reduction": {"alpha": [2.0], "beta_slope": [-3.0]},
+           "eval": {"points": [[1.0]], "time": 0.5}}
+    values = {}
+    for est in ("riccati", "fd"):
+        out = tmp_path / est
+        run(dict(cfg, estimator=est), "estimate-value", out=str(out))
+        line = (out / "value.csv").read_text().splitlines()[1]
+        values[est] = float(line.split(",")[2])
+    assert abs(values["riccati"] - values["fd"]) < 1e-4
+    lq = ExperimentConfig.resolve(cfg).preset.lq
+    np.testing.assert_array_equal(lq.M, [[-6.0]])
+    np.testing.assert_array_equal(lq.Sigma, [[2.0]])
+    np.testing.assert_array_equal(lq.R, [[0.5]])
+    np.testing.assert_array_equal(lq.R_T, [[0.5]])
+    assert lq.horizon == 1.0
+
+
+def test_riccati_refuses_under_an_encoder_override(tmp_path):
+    # the Riccati form belongs to the analytic features, not learned ones
+    path = str(tmp_path / "encoder.json")
+    save_checkpoint(DenseNetwork.init((3, 10, 2), seed=11), path)
+    cfg = dict(_ENCODER_AT, reduction={"encoder_checkpoint": path,
+                                       "state_domain": [[0.0, 2.0]] * 3})
+    with pytest.raises(UsageError, match="has no linear-quadratic form"):
+        run(cfg, "estimate-value", out=str(tmp_path / "out"))
 
 
 # ---------------------------------------------------------------------------
@@ -815,6 +873,34 @@ def _checkpoint_file(tmp_path, kind):
          {"inline": dict(_INLINE, horizon=_INF), "estimator": "riccati",
           "eval": _AT_ZERO},
          "inline.horizon"),
+        # a reduction override of another length than the preset's k
+        ("estimate-value",
+         {"preset": "lq-scalar", "estimator": "riccati", "eval": _AT_ZERO,
+          "reduction": {"alpha": [1.0, 2.0], "beta_slope": [-1.0, -1.0],
+                        "ranges": [[-6.0, 6.0]] * 2}},
+         "reduction.alpha"),
+        # nonpositive alpha and empty ranges are config mistakes, not
+        # numerical failures of the reduced-SDE builder
+        ("estimate-value",
+         {"inline": dict(_INLINE, alpha=[-1.0]), "estimator": "riccati",
+          "eval": _AT_ZERO},
+         "inline.alpha"),
+        ("estimate-value",
+         {"preset": "lq-scalar", "estimator": "riccati", "eval": _AT_ZERO,
+          "reduction": {"alpha": [0.0], "beta_slope": [-1.0]}},
+         "reduction.alpha"),
+        ("estimate-value",
+         {"inline": dict(_INLINE, ranges=[[6.0, -6.0]]),
+          "estimator": "riccati", "eval": _AT_ZERO},
+         "inline.ranges"),
+        ("estimate-value",
+         {"preset": "lq-scalar", "estimator": "riccati", "eval": _AT_ZERO,
+          "reduction": {"alpha": [1.0], "beta_slope": [-1.0],
+                        "ranges": [[6.0, -6.0]]}},
+         "reduction.ranges"),
+        ("train-pinn",
+         {"preset": "lq-scalar", "pinn": {"data_source": "file"}},
+         "pinn.data_path"),
     ],
 )
 def test_bad_config_values_name_their_key(command, cfg, key, tmp_path):

@@ -11,7 +11,6 @@ import time
 
 import numpy as np
 import pytest
-from scipy.stats import norm
 
 from featpde import montecarlo, sde
 from featpde.errors import (
@@ -360,31 +359,10 @@ def test_safety_rejects_bad_inputs():
             1.0,
             cfg,
         )
-    with pytest.raises(UsageError):  # bridge correction needs k = 1
-        safety_mc_reduced(red, [1.0, 1.0], min_barrier, 1.0, cfg,
-                          bridge_correction=True)
     with pytest.raises(UsageError,
                        match=r"initial feature state \[5\. 0\.\]"):
         safety_grid_reduced(red, np.array([[1.0, 1.0], [5.0, 0.0]]),
                             [0.5, 1.0], min_barrier, (1e-2, 8, 0))
-
-
-def test_bridge_correction_removes_monitoring_bias():
-    # Brownian motion from 0.5 absorbed at 0: F = 1 - 2 Phi(-0.5/sqrt(T))
-    red = build_reduced_sde(
-        alpha=[lambda s: np.ones_like(np.asarray(s, dtype=float))],
-        beta=[lambda s: np.zeros_like(np.asarray(s, dtype=float))],
-        ranges=[(-3.0, 3.0)],
-    )
-    level = lambda xi: np.atleast_2d(xi)[:, 0]
-    exact = 1.0 - 2.0 * norm.cdf(-1.0)
-    cfg = SimConfig(dt=0.0125, horizon=0.25, seed=23, n_paths=20000)
-    plain = safety_mc_reduced(red, [0.5], level, 0.25, cfg)
-    bridged = safety_mc_reduced(red, [0.5], level, 0.25, cfg,
-                                bridge_correction=True)
-    assert plain.value > exact + 0.02  # coarse monitoring overestimates
-    assert abs(bridged.value - exact) <= 3.0 * bridged.std_error
-    assert abs(bridged.value - exact) < 0.25 * abs(plain.value - exact)
 
 
 # --- controls ---------------------------------------------------------------------
@@ -572,15 +550,6 @@ def test_grids_match_recorded_per_point_loop(monkeypatch, block_rows):
         est, se = PINNED[name]
         assert grid.estimates.tolist() == [float.fromhex(h) for h in est], name
         assert grid.std_errors.tolist() == [float.fromhex(h) for h in se], name
-
-
-def test_bridge_estimate_matches_recorded_value():
-    # recorded at commit 477a682, like PINNED
-    cfg = SimConfig(dt=1e-2, horizon=1.0, seed=67, n_paths=250)
-    est = safety_mc_reduced(state_dependent_k1(), [1.5], k1_level, 1.0, cfg,
-                            bridge_correction=True)
-    assert est.value == float.fromhex("0x1.877956ae2887dp-1")
-    assert est.std_error == float.fromhex("0x1.a7ff97694534ap-6")
 
 
 def test_block_domain_error_names_coordinate_and_start_point():

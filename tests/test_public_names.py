@@ -1,7 +1,11 @@
 """Every name a featpde module lists in ``__all__`` exists, so a deleted
-function cannot linger in a module's public list."""
+function cannot linger in a module's public list; and every binding the
+benchmark's tracer wraps exists, so a deleted or moved function cannot
+break a traced benchmark run."""
 
 import importlib
+import importlib.util
+import os
 import pkgutil
 
 import pytest
@@ -18,3 +22,27 @@ def test_every_public_name_resolves(name):
     missing = [n for n in getattr(module, "__all__", ())
                if not hasattr(module, n)]
     assert missing == []
+
+
+def _load_spans():
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",
+                        "spans.py")
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_finds_every_binding_it_wraps(monkeypatch):
+    spans = _load_spans()
+    wrapped = []
+
+    def look_up(self, owner, attr, name, work=None):
+        getattr(owner, attr)  # AttributeError where the binding is gone
+        wrapped.append(name)
+
+    # a lookup in place of a wrapper, so no featpde binding is replaced
+    monkeypatch.setattr(spans.Tracer, "wrap", look_up)
+    spans.Tracer().install()
+    assert "montecarlo.estimator" in wrapped
+    assert "reduction.build_reduced_sde" in wrapped
