@@ -34,10 +34,6 @@ class AssumptionViolationError(NumericalError):
     """Level-set constancy / positivity assumptions violated."""
 
 
-class EmptyLevelSetError(NumericalError):
-    """No probe points found within the level-set band."""
-
-
 class DegenerateEstimateError(NumericalError):
     """All Monte Carlo weights vanished or became non-finite."""
 

@@ -58,7 +58,7 @@ from .presets import (Preset, feature_state_grid, get_preset,
 from .reduction import (
     build_reduced_sde,
     feature_map_from_encoder,
-    generator_at,
+    level_table,
 )
 from .sde import SimConfig, ZeroPolicy, simulate, simulate_reduced
 
@@ -152,11 +152,11 @@ def _inline_preset(inline: dict) -> Preset:
 def _reduced_from_encoder(system, red: dict, seed: int):
     """Tabulated reduced SDE of a learned encoder.
 
-    Samples states from the declared box, evaluates the generator
-    coefficients a_i, b_i of every learned feature at all of them in one
-    derivative-bundle call, averages them over feature-value bins (the
-    ``n_levels`` sections of the states in feature order, as
-    ``np.array_split`` cuts them), and interpolates the bin means.
+    Samples states from the declared box and takes the per-level table of
+    the learned features there (``reduction.level_table``: one
+    derivative-bundle call, ``n_levels`` sections of the states in feature
+    order).  alpha_i and beta_i interpolate the level means of a_i and b_i
+    at the level means of xi_i, on the range of the sampled feature values.
     """
     if "state_domain" not in red:
         raise ConfigError("reduction.state_domain is required with an "
@@ -167,31 +167,18 @@ def _reduced_from_encoder(system, red: dict, seed: int):
             f"reduction.state_domain lists {len(box)} intervals, system "
             f"has {system.state_dim} coordinates"
         )
-    n_states = red["n_states"]
-    n_bins = min(red["n_levels"], n_states)  # no empty section
     gen = np.random.Generator(
         np.random.Philox(key=np.array([seed, 0x5EDC], dtype=np.uint64))
     )
     lo = np.array([ab[0] for ab in box])
     hi = np.array([ab[1] for ab in box])
-    states = gen.uniform(lo, hi, (n_states, system.state_dim))
+    states = gen.uniform(lo, hi, (red["n_states"], system.state_dim))
     fm = feature_map_from_encoder(red["encoder_checkpoint"])
-    feats = fm.p(states)
-    a, ap = generator_at(system, ZeroPolicy(system.control_dim), fm, states)
-    # bins[j, i]: feature i's bin of state j, numbered apart per feature
-    each, extra = divmod(n_states, n_bins)
-    rank_bin = np.repeat(np.arange(n_bins),
-                         [each + 1] * extra + [each] * (n_bins - extra))
-    bins = np.empty((n_states, fm.k), dtype=np.intp)
-    np.put_along_axis(bins, np.argsort(feats, axis=0, kind="stable"),
-                      rank_bin[:, None] + n_bins * np.arange(fm.k), axis=0)
-    counts = np.bincount(bins.ravel()).reshape(fm.k, n_bins)
-    keys, amean, bmean = (
-        np.bincount(bins.ravel(), weights=v.ravel()).reshape(fm.k, n_bins)
-        / counts for v in (feats, a, ap / a))
-    alpha = [partial(np.interp, xp=kk, fp=aa) for kk, aa in zip(keys, amean)]
-    beta = [partial(np.interp, xp=kk, fp=bb) for kk, bb in zip(keys, bmean)]
-    ranges = list(zip(feats.min(axis=0), feats.max(axis=0)))
+    xi, a, b = level_table(system, ZeroPolicy(system.control_dim), fm,
+                           states, red["n_levels"])
+    alpha = [partial(np.interp, xp=kk, fp=aa) for kk, aa in zip(xi[0], a[0])]
+    beta = [partial(np.interp, xp=kk, fp=bb) for kk, bb in zip(xi[0], b[0])]
+    ranges = list(zip(xi[1, :, 0], xi[2, :, -1]))
     return build_reduced_sde(alpha, beta, ranges), fm
 
 
@@ -251,6 +238,14 @@ class ExperimentConfig:
                 raise ConfigError(
                     "an encoder-checkpoint reduction needs a preset with a "
                     "full system"
+                )
+            enc = red["encoder_checkpoint"]
+            if (enc.d_in, enc.d_out) != (preset.system.state_dim, preset.k):
+                raise ConfigError(
+                    f"reduction.encoder_checkpoint maps {enc.d_in} inputs "
+                    f"to {enc.d_out} features, preset {preset.name!r} has "
+                    f"{preset.system.state_dim} state coordinates and "
+                    f"k = {preset.k} features"
                 )
             preset.reduced, preset.features = _reduced_from_encoder(
                 preset.system, red, typed["seed"])
@@ -603,6 +598,18 @@ _SCHEMA = {
     },
 }
 
+# a reduction key and the keys it needs beside it: an analytic override
+# gives alpha and beta_slope together, and the sampling keys belong to an
+# encoder reduction
+_REDUCTION_NEEDS = {
+    "alpha": ("beta_slope",),
+    "beta_slope": ("alpha",),
+    "ranges": ("alpha", "beta_slope"),
+    "state_domain": ("encoder_checkpoint",),
+    "n_states": ("encoder_checkpoint",),
+    "n_levels": ("encoder_checkpoint",),
+}
+
 
 def _value(value, spec: tuple, key: str):
     """Config entry ``key``'s ``value`` converted to the kind of its
@@ -703,12 +710,18 @@ def _typed_config(cfg) -> dict:
     if "preset" in cfg and "inline" in cfg:
         raise ConfigError("give either 'preset' or 'inline', not both")
     red = cfg.get("reduction")
-    if (isinstance(red, dict) and "encoder_checkpoint" in red
-            and {"alpha", "beta_slope"} & red.keys()):
-        raise ConfigError(
-            "reduction: give analytic alpha/beta_slope or an "
-            "encoder_checkpoint, not both"
-        )
+    if isinstance(red, dict):
+        if ("encoder_checkpoint" in red
+                and {"alpha", "beta_slope"} & red.keys()):
+            raise ConfigError(
+                "reduction: give analytic alpha/beta_slope or an "
+                "encoder_checkpoint, not both"
+            )
+        for key in red:
+            for need in _REDUCTION_NEEDS.get(key, ()):
+                if need not in red:
+                    raise ConfigError(f"reduction.{need} is required with "
+                                      f"reduction.{key}")
     return _typed_section(cfg, _SCHEMA)
 
 

@@ -6,10 +6,12 @@ computed on these inputs at commit ddb9a0c, before the explicit adjoint
 replaced it.  Every builder here uses only the public featpde API, so the
 same cases can be evaluated by any version of the package.
 
-The oracles the neural and PINN tests compare against live here too: the
-one-point ``forward_with_derivatives``, the central-difference
-``grad_params``, and ``residual``, the PDE residual of any candidate
-solution.
+The oracles the neural, PINN and reduction tests compare against live here
+too: the one-point ``forward_with_derivatives``, the central-difference
+``grad_params``, ``residual``, the PDE residual of any candidate solution,
+and the central-difference feature derivatives of
+``feature_map_from_functions`` with their check
+``verify_feature_derivatives``.
 """
 
 import json
@@ -28,7 +30,7 @@ from featpde.neural import (DenseNetwork, Workspace, derivatives_batch,
                             glorot_init)
 from featpde.pde import assemble_safety_pde, assemble_value_pde
 from featpde.pinn import CollocationSet, PinnConfig, TrainingDataset
-from featpde.reduction import build_reduced_sde
+from featpde.reduction import FeatureMap, build_reduced_sde
 from featpde.sde import StochasticSystem
 
 REFERENCE = os.path.join(os.path.dirname(__file__), "data",
@@ -291,3 +293,55 @@ def grad_params(net: DenseNetwork, loss, step=1e-6):
         tm[j] -= h
         g[j] = (at(tp) - at(tm)) / (2.0 * h)
     return g
+
+
+# ------------------------------------------- central-difference features
+
+
+def feature_map_from_functions(k, n, p):
+    """FeatureMap of the feature function ``p`` with central-difference
+    derivatives (step h = 1e-5 * (1 + |x_l|) per coordinate): J from first
+    and L from second differences of p."""
+
+    def derivatives(xb, w):
+        xb = np.atleast_2d(np.asarray(xb, dtype=np.float64))
+        w = np.asarray(w, dtype=np.float64)
+        p0 = p(xb)
+        jac = np.empty((len(xb), n, k))
+        lap = np.zeros((len(xb), k))
+        for l in range(n):
+            step = np.zeros_like(xb)
+            step[:, l] = 1e-5 * (1.0 + np.abs(xb[:, l]))
+            up, down = p(xb + step), p(xb - step)
+            h = step[:, l:l + 1]
+            jac[:, l] = (up - down) / (2.0 * h)
+            if l < w.shape[1]:
+                lap += w[:, l:l + 1] * (up - 2.0 * p0 + down) / (h * h)
+        return jac, lap
+
+    return FeatureMap(k=k, n=n, p=p, derivatives=derivatives)
+
+
+def verify_feature_derivatives(fm, probes, rtol=1e-5):
+    """Assert that ``fm.derivatives`` agrees with central differences of
+    ``fm.p`` at the probes: the Jacobian to ``rtol``, then each coordinate's
+    second derivative (L with a unit weight on that coordinate) to
+    100 ``rtol``, since second differences are noisier."""
+    probes = np.atleast_2d(np.asarray(probes, dtype=np.float64))
+    ref = feature_map_from_functions(fm.k, fm.n, fm.p)
+    none = np.empty((len(probes), 0))
+    g = fm.derivatives(probes, none)[0]
+    g_fd = ref.derivatives(probes, none)[0]
+    err = np.abs(g - g_fd) / (1.0 + np.abs(g_fd))
+    assert err.max() <= rtol, (
+        f"feature gradient disagrees with finite differences "
+        f"(max rel err {err.max():.3e} > {rtol:g})")
+    for l in range(fm.n):
+        w = np.zeros((len(probes), l + 1))
+        w[:, l] = 1.0
+        h = fm.derivatives(probes, w)[1]
+        h_fd = ref.derivatives(probes, w)[1]
+        herr = np.abs(h - h_fd) / (1.0 + np.abs(h_fd))
+        assert herr.max() <= 100 * rtol, (
+            f"feature second derivative in x{l + 1} disagrees with finite "
+            f"differences (max rel err {herr.max():.3e})")

@@ -59,6 +59,24 @@ from featpde.sde import SimConfig, simulate_reduced
              "reduction": {"encoder_checkpoint": "/nonexistent.json"}},
             "does not exist",
         ),
+        # partial reduction blocks, which would run the preset's own
+        # reduction
+        ({"preset": "lq-scalar", "reduction": {"alpha": [2.0]}},
+         "reduction.beta_slope"),
+        ({"preset": "lq-scalar", "reduction": {"beta_slope": [-2.0]}},
+         "reduction.alpha"),
+        ({"preset": "lq-scalar", "reduction": {"ranges": [[-6.0, 6.0]]}},
+         "reduction.alpha"),
+        ({"preset": "lq-scalar",
+          "reduction": {"alpha": [2.0], "ranges": [[-6.0, 6.0]]}},
+         "reduction.beta_slope"),
+        ({"preset": "sys3d-value",
+          "reduction": {"state_domain": [[0.0, 1.0]] * 3}},
+         "reduction.encoder_checkpoint"),
+        ({"preset": "sys3d-value", "reduction": {"n_states": 200}},
+         "reduction.encoder_checkpoint"),
+        ({"preset": "sys3d-value", "reduction": {"n_levels": 8}},
+         "reduction.encoder_checkpoint"),
     ],
 )
 def test_validate_config_rejects_with_field_path(cfg, fragment):
@@ -626,10 +644,13 @@ _ENCODER_AT = {"preset": "sys3d-value", "estimator": "riccati",
 def _checkpoint_file(tmp_path, kind):
     """Write the checkpoint ``kind`` names and return its path: ``narrow``
     is a network on (xi1, t) where sys3d-value needs (xi1, xi2, t),
-    ``encoder`` a valid (3, 4, 2) encoder, and the rest a sys3d-value PINN
-    (2,273 parameters) with one fault."""
+    ``encoder`` a valid (3, 4, 2) encoder, ``encoder_2d`` and ``encoder_k1``
+    encoders of a 2-d state and of one feature where sys3d-value has a 3-d
+    state and two features, and the rest a sys3d-value PINN (2,273
+    parameters) with one fault."""
     path = str(tmp_path / f"{kind}.json")
-    widths = {"narrow": (2, 4, 1), "encoder": (3, 4, 2)}.get(
+    widths = {"narrow": (2, 4, 1), "encoder": (3, 4, 2),
+              "encoder_2d": (2, 4, 2), "encoder_k1": (3, 4, 1)}.get(
         kind, (3, 32, 32, 32, 1))
     save_checkpoint(DenseNetwork.init(widths, seed=0), path)
     with open(path) as fh:
@@ -901,6 +922,19 @@ def _checkpoint_file(tmp_path, kind):
         ("train-pinn",
          {"preset": "lq-scalar", "pinn": {"data_source": "file"}},
          "pinn.data_path"),
+        # an encoder of another state dimension or feature count than the
+        # preset's: the first raised an unnamed ValueError in the network,
+        # the second resolved and failed later in a route
+        ("estimate-value",
+         dict(_ENCODER_AT, reduction={"encoder_checkpoint": "@encoder_2d",
+                                      "state_domain": [[0.0, 1.0]] * 3}),
+         "reduction.encoder_checkpoint"),
+        ("estimate-value",
+         dict(_ENCODER_AT, estimator="mc_reduced",
+              mc={"dt": 0.01, "n_paths": 10},
+              reduction={"encoder_checkpoint": "@encoder_k1",
+                         "state_domain": [[0.0, 1.0]] * 3}),
+         "reduction.encoder_checkpoint"),
     ],
 )
 def test_bad_config_values_name_their_key(command, cfg, key, tmp_path):

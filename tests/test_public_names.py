@@ -1,16 +1,20 @@
 """Every name a featpde module lists in ``__all__`` exists, so a deleted
-function cannot linger in a module's public list; and every binding the
-benchmark's tracer wraps exists, so a deleted or moved function cannot
-break a traced benchmark run."""
+function cannot linger in a module's public list; every exception class
+is named by another module, so one whose raisers are gone cannot linger
+either; and every binding the benchmark's tracer wraps exists, so a
+deleted or moved function cannot break a traced benchmark run."""
 
 import importlib
 import importlib.util
+import inspect
 import os
 import pkgutil
+import re
 
 import pytest
 
 import featpde
+from featpde import errors
 
 MODULES = ["featpde"] + sorted(
     f"featpde.{m.name}" for m in pkgutil.iter_modules(featpde.__path__))
@@ -22,6 +26,18 @@ def test_every_public_name_resolves(name):
     missing = [n for n in getattr(module, "__all__", ())
                if not hasattr(module, n)]
     assert missing == []
+
+
+def test_every_exception_class_is_used():
+    # FeatpdeError is the root that callers may catch, raised by no one
+    sources = [inspect.getsource(importlib.import_module(name))
+               for name in MODULES if name != "featpde.errors"]
+    unused = [cls.__name__ for cls in vars(errors).values()
+              if inspect.isclass(cls) and cls.__module__ == errors.__name__
+              and cls is not errors.FeatpdeError
+              and not any(re.search(rf"\b{cls.__name__}\b", src)
+                          for src in sources)]
+    assert unused == []
 
 
 def _load_spans():

@@ -1,32 +1,22 @@
-"""Generator-coefficient and assumption-check tests.
+"""Generator-coefficient, level-table and reduced-SDE tests.
 
 The 3-d reference system (drift (x1+x3, x2-x3, x3), unit diffusion) with
 features p1 = x1 + x2, p2 = x3 has exact level coefficients a = (2, 1),
 b = (xi1/2, xi2); several tests pin those values.
 """
 
-import json
-
 import numpy as np
 import pytest
 from scipy import stats
 
-from featpde.errors import (
-    AssumptionViolationError,
-    DomainError,
-    EmptyLevelSetError,
-    UsageError,
-)
+from featpde.errors import DomainError, UsageError
 from featpde.neural import DenseNetwork
 from featpde.reduction import (
     FeatureMap,
-    LevelSetSampler,
     build_reduced_sde,
-    check_assumptions,
     feature_map_from_encoder,
     generator_at,
-    level_set_bounds,
-    verify_feature_derivatives,
+    level_table,
 )
 from featpde.sde import (
     SimConfig,
@@ -35,6 +25,8 @@ from featpde.sde import (
     simulate,
     simulate_reduced,
 )
+from gradient_cases import (feature_map_from_functions,
+                            verify_feature_derivatives)
 
 
 def three_dim_literal():
@@ -205,102 +197,73 @@ def test_generator_is_linear_in_feature_map():
     assert total == pytest.approx(parts, rel=1e-12, abs=1e-12)
 
 
+def on_exact_levels(n_levels, per_level, seed):
+    """States of the reference features on their level sets (to rounding):
+    ``per_level`` states at each of ``n_levels`` levels, xi1 and xi2 both
+    rising with the level, so the rank sections of either feature are the
+    groups; shuffled."""
+    rng = np.random.default_rng(seed)
+    xi1 = np.repeat(np.linspace(-1.5, 1.5, n_levels), per_level)
+    xi2 = np.repeat(np.linspace(-1.0, 1.0, n_levels), per_level)
+    x1 = rng.uniform(-2.0, 2.0, xi1.size)
+    return rng.permutation(np.column_stack([x1, xi1 - x1, xi2]))
+
+
 def test_level_set_bounds_constant_coefficient():
-    sampler = LevelSetSampler((-2.0, -2.0, -2.0), (2.0, 2.0, 2.0), 8000, seed=3)
-    a_lo, a_hi, b_lo, b_hi = level_set_bounds(
-        three_dim_literal(), ZeroPolicy(3), three_dim_features(), 0, 0.5,
-        sampler
-    )
-    assert a_lo == 2.0 and a_hi == 2.0
-    # raw band bounds straddle the level drift b = xi/2
-    assert b_lo <= 0.25 <= b_hi
+    # a and b are constant on each level set, so on exact level sets every
+    # level's spread is at rounding
+    _, a, b = level_table(three_dim_literal(), ZeroPolicy(3),
+                          three_dim_features(), on_exact_levels(5, 400, 3), 5)
+    np.testing.assert_array_equal(a[1:], [[[2.0] * 5, [1.0] * 5]] * 2)
+    for table in (a, b):
+        spread = table[2] - table[1]
+        assert np.all(spread <= 1e-9 * (1.0 + np.abs(table[2])))
+
+
+def test_level_means_give_lipschitz_constants():
+    # alpha is constant, beta has slope 1/2 and 1
+    xi, a, b = level_table(three_dim_literal(), ZeroPolicy(3),
+                           three_dim_features(), on_exact_levels(5, 400, 2),
+                           5)
+
+    def lipschitz(table):
+        return np.max(np.abs(np.diff(table[0])) / np.diff(xi[0]), axis=1)
+
+    assert lipschitz(a) == pytest.approx([0.0, 0.0], abs=1e-9)
+    assert lipschitz(b) == pytest.approx([0.5, 1.0], rel=1e-6)
 
 
 def test_level_set_bounds_detects_varying_sigma():
-    sampler = LevelSetSampler(
-        (-1.5, -1.5, -1.5), (1.5, 1.5, 1.5), 8000, seed=1
-    )
-    a_lo, a_hi, _, _ = level_set_bounds(
-        varying_sigma_system(), ZeroPolicy(3), first_coordinate_feature(),
-        0, 0.0, sampler
-    )
-    assert a_hi > a_lo
-    assert a_hi - a_lo > 0.5  # a = (1 + x2^2)^2 spans [1, 6.25) on the box
+    # a = (1 + x2^2)^2 spans [1, 10.6) on the box at every x1 level
+    states = np.random.default_rng(1).uniform(-1.5, 1.5, (6000, 3))
+    _, a, _ = level_table(varying_sigma_system(), ZeroPolicy(3),
+                          first_coordinate_feature(), states, 5)
+    assert np.all(a[2] - a[1] > 0.5)
 
 
-def test_level_set_bounds_monotone_in_sample_count():
-    small = LevelSetSampler((-1.5,) * 3, (1.5,) * 3, 1000, band=0.05, seed=1)
-    large = LevelSetSampler((-1.5,) * 3, (1.5,) * 3, 6000, band=0.05, seed=1)
-    sys_v = varying_sigma_system()
-    fm = first_coordinate_feature()
-    lo1, hi1, bl1, bh1 = level_set_bounds(sys_v, ZeroPolicy(3), fm, 0, 0.0,
-                                          small)
-    lo2, hi2, bl2, bh2 = level_set_bounds(sys_v, ZeroPolicy(3), fm, 0, 0.0,
-                                          large)
-    assert hi2 >= hi1 and lo2 <= lo1
-    assert bh2 >= bh1 and bl2 <= bl1
+def test_level_table_of_no_features_is_empty():
+    states = np.random.default_rng(0).uniform(-1.0, 1.0, (100, 3))
+    tables = level_table(three_dim_literal(), ZeroPolicy(3),
+                         linear_map(np.zeros((0, 3))), states, 5)
+    assert [t.shape for t in tables] == [(3, 0, 5)] * 3
 
 
-def test_level_set_bounds_empty_band():
-    sampler = LevelSetSampler((-1.0,) * 3, (1.0,) * 3, 500, seed=0)
-    with pytest.raises(EmptyLevelSetError):
-        level_set_bounds(
-            three_dim_literal(), ZeroPolicy(3), three_dim_features(), 0, 50.0,
-            sampler
-        )
-
-
-def test_check_assumptions_three_dim_satisfied_tight():
-    sampler = LevelSetSampler((-2.0,) * 3, (2.0,) * 3, 6000, seed=2)
-    report = check_assumptions(
-        three_dim_literal(), ZeroPolicy(3), three_dim_features(), sampler,
-        tol=1e-9
-    )
-    assert report.satisfied
-    assert all(e.verdict == "satisfied" for e in report.entries)
-    # alpha is constant, beta has slope 1/2 and 1
-    assert report.lipschitz_alpha[0] == pytest.approx(0.0, abs=1e-9)
-    assert report.lipschitz_beta[0] == pytest.approx(0.5, rel=1e-6)
-    assert report.lipschitz_beta[1] == pytest.approx(1.0, rel=1e-6)
-
-
-def test_check_assumptions_flags_violation():
-    sampler = LevelSetSampler((-1.5,) * 3, (1.5,) * 3, 6000, seed=2)
-    report = check_assumptions(
-        varying_sigma_system(), ZeroPolicy(3), first_coordinate_feature(),
-        sampler
-    )
-    assert not report.satisfied
-    assert any(e.verdict == "violated" for e in report.entries)
-
-
-def test_check_assumptions_empty_feature_map_vacuous():
-    fm = linear_map(np.zeros((0, 3)))
-    sampler = LevelSetSampler((-1.0,) * 3, (1.0,) * 3, 100, seed=0)
-    report = check_assumptions(
-        three_dim_literal(), ZeroPolicy(3), fm, sampler
-    )
-    assert report.satisfied
-    assert report.entries == []
-
-
-def test_assumption_report_json_schema(tmp_path):
-    sampler = LevelSetSampler((-2.0,) * 3, (2.0,) * 3, 4000, seed=2)
-    report = check_assumptions(
-        three_dim_literal(), ZeroPolicy(3), three_dim_features(), sampler,
-        tol=1e-9, n_levels=3
-    )
-    out = tmp_path / "report.json"
-    report.to_json(str(out))
-    data = json.loads(out.read_text())
-    assert data["satisfied"] is True
-    assert len(data["levels"]) == 6
-    for row in data["levels"]:
-        assert set(row) == {
-            "coordinate", "xi", "a_minus", "a_plus", "b_minus", "b_plus",
-            "verdict",
-        }
-    assert {row["coordinate"] for row in data["levels"]} == {1, 2}
+@pytest.mark.parametrize("n_states,n_levels,sizes", [
+    (1000, 16, [63] * 8 + [62] * 8),  # np.array_split's uneven sections
+    (5, 9, [1] * 5),  # more levels than states: one state per level
+])
+def test_level_table_bins_follow_array_split(n_states, n_levels, sizes):
+    # x1 takes each of 0 .. n_states - 1 once, in shuffled order, so a
+    # level's state count is its xi range plus one
+    rng = np.random.default_rng(0)
+    states = rng.uniform(-1.0, 1.0, (n_states, 3))
+    states[:, 0] = rng.permutation(n_states)
+    xi, a, b = level_table(three_dim_literal(), ZeroPolicy(3),
+                           first_coordinate_feature(), states, n_levels)
+    assert xi.shape == (3, 1, len(sizes))
+    np.testing.assert_array_equal(xi[2, 0] - xi[1, 0] + 1, sizes)
+    for table in (xi, a, b):
+        assert np.all((table[1] <= table[0]) & (table[0] <= table[2]))
 
 
 def test_build_reduced_sde_validation():
@@ -353,7 +316,7 @@ def test_feature_map_from_encoder_derivatives():
     assert fm.k == 2 and fm.n == 3
     rng = np.random.default_rng(5)
     probes = rng.normal(size=(6, 3))
-    assert verify_feature_derivatives(fm, probes, rtol=1e-5)
+    verify_feature_derivatives(fm, probes, rtol=1e-5)
 
 
 def test_verify_derivatives_catches_wrong_gradient():
@@ -362,7 +325,7 @@ def test_verify_derivatives_catches_wrong_gradient():
         lambda x: np.ones((len(x), 2, 1)),
         lambda x: np.zeros((len(x), 2, 1)),
     )
-    with pytest.raises(AssumptionViolationError, match="gradient"):
+    with pytest.raises(AssertionError, match="gradient"):
         verify_feature_derivatives(fm, np.array([[0.4, 2.0]]))
 
 
@@ -374,19 +337,16 @@ def test_verify_derivatives_catches_wrong_second_derivative():
                                    3.0 * x[:, 1] ** 2])[:, :, None],
         lambda x: np.zeros((len(x), 2, 1)),
     )
-    with pytest.raises(AssumptionViolationError, match="in x2"):
+    with pytest.raises(AssertionError, match="in x2"):
         verify_feature_derivatives(fm, np.array([[0.4, 2.0]]))
 
 
 def test_from_functions_synthesizes_derivatives():
-    fm = FeatureMap.from_functions(
+    fm = feature_map_from_functions(
         k=1, n=2, p=lambda x: (x[:, 0] ** 2 + 3.0 * x[:, 1])[:, None]
     )
-    assert fm.synthesized
     x = np.array([[1.5, -0.4]])
     g, h00 = fm.derivatives(x, np.array([[1.0, 0.0]]))
     assert g[0, :, 0] == pytest.approx([3.0, 3.0], rel=1e-7)
     assert h00[0, 0] == pytest.approx(2.0, rel=1e-4)
     assert abs(fm.derivatives(x, np.array([[0.0, 1.0]]))[1][0, 0]) < 1e-4
-    # synthesized derivatives skip the self-check
-    assert verify_feature_derivatives(fm, np.zeros((1, 2))) is False
