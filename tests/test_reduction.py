@@ -241,6 +241,19 @@ def test_level_set_bounds_detects_varying_sigma():
     assert np.all(a[2] - a[1] > 0.5)
 
 
+def test_check_assumptions_flags_violation():
+    # the level-set constancy check (spread <= tol * (1 + |max|)) at
+    # tol 1e-6 fails for a feature whose a varies on its level sets
+    states = np.random.default_rng(2).uniform(-1.5, 1.5, (6000, 3))
+    _, a, b = level_table(varying_sigma_system(), ZeroPolicy(3),
+                          first_coordinate_feature(), states, 5)
+    passed = np.ones(a.shape[1:], dtype=bool)
+    for table in (a, b):
+        passed &= table[2] - table[1] <= 1e-6 * (1.0 + np.abs(table[2]))
+    assert not passed.all()
+    assert not passed[0].any()
+
+
 def test_level_table_of_no_features_is_empty():
     states = np.random.default_rng(0).uniform(-1.0, 1.0, (100, 3))
     tables = level_table(three_dim_literal(), ZeroPolicy(3),
