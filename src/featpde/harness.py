@@ -880,6 +880,13 @@ def cmd_simulate(xc: ExperimentConfig) -> list:
     p = xc.preset
     cfg = SimConfig(dt=sim["dt"], horizon=sim.get("horizon", p.horizon or 1.0),
                     seed=xc.seed, n_paths=sim["n_paths"])
+    lengths = {"xi0": p.k}
+    if p.system is not None:
+        lengths["x0"] = p.system.state_dim
+    for key, length in lengths.items():
+        if key in sim and len(sim[key]) != length:
+            raise ConfigError(f"sim.{key} must have length {length}, got "
+                              f"{len(sim[key])}")
     if sim["kind"] == "full":
         if p.system is None:
             raise ConfigError(f"preset {p.name!r} has no full system")

@@ -22,7 +22,7 @@ from .grid import nodes
 from .pde import LqSpec, PdeProblem, assemble_safety_pde, assemble_value_pde
 from .pinn import PinnConfig
 from .reduction import FeatureMap, ReducedSde, build_reduced_sde
-from .sde import StochasticSystem
+from .sde import Constant, StochasticSystem
 
 __all__ = [
     "Preset",
@@ -212,18 +212,15 @@ def _quad_r(scale):
     return r
 
 
-def _constant(c, s):
-    return np.full_like(np.asarray(s, dtype=np.float64), c)
-
-
 def _linear(slope, s):
     return slope * np.asarray(s, dtype=np.float64)
 
 
 def linear_reduced_sde(alpha, slope, ranges) -> ReducedSde:
-    """The reduced SDE of constant diffusion coefficients ``alpha`` and
-    linear drifts beta_i(s) = slope_i s on ``ranges``."""
-    return build_reduced_sde([partial(_constant, c) for c in alpha],
+    """The reduced SDE of constant diffusion coefficients ``alpha`` (each a
+    ``Constant``, which the reduced march reads once per step) and linear
+    drifts beta_i(s) = slope_i s on ``ranges``."""
+    return build_reduced_sde([Constant(c) for c in alpha],
                              [partial(_linear, m) for m in slope], ranges)
 
 

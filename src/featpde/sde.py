@@ -22,7 +22,9 @@ step's (N, m) draw.  Consequences used elsewhere in the package:
   state with one draw per step shared by every point, so each point's paths
   equal those of its own one-point run bit for bit.  This needs alpha and
   beta (and any observer's r) to act row by row, as the contract above
-  already requires;
+  already requires.  A ``Constant`` alpha coordinate is not evaluated
+  row by row: its noise term is computed once per path and broadcast over
+  the block's start points;
 * every march reads its steps from a ``DrawSource``, which draws each step
   once, by whichever thread asks first: a march's own helper thread draws
   ahead while the calling thread updates, and the two lanes of a reduced
@@ -46,6 +48,7 @@ from .errors import DomainError, SimulationError, UsageError
 from .grid import write_csv
 
 __all__ = [
+    "Constant",
     "StochasticSystem",
     "ControlPolicy",
     "ZeroPolicy",
@@ -59,6 +62,22 @@ __all__ = [
 # Steps a draw source may draw past its slowest reader; its ring holds
 # _AHEAD + 1 step draws.
 _AHEAD = 3
+
+
+@dataclass(frozen=True)
+class Constant:
+    """A coefficient that takes ``value`` at every state.
+
+    A call returns ``value`` in the shape of its argument, like any other
+    vectorized coefficient.  The reduced march reads ``value`` instead, so
+    a constant alpha is checked and square-rooted once per coordinate and
+    step, and its noise term is computed once per path.
+    """
+
+    value: float
+
+    def __call__(self, s):
+        return np.full_like(np.asarray(s, dtype=np.float64), self.value)
 
 
 @dataclass
@@ -402,6 +421,13 @@ def _run_reduced(reduced, starts, cfg, t0, observer, draws=None):
     ``observer(step, t, xi, z)`` sees it as a (P*N, k) view and z as the
     read-only step draw, both valid only during the call.
 
+    Coordinate i's update is ``(xi + (a * b) * dt) + (sqrt(a) * z) * sqrt(dt)``
+    with a = alpha_i and b = beta_i at the rows, rounded in that order.  For
+    a ``Constant`` alpha, a is its one value: the positivity check and the
+    square root are taken once, and the noise term is computed once per path
+    and broadcast over the block's P start points.  Any other alpha is
+    evaluated, checked and square-rooted row by row.
+
     An exception raised while marching carries ``march_position``, the
     (step, stage) it was raised at: stage i < k is coordinate i's update,
     k the drift check and k + 1 the observer that follows (the initial
@@ -421,7 +447,6 @@ def _run_reduced(reduced, starts, cfg, t0, observer, draws=None):
     sq = np.sqrt(dt)
     new = np.empty_like(xi)
     drift = np.empty_like(xi)
-    diff = np.empty_like(xi)
     where = (-1, k + 1)
     with _step_draws(cfg, n, k, draws) as take:
         try:
@@ -430,7 +455,11 @@ def _run_reduced(reduced, starts, cfg, t0, observer, draws=None):
                 z = take(s)
                 for i in range(k):
                     where = (s, i)
-                    a = np.asarray(reduced.alpha[i](xi[i]), dtype=np.float64)
+                    alpha = reduced.alpha[i]
+                    if isinstance(alpha, Constant):
+                        a = np.float64(alpha.value)
+                    else:
+                        a = np.asarray(alpha(xi[i]), dtype=np.float64)
                     bad = ~(a > 0)
                     if bad.any():
                         j = int(np.flatnonzero(bad)[0])
@@ -444,11 +473,11 @@ def _run_reduced(reduced, starts, cfg, t0, observer, draws=None):
                     # xi + drift * dt + sqrt(a) * z * sq, rounded in that order
                     np.multiply(drift[i], dt, out=new[i])
                     new[i] += xi[i]
-                    np.sqrt(a, out=diff[i])
-                    noise = diff[i].reshape(p, n)
-                    noise *= z[:, i]
-                    noise *= sq
-                    new[i] += diff[i]
+                    root = np.sqrt(a)
+                    if root.ndim:
+                        root = root.reshape(p, n)
+                    block = new[i].reshape(p, n)
+                    block += root * z[:, i] * sq
                 where = (s, k)
                 _check_finite(drift, s, "reduced drift", starts,
                               coordinate_major=True)

@@ -935,6 +935,22 @@ def _checkpoint_file(tmp_path, kind):
               reduction={"encoder_checkpoint": "@encoder_k1",
                          "state_domain": [[0.0, 1.0]] * 3}),
          "reduction.encoder_checkpoint"),
+        # a start point of the wrong length: the first raised a raw
+        # IndexError, the second dropped xi3 and ran, the last two raised
+        # errors that did not name the key
+        ("simulate",
+         {"preset": "sys3d-value", "sim": {"kind": "full", "xi0": [1.0]}},
+         "sim.xi0"),
+        ("simulate",
+         {"preset": "sys1000d-value",
+          "sim": {"kind": "full", "xi0": [1.0, 2.0, 3.0], "dt": 0.1,
+                  "horizon": 0.1, "n_paths": 2}},
+         "sim.xi0"),
+        ("simulate", {"preset": "sys3d-value", "sim": {"xi0": [1.0]}},
+         "sim.xi0"),
+        ("simulate",
+         {"preset": "sys3d-value", "sim": {"kind": "full", "x0": [1.0, 2.0]}},
+         "sim.x0"),
     ],
 )
 def test_bad_config_values_name_their_key(command, cfg, key, tmp_path):

@@ -34,7 +34,7 @@ from featpde.montecarlo import (
 )
 from featpde.pde import LqSpec, riccati_value
 from featpde.presets import get_preset
-from featpde.reduction import build_reduced_sde
+from featpde.reduction import ReducedSde, build_reduced_sde
 from featpde.sde import (
     ControlPolicy,
     SimConfig,
@@ -46,12 +46,14 @@ from featpde.sde import (
 SAFETY_FD_LIMIT = 0.426046  # F(1.1, 1.1; T=1) from the dt->0 FD solution
 
 
-def stable_reduced():
+def as_callable(c):
+    """A plain callable that returns what ``sde.Constant(c)`` returns."""
+    return lambda s: np.full_like(np.asarray(s, dtype=float), c)
+
+
+def stable_reduced(alpha=None):
     return build_reduced_sde(
-        alpha=[
-            lambda s: np.full_like(np.asarray(s, dtype=float), 2.0),
-            lambda s: np.ones_like(np.asarray(s, dtype=float)),
-        ],
+        alpha=alpha or [as_callable(2.0), as_callable(1.0)],
         beta=[
             lambda s: -np.asarray(s, dtype=float) / 2.0,
             lambda s: -np.asarray(s, dtype=float),
@@ -60,12 +62,9 @@ def stable_reduced():
     )
 
 
-def unstable_reduced():
+def unstable_reduced(alpha=None):
     return build_reduced_sde(
-        alpha=[
-            lambda s: np.full_like(np.asarray(s, dtype=float), 2.0),
-            lambda s: np.ones_like(np.asarray(s, dtype=float)),
-        ],
+        alpha=alpha or [as_callable(2.0), as_callable(1.0)],
         beta=[
             lambda s: np.asarray(s, dtype=float) / 2.0,
             lambda s: np.asarray(s, dtype=float),
@@ -518,17 +517,21 @@ def k1_level(xi):
     return 2.0 - np.atleast_2d(xi)[:, 0]
 
 
-def pinned_grids():
+def pinned_k2_grids(alpha=None):
     mc = (1e-2, 300, 61)
     pts = np.array([[1.0, 1.0], [1.5, 1.5], [0.5, -0.5], [2.0, 0.0]])
     yield "value_k2", value_grid_reduced(
-        stable_reduced(), pts, [0.5, 1.0, 0.5, 0.5], 1.5, quad_cost, mc
+        stable_reduced(alpha), pts, [0.5, 1.0, 0.5, 0.5], 1.5, quad_cost, mc
     )
     mc = (1e-2, 400, 53)
     yield "safety_k2", safety_grid_reduced(
-        unstable_reduced(), np.array([[1.1, 1.1], [0.5, 2.0]]), [0.5, 1.0],
-        min_barrier, mc,
+        unstable_reduced(alpha), np.array([[1.1, 1.1], [0.5, 2.0]]),
+        [0.5, 1.0], min_barrier, mc,
     )
+
+
+def pinned_grids():
+    yield from pinned_k2_grids()
     red1 = state_dependent_k1()
     mc = (1e-2, 250, 67)
     yield "value_k1", value_grid_reduced(
@@ -540,16 +543,88 @@ def pinned_grids():
     )
 
 
+def assert_pinned(grids):
+    for name, grid in grids:
+        est, se = PINNED[name]
+        assert grid.estimates.tolist() == [float.fromhex(h) for h in est], name
+        assert grid.std_errors.tolist() == [float.fromhex(h) for h in se], name
+
+
 # None keeps the default (every time's rows in one block); 1 gives each row
 # its own block; 600 splits the three t = 0.5 rows of value_k2 into 2 + 1
 @pytest.mark.parametrize("block_rows", [None, 1, 600])
 def test_grids_match_recorded_per_point_loop(monkeypatch, block_rows):
     if block_rows is not None:
         monkeypatch.setattr(montecarlo, "_BLOCK_ROWS", block_rows)
-    for name, grid in pinned_grids():
-        est, se = PINNED[name]
-        assert grid.estimates.tolist() == [float.fromhex(h) for h in est], name
-        assert grid.std_errors.tolist() == [float.fromhex(h) for h in se], name
+    assert_pinned(pinned_grids())
+
+
+# the k = 2 pins again, with each alpha an sde.Constant, whose march
+# computes one noise term per path and broadcasts it over the start points
+@pytest.mark.parametrize("block_rows", [None, 1, 600])
+def test_constant_alpha_grids_match_recorded_per_point_loop(monkeypatch,
+                                                            block_rows):
+    if block_rows is not None:
+        monkeypatch.setattr(montecarlo, "_BLOCK_ROWS", block_rows)
+    assert_pinned(pinned_k2_grids([sde.Constant(2.0), sde.Constant(1.0)]))
+
+
+def tilted_alpha(s):
+    return 1.0 + 0.5 * np.tanh(np.asarray(s, dtype=float))
+
+
+ALPHA_PAIRS = {
+    # (alpha of the Constant side, the same alpha as plain callables)
+    "constant": ([sde.Constant(2.0), sde.Constant(1.0)],
+                 [as_callable(2.0), as_callable(1.0)]),
+    "mixed": ([tilted_alpha, sde.Constant(3.0)],
+              [tilted_alpha, as_callable(3.0)]),
+}
+
+EIGHT_POINTS = np.array([[1.0, 1.0], [1.5, 0.5], [0.5, -0.5], [2.0, 0.0],
+                         [-1.0, 1.2], [0.2, 0.3], [1.1, 1.1], [-0.5, -1.5]])
+
+
+# None keeps the default (two blocks of four points, one per lane); 400
+# gives four blocks of two points, two in each lane
+@pytest.mark.parametrize("block_rows", [None, 400])
+@pytest.mark.parametrize("case", list(ALPHA_PAIRS))
+@pytest.mark.parametrize("task", ["value", "safety"])
+def test_constant_alpha_march_equals_callable_march(monkeypatch, block_rows,
+                                                    case, task):
+    if block_rows is not None:
+        monkeypatch.setattr(montecarlo, "_BLOCK_ROWS", block_rows)
+    mc = (1e-2, 200, 29)
+    grids = []
+    for alpha in ALPHA_PAIRS[case]:
+        if task == "value":
+            grids.append(value_grid_reduced(stable_reduced(alpha),
+                                            EIGHT_POINTS, 0.5, 1.5,
+                                            quad_cost, mc))
+        else:
+            grids.append(safety_grid_reduced(unstable_reduced(alpha),
+                                             EIGHT_POINTS, 1.0,
+                                             min_barrier, mc))
+    const, plain = grids
+    assert np.array_equal(const.estimates, plain.estimates)
+    assert np.array_equal(const.std_errors, plain.std_errors)
+
+
+def test_nonpositive_constant_alpha_raises_the_callable_error():
+    beta = [lambda s: np.zeros_like(np.asarray(s, dtype=float))]
+    errors = []
+    for alpha in (sde.Constant(-1.0), as_callable(-1.0)):
+        red = ReducedSde(k=1, alpha=[alpha], beta=beta, ranges=[(-2.0, 2.0)])
+        with pytest.raises(DomainError) as info:
+            value_grid_reduced(red, np.array([[0.3], [0.5], [0.7], [0.9]]),
+                               0.0, 1.0, k1_square, (0.01, 16, 1))
+        errors.append(info.value)
+    const, plain = errors
+    assert str(const) == str(plain)
+    assert "path 0 of start point [0.3], step 0" in str(const)
+    assert const.march_position == plain.march_position == (0, 0)
+    with pytest.raises(DomainError, match="alpha_1"):
+        build_reduced_sde([sde.Constant(0.0)], beta, [(-2.0, 2.0)])
 
 
 def test_block_domain_error_names_coordinate_and_start_point():
