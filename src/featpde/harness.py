@@ -41,8 +41,6 @@ from .errors import ConfigError, UsageError
 from .featureid import AeTrainConfig, AutoencoderNet, train_autoencoder
 from .grid import nodes, space_time, write_csv
 from .montecarlo import (
-    BarrierSpec,
-    CostSpec,
     McGrid,
     safety_grid_reduced,
     safety_mc,
@@ -335,6 +333,14 @@ def _solve_oracle(xc: ExperimentConfig) -> FdSolution:
                     save_every=fd.get("save_every", p.oracle_save_every))
 
 
+def _check_times(xc: ExperimentConfig, times, key: str) -> None:
+    """Refuse config ``key`` if a time of it lies outside [0, horizon]."""
+    T = xc.preset.horizon
+    bad = [t for t in np.ravel(times) if not 0.0 <= t <= T]
+    if bad:
+        raise ConfigError(f"{key} must be in [0, {T}], got {bad[0]}")
+
+
 def _sim(mc, horizon: float) -> SimConfig:
     dt, n_paths, seed = mc
     return SimConfig(dt=dt, horizon=horizon, seed=seed, n_paths=n_paths)
@@ -385,6 +391,9 @@ def _mc_reduced_rows(xc: ExperimentConfig, points, times, mc) -> McGrid:
     time left to march (t = T for a value, t = 0 for a safety horizon) take
     the boundary condition, with a zero standard error."""
     p = xc.preset
+    if p.reduced is None:
+        raise UsageError(f"preset {p.name!r} has no reduced SDE; mc_reduced "
+                         f"does not apply")
     value = xc.task == "value"
     edge = np.abs(times - p.horizon) < 1e-12 if value else times <= 1e-12
     est = np.empty(len(times))
@@ -417,16 +426,14 @@ def _mc_full_rows(xc: ExperimentConfig, points, times, mc) -> McGrid:
     se = np.empty(len(times))
     for j, (xi, t) in enumerate(zip(points, times.tolist())):
         if xc.task == "value":
-            cost = CostSpec(running_cost=p.cost_full,
-                            terminal_weight=p.terminal_weight)
             m = value_pathintegral(p.system, p.x0_of_xi(xi), t, p.horizon,
-                                   cost, _sim(mc, p.horizon - t))
+                                   p.cost_full, _sim(mc, p.horizon - t),
+                                   terminal_weight=p.terminal_weight)
             est[j] = np.exp(-m.value)
             se[j] = est[j] * m.std_error
         else:
             m = safety_mc(p.system, ZeroPolicy(p.system.control_dim),
-                          p.x0_of_xi(xi), BarrierSpec(phi=p.barrier_full), t,
-                          _sim(mc, t))
+                          p.x0_of_xi(xi), p.barrier_full, t, _sim(mc, t))
             est[j], se[j] = m.value, m.std_error
     return McGrid(points=points, times=times, estimates=est, std_errors=se)
 
@@ -761,6 +768,7 @@ def make_dataset(xc: ExperimentConfig, out_path: str) -> str:
     axes = _axes(ds.get("domain", p.data_domain),
                  ds.get("step", p.data_step), "dataset")
     points, times = space_time(axes, ds.get("times", p.data_times))
+    _check_times(xc, times, "dataset.times")
     header = ",".join(f"xi{i + 1}" for i in range(p.k)) + ",t,value"
     fmt = "%.17g"
     if source == "fd":
@@ -838,6 +846,7 @@ def benchmark(xc: ExperimentConfig, out_path: str) -> str:
                           + " or ".join(map(repr, oracles)))
     points = xc.points("benchmark", b["points"])
     times = np.full(points.shape[0], b.get("time", xc.default_time))
+    _check_times(xc, times, "benchmark.time")
     truth = ROUTES[b["oracle"]].rows(xc, points, times, None).estimates
     for est in b["estimators"]:  # on no rows: refuses before any sampling
         ROUTES[est].rows(xc, points[:0], times[:0], None)
@@ -900,6 +909,8 @@ def cmd_simulate(xc: ExperimentConfig) -> list:
         batch = simulate(p.system, ZeroPolicy(p.system.control_dim), x0, cfg,
                          t0=sim["t0"])
     else:
+        if p.reduced is None:
+            raise ConfigError(f"preset {p.name!r} has no reduced SDE")
         if "xi0" not in sim:
             raise ConfigError("sim.xi0 is required for reduced simulation")
         batch = simulate_reduced(p.reduced, sim["xi0"], cfg, t0=sim["t0"])
@@ -912,6 +923,7 @@ def cmd_estimate(xc: ExperimentConfig, task: str) -> list:
     if xc.task != task:
         raise ConfigError(f"estimate-{task} needs a {task}-task preset")
     points, t = xc.eval_points()
+    _check_times(xc, t, "eval.time")
     if xc.estimator is None:
         raise ConfigError("config needs an 'estimator' for this command")
     grid = ROUTES[xc.estimator].rows(xc, points, np.full(len(points), t),

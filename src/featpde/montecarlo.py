@@ -8,6 +8,11 @@ standard error comes from the delta method on the log of the sample mean:
 
     se(V) = sqrt((exp(lse(-2S) - 2 lse(-S) + log N) - 1) / N).
 
+Full and reduced marches share one value scorer, ``_value_scores``, and one
+safety scorer, ``_safe_paths``: every estimator, one-point or grid, passes
+its march (``sde._run_full`` or ``sde._run_reduced`` bound up to the
+observer) to one of them and reads back a (rows, N) block.
+
 The reduced grid estimators march all rows that share a time as blocks of
 start points (at most ``_BLOCK_ROWS`` path rows each) that draw each step's
 noise once for the whole block.  The cost or barrier r must act row by row,
@@ -26,6 +31,7 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -37,8 +43,6 @@ from .sde import (ControlPolicy, DrawSource, SimConfig, StochasticSystem,
                   ZeroPolicy, _run_full, _run_reduced)
 
 __all__ = [
-    "CostSpec",
-    "BarrierSpec",
     "McEstimate",
     "McGrid",
     "RefinementDiagnostics",
@@ -55,22 +59,6 @@ __all__ = [
 # Path rows (start points x paths) marched as one block by the grid
 # estimators: one state array stays at 1 MB per feature coordinate.
 _BLOCK_ROWS = 2**17
-
-
-@dataclass
-class CostSpec:
-    """Running cost c(x) (batched (N, d) -> (N,)) and the weight that scales
-    c(x_T) inside the path-integral exponent."""
-
-    running_cost: Callable[[np.ndarray], np.ndarray]
-    terminal_weight: float = 1.0
-
-
-@dataclass
-class BarrierSpec:
-    """Barrier function phi (batched); the safe set is {phi >= 0}."""
-
-    phi: Callable[[np.ndarray], np.ndarray]
 
 
 @dataclass
@@ -95,6 +83,48 @@ def _span_config(cfg: SimConfig, t: float, T: float) -> None:
         raise UsageError(
             f"cfg.horizon = {cfg.horizon} must equal T - t = {span}"
         )
+
+
+def _check_safe_starts(r, starts):
+    r0 = np.asarray(r(starts), dtype=np.float64)
+    if (r0 < 0).any():
+        j = int(np.flatnonzero(r0 < 0)[0])
+        raise UsageError(
+            f"start point {starts[j]} is already unsafe (r = {r0[j]:.6g} < 0)"
+        )
+
+
+def _value_scores(march, rows, r, cfg, terminal_weight):
+    """(rows, N) path-integral scores: the left-endpoint Riemann sum of r
+    plus ``terminal_weight`` times r at the end, on the N = cfg.n_paths
+    paths of each of the ``rows`` start points that ``march`` runs.
+    ``march`` is a ``partial`` of ``sde._run_full`` or ``sde._run_reduced``
+    that takes the observer."""
+    w = float(terminal_weight)
+    dt = cfg.dt
+    steps = cfg.steps
+    scores = np.zeros(rows * cfg.n_paths)
+
+    def observer(s, tau, xs, z):
+        if s < steps:
+            scores[:] += np.asarray(r(xs), dtype=np.float64) * dt
+        else:
+            scores[:] += w * np.asarray(r(xs), dtype=np.float64)
+
+    march(observer)
+    return scores.reshape(rows, cfg.n_paths)
+
+
+def _safe_paths(march, rows, r, cfg):
+    """(rows, N) masks of the paths that keep r >= 0 at every monitored
+    step; ``march`` as in ``_value_scores``."""
+    safe = np.ones(rows * cfg.n_paths, dtype=bool)
+
+    def observer(s, tau, xs, z):
+        safe[:] &= np.asarray(r(xs), dtype=np.float64) >= 0
+
+    march(observer)
+    return safe.reshape(rows, cfg.n_paths)
 
 
 def _estimates_from_scores(scores: np.ndarray):
@@ -131,133 +161,49 @@ def _as_mc_estimate(estimates, n: int) -> McEstimate:
                       n_samples=n)
 
 
-def value_pathintegral(
-    system: StochasticSystem,
-    x,
-    t: float,
-    T: float,
-    cost: CostSpec,
-    cfg: SimConfig,
-) -> McEstimate:
-    """Uncontrolled (measure-Q) path-integral estimate of V(x, t)."""
+def value_pathintegral(system: StochasticSystem, x, t: float, T: float,
+                       r: Callable, cfg: SimConfig,
+                       terminal_weight: float = 1.0) -> McEstimate:
+    """Uncontrolled (measure-Q) path-integral estimate of V(x, t); r is the
+    running cost, batched (N, d) -> (N,)."""
     _span_config(cfg, t, T)
-    c = cost.running_cost
-    w = float(cost.terminal_weight)
-    dt = cfg.dt
-    steps = cfg.steps
-    scores = np.zeros(cfg.n_paths)
-
-    def observer(s, tau, xs, z):
-        if s < steps:
-            scores[:] += c(xs) * dt
-        else:
-            scores[:] += w * c(xs)
-
-    _run_full(system, ZeroPolicy(system.control_dim), x, cfg, t, observer)
-    return _as_mc_estimate(_estimates_from_scores(scores[None]), cfg.n_paths)
-
-
-def _value_scores(reduced, starts, t, r, cfg, terminal_weight, draws=None):
-    """(P, N) path-integral scores of a block of start points at time t;
-    ``draws`` as in ``sde._run_reduced``."""
-    w = float(terminal_weight)
-    dt = cfg.dt
-    steps = cfg.steps
-    scores = np.zeros(len(starts) * cfg.n_paths)
-
-    def observer(s, tau, xs, z):
-        if s < steps:
-            scores[:] += np.asarray(r(xs), dtype=np.float64) * dt
-        else:
-            scores[:] += w * np.asarray(r(xs), dtype=np.float64)
-
-    _run_reduced(reduced, starts, cfg, t, observer, draws)
-    return scores.reshape(len(starts), cfg.n_paths)
-
-
-def value_pathintegral_reduced(
-    reduced,
-    xi,
-    t: float,
-    T: float,
-    r: Callable,
-    cfg: SimConfig,
-    terminal_weight: float = 1.0,
-) -> McEstimate:
-    """Same estimator driven by the reduced feature SDE (r acts on xi)."""
-    _span_config(cfg, t, T)
-    scores = _value_scores(reduced, np.asarray(xi, dtype=np.float64)[None],
-                           t, r, cfg, terminal_weight)
+    march = partial(_run_full, system, ZeroPolicy(system.control_dim), x,
+                    cfg, t)
+    scores = _value_scores(march, 1, r, cfg, terminal_weight)
     return _as_mc_estimate(_estimates_from_scores(scores), cfg.n_paths)
 
 
-def safety_mc(
-    system: StochasticSystem,
-    policy: ControlPolicy,
-    x0,
-    barrier: BarrierSpec,
-    T: float,
-    cfg: SimConfig,
-    return_mask: bool = False,
-):
+def value_pathintegral_reduced(reduced, xi, t: float, T: float, r: Callable,
+                               cfg: SimConfig,
+                               terminal_weight: float = 1.0) -> McEstimate:
+    """Same estimator driven by the reduced feature SDE (r acts on xi)."""
+    _span_config(cfg, t, T)
+    starts = np.asarray(xi, dtype=np.float64)[None]
+    march = partial(_run_reduced, reduced, starts, cfg, t)
+    scores = _value_scores(march, 1, r, cfg, terminal_weight)
+    return _as_mc_estimate(_estimates_from_scores(scores), cfg.n_paths)
+
+
+def safety_mc(system: StochasticSystem, policy: ControlPolicy, x0,
+              phi: Callable, T: float, cfg: SimConfig) -> McEstimate:
     """Empirical fraction of paths with phi(x_tau) >= 0 at every step."""
-    if abs(cfg.horizon - T) > 1e-9 * max(1.0, T):
-        raise UsageError(f"cfg.horizon = {cfg.horizon} must equal T = {T}")
+    _span_config(cfg, 0.0, T)
     x0 = np.asarray(x0, dtype=np.float64)
-    phi0 = np.asarray(barrier.phi(x0[None]), dtype=np.float64)[0]
-    if phi0 < 0:
-        raise UsageError(
-            f"initial state is already unsafe (phi(x0) = {phi0:.6g} < 0)"
-        )
-    safe = np.ones(cfg.n_paths, dtype=bool)
-
-    def observer(s, tau, xs, z):
-        safe[:] &= np.asarray(barrier.phi(xs), dtype=np.float64) >= 0
-
-    _run_full(system, policy, x0, cfg, 0.0, observer)
-    est = _as_mc_estimate(_safety_estimates(safe[None]), cfg.n_paths)
-    return (est, safe.copy()) if return_mask else est
+    _check_safe_starts(phi, x0[None])
+    march = partial(_run_full, system, policy, x0, cfg, 0.0)
+    safe = _safe_paths(march, 1, phi, cfg)
+    return _as_mc_estimate(_safety_estimates(safe), cfg.n_paths)
 
 
-def _check_safe_starts(r, starts):
-    r0 = np.asarray(r(starts), dtype=np.float64)
-    if (r0 < 0).any():
-        j = int(np.flatnonzero(r0 < 0)[0])
-        raise UsageError(
-            f"initial feature state {starts[j]} is already unsafe "
-            f"(r(xi0) = {r0[j]:.6g})"
-        )
-
-
-def _safe_paths(reduced, starts, r, cfg, draws=None):
-    """(P, N) masks of the paths from each start point that keep
-    r(xi_tau) >= 0 at every monitored step; ``draws`` as in
-    ``sde._run_reduced``."""
-    safe = np.ones(len(starts) * cfg.n_paths, dtype=bool)
-
-    def observer(s, tau, xs, z):
-        safe[:] &= np.asarray(r(xs), dtype=np.float64) >= 0
-
-    _run_reduced(reduced, starts, cfg, 0.0, observer, draws)
-    return safe.reshape(len(starts), cfg.n_paths)
-
-
-def safety_mc_reduced(
-    reduced,
-    xi0,
-    r: Callable,
-    T: float,
-    cfg: SimConfig,
-    return_mask: bool = False,
-):
+def safety_mc_reduced(reduced, xi0, r: Callable, T: float,
+                      cfg: SimConfig) -> McEstimate:
     """Reduced-process safety estimate; safe iff r(xi_tau) >= 0 each step."""
-    if abs(cfg.horizon - T) > 1e-9 * max(1.0, T):
-        raise UsageError(f"cfg.horizon = {cfg.horizon} must equal T = {T}")
+    _span_config(cfg, 0.0, T)
     starts = np.asarray(xi0, dtype=np.float64)[None]
     _check_safe_starts(r, starts)
-    safe = _safe_paths(reduced, starts, r, cfg)
-    est = _as_mc_estimate(_safety_estimates(safe), cfg.n_paths)
-    return (est, safe[0].copy()) if return_mask else est
+    march = partial(_run_reduced, reduced, starts, cfg, 0.0)
+    safe = _safe_paths(march, 1, r, cfg)
+    return _as_mc_estimate(_safety_estimates(safe), cfg.n_paths)
 
 
 def optimal_control_from_value(
@@ -273,7 +219,7 @@ def optimal_control_from_value(
 def refine_control_importance_sampling(
     system: StochasticSystem,
     u_hat: ControlPolicy,
-    cost: CostSpec,
+    r: Callable,
     x,
     t: float,
     delta: float,
@@ -281,11 +227,12 @@ def refine_control_importance_sampling(
     T: Optional[float] = None,
     n_bootstrap: int = 200,
     return_diagnostics: bool = False,
+    terminal_weight: float = 1.0,
 ):
     """One-point policy refinement by exponentially re-weighted rollouts.
 
     Simulates under u_hat, scores each path with the controlled action
-    functional S = int (c + 1/2 |u|^2) dtau + int u . dW + terminal c, and
+    functional S = int (r + 1/2 |u|^2) dtau + int u . dW + terminal r, and
     returns u_hat(x, t) + sum(e^{-S} dW) / (delta * sum(e^{-S})) where dW
     is the path's Brownian increment over [t, t + delta].
     """
@@ -301,8 +248,7 @@ def refine_control_importance_sampling(
     n, m = cfg.n_paths, system.control_dim
     dt, steps = cfg.dt, cfg.steps
     sq = np.sqrt(dt)
-    c = cost.running_cost
-    w_term = float(cost.terminal_weight)
+    w_term = float(terminal_weight)
     scores = np.zeros(n)
     dW = np.zeros((n, m))
     prev = {"x": None, "t": t}
@@ -314,12 +260,12 @@ def refine_control_importance_sampling(
         u_prev = u_hat(prev["x"], prev["t"])
         # w(x, u) dt + u . dW accumulated at the left endpoint
         scores[:] += (
-            c(prev["x"]) + 0.5 * np.sum(u_prev**2, axis=1)
+            r(prev["x"]) + 0.5 * np.sum(u_prev**2, axis=1)
         ) * dt + np.sum(u_prev * z, axis=1) * sq
         if s <= n_delta:
             dW[:] += z * sq
         if s == steps:
-            scores[:] += w_term * c(xs)
+            scores[:] += w_term * r(xs)
         prev["x"], prev["t"] = xs.copy(), tau
 
     _run_full(system, u_hat, x, cfg, t, observer)
@@ -449,9 +395,9 @@ def value_grid_reduced(
     seed)."""
 
     def block(starts, t, cfg, draws):
+        march = partial(_run_reduced, reduced, starts, cfg, t, draws=draws)
         value, se = _estimates_from_scores(
-            _value_scores(reduced, starts, t, r, cfg, terminal_weight, draws)
-        )
+            _value_scores(march, len(starts), r, cfg, terminal_weight))
         phi = np.exp(-value)
         return phi, phi * se
 
@@ -466,6 +412,7 @@ def safety_grid_reduced(reduced, points, horizons, r, mc) -> McGrid:
     _check_safe_starts(r, points)
 
     def block(starts, horizon, cfg, draws):
-        return _safety_estimates(_safe_paths(reduced, starts, r, cfg, draws))
+        march = partial(_run_reduced, reduced, starts, cfg, 0.0, draws=draws)
+        return _safety_estimates(_safe_paths(march, len(starts), r, cfg))
 
     return _grid(points, horizons, mc, lambda h: h, block)

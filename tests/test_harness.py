@@ -277,6 +277,16 @@ def test_simulate_requires_initial_point(tmp_path):
             "simulate", out=str(tmp_path))
 
 
+# presets without a reduced SDE; both raised a raw AttributeError
+@pytest.mark.parametrize("preset,xi0", [("heat-oracle", [1.0]),
+                                        ("feature-ae-3d", [0.5, 0.5])])
+def test_simulate_reduced_refused_without_reduced_sde(preset, xi0, tmp_path):
+    with pytest.raises(ConfigError) as info:
+        run({"preset": preset, "sim": {"kind": "reduced", "xi0": xi0}},
+            "simulate", out=str(tmp_path))
+    assert str(info.value) == f"preset {preset!r} has no reduced SDE"
+
+
 # ---------------------------------------------------------------------------
 # datasets
 
@@ -951,6 +961,37 @@ def _checkpoint_file(tmp_path, kind):
         ("simulate",
          {"preset": "sys3d-value", "sim": {"kind": "full", "x0": [1.0, 2.0]}},
          "sim.x0"),
+        # a time outside [0, horizon]: the first wrote rows at t = -0.5 and
+        # exited 0, the fd route failed as a numerical error, and the Monte
+        # Carlo routes raised errors that named no key
+        ("make-dataset",
+         {"preset": "sys3d-safety",
+          "dataset": {"source": "mc", "times": [-0.5, 0.0]}},
+         "dataset.times"),
+        ("estimate-value",
+         {"preset": "sys3d-value", "estimator": "fd",
+          "eval": {"points": [[1.0, 1.0]], "time": 2.0}},
+         "eval.time"),
+        ("estimate-value",
+         {"preset": "sys3d-value", "estimator": "mc_full",
+          "mc": {"dt": 0.01, "n_paths": 10},
+          "eval": {"points": [[1.0, 1.0]], "time": 2.0}},
+         "eval.time"),
+        ("estimate-value",
+         {"preset": "lq-scalar", "estimator": "mc_reduced",
+          "mc": {"dt": 0.01, "n_paths": 10},
+          "eval": {"points": [[0.0]], "time": 1.5}},
+         "eval.time"),
+        ("estimate-safety",
+         {"preset": "sys3d-safety", "estimator": "mc_reduced",
+          "eval": {"points": [[1.1, 1.1]], "time": -0.5}},
+         "eval.time"),
+        ("benchmark",
+         {"preset": "lq-scalar",
+          "benchmark": {"oracle": "riccati", "points": [[0.0]],
+                        "time": -0.1, "n_samples": [10], "repetitions": 1,
+                        "dt": 0.01}},
+         "benchmark.time"),
     ],
 )
 def test_bad_config_values_name_their_key(command, cfg, key, tmp_path):

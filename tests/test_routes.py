@@ -183,6 +183,24 @@ def test_artifacts_byte_identical(name, pins, tmp_path, monkeypatch):
     ("estimate-safety",
      {"preset": "sys3d-safety", "eval": {"points": [[1.1, 1.1]]}},
      ConfigError, "config needs an 'estimator' for this command"),
+    # a preset without a reduced SDE, on a row to march, on an edge row
+    # (t = T) and in benchmark's zero-row probe
+    ("estimate-value",
+     {"preset": "heat-oracle", "estimator": "mc_reduced", "mc": MC,
+      "eval": {"points": [[1.0]], "time": 0.0}},
+     UsageError, "preset 'heat-oracle' has no reduced SDE; mc_reduced does "
+                 "not apply"),
+    ("estimate-value",
+     {"preset": "heat-oracle", "estimator": "mc_reduced", "mc": MC,
+      "eval": {"points": [[1.0]], "time": 1.0}},
+     UsageError, "preset 'heat-oracle' has no reduced SDE; mc_reduced does "
+                 "not apply"),
+    ("benchmark",
+     {"preset": "heat-oracle",
+      "benchmark": {"points": [[1.0]], "time": 0.0, "n_samples": [10],
+                    "repetitions": 1, "dt": 0.01}},
+     UsageError, "preset 'heat-oracle' has no reduced SDE; mc_reduced does "
+                 "not apply"),
 ])
 def test_refused_pairs(command, cfg, exc, message, tmp_path):
     with pytest.raises(exc) as info:
