@@ -323,14 +323,18 @@ class ExperimentConfig:
 # estimator routes
 
 
-def _solve_oracle(xc: ExperimentConfig) -> FdSolution:
-    """The FD solve of the preset's PDE with the fd section's settings."""
+def _solve_oracle(xc: ExperimentConfig,
+                  until: Optional[float] = None) -> FdSolution:
+    """The FD solve of the preset's PDE with the fd section's settings,
+    marched over the whole horizon, or only until the first saved slice
+    that reaches physical time ``until`` (see ``solve_fd``)."""
     fd = xc.typed["fd"]
     p = xc.preset
     return solve_fd(p.pde_problem(domain=fd.get("domain", p.oracle_domain)),
                     [fd.get("dxi", p.oracle_dxi)] * p.k,
                     fd.get("dt", p.oracle_dt),
-                    save_every=fd.get("save_every", p.oracle_save_every))
+                    save_every=fd.get("save_every", p.oracle_save_every),
+                    until=until)
 
 
 def _check_times(xc: ExperimentConfig, times, key: str) -> None:
@@ -374,7 +378,12 @@ def _riccati_rows(xc: ExperimentConfig, points, times, mc) -> McGrid:
 
 
 def _fd_rows(xc: ExperimentConfig, points, times, mc) -> McGrid:
-    return _exact(points, times, _solve_oracle(xc).interpolate(points, times))
+    """The FD oracle interpolated at the rows.  It marches only until the
+    slice that covers the rows: back to the earliest t of a value task,
+    forward to the latest horizon of a safety task."""
+    until = times.min() if xc.task == "value" else times.max()
+    return _exact(points, times,
+                  _solve_oracle(xc, until).interpolate(points, times))
 
 
 def _pinn_rows(xc: ExperimentConfig, points, times, mc) -> McGrid:
@@ -386,25 +395,39 @@ def _pinn_rows(xc: ExperimentConfig, points, times, mc) -> McGrid:
             [xi, np.full(len(xi), t)]))[:, 0]))
 
 
+def _edge_rows(xc: ExperimentConfig, times) -> np.ndarray:
+    """Mask of the rows with no time left to march: t = T for a value, t = 0
+    for a safety horizon."""
+    if xc.task == "value":
+        return np.abs(times - xc.preset.horizon) < 1e-12
+    return times <= 1e-12
+
+
+def _boundary(xc: ExperimentConfig, r, starts) -> np.ndarray:
+    """The boundary condition at ``starts``, the value of rows with no time
+    left: exp(-terminal_weight * r) for a value, r > 0 for safety."""
+    r0 = np.asarray(r(starts), dtype=np.float64)
+    if xc.task == "value":
+        return np.exp(-xc.preset.terminal_weight * r0)
+    return (r0 > 0).astype(np.float64)
+
+
 def _mc_reduced_rows(xc: ExperimentConfig, points, times, mc) -> McGrid:
     """Reduced-SDE Monte Carlo of all rows in one grid call.  Rows with no
-    time left to march (t = T for a value, t = 0 for a safety horizon) take
-    the boundary condition, with a zero standard error."""
+    time left to march take the boundary condition of r, with a zero
+    standard error."""
     p = xc.preset
     if p.reduced is None:
         raise UsageError(f"preset {p.name!r} has no reduced SDE; mc_reduced "
                          f"does not apply")
-    value = xc.task == "value"
-    edge = np.abs(times - p.horizon) < 1e-12 if value else times <= 1e-12
+    edge = _edge_rows(xc, times)
     est = np.empty(len(times))
     se = np.zeros(len(times))
     if edge.any():
-        r = np.asarray(p.r(points[edge]), dtype=np.float64)
-        est[edge] = (np.exp(-p.terminal_weight * r) if value
-                     else (r > 0).astype(np.float64))
+        est[edge] = _boundary(xc, p.r, points[edge])
     run = ~edge
     if run.any():
-        if value:
+        if xc.task == "value":
             grid = value_grid_reduced(p.reduced, points[run], times[run],
                                       p.horizon, p.r, mc,
                                       terminal_weight=p.terminal_weight)
@@ -416,24 +439,32 @@ def _mc_reduced_rows(xc: ExperimentConfig, points, times, mc) -> McGrid:
 
 
 def _mc_full_rows(xc: ExperimentConfig, points, times, mc) -> McGrid:
-    """Full-system Monte Carlo, one march per row."""
+    """Full-system Monte Carlo, one march per row.  Rows with no time left
+    to march take the boundary condition of the full cost or barrier at
+    the row's start state, with a zero standard error."""
     p = xc.preset
     if p.system is None or p.x0_of_xi is None:
         raise UsageError(
             f"preset {p.name!r} has no full system; mc_full does not apply"
         )
+    value = xc.task == "value"
+    edge = _edge_rows(xc, times)
     est = np.empty(len(times))
-    se = np.empty(len(times))
+    se = np.zeros(len(times))
     for j, (xi, t) in enumerate(zip(points, times.tolist())):
-        if xc.task == "value":
-            m = value_pathintegral(p.system, p.x0_of_xi(xi), t, p.horizon,
-                                   p.cost_full, _sim(mc, p.horizon - t),
+        x0 = p.x0_of_xi(xi)
+        if edge[j]:
+            est[j] = _boundary(xc, p.cost_full if value else p.barrier_full,
+                               x0[None])[0]
+        elif value:
+            m = value_pathintegral(p.system, x0, t, p.horizon, p.cost_full,
+                                   _sim(mc, p.horizon - t),
                                    terminal_weight=p.terminal_weight)
             est[j] = np.exp(-m.value)
             se[j] = est[j] * m.std_error
         else:
-            m = safety_mc(p.system, ZeroPolicy(p.system.control_dim),
-                          p.x0_of_xi(xi), p.barrier_full, t, _sim(mc, t))
+            m = safety_mc(p.system, ZeroPolicy(p.system.control_dim), x0,
+                          p.barrier_full, t, _sim(mc, t))
             est[j], se[j] = m.value, m.std_error
     return McGrid(points=points, times=times, estimates=est, std_errors=se)
 

@@ -514,8 +514,9 @@ class FdSolution:
 
     ``times`` ascend in physical time t; ``values`` has shape
     (len(times), *grid).  Slices are saved every ``save_every`` steps (plus
-    the final step); ``verify`` re-marches between consecutive saved slices
-    and confirms the stored values reproduce the scheme exactly.
+    the final step of the march, which ``solve_fd``'s ``until`` may end
+    before the horizon); ``verify`` re-marches between consecutive saved
+    slices and confirms the stored values reproduce the scheme exactly.
     """
 
     problem: PdeProblem
@@ -607,23 +608,41 @@ def _march(engine, u, s0, s1, save_every):
     return steps, slices
 
 
-def solve_fd(problem: PdeProblem, d_xi, dt, save_every: int = 1) -> FdSolution:
-    """March the problem over its horizon, saving every save_every-th slice."""
+def solve_fd(problem: PdeProblem, d_xi, dt, save_every: int = 1,
+             until: Optional[float] = None) -> FdSolution:
+    """March the problem over its horizon, saving every save_every-th slice
+    and the last.
+
+    With ``until``, a physical time, the march stops at the first saved
+    slice after the initial one that reaches it: the first at or before
+    ``until`` for a value problem, which marches backward from the
+    horizon, and the first at or after it for a safety problem.  The kept
+    slices and their times are then the same bytes as the matching slices
+    of the whole march, and any point in [until, horizon] (value) or
+    [0, until] (safety) interpolates to the same bytes.  An ``until`` that
+    no saved slice reaches marches the whole horizon.
+    ``metadata["n_steps"]`` is the horizon's step count and
+    ``metadata["marched_steps"]`` the steps taken.
+    """
     if save_every < 1:
         raise UsageError("save_every must be >= 1")
     engine = _FdEngine(problem, d_xi, dt)
+    value = problem.kind == "value"
+    # the saved steps of the whole march, and their physical times
+    steps = [0, *range(save_every, engine.n_steps, save_every), engine.n_steps]
+    s_times = dt * np.asarray(steps, dtype=np.float64)
+    times = problem.horizon - s_times if value else s_times
+    if until is not None:
+        reached = times[1:] <= until if value else times[1:] >= until
+        if reached.any():
+            keep = 2 + int(np.argmax(reached))
+            steps, times = steps[:keep], times[:keep]
     u = engine.initial()
     # step never writes its input, so no slice needs a copy
-    steps, slices = _march(engine, u, 0, engine.n_steps, save_every)
-    steps_saved = [0] + steps
+    _, slices = _march(engine, u, 0, steps[-1], save_every)
     slices = [u] + slices
-    s_times = dt * np.asarray(steps_saved, dtype=np.float64)
-    if problem.kind == "value":
-        times = problem.horizon - s_times[::-1]
-        slices = slices[::-1]
-    else:
-        times = s_times
-    vals = np.stack(slices)
+    if value:  # ascending physical time
+        times, slices = times[::-1].copy(), slices[::-1]
     metadata = {
         "scheme": "crank-nicolson" if problem.k == 1 else
         "crank-nicolson-adi",
@@ -631,6 +650,7 @@ def solve_fd(problem: PdeProblem, d_xi, dt, save_every: int = 1) -> FdSolution:
         "rannacher_steps": engine.rannacher_steps,
         "save_every": save_every,
         "n_steps": engine.n_steps,
+        "marched_steps": steps[-1],
     }
     if problem.kind == "safety":
         metadata["max_clip_correction"] = engine.max_clip
@@ -638,11 +658,11 @@ def solve_fd(problem: PdeProblem, d_xi, dt, save_every: int = 1) -> FdSolution:
         problem=problem,
         axes=engine.axes,
         times=times,
-        values=vals,
+        values=np.stack(slices),
         d_xi=engine.d_xi,
         dt=engine.dt,
         metadata=metadata,
-        saved_steps=steps_saved,  # kept in marching order for verify()
+        saved_steps=steps,  # kept in marching order for verify()
         _engine=engine,
     )
 

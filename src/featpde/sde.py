@@ -366,7 +366,9 @@ def _run_full(system, policy, x0, cfg, t0, observer):
     own ``DrawSource``: a helper thread draws ahead, and the calling thread
     draws the next unclaimed step itself when its own is not ready yet.  The
     helper is joined before this returns or raises.  A ``ZeroPolicy`` march
-    adds no control term: its increment is ``z * sqrt(dt)``.
+    adds no control term: its increment is ``z * sqrt(dt)``.  A constant
+    diagonal diffusion scales the increment in place, unless it is the
+    identity.
     """
     n = cfg.n_paths
     x0 = np.asarray(x0, dtype=np.float64)
@@ -382,6 +384,8 @@ def _run_full(system, policy, x0, cfg, t0, observer):
         d = np.diagonal(system.diffusion_const)
         if np.array_equal(system.diffusion_const, np.diag(d)):
             const_diag = d.copy()
+    # scaling by an identity diffusion's ones changes no bit, so it is skipped
+    unit_diag = const_diag is not None and bool((const_diag == 1.0).all())
     uncontrolled = isinstance(policy, ZeroPolicy)
     with _step_draws(cfg, n, system.control_dim) as take:
         observer(0, t0, x, None)
@@ -395,7 +399,8 @@ def _run_full(system, policy, x0, cfg, t0, observer):
             else:
                 noise = policy(x, t) * dt + z * sq
             if const_diag is not None:
-                noise *= const_diag
+                if not unit_diag:
+                    noise *= const_diag
             elif system.diffusion_const is not None:
                 noise = noise @ system.diffusion_const.T
             else:

@@ -580,6 +580,61 @@ def test_residual_value_form_and_scalar_return():
     assert residual(prob, undecayed, [1.1], 0.3) == pytest.approx(np.sin(1.1))
 
 
+# --- a march cut at the slice its rows need ------------------------------------
+
+
+def _preset_solve(name, **kwargs):
+    """The preset's oracle steps and saved slices on a coarse grid."""
+    p = get_preset(name)
+    return solve_fd(p.pde_problem(domain=p.oracle_domain), 0.25, p.oracle_dt,
+                    save_every=p.oracle_save_every, **kwargs)
+
+
+@pytest.fixture(scope="module")
+def whole_solves():
+    return {name: _preset_solve(name)
+            for name in ("sys3d-value", "sys3d-safety")}
+
+
+# until on a saved slice, between two, and at the far end of the horizon
+@pytest.mark.parametrize("name,until,marched", [
+    ("sys3d-value", 1.0, 200),
+    ("sys3d-value", 0.95, 240),
+    ("sys3d-value", 0.0, 600),
+    ("sys3d-safety", 0.5, 1000),
+    ("sys3d-safety", 0.55, 1200),
+    ("sys3d-safety", 1.0, 2000),
+])
+def test_cut_march_keeps_the_bytes_of_the_whole_march(whole_solves, name,
+                                                     until, marched):
+    whole = whole_solves[name]
+    cut = _preset_solve(name, until=until)
+    assert cut.metadata["marched_steps"] == marched
+    assert cut.metadata["n_steps"] == whole.metadata["n_steps"]
+    assert whole.metadata["marched_steps"] == whole.metadata["n_steps"]
+    n = len(cut.times)
+    assert cut.saved_steps == whole.saved_steps[:n]
+    # value slices ascend in t, so its march's first slices come last
+    kept = slice(-n, None) if name == "sys3d-value" else slice(None, n)
+    assert np.array_equal(cut.times, whole.times[kept])
+    assert np.array_equal(cut.values, whole.values[kept])
+    assert cut.verify()
+    # rows on each kept slice time, between slices and at until, at grid
+    # nodes and off them, one time per call and all times in one call
+    rng = np.random.default_rng(11)
+    pts = np.vstack([[[cut.axes[0][m], cut.axes[1][m]] for m in (10, 20)],
+                     rng.uniform(-3.5, 4.0, size=(20, 2))])
+    times = np.concatenate([cut.times, 0.5 * (cut.times[:-1] + cut.times[1:]),
+                            [until]])
+    for t in times:
+        assert np.array_equal(cut.interpolate(pts, t),
+                              whole.interpolate(pts, t))
+    rows = np.tile(pts, (len(times), 1))
+    row_times = np.repeat(times, len(pts))
+    assert np.array_equal(cut.interpolate(rows, row_times),
+                          whole.interpolate(rows, row_times))
+
+
 # --- interpolation and serialization -------------------------------------------
 
 

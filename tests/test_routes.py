@@ -18,6 +18,7 @@ import json
 import os
 import sys
 
+import numpy as np
 import pytest
 
 from featpde import harness
@@ -298,6 +299,59 @@ def test_routes_call_the_traced_names(name, expected, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     artifact_hashes(name)
     assert counts == {n: expected.get(n, 0) for n in TRACED}
+
+
+# ---------------------------------------------------------------------------
+# the fd route marches only the span its rows need
+
+
+def test_fd_route_marches_only_until_its_rows(tmp_path, monkeypatch):
+    solves = []
+    real = harness.solve_fd
+
+    def recording(*args, **kwargs):
+        solves.append(real(*args, **kwargs))
+        return solves[-1]
+
+    monkeypatch.setattr(harness, "solve_fd", recording)
+    cfg = {"preset": "sys3d-value"}
+    xc = harness.ExperimentConfig.resolve(cfg)
+    # the PINN rows lie in the train window [1.0, 1.5]: 200 of 600 steps
+    harness._pinn_dataset(xc)
+    # a row at t = 0 needs the whole horizon
+    harness._fd_rows(xc, np.array([[1.5, 1.5]]), np.array([0.0]), None)
+    # solve-pde writes the whole horizon
+    run(cfg, "solve-pde", out=str(tmp_path))
+    assert [s.metadata["marched_steps"] for s in solves] == [200, 600, 600]
+    assert [s.metadata["n_steps"] for s in solves] == [600, 600, 600]
+
+
+# ---------------------------------------------------------------------------
+# rows with no time left to march
+
+
+@pytest.mark.parametrize("command,cfg", [
+    ("estimate-value", {"preset": "sys3d-value", "mc": MC,
+                        "eval": {**GRID, "time": 1.5}}),
+    # [2.0, 4.5] starts outside the safe set
+    ("estimate-safety", {"preset": "sys3d-safety", "mc": MC,
+                         "eval": {"points": [[1.5, 1.5], [1.1, 1.9],
+                                             [2.0, 4.5]], "time": 0.0}}),
+])
+def test_mc_full_edge_rows_take_the_boundary_condition(command, cfg,
+                                                       tmp_path):
+    # the full cost and barrier at x0(xi) equal r(xi) bit for bit on the
+    # 3-d presets, so both Monte Carlo routes write the same bytes
+    csvs = {}
+    for est in ("mc_full", "mc_reduced"):
+        out = run({**cfg, "estimator": est}, command, out=str(tmp_path / est))
+        with open(out[0], "rb") as fh:
+            csvs[est] = fh.read()
+    assert csvs["mc_full"] == csvs["mc_reduced"]
+    body = np.loadtxt(out[0], delimiter=",", skiprows=1, ndmin=2)
+    assert (body[:, -1] == 0.0).all()
+    if command == "estimate-safety":
+        assert body[:, -2].tolist() == [1.0, 1.0, 0.0]
 
 
 if __name__ == "__main__":
