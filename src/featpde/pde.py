@@ -21,32 +21,38 @@ is zero at the first node of every line and ``up`` at the last, for
 reflecting and Dirichlet faces alike, so the flattened matrix has no entry
 coupling one line to the next.
 
-On grids of at least ``_SPLIT_NODES`` nodes with more than one line, the
-back-substitution runs as two line-aligned halves at once: the calling
-thread solves the lines before the line boundary nearest the middle, and
-the march's one helper thread (gttrs releases the GIL) the lines after it.
-A half the helper has not begun by the time the calling thread is done with
-its own, the calling thread solves itself, so a late helper does not stall
-the march.  Both halves use views of the one factorization, so nothing is
-factored twice.  The halves do the same arithmetic as the whole solve:
-where the whole solve crosses the split, it subtracts a zero coupling term,
-``b - (-0.0) * b_prev`` going forward and ``(b - (-0.0) * x_next) / d``
-going back, which for finite values equals the fresh start and end of a
-half solve; only the sign of a zero at the split could differ.  The pinned
-outputs are the same bytes split or whole, with the helper or without it.
-An axis whose pivoting crosses the split is kept whole.
+Each Peaceman-Rachford half-step first moves the state into the line order
+of the axis it solves, with one strided copy.  There the explicit product
+of the previous axis reads neighbours one line apart, and any line-aligned
+half of the right-hand side can be formed on its own, with the arithmetic
+of the product formed in the previous axis's own order, term for term.
 
-The march never leaves line order: the state is held in the line order of
-the axis being solved, and each half-step forms its right-hand side in the
-previous axis's line order and moves it into the next with one strided
-copy.  Every product and solve is written in place into buffers the engine
+On grids of at least ``_SPLIT_NODES`` nodes with more than one line, each
+axis solve runs as two line-aligned halves at once.  The calling thread
+forms the right-hand side of the helper's half first and hands its gttrs to
+the march's one helper thread (gttrs releases the GIL); it then forms and
+solves its own half, which holds the smaller share of the lines
+(``_CALLER_SHARE``), while the helper solves.  A half the helper has not
+begun by the time the calling thread is done with its own, the calling
+thread solves itself, so a late helper does not stall the march.  Both
+halves use views of the one factorization, so nothing is factored twice.
+The halves do the same arithmetic as the whole solve: where the whole solve
+crosses the split, it subtracts a zero coupling term, ``b - (-0.0) *
+b_prev`` going forward and ``(b - (-0.0) * x_next) / d`` going back, which
+for finite values equals the fresh start and end of a half solve; only the
+sign of a zero at the split could differ.  The pinned outputs are the same
+bytes split or whole, with the helper or without it.  An axis whose
+pivoting crosses the split is kept whole.
+
+Every product and solve is written in place into buffers the engine
 allocates once, so a step allocates only the array it returns.
 """
 
 from __future__ import annotations
 
+import queue
+import threading
 import warnings
-from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -218,9 +224,17 @@ def _axis_nodes(lo, hi, h):
 
 # Grids of at least this many nodes solve each axis as two halves at once;
 # below it the handoff to the helper costs more than the second thread saves
-# (us per step, whole -> split, one BLAS thread on 2 vCPUs: 81^2 291 -> 353,
-# 101^2 381 -> 356, 121^2 529 -> 445, 201^2 1497 -> 1322).
-_SPLIT_NODES = 10_000
+# (us per step, whole -> split, one BLAS thread on 2 vCPUs: 61^2 125 -> 134,
+# 71^2 153 -> 149, 81^2 195 -> 186, 101^2 288 -> 223, 121^2 412 -> 298,
+# 201^2 1105 -> 701).
+_SPLIT_NODES = 5_000
+
+# The calling thread's share of a split axis's lines.  It forms the helper's
+# half of the right-hand side before its own, so it takes the smaller share
+# (s per oracle march, one BLAS thread on 2 vCPUs, at shares 0.50, 0.47,
+# 0.46, 0.45, 0.44, 0.42, 0.38: sys3d-safety 1.45, 1.39, 1.39, 1.35, 1.43,
+# 1.47, 1.55; sys3d-value 0.402, 0.385, 0.386, 0.379, 0.392, 0.405).
+_CALLER_SHARE = 0.45
 
 
 def _line_order(a, ax):
@@ -229,21 +243,40 @@ def _line_order(a, ax):
     return np.moveaxis(a, ax, -1).ravel()
 
 
+def _axis_stencil(v, dd, h):
+    """The weights (lo, di, up) of the generator v d/dx + dd d^2/dx^2 along
+    one axis of spacing ``h``, central except where the cell Peclet number
+    exceeds 2, and the share of nodes where it does."""
+    upw = np.abs(v) * h / dd > 2.0
+    lo_c = dd / h**2 - v / (2 * h)
+    up_c = dd / h**2 + v / (2 * h)
+    di_c = -2 * dd / h**2
+    # first-order upwinding where central weights lose positivity
+    vp = np.maximum(v, 0.0)
+    vm = np.minimum(v, 0.0)
+    lo_u = dd / h**2 - vm / h
+    up_u = dd / h**2 + vp / h
+    di_u = -2 * dd / h**2 - (vp - vm) / h
+    return (np.where(upw, lo_u, lo_c), np.where(upw, di_u, di_c),
+            np.where(upw, up_u, up_c), float(upw.mean()))
+
+
 def _halves(factors, line):
     """The gttrf ``factors`` of an axis with lines of ``line`` nodes as
-    [(rows, factors)]: two line-aligned halves that are views of the
-    factors, whose second half's pivot indices it shifts in place, or the
-    whole axis when the grid is small, is one line, or a row interchange
-    crosses the split."""
+    [(rows, factors)]: the calling thread's and the helper's line-aligned
+    halves, views of the factors, whose second half's pivot indices it
+    shifts in place, or the whole axis when the grid is small, the calling
+    thread's share rounds to no line, or a row interchange crosses the
+    split."""
     dl, d, du, du2, ipiv = factors
     n = d.size
-    o = line * (n // line // 2)  # the line boundary nearest the middle
+    o = line * int(n // line * _CALLER_SHARE)  # the calling thread's lines
     if n < _SPLIT_NODES or o == 0 or ipiv[o - 1] != o:
-        return [(slice(None), factors)]
+        return [(slice(0, n), factors)]
     ipiv[o:] -= o
-    return [(slice(None, o), (dl[:o - 1], d[:o], du[:o - 1], du2[:o - 2],
-                              ipiv[:o])),
-            (slice(o, None), (dl[o:], d[o:], du[o:], du2[o:], ipiv[o:]))]
+    return [(slice(0, o), (dl[:o - 1], d[:o], du[:o - 1], du2[:o - 2],
+                           ipiv[:o])),
+            (slice(o, n), (dl[o:], d[o:], du[o:], du2[o:], ipiv[o:]))]
 
 
 def _gttrs(rhs, rows, factors):
@@ -251,18 +284,88 @@ def _gttrs(rhs, rows, factors):
     return dgttrs(*factors, rhs[rows], overwrite_b=1)[1]
 
 
+class _Call:
+    """A call handed to the helper thread.  Whichever thread takes its claim
+    lock first owns it: the helper runs the call and then releases the lock,
+    and the calling thread, if first, keeps the lock, so the helper skips
+    the call."""
+
+    def __init__(self, fn, args):
+        self._claim = threading.Lock()
+        self._fn, self._args = fn, args
+        self._ran = False
+        self._value = self._error = None
+
+    def serve(self):
+        """Run the call unless the calling thread has claimed it."""
+        if self._claim.acquire(blocking=False):
+            try:
+                self._value = self._fn(*self._args)
+            except Exception as exc:  # raised on the calling thread
+                self._error = exc
+            self._ran = True
+            self._claim.release()
+
+    def claim(self):
+        """Take the call back: True once the helper has run it, waiting if
+        it has begun, and False if it has not begun, which it now never
+        will."""
+        self._claim.acquire()
+        return self._ran
+
+    def result(self):
+        """The value of a call the helper ran, or the error it raised."""
+        if self._error is not None:
+            raise self._error
+        return self._value
+
+
+class _Helper:
+    """A march's one helper thread, which serves the calls handed to it in
+    order; it is joined when the ``with`` block ends."""
+
+    def __init__(self):
+        self._calls = queue.SimpleQueue()
+        self._thread = threading.Thread(target=self._serve, name="featpde-fd")
+
+    def _serve(self):
+        while (call := self._calls.get()) is not None:
+            call.serve()
+
+    def hand(self, fn, *args):
+        """Queue ``fn(*args)`` for the helper; the ``_Call``."""
+        call = _Call(fn, args)
+        self._calls.put(call)
+        return call
+
+    def __enter__(self):
+        self._thread.start()
+        return self
+
+    def __exit__(self, *exc):
+        self._calls.put(None)
+        self._thread.join()
+
+
 class _FdEngine:
     """Precomputed stencils + step routine for one problem/grid pair.
 
-    Per axis it keeps the stencil (lo, di, up) and the LU factors (LAPACK
-    ``gttrf``) of the constant ADI matrix (I - dt/2 A_ax), both in line
-    order: the grid flattened with that axis last.  ``lo`` is zero at the
-    first node of each line and ``up`` at the last, so the lines decouple
-    and one tridiagonal mat-vec covers all of them.  The factors are kept as
-    one or two halves (``_halves``); a split axis back-substitutes its two
-    line-aligned halves, views of the one factorization, on the calling
-    thread and on the helper that ``step`` is given, at the same time
-    (``_solve``).
+    Per axis it keeps the LU factors (LAPACK ``gttrf``) of the constant ADI
+    matrix (I - dt/2 A_ax) in the axis's line order, the grid flattened with
+    that axis last, and the stencil (lo, di, up) of A_ax in the line order
+    of the next axis, whose half-step reads it.  ``lo`` is zero at the first
+    node of each line and ``up`` at the last, so the lines decouple.  The
+    factors are kept as one or two halves (``_halves``); a split axis
+    back-substitutes its two line-aligned halves, views of the one
+    factorization, on the calling thread and on the helper that ``step`` is
+    given, at the same time (``_solve``).
+
+    A Peaceman-Rachford half-step first moves the state into the line order
+    of the axis it solves.  There a node's neighbours along the previous
+    axis lie one line apart, and each line half of the right-hand side can
+    be formed on its own (``_explicit``), so the calling thread forms the
+    helper's half, hands its solve over, and forms and solves its own half
+    while the helper solves.
 
     The nodes ``_clamp`` pins (data edges, nodes outside the safe set) are
     kept per axis in line order too, and the reaction factors in the last
@@ -297,6 +400,7 @@ class _FdEngine:
             _axis_nodes(lo, hi, h) for (lo, hi), h in zip(problem.domain, d_xi)
         ]
         self.shape = tuple(len(ax) for ax in self.axes)
+        size = int(np.prod(self.shape))
         mesh = nodes(self.axes)
 
         drift = np.asarray(problem.drift(mesh), dtype=np.float64)
@@ -322,28 +426,16 @@ class _FdEngine:
         half = 0.5 * self.dt
         pinned = np.zeros(self.shape, dtype=bool)  # nodes _clamp pins
         self.upwind_fraction = []
-        self.stencils = []  # per axis: line-ordered (lo[1:], di, up[:-1])
+        # per axis: the previous axis's stencil in this axis's line order, and
+        # the distance between neighbours along the previous axis there
+        self.stencils = [None] * k
         self.halves = []  # per axis: _halves of gttrf(I - dt/2 A_ax)
         for ax in range(k):
             v = drift[:, ax].reshape(self.shape)
             dd = 0.5 * diag[:, ax].reshape(self.shape)
             h = d_xi[ax]
-            pe = np.abs(v) * h / dd
-            upw = pe > 2.0
-            self.upwind_fraction.append(float(upw.mean()))
-
-            lo_c = dd / h**2 - v / (2 * h)
-            up_c = dd / h**2 + v / (2 * h)
-            di_c = -2 * dd / h**2
-            # first-order upwinding where central weights lose positivity
-            vp = np.maximum(v, 0.0)
-            vm = np.minimum(v, 0.0)
-            lo_u = dd / h**2 - vm / h
-            up_u = dd / h**2 + vp / h
-            di_u = -2 * dd / h**2 - (vp - vm) / h
-            lo = np.where(upw, lo_u, lo_c)
-            up = np.where(upw, up_u, up_c)
-            di = np.where(upw, di_u, di_c)
+            lo, di, up, upwinded = _axis_stencil(v, dd, h)
+            self.upwind_fraction.append(upwinded)
 
             first = [slice(None)] * k
             last = [slice(None)] * k
@@ -370,16 +462,18 @@ class _FdEngine:
                 lo[~inside] = 0.0
                 di[~inside] = 0.0
                 up[~inside] = 0.0
-            lo, di, up = (_line_order(c, ax) for c in (lo, di, up))
-            self.stencils.append((lo[1:], di, up[:-1]))
-            *factors, info = dgttrf(-half * lo[1:], 1.0 - half * di,
-                                    -half * up[:-1])
+            lo_ax, di_ax, up_ax = (_line_order(c, ax) for c in (lo, di, up))
+            *factors, info = dgttrf(-half * lo_ax[1:], 1.0 - half * di_ax,
+                                    -half * up_ax[:-1])
             if info != 0:
                 raise NumericalError(
                     f"ADI matrix of axis {ax + 1} is singular (gttrf info "
                     f"{info})"
                 )
             self.halves.append(_halves(factors, self.shape[ax]))
+            nxt = (ax + 1) % k
+            self.stencils[nxt] = (*(_line_order(c, nxt) for c in (lo, di, up)),
+                                  size // self.shape[ax])
 
         if any(f > 0 for f in self.upwind_fraction):
             pct = ", ".join(
@@ -407,25 +501,38 @@ class _FdEngine:
         # solves overwrite (the last axis solves into the array step returns)
         self._line_shapes = [self.shape[:ax] + self.shape[ax + 1:]
                              + self.shape[ax:ax + 1] for ax in range(k)]
-        size = self.g_mesh.size
         self._rhs = [np.empty(size) for _ in range(k - 1)]
-        self._work = np.empty(size)
+        self._state = np.empty(size)  # the state in the solved axis's order
         self._products = np.empty(size)
 
     # -- line-ordered building blocks ---------------------------------------
 
-    def _explicit(self, ax, x):
-        """x + dt/2 A_ax x into the work buffer, ``x`` in ax's line order."""
-        lo, di, up = self.stencils[ax]
-        out, prod = self._work, self._products
-        np.multiply(di, x, out=out)
-        np.multiply(lo, x[:-1], out=prod[1:])
-        out[1:] += prod[1:]
-        np.multiply(up, x[1:], out=prod[:-1])
-        out[:-1] += prod[:-1]
-        out *= 0.5 * self.dt
-        out += x
-        return out
+    def _explicit(self, ax, x, out, rows):
+        """Rows ``rows`` of x + dt/2 A x into ``out``, where ``x`` is the
+        state in ax's line order and A the generator along the axis before
+        ax.  It does the arithmetic of the product in that axis's own line
+        order, ``((di x + lo prev) + up next) dt/2 + x``, term for term:
+        the first row's lower neighbours are the last row's, one node back,
+        and the last row's upper neighbours the first row's, one node on,
+        the zero-weighted couplings between that order's lines."""
+        lo, di, up, w = self.stencils[ax]
+        prod = self._products
+        a, b, n = rows.start, rows.stop, x.size
+        np.multiply(di[a:b], x[a:b], out=out[a:b])
+        c = max(a, w)
+        np.multiply(lo[c:b], x[c - w:b - w], out=prod[c:b])
+        out[c:b] += prod[c:b]
+        if a == 0:  # the very first node has no lower neighbour
+            np.multiply(lo[1:w], x[n - w:n - 1], out=prod[1:w])
+            out[1:w] += prod[1:w]
+        e = min(b, n - w)
+        np.multiply(up[a:e], x[a + w:e + w], out=prod[a:e])
+        out[a:e] += prod[a:e]
+        if b == n:  # the very last node has no upper neighbour
+            np.multiply(up[n - w:n - 1], x[1:w], out=prod[n - w:n - 1])
+            out[n - w:n - 1] += prod[n - w:n - 1]
+        out[a:b] *= 0.5 * self.dt
+        out[a:b] += x[a:b]
 
     def _to_lines(self, ax, x, dst):
         """``x``, in the line order of the axis before ``ax``, copied into
@@ -435,23 +542,33 @@ class _FdEngine:
             self._line_shapes[(ax - 1) % k]).T
         return dst
 
-    def _solve(self, ax, rhs, helper=None):
+    def _solve(self, ax, rhs, x=None, helper=None):
         """(I - dt/2 A_ax)^{-1} rhs, overwriting the line-ordered ``rhs``.
-        A split axis offers its second half to ``helper`` and solves the
-        first; it then takes the second back if the helper has not begun
-        it, or waits for it, also when the first half raises."""
-        first, *rest = self.halves[ax]
-        other = None
+
+        Given the state ``x`` in ax's line order, each half's rows of
+        ``rhs`` are formed as ``_explicit`` products just before they are
+        solved; otherwise ``rhs`` already holds the right-hand side.  A split
+        axis with a ``helper`` forms the helper's half first and hands its
+        solve over, then forms and solves its own half; it then takes the
+        helper's half back and solves it itself if the helper has not begun
+        it, or waits for it, also when its own half raises."""
+        mine, *rest = self.halves[ax]
+        handed = None
         if helper is not None and rest:
-            other = helper.submit(_gttrs, rhs, *rest[0])
+            theirs = rest.pop()
+            if x is not None:
+                self._explicit(ax, x, rhs, theirs[0])
+            handed = helper.hand(_gttrs, rhs, *theirs)
+        infos = []
         try:
-            infos = [_gttrs(rhs, *first)]
+            for rows, factors in (mine, *rest):
+                if x is not None:
+                    self._explicit(ax, x, rhs, rows)
+                infos.append(_gttrs(rhs, rows, factors))
         finally:
-            mine = other is None or other.cancel()
-            if not mine:
-                wait((other,))
-        infos += ([_gttrs(rhs, *half) for half in rest] if mine
-                  else [other.result()])
+            ran = handed is not None and handed.claim()
+        if handed is not None:
+            infos.append(handed.result() if ran else _gttrs(rhs, *theirs))
         for info in infos:
             if info != 0:
                 raise NumericalError(
@@ -477,9 +594,9 @@ class _FdEngine:
     def step(self, u, step_index, helper=None):
         """Advance one dt from step_index; pure given (u, step_index).
 
-        ``u`` is only read, and the result is a new array.  ``helper``, an
-        executor, takes half of each split solve; the bytes do not depend
-        on it."""
+        ``u`` is only read, and the result is a new array.  ``helper``, a
+        march's ``_Helper``, takes half of each split solve; the bytes do not
+        depend on it."""
         k = self.problem.k
         rhs = self._rhs + [np.empty(self.g_mesh.size)]
         x = np.ravel(u)  # the last axis's line order
@@ -490,14 +607,14 @@ class _FdEngine:
             for _ in range(2):
                 for ax in range(k):
                     x = self._clamp(ax, self._solve(
-                        ax, self._to_lines(ax, x, rhs[ax]), helper))
+                        ax, self._to_lines(ax, x, rhs[ax]), helper=helper))
         else:
             # Peaceman-Rachford: explicit in the other axis, implicit in ax
             for ax in range(k):
                 if ax:
                     self._clamp(ax - 1, x)
-                x = self._solve(ax, self._to_lines(
-                    ax, self._explicit((ax - 1) % k, x), rhs[ax]), helper)
+                x = self._solve(ax, rhs[ax],
+                                self._to_lines(ax, x, self._state), helper)
         if self.has_reaction:
             x *= self.react_half
         return self._clamp(k - 1, x).reshape(self.shape)
@@ -531,7 +648,8 @@ class FdSolution:
 
     def interpolate(self, xi, t):
         """Multilinear interpolation in (t, xi): a float for one point
-        (k,) and a scalar t, otherwise a (P,) array for points (P, k)."""
+        (k,) and a scalar t, otherwise a (P,) array for points (P, k) at
+        one time t or at one time per point."""
         scalar = np.isscalar(t) and np.ndim(xi) <= 1
         xi = np.atleast_2d(np.asarray(xi, dtype=np.float64))
         if xi.shape[1] != len(self.axes):
@@ -539,7 +657,13 @@ class FdSolution:
                 f"points have {xi.shape[1]} coordinates, the solution has "
                 f"k = {len(self.axes)}"
             )
-        tt = np.broadcast_to(np.asarray(t, dtype=np.float64), (xi.shape[0],))
+        tt = np.asarray(t, dtype=np.float64)
+        if tt.ndim > 1 or tt.size not in (1, xi.shape[0]):
+            raise UsageError(
+                f"t must be one time or one per point: got {tt.size} times "
+                f"for {xi.shape[0]} points"
+            )
+        tt = np.broadcast_to(tt, (xi.shape[0],))
         grids = [self.times] + list(self.axes)
         pts = np.column_stack([tt, xi])
         idx, wts = [], []
@@ -599,7 +723,7 @@ def _march(engine, u, s0, s1, save_every):
     thread takes half of each split solve, and it is joined before this
     returns or raises."""
     steps, slices = [], []
-    with ThreadPoolExecutor(1, thread_name_prefix="featpde-fd") as helper:
+    with _Helper() as helper:
         for s in range(s0, s1):
             u = engine.step(u, s, helper)
             if (s + 1 - s0) % save_every == 0 or s + 1 == s1:

@@ -9,7 +9,8 @@ same cases can be evaluated by any version of the package.
 The oracles the neural, PINN and reduction tests compare against live here
 too: the one-point ``forward_with_derivatives``, the central-difference
 ``grad_params``, ``residual``, the PDE residual of any candidate solution,
-and the central-difference feature derivatives of
+``flat_explicit``, the FD engine's explicit product in its own axis's line
+order, and the central-difference feature derivatives of
 ``feature_map_from_functions`` with their check
 ``verify_feature_derivatives``.
 """
@@ -269,6 +270,21 @@ def residual(problem, candidate, xi, t):
     else:
         w = u_t - transport
     return float(w[0]) if scalar else w
+
+
+def flat_explicit(stencil, x, dt):
+    """x + dt/2 A x for one axis's stencil (lo, di, up) and a state ``x``,
+    both in that axis's line order, the grid flattened with the axis last.
+    This is the FD engine's explicit product formed in that order, where a
+    node's neighbours along the axis are the adjacent entries; the engine
+    forms it in the next axis's line order, and must match these bytes."""
+    lo, di, up = stencil
+    out = di * x
+    out[1:] += lo[1:] * x[:-1]
+    out[:-1] += up[:-1] * x[1:]
+    out *= 0.5 * dt
+    out += x
+    return out
 
 
 def grad_params(net: DenseNetwork, loss, step=1e-6):

@@ -7,12 +7,17 @@ heat equation.  The 2-d solves are then cross-checked Riccati-vs-FD.
 """
 
 import hashlib
+import sys
 import threading
+import time
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gradient_cases import residual
+from gradient_cases import flat_explicit, residual
 from featpde import pde
 from featpde.errors import (
     DomainError,
@@ -371,6 +376,78 @@ def test_engine_step_neither_writes_its_input_nor_reuses_its_output(
 # --- two-half line solves -------------------------------------------------------
 
 
+@st.composite
+def _stencil_cases(draw):
+    """An engine on a small random grid (k = 1 or 2, reflecting or
+    Dirichlet faces, a safe set or none) and a state holding +0.0 and
+    -0.0 among its values."""
+    k = draw(st.sampled_from([1, 2]))
+    n = [draw(st.integers(3, 6)) for _ in range(k)]
+    coef = st.floats(-3.0, 3.0)
+    slope = [draw(coef) for _ in range(k)]
+    shift = [draw(coef) for _ in range(k)]
+    spread = [draw(st.floats(0.2, 2.0)) for _ in range(k)]
+    cut = draw(st.floats(-0.5, n[0] - 1.5))
+    safety = draw(st.booleans())
+
+    def drift(xi):
+        xi = np.atleast_2d(xi)
+        return np.column_stack([shift[i] + slope[i] * xi[:, i]
+                                for i in range(k)])
+
+    problem = PdeProblem(
+        kind="safety" if safety else "value",
+        k=k,
+        drift=drift,
+        diffusion_diag=lambda xi: np.tile(spread, (len(np.atleast_2d(xi)),
+                                                   1)),
+        reaction=lambda xi: np.zeros(len(np.atleast_2d(xi))),
+        data=lambda xi: np.atleast_2d(xi)[:, 0],
+        domain=[(0.0, m - 1.0) for m in n],
+        horizon=1.0,
+        boundary=draw(st.sampled_from(["reflect", "dirichlet-data"])),
+        barrier=lambda xi: np.atleast_2d(xi)[:, 0] - cut,
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the Peclet upwinding warning
+        engine = pde._FdEngine(problem, 1.0, 0.1)
+    values = st.one_of(st.just(0.0), st.just(-0.0), st.floats(-2.0, 2.0))
+    x = np.array(draw(st.lists(values, min_size=int(np.prod(n)),
+                               max_size=int(np.prod(n)))))
+    return engine, x
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(_stencil_cases())
+def test_line_order_product_equals_the_flat_product(case):
+    # each solve axis forms the previous axis's explicit product in its own
+    # line order, one line-aligned half at a time; every half it can take
+    # has the bytes of the product formed in the previous axis's order
+    engine, x = case
+    shape = engine.shape
+    for ax in range(engine.problem.k):
+        prev = (ax - 1) % engine.problem.k
+        width = x.size // shape[prev]  # ax's order is (shape[prev], width)
+
+        def own(z):  # ax's line order -> prev's
+            return z.reshape(shape[prev], width).T.ravel()
+
+        *stencil, stride = engine.stencils[ax]
+        assert stride == width
+        flat = flat_explicit([own(c) for c in stencil], own(x), engine.dt)
+        expected = flat.reshape(width, shape[prev]).T.ravel()
+        # halves split ax's lines (runs of shape[ax] nodes) at any boundary
+        splits = range(shape[ax], x.size, shape[ax])
+        for rows in [slice(0, x.size)] + [r for o in splits for r in (
+                slice(0, o), slice(o, x.size))]:
+            out = np.full(x.size, np.nan)
+            engine._explicit(ax, x, out, rows)
+            assert out[rows].tobytes() == expected[rows].tobytes()
+            outside = np.ones(x.size, dtype=bool)
+            outside[rows] = False
+            assert np.isnan(out[outside]).all()
+
+
 def _short_value_problem():
     return assemble_value_pde(
         stable_reduced(), quad_cost, 1.0, [(-4.5, 6.0), (-3.5, 5.0)], 0.1
@@ -442,22 +519,30 @@ def test_verify_remarches_every_pinned_solution(fd_solutions, name):
         sol.values[last] = saved
 
 
-# 201 lines of 201 nodes split after line 100
-_FIRST, _SECOND = 100 * 201, 101 * 201
+def _half_sizes():
+    """Node counts of the calling thread's and the helper's halves of the
+    split 201 x 201 axes of ``_short_safety_problem``."""
+    engine = pde._FdEngine(_short_safety_problem(), 0.05, 2e-3)
+    sizes = [[factors[1].size for _, factors in halves]
+             for halves in engine.halves]
+    assert sizes[0] == sizes[1] and len(sizes[0]) == 2
+    return sizes[0]
 
 
 def test_split_halves_run_on_two_threads_at_once(monkeypatch):
+    _, second = _half_sizes()
     real = pde.dgttrs
     begun = threading.Semaphore(0)
     waits, second_threads = [], []
 
     def fake(dl, d, *args, **kwargs):
-        if d.size == _SECOND:
+        if d.size == second:
             second_threads.append(threading.current_thread().name)
             begun.release()
         else:
-            # the first half cannot end before the second has begun
-            waits.append(begun.acquire(timeout=10))
+            # the first half cannot end before the second has begun; after
+            # one wait has timed out the rest fail at once
+            waits.append(begun.acquire(timeout=10 if all(waits) else 0))
         return real(dl, d, *args, **kwargs)
 
     monkeypatch.setattr(pde, "dgttrs", fake)
@@ -466,23 +551,100 @@ def test_split_halves_run_on_two_threads_at_once(monkeypatch):
     assert all(name.startswith("featpde-fd") for name in second_threads)
 
 
-@pytest.mark.parametrize("failing", [_FIRST, _SECOND])
+@pytest.mark.parametrize("failing", ["calling", "helper"])
 def test_failed_half_solve_raises_after_both_halves_finish(monkeypatch,
                                                            failing):
+    sizes = _half_sizes()
+    bad = sizes[failing == "helper"]
     real = pde.dgttrs
     finished = []
 
     def fake(dl, d, *args, **kwargs):
         x, info = real(dl, d, *args, **kwargs)
         finished.append(d.size)
-        return x, int(d.size == failing)
+        return x, int(d.size == bad)
 
     monkeypatch.setattr(pde, "dgttrs", fake)
     with pytest.raises(NumericalError, match=r"gttrs failed on axis 1 "
                                              r"\(info 1\)"):
         solve_fd(_short_safety_problem(), 0.05, 2e-3)
     # the first solve's two halves both ran to the end, and nothing after
-    assert sorted(finished) == [_FIRST, _SECOND]
+    assert sorted(finished) == sorted(sizes)
+
+
+def test_late_helper_leaves_its_half_to_the_calling_thread(monkeypatch):
+    # a helper held back until the march has ended claims no handed-over
+    # half, so the calling thread solves both halves of every split solve
+    first, second = _half_sizes()
+    real = pde.dgttrs
+    solved = []
+    freed = []
+
+    def recording(dl, d, *args, **kwargs):
+        solved.append((d.size, threading.current_thread().name))
+        return real(dl, d, *args, **kwargs)
+
+    class LateHelper(pde._Helper):
+        def __init__(self):
+            super().__init__()
+            self.free = threading.Event()
+
+        def _serve(self):
+            # False if the march waited for this thread until the timeout
+            freed.append(self.free.wait(timeout=20))
+            super()._serve()
+
+        def __exit__(self, *exc):
+            self.free.set()
+            super().__exit__(*exc)
+
+    problem = _short_safety_problem()
+    monkeypatch.setattr(pde, "dgttrs", recording)
+    monkeypatch.setattr(pde, "_Helper", LateHelper)
+    late = solve_fd(problem, 0.05, 2e-3, save_every=10)
+    assert freed == [True]
+    assert {name for _, name in solved} == {threading.current_thread().name}
+    sizes = [size for size, _ in solved]
+    assert sizes.count(first) == sizes.count(second) > 0
+    assert sorted(set(sizes)) == sorted((first, second))
+    monkeypatch.setattr(pde, "_SPLIT_NODES", 201 * 201 + 1)
+    whole = solve_fd(problem, 0.05, 2e-3, save_every=10)
+    assert len(whole._engine.halves[0]) == 1
+    assert late.values.tobytes() == whole.values.tobytes()
+
+
+def test_every_handed_call_runs_exactly_once_under_contention():
+    # three callers, each with its own helper, on two cores and switching
+    # threads every microsecond: a call handed over runs on the helper or,
+    # if the caller claims it first, on the caller, and never on both
+    def record(out, item):
+        time.sleep(0)  # hands the GIL over in the middle of the call
+        out.append(item)
+
+    def lane(j, out):
+        with pde._Helper() as helper:
+            for i in range(3000):
+                call = helper.hand(record, out, (j, i, "theirs"))
+                record(out, (j, i, "mine"))
+                if not call.claim():
+                    record(out, (j, i, "theirs"))
+
+    outs = [[] for _ in range(3)]
+    threads = [threading.Thread(target=lane, args=(j, out))
+               for j, out in enumerate(outs)]
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    for j, out in enumerate(outs):
+        assert sorted(out) == [(j, i, half) for i in range(3000)
+                               for half in ("mine", "theirs")]
 
 
 # --- grid convergence of the preset oracles ------------------------------------
@@ -690,6 +852,13 @@ def test_interpolate_rejects_wrong_point_width(safety_solution):
     sol = solve_fd(heat_problem(), np.pi / 100, 1e-2, save_every=20)
     with pytest.raises(UsageError, match="points have 2 coordinates"):
         sol.interpolate([1.5, -7.0], 0.5)
+    # times are one for all points or one per point
+    for xi in ([[0.0, 0.0], [1.0, 1.0], [1.5, 1.5]], [1.5, 1.5]):
+        with pytest.raises(UsageError) as info:
+            safety_solution.interpolate(xi, [0.5, 0.6])
+        assert str(info.value) == (
+            "t must be one time or one per point: got 2 times for "
+            f"{len(np.atleast_2d(xi))} points")
 
 
 def test_to_csv_schema_roundtrip(tmp_path):
