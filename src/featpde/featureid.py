@@ -25,11 +25,22 @@ turns them into exact parameter gradients.  Nested exact third derivatives
 of the encoder are deliberately avoided.  The reconstruction term
 backpropagates through the decoder and, via the decoder's input cotangent,
 through the encoder.
+
+Each iteration computes the two terms, each loss with its own gradient.
+From the second iteration on, the reconstruction term (decoder forward
+pass, L_rc, decoder and encoder gradients) is handed to one helper thread
+while the calling thread computes the penalty and its gradient (see
+`handoff`); the first iteration runs both on the calling thread, so every
+workspace buffer is allocated there.  The gradients are summed in one fixed
+order, so the bytes do not depend on which thread ran the reconstruction.
+Only network code runs on the helper: the cost, drift and diffusion are
+evaluated on the calling thread.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -40,7 +51,8 @@ from .errors import (
     TrainingError,
     UsageError,
 )
-from .grid import write_csv
+from .grid import GridRows, write_csv
+from .handoff import _Helper, run_pair
 from .neural import (
     AdamState,
     DenseNetwork,
@@ -281,8 +293,43 @@ def loss_ct(net: AutoencoderNet, system: StochasticSystem,
     return _ct_loss(net.encoder, system, preimage, Workspace())[0]
 
 
+def _recon_term(net: AutoencoderNet, batch, cvals, cfg, caches, feats):
+    """(L_rc, encoder gradient, decoder gradient) of w_rc L_rc; the
+    gradients are None when w_rc L_rc is not finite, and the encoder's also
+    when the encoder is frozen.  With w_rc = 0 the term reads (0.0, None,
+    None)."""
+    if cfg.w_rc == 0:
+        return 0.0, None, None
+    enc_cache, dec_cache = caches
+    if feats is None:
+        feats = forward(net.encoder, batch, enc_cache)
+    diff = forward(net.decoder, feats, dec_cache)[:, 0] - cvals
+    lrc = float(np.mean(diff * diff))
+    if not np.isfinite(cfg.w_rc * lrc):
+        return lrc, None, None
+    g_recon = (2.0 * cfg.w_rc / diff.size) * diff
+    g_dec, g_feats = grad(net.decoder, dec_cache, g_recon[:, None],
+                          input_cotangent=not cfg.freeze_encoder)
+    if cfg.freeze_encoder:
+        return lrc, None, g_dec
+    return lrc, grad(net.encoder, enc_cache, g_feats)[0], g_dec
+
+
+def _penalty_term(net: AutoencoderNet, system, preimage, cfg, cache):
+    """(L_ct, clamped probes, encoder gradient of w_ct L_ct); the gradient
+    is None when w_ct L_ct is not finite or the encoder is frozen.  With
+    w_ct = 0 the term reads (0.0, 0, None)."""
+    if cfg.w_ct == 0:
+        return 0.0, 0, None
+    lct, clamped, ct_vjp = _ct_loss(net.encoder, system, preimage, cache)
+    if cfg.freeze_encoder or not np.isfinite(cfg.w_ct * lct):
+        return lct, clamped, None
+    return lct, clamped, ct_vjp(cfg.w_ct)
+
+
 def _loss_and_grad(net: AutoencoderNet, system: StochasticSystem, batch,
-                   cvals, preimage, cfg: AeTrainConfig, caches, feats=None):
+                   cvals, preimage, cfg: AeTrainConfig, caches, feats=None,
+                   helper=None):
     """(L_rc, L_ct, clamped probes, gradient) of one training iteration.
 
     The gradient of w_rc L_rc + w_ct L_ct is flat over the encoder then the
@@ -293,32 +340,26 @@ def _loss_and_grad(net: AutoencoderNet, system: StochasticSystem, batch,
     reconstruction and of the encoder in the penalty, in that order.
     ``feats``, when given, are the encoder's features of ``batch`` from a
     :func:`forward` call into the first workspace at the current
-    parameters; the reconstruction then reuses that call.
+    parameters; the reconstruction then reuses that call.  With a
+    ``helper`` (a ``handoff._Helper``) the reconstruction term runs on it
+    while this thread computes the penalty (``handoff.run_pair``); the
+    result, and an error either term raises, the penalty's first, do not
+    depend on the helper.
     """
-    enc_cache, dec_cache, ct_cache = caches
-    lrc = lct = 0.0
-    clamped = 0
-    if cfg.w_rc > 0:
-        if feats is None:
-            feats = forward(net.encoder, batch, enc_cache)
-        diff = forward(net.decoder, feats, dec_cache)[:, 0] - cvals
-        lrc = float(np.mean(diff * diff))
-    if cfg.w_ct > 0:
-        lct, clamped, ct_vjp = _ct_loss(net.encoder, system, preimage,
-                                        ct_cache)
+    (lct, clamped, g_ct), (lrc, g_enc_rc, g_dec) = run_pair(
+        helper,
+        partial(_penalty_term, net, system, preimage, cfg, caches[2]),
+        partial(_recon_term, net, batch, cvals, cfg, caches[:2], feats))
     if not np.isfinite(cfg.w_rc * lrc + cfg.w_ct * lct):
         return lrc, lct, clamped, None
 
     g_enc = np.zeros_like(net.encoder.theta)
-    g_dec = np.zeros_like(net.decoder.theta)
-    if cfg.w_rc > 0:
-        g_recon = (2.0 * cfg.w_rc / diff.size) * diff
-        g_dec, g_feats = grad(net.decoder, dec_cache, g_recon[:, None],
-                              input_cotangent=not cfg.freeze_encoder)
-        if not cfg.freeze_encoder:
-            g_enc += grad(net.encoder, enc_cache, g_feats)[0]
-    if cfg.w_ct > 0 and not cfg.freeze_encoder:
-        g_enc += ct_vjp(cfg.w_ct)
+    if g_dec is None:
+        g_dec = np.zeros_like(net.decoder.theta)
+    if g_enc_rc is not None:
+        g_enc += g_enc_rc
+    if g_ct is not None:
+        g_enc += g_ct
     return lrc, lct, clamped, np.concatenate([g_enc, g_dec])
 
 
@@ -387,8 +428,14 @@ def train_autoencoder(system: StochasticSystem, cost: Callable, states,
     thresholds) is rebuilt from the current batch every cfg.d iterations and
     reused in between, so the comparison-theorem penalty tracks a slightly
     stale bucket structure exactly as the update period dictates.
+    ``states`` are (N, n) rows, or a :class:`grid.GridRows`, whose batches
+    are formed from their indices without the whole grid being built.  From
+    the second iteration on, one helper thread computes the reconstruction
+    term while this thread computes the penalty; the result does not depend
+    on it, and it is joined before this returns or raises.
     """
-    states = np.atleast_2d(np.asarray(states, dtype=np.float64))
+    if not isinstance(states, GridRows):
+        states = np.atleast_2d(np.asarray(states, dtype=np.float64))
     n_states, n = states.shape
     if n != system.state_dim:
         raise UsageError(
@@ -414,11 +461,13 @@ def train_autoencoder(system: StochasticSystem, cost: Callable, states,
     preimage = None
     eps_vec = None
     log = []
-    it = 0
-    for _ in range(cfg.epochs):
-        for _ in range(cfg.iterations):
-            idx = gen.choice(n_states, size=bs, replace=False)
-            batch = states[idx]
+    # the reconstruction runs on the helper from the second iteration on;
+    # the first runs both terms here, so every batch-sized workspace buffer
+    # is allocated on this thread (buffers the helper allocated would stay
+    # in its own malloc arena and raise the resident set)
+    with _Helper("featpde-train") as helper:
+        for it in range(cfg.epochs * cfg.iterations):
+            batch = states[gen.choice(n_states, size=bs, replace=False)]
             feats = None
             if use_ct and it % cfg.d == 0:
                 # the reconstruction reuses this forward (same bits as
@@ -430,8 +479,9 @@ def train_autoencoder(system: StochasticSystem, cost: Callable, states,
 
             cvals = (np.asarray(cost(batch), dtype=np.float64).reshape(-1)
                      if cfg.w_rc > 0 else None)
-            lrc, lct, clamped, g = _loss_and_grad(net, system, batch, cvals,
-                                                  preimage, cfg, caches, feats)
+            lrc, lct, clamped, g = _loss_and_grad(
+                net, system, batch, cvals, preimage, cfg, caches, feats,
+                helper if it else None)
             if g is None:
                 raise TrainingError(
                     f"non-finite training loss at iteration {it}"
@@ -441,6 +491,5 @@ def train_autoencoder(system: StochasticSystem, cost: Callable, states,
             net.encoder.theta = theta[:ne]
             net.decoder.theta = theta[ne:]
             log.append((it, lrc, lct, clamped))
-            it += 1
     return AeTrainResult(net=net, log=log, preimage=preimage,
                          epsilons=eps_vec)

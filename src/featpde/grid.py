@@ -2,7 +2,9 @@
 
 Grid tables and grid evaluations list the nodes of a tensor grid in
 lexicographic order, first axis slowest, repeated once per time,
-time-major.  ``write_csv`` and ``write_grid`` write byte for byte what
+time-major.  ``GridRows`` forms any of those node rows from its flat
+index, for a grid too large to hold whole.  ``write_csv`` and
+``write_grid`` write byte for byte what
 ``np.savetxt(path, body, fmt, delimiter=",", header=header, comments="")``
 writes, formatting ``_CHUNK_ROWS`` rows per ``%`` pass, so the text of a
 large table is never held in memory at once.  ``write_csv`` holds one
@@ -12,9 +14,11 @@ once, plus one chunk's text.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-__all__ = ["nodes", "space_time", "write_csv", "write_grid"]
+__all__ = ["nodes", "GridRows", "space_time", "write_csv", "write_grid"]
 
 # rows formatted by one % pass: under 1 MB of text at four columns
 _CHUNK_ROWS = 8192
@@ -25,6 +29,38 @@ def nodes(axes) -> np.ndarray:
     in lexicographic order, first axis slowest."""
     grids = np.meshgrid(*axes, indexing="ij")
     return np.column_stack([g.ravel() for g in grids])
+
+
+class GridRows:
+    """The rows of ``nodes(axes)``, formed on request: ``rows[i]`` for a
+    flat index or an integer array of them (negative ones count from the
+    end) holds the bytes of ``nodes(axes)[i]``, without the whole grid
+    being built; ``np.asarray(rows)`` builds it."""
+
+    def __init__(self, axes):
+        self.axes = [np.asarray(a, dtype=np.float64) for a in axes]
+        self._sizes = tuple(len(a) for a in self.axes)
+        self.shape = (math.prod(self._sizes), len(self.axes))
+
+    def __len__(self):
+        return self.shape[0]
+
+    def __getitem__(self, index):
+        flat = np.asarray(index)
+        n = len(self)
+        if flat.dtype.kind not in "iu":
+            raise IndexError("grid rows take integer flat indices")
+        if np.any((flat < -n) | (flat >= n)):
+            raise IndexError(f"flat index out of range for {n} grid rows")
+        multi = np.unravel_index(np.where(flat < 0, flat + n, flat),
+                                 self._sizes)
+        return np.stack([a[i] for a, i in zip(self.axes, multi)], axis=-1)
+
+    def __array__(self, dtype=None, copy=None):
+        if copy is False:
+            raise ValueError("grid rows cannot be viewed without a copy")
+        rows = nodes(self.axes)
+        return rows if dtype is None else rows.astype(dtype, copy=False)
 
 
 def space_time(axes, times):

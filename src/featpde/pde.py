@@ -30,10 +30,10 @@ of the product formed in the previous axis's own order, term for term.
 On grids of at least ``_SPLIT_NODES`` nodes with more than one line, each
 axis solve runs as two line-aligned halves at once.  The calling thread
 forms the right-hand side of the helper's half first and hands its gttrs to
-the march's one helper thread (gttrs releases the GIL); it then forms and
-solves its own half, which holds the smaller share of the lines
-(``_CALLER_SHARE``), while the helper solves.  A half the helper has not
-begun by the time the calling thread is done with its own, the calling
+the march's one helper thread (``handoff``; gttrs releases the GIL); it
+then forms and solves its own half, which holds the smaller share of the
+lines (``_CALLER_SHARE``), while the helper solves.  A half the helper has
+not begun by the time the calling thread is done with its own, the calling
 thread solves itself, so a late helper does not stall the march.  Both
 halves use views of the one factorization, so nothing is factored twice.
 The halves do the same arithmetic as the whole solve: where the whole solve
@@ -50,8 +50,6 @@ allocates once, so a step allocates only the array it returns.
 
 from __future__ import annotations
 
-import queue
-import threading
 import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
@@ -59,6 +57,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 from scipy.linalg.lapack import dgttrf, dgttrs
 
+from . import handoff
 from .errors import (
     DomainError,
     NumericalError,
@@ -284,67 +283,11 @@ def _gttrs(rhs, rows, factors):
     return dgttrs(*factors, rhs[rows], overwrite_b=1)[1]
 
 
-class _Call:
-    """A call handed to the helper thread.  Whichever thread takes its claim
-    lock first owns it: the helper runs the call and then releases the lock,
-    and the calling thread, if first, keeps the lock, so the helper skips
-    the call."""
-
-    def __init__(self, fn, args):
-        self._claim = threading.Lock()
-        self._fn, self._args = fn, args
-        self._ran = False
-        self._value = self._error = None
-
-    def serve(self):
-        """Run the call unless the calling thread has claimed it."""
-        if self._claim.acquire(blocking=False):
-            try:
-                self._value = self._fn(*self._args)
-            except Exception as exc:  # raised on the calling thread
-                self._error = exc
-            self._ran = True
-            self._claim.release()
-
-    def claim(self):
-        """Take the call back: True once the helper has run it, waiting if
-        it has begun, and False if it has not begun, which it now never
-        will."""
-        self._claim.acquire()
-        return self._ran
-
-    def result(self):
-        """The value of a call the helper ran, or the error it raised."""
-        if self._error is not None:
-            raise self._error
-        return self._value
-
-
-class _Helper:
-    """A march's one helper thread, which serves the calls handed to it in
-    order; it is joined when the ``with`` block ends."""
+class _Helper(handoff._Helper):
+    """The march's helper thread, named ``featpde-fd``."""
 
     def __init__(self):
-        self._calls = queue.SimpleQueue()
-        self._thread = threading.Thread(target=self._serve, name="featpde-fd")
-
-    def _serve(self):
-        while (call := self._calls.get()) is not None:
-            call.serve()
-
-    def hand(self, fn, *args):
-        """Queue ``fn(*args)`` for the helper; the ``_Call``."""
-        call = _Call(fn, args)
-        self._calls.put(call)
-        return call
-
-    def __enter__(self):
-        self._thread.start()
-        return self
-
-    def __exit__(self, *exc):
-        self._calls.put(None)
-        self._thread.join()
+        super().__init__("featpde-fd")
 
 
 class _FdEngine:

@@ -18,17 +18,28 @@ u, J and L are closed-form in the residual and go through `neural.grad`,
 the reverse pass of the bundle.  Terminal/initial conditions are not a
 separate loss term: they enter through data rows on the corresponding time
 face.
+
+Each epoch computes the two terms, each loss with its own gradient, in
+their own workspaces.  From the second epoch on, the data term (forward
+pass, L_d and its gradient) is handed to one helper thread while the
+calling thread computes the physics term (see `handoff`); the first epoch
+runs both on the calling thread, so every workspace buffer is allocated
+there.  The gradients are summed physics first, so the bytes do not depend
+on which thread ran the data term.  Only network code runs on the helper:
+the problem's coefficients are evaluated on the calling thread.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional
 
 import numpy as np
 
 from .errors import ConfigError, TrainingError, UsageError
 from .grid import nodes, space_time, write_csv, write_grid
+from .handoff import _Helper, run_pair
 from .neural import (
     AdamState,
     DenseNetwork,
@@ -215,44 +226,70 @@ def _residual(net, problem, inputs, coeffs, cache=None):
     return jac[:, k, 0] - transport, u, jac
 
 
+def _physics_term(net, problem, inputs, coeffs, omega, cache):
+    """(L_p, gradient of omega L_p in theta); the gradient is None when
+    omega L_p is not finite, and the term reads (0.0, None) when its
+    ``inputs`` are None."""
+    if inputs is None:
+        return 0.0, None
+    k = problem.k
+    res, u, jac = _residual(net, problem, inputs, coeffs, cache)
+    lp = float(np.mean(res * res))
+    if not np.isfinite(omega * lp):
+        return lp, None
+    # residual = [r u] +- u_t - sum_i drift_i J_i - L
+    g_res = (2.0 * omega / res.size) * res
+    drift, _, react = coeffs
+    g_u = np.zeros_like(u)
+    g_jac = np.zeros_like(jac)
+    g_jac[:, :k, 0] = -g_res[:, None] * drift
+    if problem.kind == "value":
+        g_u[:, 0] = g_res * react
+        g_jac[:, k, 0] = -g_res
+    else:
+        g_jac[:, k, 0] = g_res
+    return lp, grad(net, cache, g_u, g_jac, -g_res[:, None])[0]
+
+
+def _data_term(net, inputs, targets, omega, cache):
+    """(L_d, gradient of omega L_d in theta); the gradient is None when
+    omega L_d is not finite, and the term reads (0.0, None) when its
+    ``inputs`` are None."""
+    if inputs is None:
+        return 0.0, None
+    diff = forward(net, inputs, cache)[:, 0] - targets
+    ld = float(np.mean(diff * diff))
+    if not np.isfinite(omega * ld):
+        return ld, None
+    g_pred = (2.0 * omega / diff.size) * diff
+    return ld, grad(net, cache, g_pred[:, None])[0]
+
+
 def _loss_and_grad(net, problem, colloc_inputs, coeffs, data_inputs,
-                   targets, omega_p, omega_d, caches):
+                   targets, omega_p, omega_d, caches, helper=None):
     """(L_p, L_d, gradient of omega_p L_p + omega_d L_d in theta).
 
     A term is skipped (and reads 0.0) when its inputs are None.  The
     gradient is None when the weighted loss is not finite.  ``caches`` is
-    the (physics, data) pair of workspaces the two terms run in.
+    the (physics, data) pair of workspaces the two terms run in.  With a
+    ``helper`` (a ``handoff._Helper``) the data term runs on it while this
+    thread computes the physics term (``handoff.run_pair``); the result,
+    and an error either term raises, the physics term's first, do not
+    depend on the helper.
     """
     cache_p, cache_d = caches
-    k = problem.k
-    lp = ld = 0.0
-    res = diff = None
-    if colloc_inputs is not None:
-        res, u, jac = _residual(net, problem, colloc_inputs, coeffs, cache_p)
-        lp = float(np.mean(res * res))
-    if data_inputs is not None:
-        diff = forward(net, data_inputs, cache_d)[:, 0] - targets
-        ld = float(np.mean(diff * diff))
+    (lp, g_p), (ld, g_d) = run_pair(
+        helper,
+        partial(_physics_term, net, problem, colloc_inputs, coeffs, omega_p,
+                cache_p),
+        partial(_data_term, net, data_inputs, targets, omega_d, cache_d))
     if not np.isfinite(omega_p * lp + omega_d * ld):
         return lp, ld, None
-
     g = np.zeros_like(net.theta)
-    if res is not None:
-        # residual = [r u] +- u_t - sum_i drift_i J_i - L
-        g_res = (2.0 * omega_p / res.size) * res
-        drift, _, react = coeffs
-        g_u = np.zeros_like(u)
-        g_jac = np.zeros_like(jac)
-        g_jac[:, :k, 0] = -g_res[:, None] * drift
-        if problem.kind == "value":
-            g_u[:, 0] = g_res * react
-            g_jac[:, k, 0] = -g_res
-        else:
-            g_jac[:, k, 0] = g_res
-        g += grad(net, cache_p, g_u, g_jac, -g_res[:, None])[0]
-    if diff is not None:
-        g_pred = (2.0 * omega_d / diff.size) * diff
-        g += grad(net, cache_d, g_pred[:, None])[0]
+    if g_p is not None:
+        g += g_p
+    if g_d is not None:
+        g += g_d
     return lp, ld, g
 
 
@@ -284,7 +321,9 @@ def train(problem: PdeProblem, data: Optional[TrainingDataset],
     cfg.resample_collocation is set).  The log records (epoch, L_p, L_d)
     every cfg.log_every epochs plus the final epoch; parameters are
     checkpointed at each logged epoch and restored if the loss or gradient
-    turns non-finite.
+    turns non-finite.  From the second epoch on, one helper thread computes
+    the data term while this thread computes the physics term; the result
+    does not depend on it, and it is joined before this returns or raises.
     """
     k = problem.k
     use_data = cfg.omega_d > 0
@@ -320,40 +359,46 @@ def train(problem: PdeProblem, data: Optional[TrainingDataset],
     checkpoint_epoch = 0
     aborted = None
 
-    for epoch in range(cfg.epochs):
-        if cfg.resample_collocation and use_phys and epoch > 0:
-            colloc = CollocationSet.sample(
-                problem.domain, problem.horizon, max(cfg.n_domain, 1),
-                cfg.seed + epoch
-            )
-            colloc_inputs = colloc.inputs()
-            coeffs = _coefficients(problem, colloc.xi)
-        if batch_gen is not None:
-            idx = batch_gen.choice(len(data), size=cfg.batch_size,
-                                   replace=False)
-            data_inputs = full_data_inputs[idx]
-            targets = full_targets[idx]
-        else:
-            data_inputs, targets = full_data_inputs, full_targets
+    # the data term runs on the helper from the second epoch on; the first
+    # runs both terms here, so every batch-sized workspace buffer is
+    # allocated on this thread (buffers the helper allocated would stay in
+    # its own malloc arena and raise the resident set)
+    with _Helper("featpde-train") as helper:
+        for epoch in range(cfg.epochs):
+            if cfg.resample_collocation and use_phys and epoch > 0:
+                colloc = CollocationSet.sample(
+                    problem.domain, problem.horizon, max(cfg.n_domain, 1),
+                    cfg.seed + epoch
+                )
+                colloc_inputs = colloc.inputs()
+                coeffs = _coefficients(problem, colloc.xi)
+            if batch_gen is not None:
+                idx = batch_gen.choice(len(data), size=cfg.batch_size,
+                                       replace=False)
+                data_inputs = full_data_inputs[idx]
+                targets = full_targets[idx]
+            else:
+                data_inputs, targets = full_data_inputs, full_targets
 
-        lp, ld, g = _loss_and_grad(net, problem, colloc_inputs, coeffs,
-                                   data_inputs, targets, cfg.omega_p,
-                                   cfg.omega_d, caches)
-        if g is None:
-            net.theta = checkpoint
-            aborted = epoch
-            break
-        if epoch % cfg.log_every == 0:
-            log.append((epoch, lp, ld))
-            checkpoint = net.theta.copy()
-            checkpoint_epoch = epoch
-        try:
-            adam, theta = adam_step(adam, net.theta, g, cfg.lr)
-        except TrainingError:
-            net.theta = checkpoint
-            aborted = epoch
-            break
-        net.theta = theta
+            lp, ld, g = _loss_and_grad(net, problem, colloc_inputs, coeffs,
+                                       data_inputs, targets, cfg.omega_p,
+                                       cfg.omega_d, caches,
+                                       helper if epoch else None)
+            if g is None:
+                net.theta = checkpoint
+                aborted = epoch
+                break
+            if epoch % cfg.log_every == 0:
+                log.append((epoch, lp, ld))
+                checkpoint = net.theta.copy()
+                checkpoint_epoch = epoch
+            try:
+                adam, theta = adam_step(adam, net.theta, g, cfg.lr)
+            except TrainingError:
+                net.theta = checkpoint
+                aborted = epoch
+                break
+            net.theta = theta
 
     # closing log entry: final losses, or the restored checkpoint's losses
     lp = physics_loss(net, problem, colloc) if use_phys else 0.0

@@ -18,7 +18,7 @@ from scipy import sparse
 
 from .errors import UsageError
 from .featureid import AeTrainConfig
-from .grid import nodes
+from .grid import GridRows
 from .pde import LqSpec, PdeProblem, assemble_safety_pde, assemble_value_pde
 from .pinn import PinnConfig
 from .reduction import FeatureMap, ReducedSde, build_reduced_sde
@@ -437,14 +437,15 @@ def _feature_ae_3d() -> Preset:
     )
 
 
-def feature_state_grid(preset: Preset) -> np.ndarray:
-    """Materialize the feature-learning preset's state grid as (N, n) rows."""
+def feature_state_grid(preset: Preset) -> GridRows:
+    """The feature-learning preset's state grid as (N, n) rows, each formed
+    from its flat index on request; ``np.asarray`` of it builds them all."""
     if preset.state_grid is None:
         raise UsageError(f"preset {preset.name!r} declares no state grid")
     (lo, hi), step = preset.state_grid
     n = preset.system.state_dim
     axis = np.round(np.arange(lo, hi + 1e-9, step), 10)
-    return nodes([axis] * n)
+    return GridRows([axis] * n)
 
 
 _BUILDERS = {

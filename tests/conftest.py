@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import featpde
+from featpde import handoff
 
 # the directory holding the featpde this process imported
 _PKG_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(featpde.__file__)))
@@ -55,9 +56,58 @@ def rng():
 @pytest.fixture(autouse=True)
 def no_stray_threads():
     """Fail any test that leaves a thread alive: every helper thread of a
-    Monte Carlo march is joined before the march returns or raises."""
+    march or training loop is joined before it returns or raises."""
     before = set(threading.enumerate())
     yield
     extra = [t.name for t in threading.enumerate() if t not in before]
     if extra:
         pytest.fail(f"threads left alive after the test: {extra}")
+
+
+class EagerHelper(handoff._Helper):
+    """A helper that has run each handed call before ``hand`` returns, so
+    the calling thread never takes one back."""
+
+    def __init__(self):
+        super().__init__("featpde-test-eager")
+
+    def hand(self, fn, *args):
+        done = threading.Event()
+
+        def run(*a):
+            try:
+                return fn(*a)
+            finally:
+                done.set()
+
+        call = super().hand(run, *args)
+        assert done.wait(timeout=20), "the helper did not run the call"
+        return call
+
+
+class LateHelper(handoff._Helper):
+    """A helper that serves nothing until its ``with`` block ends, so the
+    calling thread takes every handed call back and runs it itself."""
+
+    def __init__(self):
+        super().__init__("featpde-test-late")
+        self._free = threading.Event()
+
+    def _serve(self):
+        self._free.wait(timeout=20)
+        super()._serve()
+
+    def __exit__(self, *exc):
+        self._free.set()
+        super().__exit__(*exc)
+
+
+@pytest.fixture(params=["serial", "eager", "late"])
+def train_helper(request):
+    """No helper, a helper that runs every handed term, or one that runs
+    none of them; the helper is joined when the test ends."""
+    if request.param == "serial":
+        yield None
+        return
+    with {"eager": EagerHelper, "late": LateHelper}[request.param]() as h:
+        yield h

@@ -1,9 +1,12 @@
 """Tests for encoder/decoder feature learning and the preimage machinery."""
 
+import threading
+
 import numpy as np
 import pytest
 
 import gradient_cases as gc
+from conftest import LateHelper
 from featpde import featureid
 from featpde.errors import (
     ConfigError,
@@ -21,6 +24,7 @@ from featpde.featureid import (
     _ct_loss,
 )
 from featpde.neural import DenseNetwork, Workspace, forward
+from featpde.presets import get_preset
 from featpde.sde import StochasticSystem
 
 
@@ -422,3 +426,106 @@ def test_training_log_matches_recorded_tape_log(name):
     if cfg.freeze_encoder:
         assert np.array_equal(res.net.encoder.theta,
                               gc.from_hex(ref["encoder_theta"]))
+
+
+# ---------------------------------- the reconstruction on a helper
+
+
+def preset_shaped_case(cost_scale=1.0, with_feats=False):
+    """``_loss_and_grad``'s arguments at the feature-ae-3d preset's shapes:
+    a batch of 1000, 6000 penalty probes, hidden widths (100, 10)."""
+    p = get_preset("feature-ae-3d")
+    cfg = AeTrainConfig()
+    net = AutoencoderNet.init(3, cfg.k, cfg.encoder_hidden, seed=2)
+    batch = np.random.default_rng(2).uniform(0.0, 1.0, (cfg.batch_size, 3))
+    caches = gc.workspaces(3)
+    feats = forward(net.encoder, batch, caches[0])
+    pre = build_preimage(batch, feats, [epsilon_default(f) for f in feats.T])
+    cvals = cost_scale * p.cost_full(batch)
+    return ((net, p.system, batch, cvals, pre, cfg, caches,
+             feats if with_feats else None))
+
+
+@pytest.mark.parametrize("with_feats", [False, True])
+def test_loss_and_grad_is_bitwise_the_same_on_the_helper(train_helper,
+                                                         monkeypatch,
+                                                         with_feats):
+    expected = featureid._loss_and_grad(*preset_shaped_case(
+        with_feats=with_feats))
+    ran_on = []
+    real = featureid._recon_term
+
+    def recording(*args):
+        ran_on.append(threading.current_thread().name)
+        return real(*args)
+
+    monkeypatch.setattr(featureid, "_recon_term", recording)
+    got = featureid._loss_and_grad(
+        *preset_shaped_case(with_feats=with_feats), helper=train_helper)
+    assert got[:3] == expected[:3]
+    assert got[3].tobytes() == expected[3].tobytes()
+    assert ran_on == [threading.current_thread().name
+                      if train_helper is None
+                      or isinstance(train_helper, LateHelper)
+                      else "featpde-test-eager"]
+
+
+@pytest.mark.parametrize("term", ["recon", "penalty"])
+def test_nonfinite_term_gives_no_gradient_on_the_helper(train_helper, term,
+                                                        monkeypatch):
+    case = preset_shaped_case(1e200 if term == "recon" else 1.0)
+    if term == "penalty":
+        real = featureid._ct_loss
+
+        def overflowing(*args):
+            lct, clamped, vjp = real(*args)
+            return np.inf, clamped, vjp
+
+        monkeypatch.setattr(featureid, "_ct_loss", overflowing)
+    with np.errstate(over="ignore"):
+        lrc, lct, _, g = featureid._loss_and_grad(*case, helper=train_helper)
+    assert g is None
+    assert not np.isfinite(lrc if term == "recon" else lct)
+
+
+def test_a_raising_term_raises_what_the_serial_loop_raises(train_helper,
+                                                           monkeypatch):
+    def failing(name):
+        def fail(*args):
+            raise RuntimeError(name)
+        return fail
+
+    monkeypatch.setattr(featureid, "_recon_term", failing("recon"))
+    with pytest.raises(RuntimeError, match="^recon$"):
+        featureid._loss_and_grad(*preset_shaped_case(), helper=train_helper)
+    monkeypatch.setattr(featureid, "_penalty_term", failing("penalty"))
+    with pytest.raises(RuntimeError, match="^penalty$"):
+        featureid._loss_and_grad(*preset_shaped_case(), helper=train_helper)
+
+
+def test_reconstruction_runs_under_the_callers_error_state(train_helper):
+    # np.errstate is per thread: the handed reconstruction must still raise
+    case = preset_shaped_case(1e200)
+    with np.errstate(over="raise"):
+        with pytest.raises(FloatingPointError):
+            featureid._loss_and_grad(*case, helper=train_helper)
+
+
+def test_training_joins_its_helper_when_a_term_raises(monkeypatch, batch):
+    cfg = AeTrainConfig(epochs=1, iterations=8, batch_size=50, seed=1,
+                        encoder_hidden=(6,))
+    real = featureid._recon_term
+    calls = []
+
+    def fails_late(*args):
+        calls.append(threading.current_thread().name)
+        if len(calls) == 5:
+            raise RuntimeError("reconstruction failed")
+        return real(*args)
+
+    monkeypatch.setattr(featureid, "_recon_term", fails_late)
+    with pytest.raises(RuntimeError, match="reconstruction failed"):
+        train_autoencoder(literal_system(), quad_cost, batch, cfg)
+    # the first iteration runs both terms on the calling thread; the
+    # fixture no_stray_threads checks that the helper was joined
+    assert calls[0] == threading.current_thread().name

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from featpde import grid
 
@@ -9,6 +11,41 @@ from featpde import grid
 def test_nodes_are_lexicographic_first_axis_slowest():
     pts = grid.nodes([[0.0, 1.0], [5.0, 6.0, 7.0]])
     assert pts.tolist() == [[0, 5], [0, 6], [0, 7], [1, 5], [1, 6], [1, 7]]
+
+
+@st.composite
+def _grid_and_indices(draw):
+    sizes = draw(st.lists(st.integers(1, 6), min_size=1, max_size=4))
+    axes = [np.sort(draw(st.lists(st.floats(-1e3, 1e3), min_size=m,
+                                  max_size=m))) for m in sizes]
+    n = int(np.prod(sizes))
+    flat = st.integers(-n, n - 1)
+    index = draw(st.one_of(
+        flat, flat.map(np.int64),
+        st.lists(flat, max_size=20).map(lambda v: np.array(v, np.intp)),
+        st.lists(flat, min_size=1, max_size=6).map(
+            lambda v: np.array(v).reshape(-1, 1))))
+    return axes, index, draw(st.integers(1, 3))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(_grid_and_indices())
+def test_grid_rows_formed_from_indices_equal_the_node_rows(case):
+    axes, index, past = case
+    rows = grid.GridRows(axes)
+    nodes = grid.nodes(axes)
+    assert rows.shape == nodes.shape == (len(rows), len(axes))
+    got = rows[index]
+    assert got.shape == nodes[index].shape
+    assert got.dtype == nodes.dtype
+    assert got.tobytes() == nodes[index].tobytes()
+    assert np.asarray(rows).tobytes() == nodes.tobytes()
+    n = len(rows)
+    for bad in (n - 1 + past, -n - past, [0, n - 1 + past]):
+        with pytest.raises(IndexError):
+            nodes[bad]
+        with pytest.raises(IndexError):
+            rows[bad]
 
 
 def test_space_time_is_time_major_in_the_given_order():

@@ -1,11 +1,13 @@
 """Tests for physics-informed training: losses, the Adam loop, prediction."""
 
 import math
+import threading
 
 import numpy as np
 import pytest
 
 import gradient_cases as gc
+from conftest import LateHelper
 from featpde import pinn
 from featpde.errors import ConfigError, UsageError
 from featpde.neural import DenseNetwork, derivatives_batch, forward
@@ -20,6 +22,7 @@ from featpde.pinn import (
     predict_grid,
     train,
 )
+from featpde.presets import get_preset
 from featpde.reduction import build_reduced_sde
 
 
@@ -444,3 +447,101 @@ def test_training_log_matches_recorded_tape_log():
     losses = [v for _, lp, ld in res.log for v in (lp, ld)]
     assert gc.rel_dev(losses, gc.from_hex(ref["losses"])) <= 1e-9
     assert gc.rel_dev(res.net.theta, gc.from_hex(ref["theta"])) <= 1e-9
+
+
+# ------------------------------------------- the data term on a helper
+
+
+def preset_shaped_case(target_scale=1.0):
+    """``_loss_and_grad``'s arguments at the sys3d-value preset's shapes:
+    600 collocation points, three hidden layers of 32, 726 data rows."""
+    prob = get_preset("sys3d-value").pde_problem()
+    cfg = PinnConfig()
+    colloc = CollocationSet.sample(prob.domain, prob.horizon, cfg.n_domain,
+                                   seed=4)
+    data = CollocationSet.sample(prob.domain, prob.horizon, 726, seed=5)
+    targets = target_scale * np.random.default_rng(5).normal(size=726)
+    net = gc.perturbed_net((3, *cfg.widths, 1), 4)
+    return (net, prob, colloc.inputs(), pinn._coefficients(prob, colloc.xi),
+            data.inputs(), targets, cfg.omega_p, cfg.omega_d)
+
+
+def test_loss_and_grad_is_bitwise_the_same_on_the_helper(train_helper,
+                                                         monkeypatch):
+    case = preset_shaped_case()
+    lp, ld, g = pinn._loss_and_grad(*case, gc.workspaces(2))
+    ran_on = []
+    real = pinn._data_term
+
+    def recording(*args):
+        ran_on.append(threading.current_thread().name)
+        return real(*args)
+
+    monkeypatch.setattr(pinn, "_data_term", recording)
+    for _ in range(2):  # fresh workspaces, then reused ones
+        got = pinn._loss_and_grad(*case, gc.workspaces(2), train_helper)
+        assert (got[0], got[1]) == (lp, ld)
+        assert got[2].tobytes() == g.tobytes()
+    expected = (threading.current_thread().name if train_helper is None
+                or isinstance(train_helper, LateHelper)
+                else "featpde-test-eager")
+    assert ran_on == [expected] * 2
+
+
+@pytest.mark.parametrize("term", ["physics", "data"])
+def test_nonfinite_term_gives_no_gradient_on_the_helper(train_helper, term):
+    case = list(preset_shaped_case(1e200 if term == "data" else 1.0))
+    if term == "physics":
+        drift, diag, react = case[3]
+        case[3] = (1e300 * drift, diag, react)
+    with np.errstate(over="ignore", invalid="ignore"):
+        lp, ld, g = pinn._loss_and_grad(*case, gc.workspaces(2),
+                                        train_helper)
+    assert g is None
+    assert not np.isfinite(lp if term == "physics" else ld)
+
+
+def test_a_raising_term_raises_what_the_serial_loop_raises(train_helper,
+                                                           monkeypatch):
+    case = preset_shaped_case()
+
+    def failing(name):
+        def fail(*args):
+            raise RuntimeError(name)
+        return fail
+
+    monkeypatch.setattr(pinn, "_data_term", failing("data"))
+    with pytest.raises(RuntimeError, match="^data$"):
+        pinn._loss_and_grad(*case, gc.workspaces(2), train_helper)
+    monkeypatch.setattr(pinn, "_physics_term", failing("physics"))
+    with pytest.raises(RuntimeError, match="^physics$"):
+        pinn._loss_and_grad(*case, gc.workspaces(2), train_helper)
+
+
+def test_data_term_runs_under_the_callers_error_state(train_helper):
+    # np.errstate is per thread: the handed data term must still raise
+    case = preset_shaped_case(1e200)
+    with np.errstate(over="raise"):
+        with pytest.raises(FloatingPointError):
+            pinn._loss_and_grad(*case, gc.workspaces(2), train_helper)
+
+
+def test_training_joins_its_helper_when_a_term_raises(monkeypatch):
+    prob = value_problem()
+    data = riccati_dataset(n_per_axis=4, times=(1.0, 1.5))
+    cfg = PinnConfig(epochs=20, n_domain=20, seed=0, widths=(6,))
+    real = pinn._data_term
+    calls = []
+
+    def fails_late(*args):
+        calls.append(threading.current_thread().name)
+        if len(calls) == 5:
+            raise RuntimeError("data term failed")
+        return real(*args)
+
+    monkeypatch.setattr(pinn, "_data_term", fails_late)
+    with pytest.raises(RuntimeError, match="data term failed"):
+        train(prob, data, cfg)
+    # the first epoch runs both terms on the calling thread; the fixture
+    # no_stray_threads checks that the helper was joined
+    assert calls[0] == threading.current_thread().name

@@ -15,7 +15,10 @@ from conftest import child_env
 
 # a PINN at the sys3d-value preset's shapes (600 collocation points, three
 # hidden layers of 32) and an autoencoder at feature-ae-3d's (batch 1000,
-# 6000 penalty probes, hidden (100, 10)), kept short
+# 6000 penalty probes, hidden (100, 10)), kept short; each trains with a
+# helper thread that calls BLAS alongside the calling thread.  The second
+# autoencoder samples its batches from the whole state grid, whose rows are
+# formed from their indices
 _TRAIN = """
 from featpde.harness import run
 run({"preset": "sys3d-value",
@@ -24,6 +27,8 @@ run({"preset": "sys3d-value",
 run({"preset": "feature-ae-3d",
      "ae": {"epochs": 1, "iterations": 10, "n_states": 2000}},
     "train-features", out="ae")
+run({"preset": "feature-ae-3d", "ae": {"epochs": 1, "iterations": 10}},
+    "train-features", out="ae_grid")
 """
 
 # x.T @ g through neural._batch_sum on every (rows, m, n) below; prints the
@@ -87,7 +92,8 @@ def test_training_bytes_do_not_depend_on_blas_threads(tmp_path):
     assert sorted(one) == sorted(two)
     assert {"pinn/pinn_checkpoint.json", "pinn/pinn_loss_log.csv",
             "ae/encoder_checkpoint.json",
-            "ae/feature_loss_log.csv"} <= set(one)
+            "ae/feature_loss_log.csv", "ae_grid/encoder_checkpoint.json",
+            "ae_grid/feature_loss_log.csv"} <= set(one)
     differ = sorted(name for name in one if one[name] != two[name])
     assert differ == []
 
