@@ -31,7 +31,12 @@ step's (N, m) draw.  Consequences used elsewhere in the package:
   grid read one shared source.  Outputs do not change, because a draw
   depends only on (seed, step).  The draws live in a ring of
   ``_AHEAD + 1`` buffers, so the ``z`` an observer receives is read-only
-  and valid only during that call, as is the reduced state ``xi``.
+  and valid only during that call, as is the reduced state ``xi``;
+* the full march updates its state in place after the first step's
+  ``x + f * dt``, in the memory layout numpy gave that sum (so the bits of
+  any row sum an observer takes are those of a march that makes a new
+  array each step), and the ``x`` an observer receives is likewise valid
+  only during that call.
 """
 
 from __future__ import annotations
@@ -158,6 +163,10 @@ class SimConfig:
     def __post_init__(self):
         if self.dt <= 0 or self.horizon <= 0:
             raise UsageError("dt and horizon must be positive")
+        for name in ("seed", "n_paths"):
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)):
+                raise UsageError(f"{name} must be an integer, got {value!r}")
         if self.n_paths <= 0:
             raise UsageError("n_paths must be positive")
         if not 0 <= int(self.seed) < 2**64:
@@ -333,19 +342,24 @@ def _step_draws(cfg, n, m, draws=None):
 
 def _check_finite(x: np.ndarray, step: int, what: str, starts=None,
                   coordinate_major=False):
-    """Raise on the first non-finite row of ``x`` (rows along axis 0, or
-    along axis 1 of a (k, rows) array if ``coordinate_major``); with
-    ``starts`` (P, k), row j is path j % N of start point j // N."""
+    """Raise on the first row of ``x`` that holds a NaN or an inf (rows
+    along axis 0, or along axis 1 of a (k, rows) array if
+    ``coordinate_major``); with ``starts`` (P, k), row j is path j % N of
+    start point j // N.  One sum over all of ``x`` clears the common case;
+    the rows are searched only when it is not finite, and a sum that
+    overflows on finite values raises nothing."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        if np.isfinite(np.add.reduce(x, axis=None)):
+            return
     if coordinate_major:
-        rowsum = x.sum(axis=0)
+        bad = ~np.isfinite(x).all(axis=0)
     else:
-        rowsum = x.reshape(x.shape[0], -1).sum(axis=1)
-    bad = ~np.isfinite(rowsum)
+        bad = ~np.isfinite(x.reshape(x.shape[0], -1)).all(axis=1)
     if bad.any():
         i = int(np.flatnonzero(bad)[0])
         row = x[:, i] if coordinate_major else x[i]
         raise SimulationError(
-            f"non-finite {what} on {_path_name(i, rowsum.size, starts)} at "
+            f"non-finite {what} on {_path_name(i, bad.size, starts)} at "
             f"step {step}: state/value row {np.asarray(row).ravel()[:8]}"
         )
 
@@ -365,10 +379,22 @@ def _run_full(system, policy, x0, cfg, t0, observer):
     standard-normal draw that produced it.  The draws come from the march's
     own ``DrawSource``: a helper thread draws ahead, and the calling thread
     draws the next unclaimed step itself when its own is not ready yet.  The
-    helper is joined before this returns or raises.  A ``ZeroPolicy`` march
-    adds no control term: its increment is ``z * sqrt(dt)``.  A constant
-    diagonal diffusion scales the increment in place, unless it is the
-    identity.
+    helper is joined before this returns or raises.
+
+    Each update is ``(x + f * dt) + noise``, rounded in that order, with
+    ``noise = (u * dt + z * sqrt(dt))`` times the diffusion; a ``ZeroPolicy``
+    march adds no control term.  The first update's ``x + f * dt`` makes a
+    new array, and numpy picks its memory layout: F for the sparse 1000-d
+    drift once the state reaches 256 KiB, where the sum is written into the
+    ``f * dt`` temporary, and C below that.  Everything else is added in
+    place in that array, through one scratch of the same layout, so the
+    state keeps that layout at every step, as a march that makes a new
+    array per step would, and every row sum an observer takes keeps its
+    bits.  A constant diagonal diffusion copies each step draw into that
+    layout once and scales it in place (not at all for the identity); any
+    other noise term is formed before the state changes.  No array the
+    drift, control or diffusion returns is written to.  The ``x`` an
+    observer receives, like ``z``, is valid only during that call.
     """
     n = cfg.n_paths
     x0 = np.asarray(x0, dtype=np.float64)
@@ -387,6 +413,7 @@ def _run_full(system, policy, x0, cfg, t0, observer):
     # scaling by an identity diffusion's ones changes no bit, so it is skipped
     unit_diag = const_diag is not None and bool((const_diag == 1.0).all())
     uncontrolled = isinstance(policy, ZeroPolicy)
+    scratch = None  # made after the first drift step, in its layout
     with _step_draws(cfg, n, system.control_dim) as take:
         observer(0, t0, x, None)
         for s in range(cfg.steps):
@@ -394,21 +421,33 @@ def _run_full(system, policy, x0, cfg, t0, observer):
             z = take(s)
             f = np.asarray(system.drift(x), dtype=np.float64)
             _check_finite(f, s, "drift")
-            if uncontrolled:
-                noise = z * sq
+            u_dt = None if uncontrolled else policy(x, t) * dt
+            if const_diag is None:
+                # formed before the state changes, which sigma may view
+                noise = z * sq if u_dt is None else u_dt + z * sq
+                if system.diffusion_const is not None:
+                    noise = noise @ system.diffusion_const.T
+                else:
+                    sig = system.sigma_at(x)
+                    _check_finite(sig, s, "diffusion")
+                    noise = np.einsum("nij,nj->ni", sig, noise)
+            if scratch is None:
+                x = x + f * dt
+                scratch = np.empty_like(x)
             else:
-                noise = policy(x, t) * dt + z * sq
+                np.multiply(f, dt, out=scratch)
+                x += scratch
+            del f  # free it before the noise term
             if const_diag is not None:
+                np.copyto(scratch, z)
+                scratch *= sq
+                if u_dt is not None:
+                    scratch += u_dt
                 if not unit_diag:
-                    noise *= const_diag
-            elif system.diffusion_const is not None:
-                noise = noise @ system.diffusion_const.T
-            else:
-                sig = system.sigma_at(x)
-                _check_finite(sig, s, "diffusion")
-                noise = np.einsum("nij,nj->ni", sig, noise)
-            x = x + f * dt + noise
-            del f, noise  # free both before the next step's drift
+                    scratch *= const_diag
+                noise = scratch
+            x += noise
+            del u_dt, noise  # free them before the next step's drift
             observer(s + 1, t + dt, x, z)
     return x
 

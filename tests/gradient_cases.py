@@ -10,7 +10,8 @@ The oracles the neural, PINN and reduction tests compare against live here
 too: the one-point ``forward_with_derivatives``, the central-difference
 ``grad_params``, ``residual``, the PDE residual of any candidate solution,
 ``flat_explicit``, the FD engine's explicit product in its own axis's line
-order, and the central-difference feature derivatives of
+order, ``full_march``, the full-system Euler-Maruyama march with one new
+array per step, and the central-difference feature derivatives of
 ``feature_map_from_functions`` with their check
 ``verify_feature_derivatives``.
 """
@@ -32,7 +33,7 @@ from featpde.neural import (DenseNetwork, Workspace, derivatives_batch,
 from featpde.pde import assemble_safety_pde, assemble_value_pde
 from featpde.pinn import CollocationSet, PinnConfig, TrainingDataset
 from featpde.reduction import FeatureMap, build_reduced_sde
-from featpde.sde import StochasticSystem
+from featpde.sde import StochasticSystem, ZeroPolicy, step_noise
 
 REFERENCE = os.path.join(os.path.dirname(__file__), "data",
                          "tape_reference.json")
@@ -285,6 +286,41 @@ def flat_explicit(stencil, x, dt):
     out *= 0.5 * dt
     out += x
     return out
+
+
+def full_march(system, policy, x0, cfg, t0, observer):
+    """The full-system Euler-Maruyama march with each step one expression,
+    ``x = x + f * dt + noise``, into a new array, and the step draws taken
+    straight from ``step_noise``.  ``sde._run_full`` updates its state in
+    place and must match this march's bytes and memory layout (so its
+    strides too) at every step."""
+    n = cfg.n_paths
+    x = np.tile(np.asarray(x0, dtype=np.float64), (n, 1))
+    dt = cfg.dt
+    sq = np.sqrt(dt)
+    const = system.diffusion_const
+    diag = None
+    if const is not None and system.state_dim == system.control_dim:
+        if np.array_equal(const, np.diag(np.diagonal(const))):
+            diag = np.diagonal(const).copy()
+    observer(0, t0, x, None)
+    for s in range(cfg.steps):
+        t = t0 + s * dt
+        z = step_noise(cfg.seed, s, n, system.control_dim)
+        f = np.asarray(system.drift(x), dtype=np.float64)
+        if isinstance(policy, ZeroPolicy):
+            noise = z * sq
+        else:
+            noise = policy(x, t) * dt + z * sq
+        if diag is not None:
+            noise *= diag
+        elif const is not None:
+            noise = noise @ const.T
+        else:
+            noise = np.einsum("nij,nj->ni", system.sigma_at(x), noise)
+        x = x + f * dt + noise
+        observer(s + 1, t + dt, x, z)
+    return x
 
 
 def grad_params(net: DenseNetwork, loss, step=1e-6):

@@ -801,14 +801,23 @@ def test_one_point_reduced_march_matches_recorded_values():
 
 
 # Per-step sums of the sys1000d running cost over all paths (float.hex),
-# recorded like the values above.  The cost's row sums round differently on
-# C- and F-ordered states, and numpy gives ``x + f * dt + noise`` the F order
-# of the sparse drift at 200 paths but C order at 20, so these pin the
-# memory layout of the update as well as its values.
+# recorded like the values above (32 and 33 paths at commit ddef251).  The
+# cost's row sums round differently on C- and F-ordered states, and numpy
+# gives ``x + f * dt + noise`` the F order of the sparse drift at 200 paths
+# but C order at 20, so these pin the memory layout of the update as well as
+# its values.  The order flips at numpy's temporary elision threshold of
+# 256 KiB: a (33, 1000) state (264,000 bytes) is summed into the F-ordered
+# ``f * dt`` temporary, a (32, 1000) one (256,000 bytes) into a new C array.
 THOUSAND_DIM_COSTS = {
     20: ["0x1.0c5acd2477e13p-1", "0x1.ef2e1c7b315e1p-1",
          "0x1.32a9099afca3fp+0", "0x1.9a69b56959b9cp+0",
          "0x1.808811450202fp+0"],
+    32: ["0x1.1f61684a2a92bp+0", "0x1.bfc36ecbff19dp+0",
+         "0x1.19fad68db97eap+1", "0x1.67dee3f1f03bdp+1",
+         "0x1.4e85b699a52adp+1"],
+    33: ["0x1.219d3f587335fp+0", "0x1.c38a84148769dp+0",
+         "0x1.1e320b064663fp+1", "0x1.6e6972cc29118p+1",
+         "0x1.523d93320a12bp+1"],
     200: ["0x1.8b0071c756bd8p+2", "0x1.2dd15f759480fp+3",
           "0x1.9b9eed011ee5ep+3", "0x1.08ce07162ef72p+4",
           "0x1.1d5adeff9852ap+4"],

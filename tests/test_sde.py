@@ -1,9 +1,13 @@
 """Simulation engine checks: scheme correctness, RNG contract, serialization."""
 
+import warnings
+
 import numpy as np
 import pytest
 
+from featpde import sde
 from featpde.errors import DomainError, SimulationError, UsageError
+from featpde.presets import get_preset
 from featpde.reduction import build_reduced_sde
 from featpde.sde import (
     ControlPolicy,
@@ -14,6 +18,7 @@ from featpde.sde import (
     simulate_reduced,
     step_noise,
 )
+from gradient_cases import full_march
 
 
 def three_dim_literal():
@@ -46,6 +51,18 @@ def test_simconfig_validation():
         SimConfig(dt=0.1, horizon=1.0, seed=2**64, n_paths=1)
     cfg = SimConfig(dt=1e-3, horizon=0.25, seed=0, n_paths=1)
     assert cfg.steps == 250
+
+
+@pytest.mark.parametrize("field, value", [
+    ("seed", 1.5), ("seed", "1"), ("n_paths", 2.5), ("n_paths", 3.0),
+])
+def test_simconfig_refuses_a_non_integer_seed_or_path_count(field, value):
+    kwargs = dict(dt=0.1, horizon=1.0, seed=1, n_paths=2)
+    kwargs[field] = value
+    with pytest.raises(UsageError, match=f"{field} must be an integer"):
+        SimConfig(**kwargs)
+    kwargs[field] = np.int64(2)
+    assert getattr(SimConfig(**kwargs), field) == 2
 
 
 def test_brownian_motion_variance():
@@ -187,6 +204,29 @@ def test_nonfinite_drift_reports_path_and_step():
         simulate(bad, ZeroPolicy(1), np.zeros(2), cfg)
 
 
+@pytest.mark.parametrize("layout", ["C", "F", "coordinate_major"])
+def test_check_finite_flags_only_rows_holding_nan_or_inf(layout):
+    # row 0's sum overflows to inf, but every value in it is finite
+    rows = np.array([[1e308, 1e308, 0.0], [1.0, 2.0, 3.0]])
+
+    def check(a):
+        if layout == "coordinate_major":
+            sde._check_finite(np.ascontiguousarray(a.T), 4, "drift",
+                              coordinate_major=True)
+        else:
+            sde._check_finite(np.asarray(a, order=layout), 4, "drift")
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        check(rows)
+        for value in (np.nan, np.inf, -np.inf):
+            bad = rows.copy()
+            bad[1, 1] = value
+            with pytest.raises(SimulationError,
+                               match="non-finite drift on path 1 at step 4"):
+                check(bad)
+
+
 def test_diffusion_shape_check():
     bad = StochasticSystem(
         2, 2, lambda x: np.zeros_like(x), diffusion=lambda x: np.ones((3, 2, 2))
@@ -215,3 +255,76 @@ def test_system_and_x0_validation():
     cfg = SimConfig(dt=0.1, horizon=0.2, seed=0, n_paths=1)
     with pytest.raises(UsageError, match="x0"):
         simulate(sys1, ZeroPolicy(1), np.zeros(3), cfg)
+
+
+# --- the in-place full march against the one-expression reference ---------
+
+_MATRIX = np.array([[0.5, 0.0, 0.2], [0.1, 1.0, 0.0],
+                    [0.0, -0.3, 0.7], [0.4, 0.2, 0.1]])
+
+# (diffusion keyword, its value, control dimension) of each noise branch;
+# "state_view" returns a read-only view of the state
+_NOISE = {
+    "unit": ("diffusion_const", np.eye(4), 4),
+    "diagonal": ("diffusion_const", np.diag([0.5, 1.5, 2.0, 0.25]), 4),
+    "matrix": ("diffusion_const", _MATRIX, 3),
+    "state": ("diffusion",
+              lambda x: np.tanh(x)[:, :, None] * 0.2 + _MATRIX, 3),
+    "state_view": ("diffusion",
+                   lambda x: np.broadcast_to(x[:, :, None], x.shape + (3,)),
+                   3),
+}
+
+# drifts returning a C array, an F array and a view of their input
+_DRIFTS = {
+    "C": lambda x: np.ascontiguousarray(-0.7 * x + 0.2),
+    "F": lambda x: np.asfortranarray(-0.7 * x + 0.2),
+    "view": lambda x: x[:, ::-1],
+}
+
+
+def _recorder(log):
+    def observer(s, t, x, z):
+        log.append((s, t, x.strides, x.tobytes(),
+                    None if z is None else z.tobytes()))
+    return observer
+
+
+def _assert_march_is_the_reference(system, policy, x0, cfg):
+    got, want = [], []
+    end = sde._run_full(system, policy, x0, cfg, 0.5, _recorder(got))
+    ref = full_march(system, policy, x0, cfg, 0.5, _recorder(want))
+    assert len(got) == cfg.steps + 1
+    assert got == want
+    assert end.strides == ref.strides
+    assert end.tobytes() == ref.tobytes()
+    return got
+
+
+@pytest.mark.parametrize("n_paths", [7, 9000])  # 9000 x 4 is above 256 KiB
+@pytest.mark.parametrize("drift", sorted(_DRIFTS))
+@pytest.mark.parametrize("controlled", [False, True])
+@pytest.mark.parametrize("noise", sorted(_NOISE))
+def test_full_march_equals_the_one_expression_march(noise, controlled, drift,
+                                                    n_paths):
+    key, value, m = _NOISE[noise]
+    system = StochasticSystem(4, m, _DRIFTS[drift], **{key: value})
+    if controlled:
+        # a view of the state, as the drift may return
+        policy = ControlPolicy(lambda x, t: x[:, ::-1][:, :m])
+    else:
+        policy = ZeroPolicy(m)
+    cfg = SimConfig(dt=0.01, horizon=0.04, seed=3, n_paths=n_paths)
+    _assert_march_is_the_reference(system, policy, [0.3, -1.0, 0.5, 2.0],
+                                   cfg)
+
+
+@pytest.mark.parametrize("n_paths", [1, 32, 33, 200])
+def test_thousand_dim_march_equals_the_reference_around_elision(n_paths):
+    p = get_preset("sys1000d-value")
+    cfg = SimConfig(dt=1e-2, horizon=0.03, seed=6, n_paths=n_paths)
+    got = _assert_march_is_the_reference(
+        p.system, ZeroPolicy(1000), p.x0_of_xi(np.array([1.5, 1.5])), cfg)
+    # a state of 33 or more paths (over 256 KiB) is F-ordered after step 1
+    later = (8, 8 * n_paths) if n_paths > 32 else (8000, 8)
+    assert [entry[2] for entry in got] == [(8000, 8)] + [later] * 3
