@@ -132,9 +132,9 @@ class AutoencoderNet:
         feats = self.encode(states)
         return np.atleast_2d(forward(self.decoder, feats))[:, 0]
 
-    def save(self, encoder_path: str, decoder_path: str, seed=None):
-        save_checkpoint(self.encoder, encoder_path, seed=seed)
-        save_checkpoint(self.decoder, decoder_path, seed=seed)
+    def save(self, encoder_path: str, decoder_path: str, seed=None) -> list:
+        return [save_checkpoint(self.encoder, encoder_path, seed=seed),
+                save_checkpoint(self.decoder, decoder_path, seed=seed)]
 
     @classmethod
     def load(cls, encoder_path: str, decoder_path: str) -> "AutoencoderNet":
@@ -411,11 +411,11 @@ class AeTrainResult:
     preimage: Optional[PreimageIndex] = None
     epsilons: Optional[np.ndarray] = None
 
-    def log_to_csv(self, path: str):
+    def log_to_csv(self, path: str) -> str:
         arr = np.asarray([(it, rc, ct, cl) for it, rc, ct, cl in self.log],
                          dtype=np.float64)
-        write_csv(path, "iteration,loss_rc,loss_ct,clamped_probes", arr,
-                  ("%d", "%.17g", "%.17g", "%d"))
+        return write_csv(path, "iteration,loss_rc,loss_ct,clamped_probes",
+                         arr, ("%d", "%.17g", "%.17g", "%d"))
 
 
 def train_autoencoder(system: StochasticSystem, cost: Callable, states,

@@ -1,4 +1,4 @@
-"""Tensor-grid rows and the CSV writer every table goes through.
+"""Tensor-grid rows, and the writers every table and checkpoint goes through.
 
 Grid tables and grid evaluations list the nodes of a tensor grid in
 lexicographic order, first axis slowest, repeated once per time,
@@ -9,16 +9,22 @@ index, for a grid too large to hold whole.  ``write_csv`` and
 writes, formatting ``_CHUNK_ROWS`` rows per ``%`` pass, so the text of a
 large table is never held in memory at once.  ``write_csv`` holds one
 chunk's text; ``write_grid`` holds the node text of its table, formatted
-once, plus one chunk's text.
+once, plus one chunk's text; ``write_text`` writes its chunks as they
+come.  Each writer writes ``<path>.tmp<pid>`` and renames it onto
+``path``, which it returns; a failed write removes that file and leaves
+``path`` as it was.
 """
 
 from __future__ import annotations
 
 import math
+import os
+from contextlib import contextmanager
 
 import numpy as np
 
-__all__ = ["nodes", "GridRows", "space_time", "write_csv", "write_grid"]
+__all__ = ["nodes", "GridRows", "space_time", "write_csv", "write_grid",
+           "write_text"]
 
 # rows formatted by one % pass: under 1 MB of text at four columns
 _CHUNK_ROWS = 8192
@@ -71,15 +77,36 @@ def space_time(axes, times):
     return np.tile(pts, (times.size, 1)), np.repeat(times, pts.shape[0])
 
 
-def write_csv(path: str, header: str, body, fmt="%.17g"):
+@contextmanager
+def _replacing(path: str):
+    """A text file that replaces ``path`` if the block ends without error."""
+    tmp = f"{path}.tmp{os.getpid()}"
+    try:
+        with open(tmp, "w") as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+
+
+def write_text(path: str, chunks) -> str:
+    """The strings of the iterable ``chunks``, in order, as one file."""
+    with _replacing(path) as fh:
+        fh.writelines(chunks)
+    return path
+
+
+def write_csv(path: str, header: str, body, fmt="%.17g") -> str:
     """``header`` and then one line per row of the 2-D ``body``; ``fmt`` is
     one ``%`` format for every column or a sequence of one per column."""
-    with open(path, "w") as fh:
+    with _replacing(path) as fh:
         fh.write(header + "\n")
         _write_rows(fh, np.asarray(body), fmt)
+    return path
 
 
-def write_grid(path: str, axes, times, values):
+def write_grid(path: str, axes, times, values) -> str:
     """The ``xi1,...,xik,t,value`` table of ``values`` shaped
     (len(times), *grid).  Each node's ``xi1,...,xik,`` text is formatted
     once, into one ``%`` template per chunk of nodes; each time fills its
@@ -90,13 +117,14 @@ def write_grid(path: str, axes, times, values):
     row = "%.17g," * k + "{t},%%.17g\n"
     templates = [row * len(c) % tuple(c.ravel().tolist())
                  for c in _chunks(pts)]
-    with open(path, "w") as fh:
+    with _replacing(path) as fh:
         fh.write(",".join(f"xi{i + 1}" for i in range(k)) + ",t,value\n")
         for t, v in zip(times, values):
             t_text = "%.17g" % t
             for template, chunk in zip(templates, _chunks(np.ravel(v))):
                 fh.write(template.replace("{t}", t_text)
                          % tuple(chunk.tolist()))
+    return path
 
 
 def _chunks(body):

@@ -9,10 +9,9 @@ keys are errors, so typos fail loudly instead of silently falling back to
 defaults; bool keys take only true or false; int keys take only whole
 numbers.  ``ExperimentConfig.typed`` holds the converted values, so the
 commands convert nothing.  Every command writes its tables plus a
-``run.json`` holding the fully resolved configuration and seed; re-running
-from that file reproduces the artifacts byte-for-byte.  All file writes go
-through a write-temp-then-rename helper so concurrent runs never observe
-half-written artifacts.
+``run.json`` holding the fully resolved configuration and seed, and lists
+the paths its writers return; re-running from that file reproduces the
+artifacts byte-for-byte.
 
 ``ROUTES`` is the one table of estimators.  A route's ``rows(xc, points,
 times, mc)`` returns the ``McGrid`` of the config's task on the given rows,
@@ -39,7 +38,7 @@ import yaml
 from . import __version__
 from .errors import ConfigError, UsageError
 from .featureid import AeTrainConfig, AutoencoderNet, train_autoencoder
-from .grid import nodes, space_time, write_csv
+from .grid import nodes, space_time, write_csv, write_text
 from .montecarlo import (
     McGrid,
     safety_grid_reduced,
@@ -71,29 +70,6 @@ __all__ = [
     "load_dataset_csv",
     "COMMANDS",
 ]
-
-# ---------------------------------------------------------------------------
-# atomic file output
-
-
-def _atomic_write(path: str, write_fn: Callable[[str], None]) -> str:
-    tmp = f"{path}.tmp{os.getpid()}"
-    try:
-        write_fn(tmp)
-        os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):
-            os.remove(tmp)
-    return path
-
-
-def _write_text(path: str, text: str) -> str:
-    def do(tmp):
-        with open(tmp, "w") as fh:
-            fh.write(text)
-
-    return _atomic_write(path, do)
-
 
 # ---------------------------------------------------------------------------
 # resolution: config dict -> concrete objects
@@ -813,8 +789,7 @@ def make_dataset(xc: ExperimentConfig, out_path: str) -> str:
                                 grid.std_errors,
                                 grid.std_errors > ds["se_ceiling"]])
         fmt = [fmt] * (body.shape[1] - 1) + ["%d"]
-    return _atomic_write(out_path, lambda tmp: write_csv(
-        tmp, f"# provenance: {source}\n{header}", body, fmt))
+    return write_csv(out_path, f"# provenance: {source}\n{header}", body, fmt)
 
 
 def load_dataset_csv(path: str) -> TrainingDataset:
@@ -889,7 +864,7 @@ def benchmark(xc: ExperimentConfig, out_path: str) -> str:
                                         (b["dt"], n, xc.seed + rep))
                 err = error_against(grid.estimates, truth, b["metric"])
                 lines.append(f"{est},{n},{rep},{err:.17g}")
-    return _write_text(out_path, "\n".join(lines) + "\n")
+    return write_text(out_path, (line + "\n" for line in lines))
 
 
 # ---------------------------------------------------------------------------
@@ -905,8 +880,8 @@ def _emit_run_json(out_dir: str, command: str, xc: ExperimentConfig,
         "artifacts": sorted(os.path.basename(a) for a in artifacts),
         "version": __version__,
     }
-    return _write_text(os.path.join(out_dir, "run.json"),
-                       json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    return write_text(os.path.join(out_dir, "run.json"),
+                      [json.dumps(payload, indent=2, sort_keys=True), "\n"])
 
 
 def _artifact(xc: ExperimentConfig, name: str) -> str:
@@ -945,7 +920,7 @@ def cmd_simulate(xc: ExperimentConfig) -> list:
         if "xi0" not in sim:
             raise ConfigError("sim.xi0 is required for reduced simulation")
         batch = simulate_reduced(p.reduced, sim["xi0"], cfg, t0=sim["t0"])
-    return [_atomic_write(_artifact(xc, "trajectories.csv"), batch.to_csv)]
+    return [batch.to_csv(_artifact(xc, "trajectories.csv"))]
 
 
 def cmd_estimate(xc: ExperimentConfig, task: str) -> list:
@@ -959,22 +934,20 @@ def cmd_estimate(xc: ExperimentConfig, task: str) -> list:
         raise ConfigError("config needs an 'estimator' for this command")
     grid = ROUTES[xc.estimator].rows(xc, points, np.full(len(points), t),
                                      xc.mc_budget())
-    return [_atomic_write(_artifact(xc, f"{task}.csv"), grid.to_csv)]
+    return [grid.to_csv(_artifact(xc, f"{task}.csv"))]
 
 
 def cmd_train_pinn(xc: ExperimentConfig) -> list:
     result = train(xc.preset.pde_problem(), _pinn_dataset(xc),
                    xc.pinn_config())
-    ckpt = _artifact(xc, "pinn_checkpoint.json")
-    save_checkpoint(result.net, ckpt, seed=xc.seed, extra={"config": xc.raw})
-    arts = [ckpt, _atomic_write(_artifact(xc, "pinn_loss_log.csv"),
-                                result.log_to_csv)]
+    arts = [save_checkpoint(result.net, _artifact(xc, "pinn_checkpoint.json"),
+                            seed=xc.seed, extra={"config": xc.raw}),
+            result.log_to_csv(_artifact(xc, "pinn_loss_log.csv"))]
     if "points" not in xc.typed["eval"]:
         # surface table only makes sense on a tensor grid
         surface = predict_grid(result.net, xc.eval_axes(),
                                [xc.eval_points()[1]])
-        arts.append(_atomic_write(_artifact(xc, "pinn_surface.csv"),
-                                  surface.to_csv))
+        arts.append(surface.to_csv(_artifact(xc, "pinn_surface.csv")))
     return arts
 
 
@@ -1003,19 +976,18 @@ def cmd_train_features(xc: ExperimentConfig) -> list:
         init = AutoencoderNet(ae["encoder_init"], ae["decoder_init"])
     result = train_autoencoder(p.system, p.cost_full, states, cfg,
                                init_net=init)
-    arts = [_artifact(xc, "encoder_checkpoint.json"),
-            _artifact(xc, "decoder_checkpoint.json")]
-    result.net.save(*arts, seed=xc.seed)
-    return arts + [_atomic_write(_artifact(xc, "feature_loss_log.csv"),
-                                 result.log_to_csv)]
+    return [*result.net.save(_artifact(xc, "encoder_checkpoint.json"),
+                             _artifact(xc, "decoder_checkpoint.json"),
+                             seed=xc.seed),
+            result.log_to_csv(_artifact(xc, "feature_loss_log.csv"))]
 
 
 COMMANDS = {
     "simulate": cmd_simulate,
     "estimate-value": lambda xc: cmd_estimate(xc, "value"),
     "estimate-safety": lambda xc: cmd_estimate(xc, "safety"),
-    "solve-pde": lambda xc: [_atomic_write(
-        _artifact(xc, "pde_solution.csv"), _solve_oracle(xc).to_csv)],
+    "solve-pde": lambda xc: [
+        _solve_oracle(xc).to_csv(_artifact(xc, "pde_solution.csv"))],
     "train-pinn": cmd_train_pinn,
     "train-features": cmd_train_features,
     "benchmark": lambda xc: [benchmark(xc, _artifact(xc, "benchmark.csv"))],

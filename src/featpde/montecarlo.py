@@ -29,6 +29,7 @@ i.e. pure functions of their input, as every preset's are.
 
 from __future__ import annotations
 
+import contextvars
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
@@ -308,12 +309,12 @@ class McGrid:
     estimates: np.ndarray
     std_errors: np.ndarray
 
-    def to_csv(self, path: str):
+    def to_csv(self, path: str) -> str:
         k = self.points.shape[1]
         header = (
             ",".join(f"xi{i + 1}" for i in range(k)) + ",t,estimate,std_error"
         )
-        write_csv(path, header, np.column_stack(
+        return write_csv(path, header, np.column_stack(
             [self.points, self.times, self.estimates, self.std_errors]
         ))
 
@@ -327,12 +328,12 @@ def _grid(points, times, mc, span, block) -> McGrid:
     ``span(t)``; every time's budget is checked before any block is
     marched.  Each time's rows are split into at least two blocks of at
     most ``_BLOCK_ROWS`` path rows.  The calling thread runs the even blocks
-    and one helper thread the odd ones; blocks 2j and 2j + 1 are readers 0
-    and 1 of round j's draw source, and the helper fills the source of a
-    round without block 2j + 1.  If blocks raise, the error re-raised is the
-    one a single block of all the time's rows would raise: the earliest
-    ``march_position`` (errors raised outside the march rank last), then the
-    lowest rows.
+    and one helper thread the odd ones, under the caller's ``np.errstate``;
+    blocks 2j and 2j + 1 are readers 0 and 1 of round j's draw source, and
+    the helper fills the source of a round without block 2j + 1.  If blocks
+    raise, the error re-raised is the one a single block of all the time's
+    rows would raise: the earliest ``march_position`` (errors raised outside
+    the march rank last), then the lowest rows.
     """
     points = np.atleast_2d(np.asarray(points, dtype=np.float64))
     times = np.broadcast_to(
@@ -370,7 +371,8 @@ def _grid(points, times, mc, span, block) -> McGrid:
                                   cfgs[tj].steps, len(blocks[j:j + 2]))
                        for j in range(0, len(blocks), 2)]
             try:
-                odd = helper.submit(lane, 1, blocks, sources, tj)
+                odd = helper.submit(contextvars.copy_context().run, lane, 1,
+                                    blocks, sources, tj)
                 results = [None] * len(blocks)
                 results[0::2] = lane(0, blocks, sources, tj)
                 results[1::2] = odd.result()

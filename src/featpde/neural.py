@@ -52,13 +52,13 @@ one flat float64 vector; per-layer views are provided for inspection.
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
 
 from .errors import TrainingError
+from .grid import write_text
 
 __all__ = [
     "DenseNetwork",
@@ -514,7 +514,9 @@ def adam_step(state: AdamState, theta: np.ndarray, g: np.ndarray, lr: float):
 
 
 def save_checkpoint(net: DenseNetwork, path: str, seed=None, extra=None):
-    """Write the network as a JSON container (atomic replace)."""
+    """Stream the network, ``seed`` and ``extra`` as ``json.dump`` would,
+    through ``grid.write_text``; the path.  An ``extra`` that JSON cannot
+    encode raises and leaves ``path`` as it was."""
     payload = {
         "widths": list(net.widths),
         "activation": net.activation,
@@ -523,10 +525,7 @@ def save_checkpoint(net: DenseNetwork, path: str, seed=None, extra=None):
     }
     if extra:
         payload["extra"] = extra
-    tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "w") as fh:
-        json.dump(payload, fh)
-    os.replace(tmp, path)
+    return write_text(path, json.JSONEncoder().iterencode(payload))
 
 
 def load_checkpoint(path: str):

@@ -638,9 +638,9 @@ class FdSolution:
             out += weight * self.values[tuple(sel)]
         return float(out[0]) if scalar else out
 
-    def to_csv(self, path):
+    def to_csv(self, path) -> str:
         """Rows `xi1,...,xik,t,value`, ascending t then lexicographic nodes."""
-        write_grid(path, self.axes, self.times, self.values)
+        return write_grid(path, self.axes, self.times, self.values)
 
     def verify(self, n_pairs=None):
         """Re-march between saved slices; True iff stored values reproduce."""
@@ -654,25 +654,23 @@ class FdSolution:
         for j0, j1 in pairs:
             s0 = self.saved_steps[list(order).index(j0)]
             s1 = self.saved_steps[list(order).index(j1)]
-            _, (u,) = _march(self._engine, self.values[j0], s0, s1, s1 - s0)
+            (u,) = _march(self._engine, self.values[j0], s0, s1, s1 - s0)
             if not np.array_equal(u, self.values[j1]):
                 return False
         return True
 
 
 def _march(engine, u, s0, s1, save_every):
-    """March ``u`` from step s0 to s1; returns the steps after which it kept
-    a slice (every save_every-th and the last) and those slices.  One helper
-    thread takes half of each split solve, and it is joined before this
-    returns or raises."""
-    steps, slices = [], []
+    """March ``u`` from step s0 to s1; returns the slices it kept, after
+    every save_every-th step and the last.  One helper thread takes half of
+    each split solve, and it is joined before this returns or raises."""
+    slices = []
     with _Helper() as helper:
         for s in range(s0, s1):
             u = engine.step(u, s, helper)
             if (s + 1 - s0) % save_every == 0 or s + 1 == s1:
-                steps.append(s + 1)
                 slices.append(u)
-    return steps, slices
+    return slices
 
 
 def solve_fd(problem: PdeProblem, d_xi, dt, save_every: int = 1,
@@ -706,8 +704,7 @@ def solve_fd(problem: PdeProblem, d_xi, dt, save_every: int = 1,
             steps, times = steps[:keep], times[:keep]
     u = engine.initial()
     # step never writes its input, so no slice needs a copy
-    _, slices = _march(engine, u, 0, steps[-1], save_every)
-    slices = [u] + slices
+    slices = [u] + _march(engine, u, 0, steps[-1], save_every)
     if value:  # ascending physical time
         times, slices = times[::-1].copy(), slices[::-1]
     metadata = {

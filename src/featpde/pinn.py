@@ -306,10 +306,10 @@ class TrainResult:
     collocation: CollocationSet
     aborted_epoch: Optional[int] = None
 
-    def log_to_csv(self, path: str):
+    def log_to_csv(self, path: str) -> str:
         arr = np.asarray(self.log, dtype=np.float64)
-        write_csv(path, "epoch,loss_physics,loss_data", arr,
-                  ("%d", "%.17g", "%.17g"))
+        return write_csv(path, "epoch,loss_physics,loss_data", arr,
+                         ("%d", "%.17g", "%.17g"))
 
 
 def train(problem: PdeProblem, data: Optional[TrainingDataset],
@@ -418,8 +418,8 @@ class PredictionGrid:
     times: np.ndarray
     values: np.ndarray  # (len(times), *grid shape)
 
-    def to_csv(self, path: str):
-        write_grid(path, self.axes, self.times, self.values)
+    def to_csv(self, path: str) -> str:
+        return write_grid(path, self.axes, self.times, self.values)
 
 
 def predict_grid(net: DenseNetwork, axes, times) -> PredictionGrid:

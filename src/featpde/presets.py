@@ -189,19 +189,18 @@ class Preset:
     x0_of_xi: Optional[Callable] = None
     eval_time: Optional[float] = None
 
-    def pde_problem(self, domain=None, horizon=None) -> PdeProblem:
+    def pde_problem(self, domain=None) -> PdeProblem:
         """The preset's PDE on ``domain`` (default: the data domain)."""
         if self.problem_override is not None:
             return self.problem_override
         if self.task not in ("value", "safety"):
             raise UsageError(f"preset {self.name!r} has no PDE formulation")
         dom = list(domain) if domain is not None else list(self.data_domain)
-        T = float(horizon) if horizon is not None else self.horizon
         if self.task == "value":
             return assemble_value_pde(
-                self.reduced, self.r, self.terminal_weight, dom, T
+                self.reduced, self.r, self.terminal_weight, dom, self.horizon
             )
-        return assemble_safety_pde(self.reduced, self.r, dom, T)
+        return assemble_safety_pde(self.reduced, self.r, dom, self.horizon)
 
 
 def _times(horizon, step=0.1):

@@ -195,15 +195,15 @@ class TrajectoryBatch:
     def n_paths(self) -> int:
         return self.states.shape[0]
 
-    def to_csv(self, path: str):
+    def to_csv(self, path: str) -> str:
         """Rows `path,t,x1,...,xd`, path-major then time."""
         n, s, d = self.states.shape
         header = "path,t," + ",".join(f"x{i + 1}" for i in range(d))
         idx = np.repeat(np.arange(n), s)
         tt = np.tile(self.times, n)
         flat = self.states.reshape(n * s, d)
-        write_csv(path, header, np.column_stack([idx, tt, flat]),
-                  ["%d"] + ["%.17g"] * (d + 1))
+        return write_csv(path, header, np.column_stack([idx, tt, flat]),
+                         ["%d"] + ["%.17g"] * (d + 1))
 
 
 def step_noise(seed: int, step: int, n: int, m: int,

@@ -72,9 +72,12 @@ def test_write_csv_equals_savetxt_across_chunks(chunk, tmp_path, monkeypatch):
     fmt = ["%.17g", "%.17g", "%.17g", "%d"]
     np.savetxt(tmp_path / "ref.csv", body, delimiter=",", header=header,
                comments="", fmt=fmt)
-    grid.write_csv(str(tmp_path / "got.csv"), header, body, fmt)
+    got = str(tmp_path / "got.csv")
+    assert grid.write_csv(got, header, body, fmt) == got
     assert (tmp_path / "got.csv").read_bytes() == (
         tmp_path / "ref.csv").read_bytes()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["got.csv",
+                                                          "ref.csv"]
 
 
 def test_write_grid_rows_match_the_space_time_table(tmp_path, monkeypatch):
@@ -82,7 +85,9 @@ def test_write_grid_rows_match_the_space_time_table(tmp_path, monkeypatch):
     axes = [np.linspace(0.0, 1.0, 3), np.linspace(-1.0, 1.0, 5)]
     times = np.array([0.0, 0.25])
     values = np.random.default_rng(1).standard_normal((2, 3, 5))
-    grid.write_grid(str(tmp_path / "g.csv"), axes, times, values)
+    got = str(tmp_path / "g.csv")
+    assert grid.write_grid(got, axes, times, values) == got
+    assert [p.name for p in tmp_path.iterdir()] == ["g.csv"]
     xi, t = grid.space_time(axes, times)
     np.savetxt(tmp_path / "ref.csv", np.column_stack([xi, t, values.ravel()]),
                delimiter=",", header="xi1,xi2,t,value", comments="",
@@ -120,3 +125,26 @@ def test_write_grid_equals_savetxt_of_the_space_time_table(
                delimiter=",", header=header, comments="", fmt="%.17g")
     assert (tmp_path / "g.csv").read_bytes() == (
         tmp_path / "ref.csv").read_bytes()
+
+
+# each writer fails after its first chunks: "%d" of nan and "%.17g" of None
+# raise, and so does encoding a lone surrogate
+_NAN_LAST = np.array([[0.0, 1.0], [2.0, 3.0], [4.0, np.nan]])
+_NONE_LAST = np.array([[0.0, 1.0, 2.0], [3.0, 4.0, None]], dtype=object)
+
+
+@pytest.mark.parametrize("write", [
+    lambda path: grid.write_csv(path, "a,b", _NAN_LAST, "%d"),
+    lambda path: grid.write_grid(path, [np.arange(3.0)], [0.0, 1.0],
+                                 _NONE_LAST),
+    lambda path: grid.write_text(path, ["ok\n", "\ud800"]),
+], ids=["write_csv", "write_grid", "write_text"])
+def test_a_failed_write_leaves_the_old_file_and_no_temporary(
+        write, tmp_path, monkeypatch):
+    monkeypatch.setattr(grid, "_CHUNK_ROWS", 2)
+    path = tmp_path / "out.csv"
+    path.write_bytes(b"old bytes\n")
+    with pytest.raises((TypeError, ValueError)):
+        write(str(path))
+    assert path.read_bytes() == b"old bytes\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]

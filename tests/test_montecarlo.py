@@ -865,6 +865,28 @@ def test_grid_r_error_is_reraised_after_join():
     assert threading.active_count() == before
 
 
+def test_grid_helper_lane_runs_under_the_callers_errstate():
+    seen = []
+
+    def recording(fn):
+        def wrapped(xi):
+            seen.append((threading.current_thread().name,
+                         np.geterr()["over"]))
+            return fn(xi)
+        return wrapped
+
+    red = ReducedSde(k=1, alpha=[recording(as_callable(1.0))],
+                     beta=[recording(lambda s: -np.asarray(s, dtype=float))],
+                     ranges=[(-4.0, 4.0)])
+    with np.errstate(over="raise"):
+        # two start points of one time: two blocks, the second on the helper
+        value_grid_reduced(red, np.array([[0.0], [1.0]]), 0.5, 1.0,
+                           recording(k1_square), (0.1, 8, 1))
+    threads = {name for name, _ in seen}
+    assert any(name.startswith("featpde-lane") for name in threads)
+    assert {over for _, over in seen} == {"raise"}
+
+
 def test_full_march_nonfinite_drift_is_raised_after_join():
     calls = []
 

@@ -458,6 +458,19 @@ def test_checkpoint_round_trip(tmp_path):
     assert meta["extra"] == {"role": "test"}
 
 
+def test_checkpoint_that_json_cannot_encode_keeps_the_old_file(tmp_path):
+    net = DenseNetwork.init((3, 7, 2), seed=13)
+    path = tmp_path / "net.json"
+    save_checkpoint(net, str(path), seed=13)
+    old = path.read_bytes()
+    with pytest.raises(TypeError):
+        save_checkpoint(net, str(path), extra={"points": np.ones(2)})
+    assert path.read_bytes() == old
+    assert [p.name for p in tmp_path.iterdir()] == ["net.json"]
+    assert save_checkpoint(net, str(path), seed=13) == str(path)
+    assert path.read_bytes() == old
+
+
 def test_scaled_zero_params_zero_map():
     net = DenseNetwork.init((3, 5, 2), seed=3)
     net.theta = net.theta * 0.0

@@ -2,7 +2,9 @@
 function cannot linger in a module's public list; every exception class
 is named by another module, so one whose raisers are gone cannot linger
 either; and every binding the benchmark's tracer wraps exists, so a
-deleted or moved function cannot break a traced benchmark run."""
+deleted or moved function cannot break a traced benchmark run.  Only
+``grid`` opens a file to write or renames one, so every artifact goes
+through its rename-into-place writers."""
 
 import importlib
 import importlib.util
@@ -38,6 +40,20 @@ def test_every_exception_class_is_used():
               and not any(re.search(rf"\b{cls.__name__}\b", src)
                           for src in sources)]
     assert unused == []
+
+
+# os.replace, or an open whose mode writes: "w", "a", "x" or "r+"
+_WRITES = re.compile(
+    r"""os\.replace\(|\bopen\([^()]*["'](?:[wax]|r\+)[bt+]*["']""")
+
+
+def test_only_grid_writes_files():
+    writers = [name for name in MODULES if name != "featpde.grid"
+               and _WRITES.search(inspect.getsource(
+                   importlib.import_module(name)))]
+    assert writers == []
+    assert _WRITES.search(inspect.getsource(importlib.import_module(
+        "featpde.grid")))
 
 
 def _load_spans():
