@@ -65,7 +65,7 @@ from .neural import (
     save_checkpoint,
 )
 from .reduction import diffusion_diagonal, generator_terms
-from .sde import StochasticSystem
+from .sde import StochasticSystem, stream
 
 __all__ = [
     "AutoencoderNet",
@@ -449,10 +449,7 @@ def train_autoencoder(system: StochasticSystem, cost: Callable, states,
             f"network expects {net.n}-dimensional states, data has {n}"
         )
     use_ct = cfg.w_ct > 0
-    gen = np.random.Generator(
-        np.random.Philox(key=np.array([cfg.seed, _BATCH_TAG],
-                                      dtype=np.uint64))
-    )
+    gen = stream(cfg.seed, _BATCH_TAG)
     ne = net.encoder.theta.size
     adam = AdamState.init(ne + net.decoder.theta.size)
     bs = min(cfg.batch_size, n_states)

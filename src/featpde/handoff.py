@@ -1,7 +1,8 @@
 """One helper thread that a loop hands calls to, and takes them back from.
 
-The finite-difference march hands it half of each split line solve, and
-the PINN and autoencoder training loops hand it one loss term per step.
+It is every helper thread featpde starts.  A march hands it its draws
+ahead, a reduced grid each round's second block, the finite-difference
+march half of each split line solve, and training one loss term per step.
 The calling thread hands a call over, does its own share of the work, and
 then claims the call: if the helper has begun it, the calling thread waits
 for it; if not, the helper never will run it, and the calling thread runs
@@ -10,8 +11,8 @@ not depend on which thread ran a call.
 
 A handed call runs in a copy of the calling thread's context, so numpy's
 floating-point error state (``np.errstate``, which is per thread) is the
-caller's wherever it runs.  An exception it raises on the helper is raised
-again on the calling thread, by :meth:`_Call.result`.
+caller's wherever it runs.  Any exception it raises on the helper, even a
+``BaseException``, is raised again on the calling thread by ``result``.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ class _Call:
         if self._claim.acquire(blocking=False):
             try:
                 self._value = self._context.run(self._fn, *self._args)
-            except Exception as exc:  # raised on the calling thread
+            except BaseException as exc:  # raised on the calling thread
                 self._error = exc
             self._ran = True
             self._claim.release()

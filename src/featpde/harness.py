@@ -57,7 +57,7 @@ from .reduction import (
     feature_map_from_encoder,
     level_table,
 )
-from .sde import SimConfig, ZeroPolicy, simulate, simulate_reduced
+from .sde import SimConfig, ZeroPolicy, simulate, simulate_reduced, stream
 
 __all__ = [
     "ExperimentConfig",
@@ -141,9 +141,7 @@ def _reduced_from_encoder(system, red: dict, seed: int):
             f"reduction.state_domain lists {len(box)} intervals, system "
             f"has {system.state_dim} coordinates"
         )
-    gen = np.random.Generator(
-        np.random.Philox(key=np.array([seed, 0x5EDC], dtype=np.uint64))
-    )
+    gen = stream(seed, 0x5EDC)
     lo = np.array([ab[0] for ab in box])
     hi = np.array([ab[1] for ab in box])
     states = gen.uniform(lo, hi, (red["n_states"], system.state_dim))
@@ -235,6 +233,8 @@ class ExperimentConfig:
         raw["seed"] = typed["seed"]
         raw["out"] = typed["out"]
         raw.setdefault("task", task)
+        for name, value in raw.items():
+            _check_encodable(value, name)
         return cls(
             raw=raw,
             typed=typed,
@@ -739,6 +739,17 @@ def _typed_config(cfg) -> dict:
     return _typed_section(cfg, _SCHEMA)
 
 
+def _check_encodable(value, key: str) -> None:
+    """Raise a ConfigError naming the first key, config entry ``key`` or one
+    under it, whose value JSON cannot encode: ``run.json`` holds them."""
+    for name, sub in value.items() if isinstance(value, dict) else ():
+        _check_encodable(sub, f"{key}.{name}")
+    try:
+        json.dumps(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{key} cannot go in run.json: {exc}") from None
+
+
 def validate_config(cfg: dict) -> dict:
     """Strict-schema check: every key known, every value converted and
     checked; returns the config unchanged on success."""
@@ -746,7 +757,8 @@ def validate_config(cfg: dict) -> dict:
     return cfg
 
 
-def load_config(path: str) -> dict:
+def _read_config(path: str) -> dict:
+    """The YAML config at ``path``, not yet checked."""
     try:
         with open(path) as fh:
             cfg = yaml.safe_load(fh)
@@ -754,7 +766,12 @@ def load_config(path: str) -> dict:
         raise ConfigError(f"config file not found: {path}") from None
     except yaml.YAMLError as exc:
         raise ConfigError(f"config file {path} is not valid YAML: {exc}") from None
-    return validate_config(cfg if cfg is not None else {})
+    return cfg if cfg is not None else {}
+
+
+def load_config(path: str) -> dict:
+    """The config at ``path``, checked by ``validate_config``."""
+    return validate_config(_read_config(path))
 
 
 # ---------------------------------------------------------------------------
@@ -964,9 +981,7 @@ def cmd_train_features(xc: ExperimentConfig) -> list:
         if n_states > len(states):
             raise ConfigError(f"ae.n_states must be in [1, {len(states)}], "
                               f"the state grid size; got {n_states}")
-        gen = np.random.Generator(
-            np.random.Philox(key=np.array([xc.seed, 0xA11], dtype=np.uint64))
-        )
+        gen = stream(xc.seed, 0xA11)
         states = states[gen.choice(states.shape[0], n_states, replace=False)]
     init = None
     if "encoder_init" in ae or "decoder_init" in ae:
@@ -1006,7 +1021,7 @@ def run(config, command: str, out: Optional[str] = None,
         raise UsageError(
             f"unknown command {command!r}; one of {', '.join(COMMANDS)}"
         )
-    cfg = load_config(config) if isinstance(config, str) else config
+    cfg = _read_config(config) if isinstance(config, str) else config
     xc = ExperimentConfig.resolve(cfg, out=out, seed=seed)
     arts = COMMANDS[command](xc)
     return arts + [_emit_run_json(xc.out, command, xc, arts)]

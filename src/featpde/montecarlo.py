@@ -19,18 +19,16 @@ noise once for the whole block.  The cost or barrier r must act row by row,
 as alpha and beta already do, and each point's log-sum-exp, mean and
 standard error come from its own N paths, so a grid row equals the
 one-point estimate bit for bit.  Each time's rows are split into at least
-two blocks, marched in two lanes: the calling thread takes the even blocks
-and one helper thread the odd ones.  The two blocks of a round (blocks 2j
-and 2j + 1) read one shared ``sde.DrawSource``, so each step is drawn once
-for both lanes; a block without a partner has the helper draw ahead for
-it.  So alpha, beta and r must be safe to call from two threads at once,
-i.e. pure functions of their input, as every preset's are.
+two blocks, marched in rounds of two (blocks 2j and 2j + 1) that read one
+shared ``sde.DrawSource``, so each step is drawn once for both.  A round
+runs through ``handoff.run_pair``: the calling thread marches block 2j
+while the helper thread marches block 2j + 1, or draws ahead for a block
+without a partner.  So alpha, beta and r must be safe to call from two
+threads at once, i.e. pure functions of their input, as every preset's are.
 """
 
 from __future__ import annotations
 
-import contextvars
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Optional
@@ -40,8 +38,9 @@ from scipy.special import logsumexp
 
 from .errors import DegenerateEstimateError, UsageError
 from .grid import write_csv
+from .handoff import _Helper, run_pair
 from .sde import (ControlPolicy, DrawSource, SimConfig, StochasticSystem,
-                  ZeroPolicy, _run_full, _run_reduced)
+                  ZeroPolicy, _run_full, _run_reduced, stream)
 
 __all__ = [
     "McEstimate",
@@ -284,9 +283,7 @@ def refine_control_importance_sampling(
     refined = u0 + correction
     if not return_diagnostics:
         return refined
-    gen = np.random.Generator(
-        np.random.Philox(key=np.array([cfg.seed, 2**32 + 1], dtype=np.uint64))
-    )
+    gen = stream(cfg.seed, 2**32 + 1)
     boots = np.empty((n_bootstrap, m))
     for b in range(n_bootstrap):
         idx = gen.integers(0, n, size=n)
@@ -327,13 +324,17 @@ def _grid(points, times, mc, span, block) -> McGrid:
     ``cfg`` is the budget ``mc`` = (dt, n_paths, seed) over horizon
     ``span(t)``; every time's budget is checked before any block is
     marched.  Each time's rows are split into at least two blocks of at
-    most ``_BLOCK_ROWS`` path rows.  The calling thread runs the even blocks
-    and one helper thread the odd ones, under the caller's ``np.errstate``;
-    blocks 2j and 2j + 1 are readers 0 and 1 of round j's draw source, and
-    the helper fills the source of a round without block 2j + 1.  If blocks
-    raise, the error re-raised is the one a single block of all the time's
-    rows would raise: the earliest ``march_position`` (errors raised outside
-    the march rank last), then the lowest rows.
+    most ``_BLOCK_ROWS`` path rows.  Blocks 2j and 2j + 1, readers 0 and 1
+    of round j's draw source, are marched by ``run_pair`` on the calling
+    thread and the helper, which fills the source of a round without block
+    2j + 1.  Both readers always run, the helper's taken back if it has not
+    begun, and each leaves when done or raising.  Block 2j can wait in the
+    draw window for reader 1, so the helper must begin a handed round at
+    once, as this idle one does; a helper that serves no call until later
+    would hang it.  If blocks raise, the error re-raised is the one a single
+    block of all the time's rows would raise: the earliest
+    ``march_position`` (errors raised outside the march rank last), then
+    the lowest rows.
     """
     points = np.atleast_2d(np.asarray(points, dtype=np.float64))
     times = np.broadcast_to(
@@ -346,39 +347,29 @@ def _grid(points, times, mc, span, block) -> McGrid:
     se = np.empty(points.shape[0])
     per_block = max(1, _BLOCK_ROWS // n_paths)
 
-    def lane(reader, blocks, sources, t):
-        out = []
-        for j, source in enumerate(sources):
-            if 2 * j + reader == len(blocks):
-                source.fill()
-                continue
-            try:
-                out.append(block(points[blocks[2 * j + reader]], t, cfgs[t],
-                                 (source, reader)))
-            except Exception as err:
-                out.append(err)
-            finally:
-                # also when the block raises before its march reads a step
-                source.leave(reader)
-        return out
+    def run(rows, t, source, reader):
+        try:
+            return block(points[rows], t, cfgs[t], (source, reader))
+        except Exception as err:
+            return err
+        finally:
+            # also when the block raises before its march reads a step
+            source.leave(reader)
 
-    with ThreadPoolExecutor(1, thread_name_prefix="featpde-lane") as helper:
+    with _Helper("featpde-lane") as helper:
         for tj in cfgs:
             rows = np.flatnonzero(times == tj)
             n_blocks = max(2, -(-rows.size // per_block))
             blocks = np.array_split(rows, min(rows.size, n_blocks))
-            sources = [DrawSource(seed, n_paths, points.shape[1],
-                                  cfgs[tj].steps, len(blocks[j:j + 2]))
-                       for j in range(0, len(blocks), 2)]
-            try:
-                odd = helper.submit(contextvars.copy_context().run, lane, 1,
-                                    blocks, sources, tj)
-                results = [None] * len(blocks)
-                results[0::2] = lane(0, blocks, sources, tj)
-                results[1::2] = odd.result()
-            finally:
-                for source in sources:
-                    source.close()
+            results = []
+            for j in range(0, len(blocks), 2):
+                pair = blocks[j:j + 2]
+                source = DrawSource(seed, n_paths, points.shape[1],
+                                    cfgs[tj].steps, len(pair))
+                mine = partial(run, pair[0], tj, source, 0)
+                theirs = (partial(run, pair[1], tj, source, 1)
+                          if len(pair) == 2 else source.fill)
+                results += run_pair(helper, mine, theirs)[:len(pair)]
             errors = [(getattr(res, "march_position", (np.inf,)), b)
                       for b, res in enumerate(results)
                       if isinstance(res, Exception)]

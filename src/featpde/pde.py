@@ -30,19 +30,18 @@ of the product formed in the previous axis's own order, term for term.
 On grids of at least ``_SPLIT_NODES`` nodes with more than one line, each
 axis solve runs as two line-aligned halves at once.  The calling thread
 forms the right-hand side of the helper's half first and hands its gttrs to
-the march's one helper thread (``handoff``; gttrs releases the GIL); it
-then forms and solves its own half, which holds the smaller share of the
-lines (``_CALLER_SHARE``), while the helper solves.  A half the helper has
-not begun by the time the calling thread is done with its own, the calling
-thread solves itself, so a late helper does not stall the march.  Both
-halves use views of the one factorization, so nothing is factored twice.
-The halves do the same arithmetic as the whole solve: where the whole solve
-crosses the split, it subtracts a zero coupling term, ``b - (-0.0) *
-b_prev`` going forward and ``(b - (-0.0) * x_next) / d`` going back, which
-for finite values equals the fresh start and end of a half solve; only the
-sign of a zero at the split could differ.  The pinned outputs are the same
-bytes split or whole, with the helper or without it.  An axis whose
-pivoting crosses the split is kept whole.
+the march's one helper thread (``handoff.run_pair``; gttrs releases the
+GIL); it then forms and solves its own half, which holds the smaller share
+of the lines (``_CALLER_SHARE``), while the helper solves, and solves a
+half the helper has not begun itself, so a late helper does not stall the
+march.  Both halves use views of the one factorization, so nothing is
+factored twice.  The halves do the same arithmetic as the whole solve:
+where the whole solve crosses the split, it subtracts a zero coupling
+term, ``b - (-0.0) * b_prev`` going forward and ``(b - (-0.0) * x_next) /
+d`` going back, which for finite values equals the fresh start and end of
+a half solve; only the sign of a zero at the split could differ.  The
+pinned outputs are the same bytes split or whole, with the helper or
+without it.  An axis whose pivoting crosses the split is kept whole.
 
 Every product and solve is written in place into buffers the engine
 allocates once, so a step allocates only the array it returns.
@@ -492,26 +491,26 @@ class _FdEngine:
         ``rhs`` are formed as ``_explicit`` products just before they are
         solved; otherwise ``rhs`` already holds the right-hand side.  A split
         axis with a ``helper`` forms the helper's half first and hands its
-        solve over, then forms and solves its own half; it then takes the
-        helper's half back and solves it itself if the helper has not begun
-        it, or waits for it, also when its own half raises."""
-        mine, *rest = self.halves[ax]
-        handed = None
-        if helper is not None and rest:
-            theirs = rest.pop()
-            if x is not None:
-                self._explicit(ax, x, rhs, theirs[0])
-            handed = helper.hand(_gttrs, rhs, *theirs)
-        infos = []
-        try:
-            for rows, factors in (mine, *rest):
+        solve over, then forms and solves its own half (``run_pair``)."""
+        mine = list(self.halves[ax])
+        theirs = mine.pop() if helper is not None and len(mine) > 1 else None
+
+        def solve():
+            infos = []
+            for rows, factors in mine:
                 if x is not None:
                     self._explicit(ax, x, rhs, rows)
                 infos.append(_gttrs(rhs, rows, factors))
-        finally:
-            ran = handed is not None and handed.claim()
-        if handed is not None:
-            infos.append(handed.result() if ran else _gttrs(rhs, *theirs))
+            return infos
+
+        if theirs is None:
+            infos = solve()
+        else:
+            if x is not None:
+                self._explicit(ax, x, rhs, theirs[0])
+            infos, info = handoff.run_pair(helper, solve,
+                                           lambda: _gttrs(rhs, *theirs))
+            infos.append(info)
         for info in infos:
             if info != 0:
                 raise NumericalError(

@@ -51,6 +51,7 @@ from .neural import (
     param_count,
 )
 from .pde import PdeProblem
+from .sde import stream
 
 __all__ = [
     "PinnConfig",
@@ -157,9 +158,7 @@ class CollocationSet:
     @classmethod
     def sample(cls, domain, horizon, n, seed):
         """n i.i.d. uniform draws over the space-time box."""
-        gen = np.random.Generator(
-            np.random.Philox(key=np.array([seed, 0xC0110C], dtype=np.uint64))
-        )
+        gen = stream(seed, 0xC0110C)
         lo = np.array([ab[0] for ab in domain] + [0.0])
         hi = np.array([ab[1] for ab in domain] + [float(horizon)])
         pts = gen.uniform(lo, hi, size=(int(n), len(lo)))
@@ -349,9 +348,7 @@ def train(problem: PdeProblem, data: Optional[TrainingDataset],
 
     batch_gen = None
     if use_data and cfg.batch_size is not None and cfg.batch_size < len(data):
-        batch_gen = np.random.Generator(
-            np.random.Philox(key=np.array([cfg.seed, 0xBA7C4], dtype=np.uint64))
-        )
+        batch_gen = stream(cfg.seed, 0xBA7C4)
 
     caches = (Workspace(), Workspace())
     log = []

@@ -26,10 +26,10 @@ step's (N, m) draw.  Consequences used elsewhere in the package:
   row by row: its noise term is computed once per path and broadcast over
   the block's start points;
 * every march reads its steps from a ``DrawSource``, which draws each step
-  once, by whichever thread asks first: a march's own helper thread draws
-  ahead while the calling thread updates, and the two lanes of a reduced
-  grid read one shared source.  Outputs do not change, because a draw
-  depends only on (seed, step).  The draws live in a ring of
+  once, by whichever thread asks first: a march's own ``handoff`` helper
+  draws ahead while the calling thread updates, and the two blocks of a
+  reduced grid's round read one shared source.  Outputs do not change,
+  because a draw depends only on (seed, step).  The draws live in a ring of
   ``_AHEAD + 1`` buffers, so the ``z`` an observer receives is read-only
   and valid only during that call, as is the reduced state ``xi``;
 * the full march updates its state in place after the first step's
@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import functools
 import threading
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -51,6 +51,7 @@ import numpy as np
 
 from .errors import DomainError, SimulationError, UsageError
 from .grid import write_csv
+from .handoff import _Helper
 
 __all__ = [
     "Constant",
@@ -62,6 +63,7 @@ __all__ = [
     "simulate",
     "simulate_reduced",
     "step_noise",
+    "stream",
 ]
 
 # Steps a draw source may draw past its slowest reader; its ring holds
@@ -206,13 +208,18 @@ class TrajectoryBatch:
                          ["%d"] + ["%.17g"] * (d + 1))
 
 
+def stream(seed: int, tag: int) -> np.random.Generator:
+    """The Philox generator keyed by (seed, tag); step s of a march is tag s."""
+    return np.random.Generator(
+        np.random.Philox(key=np.array([seed, tag], dtype=np.uint64)))
+
+
 def step_noise(seed: int, step: int, n: int, m: int,
                out: Optional[np.ndarray] = None) -> np.ndarray:
     """Standard-normal increments (n, m) for one step; pure in (seed, step).
     With ``out`` (a C-contiguous float64 (n, m) array) the draw is written
     there, with the same bits, and ``out`` is returned."""
-    bitgen = np.random.Philox(key=np.array([seed, step], dtype=np.uint64))
-    return np.random.Generator(bitgen).standard_normal((n, m), out=out)
+    return stream(seed, step).standard_normal((n, m), out=out)
 
 
 class DrawSource:
@@ -226,8 +233,7 @@ class DrawSource:
     of ``_AHEAD + 1`` buffers, so the draw ``take`` returns is valid until
     that reader's next ``take``.  A failed draw is raised to each reader of
     its step.  A reader that is done, or raises, must ``leave``, so that
-    the window no longer waits for it; ``close`` stops every reader and
-    filler.
+    the window no longer waits for it.
     """
 
     def __init__(self, seed: int, n: int, m: int, steps: int,
@@ -240,13 +246,12 @@ class DrawSource:
         self._ring = [None] * (_AHEAD + 1)
         self._held = [-1] * (_AHEAD + 1)  # the step each buffer holds
         self._errors = {}
-        self._closed = False
         self._cond = threading.Condition()
 
     def _claim(self) -> Optional[int]:
         """Claim the next step if the window allows (lock held)."""
         c = self._next
-        if self._closed or c >= self._steps or not self._pos:
+        if c >= self._steps or not self._pos:
             return None
         if c > min(self._pos.values()) + _AHEAD:
             return None
@@ -279,14 +284,11 @@ class DrawSource:
             with self._cond:
                 claimed = None
                 while claimed is None and not (
-                        self._closed or step in self._errors
-                        or self._held[slot] == step):
+                        step in self._errors or self._held[slot] == step):
                     claimed = self._claim()
                     if claimed is None:
                         self._cond.wait()
                 if claimed is None:
-                    if self._closed:
-                        raise SimulationError("the step draws were closed")
                     if step in self._errors:
                         raise self._errors[step]
                     z = self._ring[slot].view()
@@ -313,31 +315,28 @@ class DrawSource:
             self._pos.pop(reader, None)
             self._cond.notify_all()
 
-    def close(self):
-        with self._cond:
-            self._closed = True
-            self._pos.clear()
-            self._cond.notify_all()
-
 
 @contextmanager
 def _step_draws(cfg, n, m, draws=None):
     """``take(step)`` for one march: as reader ``r`` of ``draws`` = (source,
-    r), or else of its own source, filled by a helper thread that is joined
-    before this exits."""
-    helper = None
-    if draws is None:
-        source = DrawSource(cfg.seed, n, m, cfg.steps)
-        helper = threading.Thread(target=source.fill, name="featpde-noise")
-        helper.start()
-        draws = (source, 0)
-    source, reader = draws
-    try:
-        yield functools.partial(source.take, reader)
-    finally:
-        source.leave(reader)
-        if helper is not None:
-            helper.join()
+    r), or else of its own source, whose ``fill`` is handed to a helper
+    thread that is joined before this exits.  Once the reader has left, the
+    fill is claimed back, and an error it raised is raised here."""
+    with ExitStack() as stack:
+        filler = None
+        if draws is None:
+            source = DrawSource(cfg.seed, n, m, cfg.steps)
+            filler = stack.enter_context(_Helper("featpde-noise")).hand(
+                source.fill)
+            draws = (source, 0)
+        source, reader = draws
+        try:
+            yield functools.partial(source.take, reader)
+        finally:
+            source.leave(reader)
+            filled = filler is not None and filler.claim()
+        if filled:
+            filler.result()
 
 
 def _check_finite(x: np.ndarray, step: int, what: str, starts=None,

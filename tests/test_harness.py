@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from conftest import child_env
-from featpde import reduction
+from featpde import harness, reduction
 from featpde.errors import ConfigError, UsageError
 from featpde.harness import (
     _SCHEMA,
@@ -1048,6 +1048,45 @@ def test_inline_requires_consistent_lengths():
             {"inline": {"alpha": [1.0, 2.0], "beta_slope": [-1.0],
                          "ranges": [[-1.0, 1.0]], "horizon": 1.0}}
         )
+
+
+@pytest.mark.parametrize("command,cfg,key", [
+    ("estimate-value",
+     {"preset": "lq-scalar", "estimator": "riccati",
+      "eval": {"points": np.array([[0.5]]), "time": 0.5}},
+     "eval.points"),
+    ("train-pinn",
+     {"preset": "lq-scalar", "pinn": {"epochs": 2},
+      "eval": {"points": np.array([[0.5]]), "time": 0.5}},
+     "eval.points"),
+    ("estimate-value",
+     {"preset": "lq-scalar", "estimator": "mc_reduced",
+      "mc": {"n_paths": np.int64(8)}, "eval": _AT_ZERO},
+     "mc.n_paths"),
+])
+def test_a_value_json_cannot_encode_is_refused_before_the_command(
+        command, cfg, key, tmp_path):
+    # run.json holds the config, so the command must not run at all
+    out = tmp_path / "out"
+    with pytest.raises(ConfigError, match=re.escape(key)):
+        run(cfg, command, out=str(out))
+    assert not out.exists()
+
+
+def test_run_from_a_file_loads_each_checkpoint_once(tmp_path, monkeypatch):
+    path = _checkpoint_file(tmp_path, "pinn")
+    cfg = tmp_path / "run.yaml"
+    cfg.write_text(json.dumps(dict(_PINN_AT, pinn={"checkpoint": path})))
+    loads = []
+    real = harness.load_checkpoint
+
+    def counting(p):
+        loads.append(p)
+        return real(p)
+
+    monkeypatch.setattr(harness, "load_checkpoint", counting)
+    run(str(cfg), "estimate-value", out=str(tmp_path / "out"))
+    assert loads == [path]
 
 
 # ---------------------------------------------------------------------------

@@ -996,20 +996,29 @@ def test_grid_rows_equal_one_point_runs_when_one_lane_lags(monkeypatch,
 
 
 @pytest.mark.parametrize("failing", [0, 1])
-def test_lane_that_raises_early_leaves_the_draws_to_the_other(failing):
-    # 200 steps, far past the draw window; the lane of block ``failing``
-    # (0: the calling thread, 1: the helper) raises at step 2
+def test_lane_that_raises_early_leaves_the_draws_to_the_other(failing,
+                                                              monkeypatch):
+    # 200 steps, far past the draw window; block ``failing`` (0: the calling
+    # thread's, 1: the helper's, or the calling thread's if it takes the
+    # block back before the helper begins it) raises at step 2
     pts = np.array([[0.0], [0.5]])
     calls = {}
+    marching = threading.local()  # the block each thread marches
+    real = montecarlo._run_reduced
+
+    def run_reduced(reduced, starts, *args, **kwargs):
+        marching.block = int(starts[0, 0] == 0.5)
+        return real(reduced, starts, *args, **kwargs)
 
     def r(xi):
-        lane = int(threading.current_thread() is not threading.main_thread())
-        calls[lane] = calls.get(lane, 0) + 1
+        block = marching.block
+        calls[block] = calls.get(block, 0) + 1
         # observer calls: step 0 (the start), then one after every step
-        if lane == failing and calls[lane] == 3:
+        if block == failing and calls[block] == 3:
             raise ValueError("r failed at step 2")
         return k1_square(xi)
 
+    monkeypatch.setattr(montecarlo, "_run_reduced", run_reduced)
     mc = (1e-2, 16, 1)
     with pytest.raises(ValueError, match="r failed at step 2"):
         value_grid_reduced(state_dependent_k1(), pts, 0.0, 2.0, r, mc)
@@ -1036,3 +1045,21 @@ def test_interrupt_in_the_calling_lane_releases_the_helper(monkeypatch):
     with pytest.raises(Interrupt):
         value_grid_reduced(state_dependent_k1(), np.zeros((4, 1)), 0.0, 2.0,
                            r, (1e-2, 16, 1))
+
+
+def test_interrupt_in_the_helper_lane_is_raised_on_the_calling_thread():
+    # the helper's block of the first round raises at its third observer
+    # call; the calling thread's block then runs on, alone, to its end
+    calls = []
+
+    def r(xi):
+        if threading.current_thread() is not threading.main_thread():
+            calls.append(1)
+            if len(calls) == 3:
+                raise Interrupt()
+        return k1_square(xi)
+
+    with pytest.raises(Interrupt):
+        value_grid_reduced(state_dependent_k1(), np.array([[0.0], [0.5]]),
+                           0.0, 2.0, r, (1e-2, 16, 1))
+    assert len(calls) == 3

@@ -4,7 +4,8 @@ is named by another module, so one whose raisers are gone cannot linger
 either; and every binding the benchmark's tracer wraps exists, so a
 deleted or moved function cannot break a traced benchmark run.  Only
 ``grid`` opens a file to write or renames one, so every artifact goes
-through its rename-into-place writers."""
+through its rename-into-place writers; and only ``handoff`` starts a thread
+or copies a context, so every helper thread is its one kind."""
 
 import importlib
 import importlib.util
@@ -54,6 +55,20 @@ def test_only_grid_writes_files():
     assert writers == []
     assert _WRITES.search(inspect.getsource(importlib.import_module(
         "featpde.grid")))
+
+
+# a thread start, an executor, or a context copy
+_THREADS = re.compile(
+    r"threading\.Thread\(|ThreadPoolExecutor|concurrent\.futures|contextvars")
+
+
+def test_only_handoff_starts_threads():
+    starters = [name for name in MODULES if name != "featpde.handoff"
+                and _THREADS.search(inspect.getsource(
+                    importlib.import_module(name)))]
+    assert starters == []
+    assert _THREADS.search(inspect.getsource(importlib.import_module(
+        "featpde.handoff")))
 
 
 def _load_spans():

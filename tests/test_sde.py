@@ -1,6 +1,9 @@
 """Simulation engine checks: scheme correctness, RNG contract, serialization."""
 
+import threading
+import time
 import warnings
+from functools import partial
 
 import numpy as np
 import pytest
@@ -162,6 +165,148 @@ def test_step_noise_into_a_buffer_gives_the_same_bits():
     buf = np.empty((5, 2))
     assert step_noise(7, 3, 5, 2, out=buf) is buf
     assert buf.tobytes() == step_noise(7, 3, 5, 2).tobytes()
+
+
+# --- the step-draw source ------------------------------------------------------
+
+def _count_draws(monkeypatch, fail_at=None):
+    """Record sde.step_noise calls by step; step ``fail_at`` raises."""
+    real = sde.step_noise
+    drawn = []
+
+    def noise(seed, step, n, m, out=None):
+        drawn.append(step)
+        if step == fail_at:
+            raise MemoryError(f"no room for step {step}")
+        return real(seed, step, n, m, out=out)
+
+    monkeypatch.setattr(sde, "step_noise", noise)
+    return drawn
+
+
+def _read(source, reader, steps, got):
+    """Take every step of ``source`` as ``reader`` into ``got`` (a copy of
+    each draw, or the error that ends the reading), then leave."""
+    try:
+        for s in range(steps):
+            got.append(source.take(reader, s).copy())
+    except Exception as err:
+        got.append(err)
+    finally:
+        source.leave(reader)
+
+
+def _run_threads(*targets):
+    threads = [threading.Thread(target=t) for t in targets]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=20)
+    assert not any(t.is_alive() for t in threads)
+
+
+def _bits(draws):
+    return [z.tobytes() for z in draws]
+
+
+def test_two_readers_and_a_filler_draw_each_step_once(monkeypatch):
+    drawn = _count_draws(monkeypatch)
+    # 40 steps, far past the window, so the ring's buffers are reused
+    source = sde.DrawSource(5, 6, 2, 40, readers=2)
+    got = [[], []]
+    _run_threads(partial(_read, source, 0, 40, got[0]),
+                 partial(_read, source, 1, 40, got[1]), source.fill)
+    assert sorted(drawn) == list(range(40))
+    want = _bits(step_noise(5, s, 6, 2) for s in range(40))
+    assert _bits(got[0]) == want and _bits(got[1]) == want
+
+
+def test_draw_source_take_returns_a_read_only_view():
+    source = sde.DrawSource(5, 6, 2, 3)
+    z = source.take(0, 0)
+    source.leave(0)
+    assert z.base is not None and not z.flags.writeable
+    assert z.tobytes() == step_noise(5, 0, 6, 2).tobytes()
+    with pytest.raises(ValueError, match="read-only"):
+        z[0, 0] = 1.0
+
+
+def test_failed_draw_is_raised_to_every_reader_of_its_step(monkeypatch):
+    _count_draws(monkeypatch, fail_at=2)
+    source = sde.DrawSource(5, 6, 2, 10, readers=2)
+    got = [[], []]
+    _run_threads(partial(_read, source, 0, 10, got[0]),
+                 partial(_read, source, 1, 10, got[1]))
+    for draws in got:
+        assert _bits(draws[:2]) == _bits(step_noise(5, s, 6, 2)
+                                         for s in range(2))
+        assert len(draws) == 3 and isinstance(draws[2], MemoryError)
+
+
+def test_reader_that_leaves_lets_the_other_pass_the_window():
+    steps = sde._AHEAD + 4
+    source = sde.DrawSource(5, 6, 2, steps, readers=2)
+    got = []
+    reader = threading.Thread(target=_read, args=(source, 0, steps, got))
+    reader.start()
+    try:
+        # reader 1 is still at step 0, so reader 0 stops after the window
+        deadline = time.monotonic() + 20
+        while len(got) <= sde._AHEAD and time.monotonic() < deadline:
+            time.sleep(0.001)
+        time.sleep(0.05)
+        assert len(got) == sde._AHEAD + 1
+    finally:
+        source.leave(1)
+        reader.join(timeout=20)
+    assert not reader.is_alive()
+    assert _bits(got) == _bits(step_noise(5, s, 6, 2) for s in range(steps))
+
+
+def _waiting_system(event):
+    """A 2-d system whose drift waits until ``event`` is set."""
+
+    def drift(x):
+        assert event.wait(timeout=20), "the helper did not begin"
+        return -x
+
+    return StochasticSystem(2, 2, drift, diffusion_const=np.eye(2))
+
+
+def test_own_source_filler_runs_under_the_callers_errstate(monkeypatch):
+    seen = []
+    helper_drew = threading.Event()
+    real = sde.step_noise
+
+    def noise(seed, step, n, m, out=None):
+        seen.append((threading.current_thread().name, np.geterr()["over"]))
+        if threading.current_thread() is not threading.main_thread():
+            helper_drew.set()
+        return real(seed, step, n, m, out=out)
+
+    monkeypatch.setattr(sde, "step_noise", noise)
+    cfg = SimConfig(dt=0.1, horizon=1.0, seed=2, n_paths=4)
+    with np.errstate(over="raise"):
+        # the first drift waits until the helper has drawn a step
+        simulate(_waiting_system(helper_drew), ZeroPolicy(2), np.zeros(2),
+                 cfg)
+    assert "featpde-noise" in {name for name, _ in seen}
+    assert {over for _, over in seen} == {"raise"}
+
+
+def test_own_source_filler_error_is_raised_on_the_calling_thread(
+        monkeypatch):
+    began = threading.Event()
+
+    def fill(self):
+        began.set()
+        raise RuntimeError("the filler failed")
+
+    monkeypatch.setattr(sde.DrawSource, "fill", fill)
+    cfg = SimConfig(dt=0.1, horizon=1.0, seed=2, n_paths=4)
+    # the march draws every step itself, then finds the filler's error
+    with pytest.raises(RuntimeError, match="the filler failed"):
+        simulate(_waiting_system(began), ZeroPolicy(2), np.zeros(2), cfg)
 
 
 def test_csv_round_trip(tmp_path):
