@@ -3,8 +3,9 @@ artifacts.
 
 A run is described by a single YAML file of nested key/value sections.
 ``_SCHEMA`` gives every key its kind, its bound and its constant default,
-if it has one.  ``validate_config`` converts and checks every given value
-once, at load, and an error names the ``section.key`` at fault: unknown
+if it has one.  ``ExperimentConfig.resolve`` converts and checks every
+given value once, before any command runs (``validate_config`` makes that
+check alone), and an error names the ``section.key`` at fault: unknown
 keys are errors, so typos fail loudly instead of silently falling back to
 defaults; bool keys take only true or false; int keys take only whole
 numbers.  ``ExperimentConfig.typed`` holds the converted values, so the
@@ -757,8 +758,9 @@ def validate_config(cfg: dict) -> dict:
     return cfg
 
 
-def _read_config(path: str) -> dict:
-    """The YAML config at ``path``, not yet checked."""
+def load_config(path: str) -> dict:
+    """The YAML config at ``path``, not yet checked: ``validate_config``
+    checks it, and ``ExperimentConfig.resolve`` checks and resolves it."""
     try:
         with open(path) as fh:
             cfg = yaml.safe_load(fh)
@@ -767,11 +769,6 @@ def _read_config(path: str) -> dict:
     except yaml.YAMLError as exc:
         raise ConfigError(f"config file {path} is not valid YAML: {exc}") from None
     return cfg if cfg is not None else {}
-
-
-def load_config(path: str) -> dict:
-    """The config at ``path``, checked by ``validate_config``."""
-    return validate_config(_read_config(path))
 
 
 # ---------------------------------------------------------------------------
@@ -988,7 +985,13 @@ def cmd_train_features(xc: ExperimentConfig) -> list:
         if not ("encoder_init" in ae and "decoder_init" in ae):
             raise ConfigError("ae.encoder_init and ae.decoder_init must be "
                               "given together")
-        init = AutoencoderNet(ae["encoder_init"], ae["decoder_init"])
+        enc = ae["encoder_init"]
+        if (enc.d_in, enc.d_out) != (p.system.state_dim, cfg.k):
+            raise ConfigError(
+                f"ae.encoder_init maps {enc.d_in} inputs to {enc.d_out} "
+                f"features, preset {p.name!r} has {p.system.state_dim} "
+                f"state coordinates and ae.k = {cfg.k}")
+        init = AutoencoderNet(enc, ae["decoder_init"])
     result = train_autoencoder(p.system, p.cost_full, states, cfg,
                                init_net=init)
     return [*result.net.save(_artifact(xc, "encoder_checkpoint.json"),
@@ -1021,7 +1024,7 @@ def run(config, command: str, out: Optional[str] = None,
         raise UsageError(
             f"unknown command {command!r}; one of {', '.join(COMMANDS)}"
         )
-    cfg = _read_config(config) if isinstance(config, str) else config
+    cfg = load_config(config) if isinstance(config, str) else config
     xc = ExperimentConfig.resolve(cfg, out=out, seed=seed)
     arts = COMMANDS[command](xc)
     return arts + [_emit_run_json(xc.out, command, xc, arts)]

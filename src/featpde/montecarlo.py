@@ -19,12 +19,9 @@ noise once for the whole block.  The cost or barrier r must act row by row,
 as alpha and beta already do, and each point's log-sum-exp, mean and
 standard error come from its own N paths, so a grid row equals the
 one-point estimate bit for bit.  Each time's rows are split into at least
-two blocks, marched in rounds of two (blocks 2j and 2j + 1) that read one
-shared ``sde.DrawSource``, so each step is drawn once for both.  A round
-runs through ``handoff.run_pair``: the calling thread marches block 2j
-while the helper thread marches block 2j + 1, or draws ahead for a block
-without a partner.  So alpha, beta and r must be safe to call from two
-threads at once, i.e. pure functions of their input, as every preset's are.
+two blocks, which ``sde._march_rounds`` marches two at a time, one on a
+helper thread.  So alpha, beta and r must be safe to call from two threads
+at once, i.e. pure functions of their input, as every preset's are.
 """
 
 from __future__ import annotations
@@ -38,9 +35,9 @@ from scipy.special import logsumexp
 
 from .errors import DegenerateEstimateError, UsageError
 from .grid import write_csv
-from .handoff import _Helper, run_pair
-from .sde import (ControlPolicy, DrawSource, SimConfig, StochasticSystem,
-                  ZeroPolicy, _run_full, _run_reduced, stream)
+from .handoff import _Helper
+from .sde import (ControlPolicy, SimConfig, StochasticSystem, ZeroPolicy,
+                  _march_rounds, _run_full, _run_reduced, stream)
 
 __all__ = [
     "McEstimate",
@@ -317,24 +314,15 @@ class McGrid:
 
 
 def _grid(points, times, mc, span, block) -> McGrid:
-    """Estimates over (xi, t) rows: ``block(starts, t, cfg, draws)`` runs a
-    block of rows that share time t, reading its steps from ``draws`` =
-    (source, reader), and returns their (estimates, std_errors).
+    """Estimates over (xi, t) rows: ``block(starts, t, cfg, take)`` marches a
+    block of rows that share time t, reading its steps through ``take``, and
+    returns their (estimates, std_errors).
 
     ``cfg`` is the budget ``mc`` = (dt, n_paths, seed) over horizon
     ``span(t)``; every time's budget is checked before any block is
     marched.  Each time's rows are split into at least two blocks of at
-    most ``_BLOCK_ROWS`` path rows.  Blocks 2j and 2j + 1, readers 0 and 1
-    of round j's draw source, are marched by ``run_pair`` on the calling
-    thread and the helper, which fills the source of a round without block
-    2j + 1.  Both readers always run, the helper's taken back if it has not
-    begun, and each leaves when done or raising.  Block 2j can wait in the
-    draw window for reader 1, so the helper must begin a handed round at
-    once, as this idle one does; a helper that serves no call until later
-    would hang it.  If blocks raise, the error re-raised is the one a single
-    block of all the time's rows would raise: the earliest
-    ``march_position`` (errors raised outside the march rank last), then
-    the lowest rows.
+    most ``_BLOCK_ROWS`` path rows, marched by ``sde._march_rounds`` on
+    one helper.
     """
     points = np.atleast_2d(np.asarray(points, dtype=np.float64))
     times = np.broadcast_to(
@@ -346,35 +334,13 @@ def _grid(points, times, mc, span, block) -> McGrid:
     est = np.empty(points.shape[0])
     se = np.empty(points.shape[0])
     per_block = max(1, _BLOCK_ROWS // n_paths)
-
-    def run(rows, t, source, reader):
-        try:
-            return block(points[rows], t, cfgs[t], (source, reader))
-        except Exception as err:
-            return err
-        finally:
-            # also when the block raises before its march reads a step
-            source.leave(reader)
-
     with _Helper("featpde-lane") as helper:
-        for tj in cfgs:
+        for tj, cfg in cfgs.items():
             rows = np.flatnonzero(times == tj)
             n_blocks = max(2, -(-rows.size // per_block))
             blocks = np.array_split(rows, min(rows.size, n_blocks))
-            results = []
-            for j in range(0, len(blocks), 2):
-                pair = blocks[j:j + 2]
-                source = DrawSource(seed, n_paths, points.shape[1],
-                                    cfgs[tj].steps, len(pair))
-                mine = partial(run, pair[0], tj, source, 0)
-                theirs = (partial(run, pair[1], tj, source, 1)
-                          if len(pair) == 2 else source.fill)
-                results += run_pair(helper, mine, theirs)[:len(pair)]
-            errors = [(getattr(res, "march_position", (np.inf,)), b)
-                      for b, res in enumerate(results)
-                      if isinstance(res, Exception)]
-            if errors:
-                raise results[min(errors)[1]]
+            marches = [partial(block, points[b], tj, cfg) for b in blocks]
+            results = _march_rounds(marches, cfg, points.shape[1], helper)
             for idx, (e, s) in zip(blocks, results):
                 est[idx], se[idx] = e, s
     return McGrid(points=points, times=times, estimates=est, std_errors=se)
@@ -387,8 +353,8 @@ def value_grid_reduced(
     delta-method standard errors) with budget ``mc`` = (dt, n_paths,
     seed)."""
 
-    def block(starts, t, cfg, draws):
-        march = partial(_run_reduced, reduced, starts, cfg, t, draws=draws)
+    def block(starts, t, cfg, take):
+        march = partial(_run_reduced, reduced, starts, cfg, t, take=take)
         value, se = _estimates_from_scores(
             _value_scores(march, len(starts), r, cfg, terminal_weight))
         phi = np.exp(-value)
@@ -404,8 +370,8 @@ def safety_grid_reduced(reduced, points, horizons, r, mc) -> McGrid:
     points = np.atleast_2d(np.asarray(points, dtype=np.float64))
     _check_safe_starts(r, points)
 
-    def block(starts, horizon, cfg, draws):
-        march = partial(_run_reduced, reduced, starts, cfg, 0.0, draws=draws)
+    def block(starts, horizon, cfg, take):
+        march = partial(_run_reduced, reduced, starts, cfg, 0.0, take=take)
         return _safety_estimates(_safe_paths(march, len(starts), r, cfg))
 
     return _grid(points, horizons, mc, lambda h: h, block)

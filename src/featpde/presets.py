@@ -94,15 +94,11 @@ def _block_coupling_matrix() -> sparse.csr_matrix:
     +0.1 at column offsets 2 and 4, -0.1 at offsets 6 and 8, all offsets
     wrapping modulo 500."""
     half = 500
-    rows, cols, vals = [], [], []
-    for i in range(half):
-        rows.append(i)
-        cols.append(i)
-        vals.append(1.1)
-        for off, v in ((2, 0.1), (4, 0.1), (6, -0.1), (8, -0.1)):
-            rows.append(i)
-            cols.append((i + off) % half)
-            vals.append(v)
+    offsets = np.array([0, 2, 4, 6, 8])
+    # row by row, each row's entries in the order of ``offsets``
+    rows = np.repeat(np.arange(half), offsets.size)
+    cols = (rows + np.tile(offsets, half)) % half
+    vals = np.tile([1.1, 0.1, 0.1, -0.1, -0.1], half)
     a = sparse.coo_matrix((vals, (rows, cols)), shape=(half, half))
     return sparse.block_diag([a, a]).tocsr()
 

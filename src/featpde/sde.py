@@ -25,11 +25,13 @@ step's (N, m) draw.  Consequences used elsewhere in the package:
   already requires.  A ``Constant`` alpha coordinate is not evaluated
   row by row: its noise term is computed once per path and broadcast over
   the block's start points;
-* every march reads its steps from a ``DrawSource``, which draws each step
-  once, by whichever thread asks first: a march's own ``handoff`` helper
-  draws ahead while the calling thread updates, and the two blocks of a
-  reduced grid's round read one shared source.  Outputs do not change,
-  because a draw depends only on (seed, step).  The draws live in a ring of
+* every march, alone or as a block of a grid, runs in ``_march_rounds``:
+  marches 2j and 2j + 1 are the two readers of one ``DrawSource``, and a
+  march without a partner reads one whose filler draws ahead; the second
+  of each round runs on a ``handoff`` helper.  A source draws each step
+  once, by
+  whichever thread asks first.  Outputs do not change, because a draw
+  depends only on (seed, step).  The draws live in a ring of
   ``_AHEAD + 1`` buffers, so the ``z`` an observer receives is read-only
   and valid only during that call, as is the reduced state ``xi``;
 * the full march updates its state in place after the first step's
@@ -43,7 +45,6 @@ from __future__ import annotations
 
 import functools
 import threading
-from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -51,7 +52,7 @@ import numpy as np
 
 from .errors import DomainError, SimulationError, UsageError
 from .grid import write_csv
-from .handoff import _Helper
+from .handoff import _Helper, run_pair
 
 __all__ = [
     "Constant",
@@ -316,27 +317,46 @@ class DrawSource:
             self._cond.notify_all()
 
 
-@contextmanager
-def _step_draws(cfg, n, m, draws=None):
-    """``take(step)`` for one march: as reader ``r`` of ``draws`` = (source,
-    r), or else of its own source, whose ``fill`` is handed to a helper
-    thread that is joined before this exits.  Once the reader has left, the
-    fill is claimed back, and an error it raised is raised here."""
-    with ExitStack() as stack:
-        filler = None
-        if draws is None:
-            source = DrawSource(cfg.seed, n, m, cfg.steps)
-            filler = stack.enter_context(_Helper("featpde-noise")).hand(
-                source.fill)
-            draws = (source, 0)
-        source, reader = draws
+def _march_rounds(marches, cfg, m, helper=None):
+    """The results, in order, of each ``march(take)`` on the (cfg.n_paths,
+    m) step draws of ``cfg``; ``take(step)`` reads the march's source.
+
+    Marches 2j and 2j + 1 are readers 0 and 1 of one ``DrawSource``, run
+    through ``handoff.run_pair`` on the calling thread and ``helper``
+    (without one, a ``featpde-noise`` helper of this call's own), which
+    fills the source of a march without a partner.  Each reader leaves
+    when done or raising.  March 2j can wait in the draw window for reader
+    1, so the helper must begin a handed round at once, as an idle one
+    does.  The error raised is the one a single march of all their rows
+    would raise: the earliest ``march_position`` (errors raised outside
+    the march rank last), then the lowest march's.
+    """
+    if helper is None:
+        with _Helper("featpde-noise") as helper:
+            return _march_rounds(marches, cfg, m, helper)
+
+    def run(march, source, reader):
         try:
-            yield functools.partial(source.take, reader)
+            return march(functools.partial(source.take, reader))
+        except Exception as err:
+            return err
         finally:
+            # also when the march raises before it reads a step
             source.leave(reader)
-            filled = filler is not None and filler.claim()
-        if filled:
-            filler.result()
+
+    results = []
+    for j in range(0, len(marches), 2):
+        pair = marches[j:j + 2]
+        source = DrawSource(cfg.seed, cfg.n_paths, m, cfg.steps, len(pair))
+        mine = functools.partial(run, pair[0], source, 0)
+        theirs = (functools.partial(run, pair[1], source, 1)
+                  if len(pair) == 2 else source.fill)
+        results += run_pair(helper, mine, theirs)[:len(pair)]
+    errors = [(getattr(res, "march_position", (np.inf,)), b)
+              for b, res in enumerate(results) if isinstance(res, Exception)]
+    if errors:
+        raise results[min(errors)[1]]
+    return results
 
 
 def _check_finite(x: np.ndarray, step: int, what: str, starts=None,
@@ -370,15 +390,14 @@ def _path_name(j: int, rows: int, starts) -> str:
     return f"path {j % n} of start point {starts[j // n]}"
 
 
-def _run_full(system, policy, x0, cfg, t0, observer):
+def _run_full(system, policy, x0, cfg, t0, observer, take=None):
     """March the full system, calling observer(step, t, x, z) each step.
 
     ``observer`` is called once with (0, t0, x, None) for the initial state,
     then after every Euler-Maruyama update with the post-step state and the
-    standard-normal draw that produced it.  The draws come from the march's
-    own ``DrawSource``: a helper thread draws ahead, and the calling thread
-    draws the next unclaimed step itself when its own is not ready yet.  The
-    helper is joined before this returns or raises.
+    standard-normal draw that produced it.  Step s's draw is ``take(s)``,
+    the march's reader in a ``_march_rounds`` round; without ``take`` the
+    march is a one-march round of its own.
 
     Each update is ``(x + f * dt) + noise``, rounded in that order, with
     ``noise = (u * dt + z * sqrt(dt))`` times the diffusion; a ``ZeroPolicy``
@@ -395,6 +414,10 @@ def _run_full(system, policy, x0, cfg, t0, observer):
     drift, control or diffusion returns is written to.  The ``x`` an
     observer receives, like ``z``, is valid only during that call.
     """
+    if take is None:
+        return _march_rounds([functools.partial(
+            _run_full, system, policy, x0, cfg, t0, observer)],
+            cfg, system.control_dim)[0]
     n = cfg.n_paths
     x0 = np.asarray(x0, dtype=np.float64)
     if x0.shape != (system.state_dim,):
@@ -413,56 +436,53 @@ def _run_full(system, policy, x0, cfg, t0, observer):
     unit_diag = const_diag is not None and bool((const_diag == 1.0).all())
     uncontrolled = isinstance(policy, ZeroPolicy)
     scratch = None  # made after the first drift step, in its layout
-    with _step_draws(cfg, n, system.control_dim) as take:
-        observer(0, t0, x, None)
-        for s in range(cfg.steps):
-            t = t0 + s * dt
-            z = take(s)
-            f = np.asarray(system.drift(x), dtype=np.float64)
-            _check_finite(f, s, "drift")
-            u_dt = None if uncontrolled else policy(x, t) * dt
-            if const_diag is None:
-                # formed before the state changes, which sigma may view
-                noise = z * sq if u_dt is None else u_dt + z * sq
-                if system.diffusion_const is not None:
-                    noise = noise @ system.diffusion_const.T
-                else:
-                    sig = system.sigma_at(x)
-                    _check_finite(sig, s, "diffusion")
-                    noise = np.einsum("nij,nj->ni", sig, noise)
-            if scratch is None:
-                x = x + f * dt
-                scratch = np.empty_like(x)
+    observer(0, t0, x, None)
+    for s in range(cfg.steps):
+        t = t0 + s * dt
+        z = take(s)
+        f = np.asarray(system.drift(x), dtype=np.float64)
+        _check_finite(f, s, "drift")
+        u_dt = None if uncontrolled else policy(x, t) * dt
+        if const_diag is None:
+            # formed before the state changes, which sigma may view
+            noise = z * sq if u_dt is None else u_dt + z * sq
+            if system.diffusion_const is not None:
+                noise = noise @ system.diffusion_const.T
             else:
-                np.multiply(f, dt, out=scratch)
-                x += scratch
-            del f  # free it before the noise term
-            if const_diag is not None:
-                np.copyto(scratch, z)
-                scratch *= sq
-                if u_dt is not None:
-                    scratch += u_dt
-                if not unit_diag:
-                    scratch *= const_diag
-                noise = scratch
-            x += noise
-            del u_dt, noise  # free them before the next step's drift
-            observer(s + 1, t + dt, x, z)
+                sig = system.sigma_at(x)
+                _check_finite(sig, s, "diffusion")
+                noise = np.einsum("nij,nj->ni", sig, noise)
+        if scratch is None:
+            x = x + f * dt
+            scratch = np.empty_like(x)
+        else:
+            np.multiply(f, dt, out=scratch)
+            x += scratch
+        del f  # free it before the noise term
+        if const_diag is not None:
+            np.copyto(scratch, z)
+            scratch *= sq
+            if u_dt is not None:
+                scratch += u_dt
+            if not unit_diag:
+                scratch *= const_diag
+            noise = scratch
+        x += noise
+        del u_dt, noise  # free them before the next step's drift
+        observer(s + 1, t + dt, x, z)
     return x
 
 
-def _run_reduced(reduced, starts, cfg, t0, observer, draws=None):
+def _run_reduced(reduced, starts, cfg, t0, observer, take=None):
     """March the reduced feature SDE (diagonal, per-coordinate alpha/beta)
     from a block of P start points (P, k), N = cfg.n_paths paths each.
 
     Row j of the block is path j % N of start point j // N, and every start
     point reads the same step draw, so each point's paths are exactly those
-    of a one-point run.  The draws come from ``draws`` = (source, reader),
-    a ``DrawSource`` shared with other marches, or else from the march's
-    own source with a helper thread drawing ahead.  The state is kept
-    coordinate-major, (k, P*N), in two buffers that take turns;
-    ``observer(step, t, xi, z)`` sees it as a (P*N, k) view and z as the
-    read-only step draw, both valid only during the call.
+    of a one-point run.  Step s's draw is ``take(s)``, as in ``_run_full``.
+    The state is kept coordinate-major, (k, P*N), in two buffers that take
+    turns; ``observer(step, t, xi, z)`` sees it as a (P*N, k) view and z as
+    the read-only step draw, both valid only during the call.
 
     Coordinate i's update is ``(xi + (a * b) * dt) + (sqrt(a) * z) * sqrt(dt)``
     with a = alpha_i and b = beta_i at the rows, rounded in that order.  For
@@ -474,9 +494,13 @@ def _run_reduced(reduced, starts, cfg, t0, observer, draws=None):
     An exception raised while marching carries ``march_position``, the
     (step, stage) it was raised at: stage i < k is coordinate i's update,
     k the drift check and k + 1 the observer that follows (the initial
-    observer is at (-1, k + 1)).  ``montecarlo._grid`` orders the errors of
+    observer is at (-1, k + 1)).  ``_march_rounds`` orders the errors of
     several blocks by it.
     """
+    if take is None:
+        return _march_rounds([functools.partial(
+            _run_reduced, reduced, starts, cfg, t0, observer)],
+            cfg, reduced.k)[0]
     k = reduced.k
     starts = np.asarray(starts, dtype=np.float64)
     if starts.ndim != 2 or starts.shape[1] != k:
@@ -491,45 +515,44 @@ def _run_reduced(reduced, starts, cfg, t0, observer, draws=None):
     new = np.empty_like(xi)
     drift = np.empty_like(xi)
     where = (-1, k + 1)
-    with _step_draws(cfg, n, k, draws) as take:
-        try:
-            observer(0, t0, xi.T, None)
-            for s in range(cfg.steps):
-                z = take(s)
-                for i in range(k):
-                    where = (s, i)
-                    alpha = reduced.alpha[i]
-                    if isinstance(alpha, Constant):
-                        a = np.float64(alpha.value)
-                    else:
-                        a = np.asarray(alpha(xi[i]), dtype=np.float64)
-                    bad = ~(a > 0)
-                    if bad.any():
-                        j = int(np.flatnonzero(bad)[0])
-                        raise DomainError(
-                            f"alpha_{i + 1} <= 0 at xi_{i + 1} = "
-                            f"{xi[i, j]:.6g} ({_path_name(j, p * n, starts)}, "
-                            f"step {s})"
-                        )
-                    b = np.asarray(reduced.beta[i](xi[i]), dtype=np.float64)
-                    np.multiply(a, b, out=drift[i])
-                    # xi + drift * dt + sqrt(a) * z * sq, rounded in that order
-                    np.multiply(drift[i], dt, out=new[i])
-                    new[i] += xi[i]
-                    root = np.sqrt(a)
-                    if root.ndim:
-                        root = root.reshape(p, n)
-                    block = new[i].reshape(p, n)
-                    block += root * z[:, i] * sq
-                where = (s, k)
-                _check_finite(drift, s, "reduced drift", starts,
-                              coordinate_major=True)
-                xi, new = new, xi
-                where = (s, k + 1)
-                observer(s + 1, t0 + (s + 1) * dt, xi.T, z)
-        except Exception as err:
-            err.march_position = where
-            raise
+    try:
+        observer(0, t0, xi.T, None)
+        for s in range(cfg.steps):
+            z = take(s)
+            for i in range(k):
+                where = (s, i)
+                alpha = reduced.alpha[i]
+                if isinstance(alpha, Constant):
+                    a = np.float64(alpha.value)
+                else:
+                    a = np.asarray(alpha(xi[i]), dtype=np.float64)
+                bad = ~(a > 0)
+                if bad.any():
+                    j = int(np.flatnonzero(bad)[0])
+                    raise DomainError(
+                        f"alpha_{i + 1} <= 0 at xi_{i + 1} = "
+                        f"{xi[i, j]:.6g} ({_path_name(j, p * n, starts)}, "
+                        f"step {s})"
+                    )
+                b = np.asarray(reduced.beta[i](xi[i]), dtype=np.float64)
+                np.multiply(a, b, out=drift[i])
+                # xi + drift * dt + sqrt(a) * z * sq, rounded in that order
+                np.multiply(drift[i], dt, out=new[i])
+                new[i] += xi[i]
+                root = np.sqrt(a)
+                if root.ndim:
+                    root = root.reshape(p, n)
+                block = new[i].reshape(p, n)
+                block += root * z[:, i] * sq
+            where = (s, k)
+            _check_finite(drift, s, "reduced drift", starts,
+                          coordinate_major=True)
+            xi, new = new, xi
+            where = (s, k + 1)
+            observer(s + 1, t0 + (s + 1) * dt, xi.T, z)
+    except Exception as err:
+        err.march_position = where
+        raise
     return xi.T
 
 

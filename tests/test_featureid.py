@@ -309,6 +309,21 @@ def test_regression_only_training_fits_linear_cost(batch):
     assert all(ct == 0.0 for _, _, ct, _ in res.log)
 
 
+def test_penalty_only_training_leaves_the_decoder_as_it_was(batch):
+    # with w_rc = 0 no reconstruction is computed: its loss reads 0, and
+    # the decoder's gradient is zero, so Adam leaves it bit for bit
+    init = AutoencoderNet.init(3, 2, (10, 4), seed=2)
+    decoder, encoder = init.decoder.theta.copy(), init.encoder.theta.copy()
+    cfg = AeTrainConfig(w_rc=0.0, w_ct=10.0, k=2, epochs=1, iterations=4,
+                        batch_size=64, encoder_hidden=(10, 4), seed=11)
+    res = train_autoencoder(literal_system(), quad_cost, batch, cfg,
+                            init_net=init)
+    assert [rc for _, rc, _, _ in res.log] == [0.0] * 4
+    assert all(ct > 0.0 for _, _, ct, _ in res.log)
+    assert np.array_equal(res.net.decoder.theta, decoder)
+    assert not np.array_equal(res.net.encoder.theta, encoder)
+
+
 def test_decoder_only_fit_with_frozen_analytic_encoder(batch):
     init = AutoencoderNet(encoder=linear_encoder(),
                           decoder=DenseNetwork.init((2, 10, 16, 1), seed=3))

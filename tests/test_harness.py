@@ -12,6 +12,7 @@ import pytest
 from conftest import child_env
 from featpde import harness, reduction
 from featpde.errors import ConfigError, UsageError
+from featpde.featureid import AutoencoderNet
 from featpde.harness import (
     _SCHEMA,
     ExperimentConfig,
@@ -25,7 +26,7 @@ from featpde.neural import (DenseNetwork, load_checkpoint,
                             save_checkpoint)
 from featpde.pde import riccati_value
 from featpde.presets import get_preset
-from featpde.sde import SimConfig, simulate_reduced
+from featpde.sde import SimConfig, ZeroPolicy, simulate, simulate_reduced
 
 
 # ---------------------------------------------------------------------------
@@ -269,6 +270,20 @@ def test_simulate_full_from_feature_point(tmp_path):
     assert lines[0] == "path,t,x1,x2,x3"
     first = np.array(lines[1].split(","), dtype=np.float64)
     assert np.allclose(first[2:], [0.75, 0.75, 1.5])
+
+
+def test_simulate_full_from_a_state_point(tmp_path):
+    x0 = [0.2, -0.4, 1.0]
+    run({"preset": "sys3d-value",
+         "sim": {"kind": "full", "x0": x0, "dt": 0.01, "horizon": 0.2,
+                 "n_paths": 2}},
+        "simulate", out=str(tmp_path / "simx"), seed=1)
+    p = get_preset("sys3d-value")
+    want = simulate(p.system, ZeroPolicy(3), np.array(x0),
+                    SimConfig(dt=0.01, horizon=0.2, seed=1, n_paths=2))
+    want.to_csv(str(tmp_path / "want.csv"))
+    assert ((tmp_path / "simx" / "trajectories.csv").read_bytes()
+            == (tmp_path / "want.csv").read_bytes())
 
 
 def test_simulate_requires_initial_point(tmp_path):
@@ -516,6 +531,55 @@ def test_train_features_and_encoder_reduction(tmp_path):
         SimConfig(dt=0.01, horizon=0.05, seed=0, n_paths=4),
     )
     assert np.isfinite(batch.states).all()
+
+
+_WARM_AE = {"epochs": 1, "iterations": 2, "batch_size": 64, "n_states": 1000}
+
+
+def _warm_start_pair(tmp_path, n, k):
+    """Paths of a saved (n, 8, k) encoder and its (k, 8, 1) decoder."""
+    paths = [str(tmp_path / "enc.json"), str(tmp_path / "dec.json")]
+    AutoencoderNet.init(n, k, (8,), seed=4).save(*paths)
+    return paths
+
+
+def test_train_features_warm_starts_from_a_saved_pair(tmp_path,
+                                                      monkeypatch):
+    enc, dec = _warm_start_pair(tmp_path, 3, 2)
+    given = []
+    real = harness.train_autoencoder
+
+    def recording(*args, init_net=None):
+        # training updates the pair in place, so its start is copied here
+        given.append([init_net.encoder.theta.copy(),
+                      init_net.decoder.theta.copy()])
+        return real(*args, init_net=init_net)
+
+    monkeypatch.setattr(harness, "train_autoencoder", recording)
+    out = tmp_path / "warm"
+    run({"preset": "feature-ae-3d",
+         "ae": dict(_WARM_AE, encoder_init=enc, decoder_init=dec)},
+        "train-features", out=str(out), seed=0)
+    [[enc_theta, dec_theta]] = given
+    assert np.array_equal(enc_theta, load_checkpoint(enc)[0].theta)
+    assert np.array_equal(dec_theta, load_checkpoint(dec)[0].theta)
+    trained = load_checkpoint(str(out / "encoder_checkpoint.json"))[0]
+    assert trained.widths == (3, 8, 2)
+
+
+@pytest.mark.parametrize("n,k,ae", [(3, 2, {"k": 3}), (2, 2, {})],
+                         ids=["k", "d_in"])
+def test_warm_start_encoder_must_fit_the_state_and_k(n, k, ae, tmp_path):
+    # a k = 2 pair under ae.k = 3 used to train a k = 2 encoder that
+    # run.json recorded as k = 3
+    enc, dec = _warm_start_pair(tmp_path, n, k)
+    out = tmp_path / "out"
+    with pytest.raises(ConfigError, match=re.escape(
+            f"ae.encoder_init maps {n} inputs to {k} features")):
+        run({"preset": "feature-ae-3d",
+             "ae": dict(_WARM_AE, encoder_init=enc, decoder_init=dec, **ae)},
+            "train-features", out=str(out), seed=0)
+    assert not out.exists()
 
 
 def test_encoder_reduction_rerun_from_run_json_is_bit_identical(tmp_path):
@@ -1087,6 +1151,29 @@ def test_run_from_a_file_loads_each_checkpoint_once(tmp_path, monkeypatch):
     monkeypatch.setattr(harness, "load_checkpoint", counting)
     run(str(cfg), "estimate-value", out=str(tmp_path / "out"))
     assert loads == [path]
+
+
+def test_resolving_a_loaded_file_loads_each_checkpoint_once(tmp_path,
+                                                           monkeypatch):
+    path = _checkpoint_file(tmp_path, "pinn")
+    cfg = tmp_path / "run.yaml"
+    cfg.write_text(json.dumps(dict(_PINN_AT, pinn={"checkpoint": path})))
+    loads = []
+    real = harness.load_checkpoint
+    monkeypatch.setattr(harness, "load_checkpoint",
+                        lambda p: loads.append(p) or real(p))
+    ExperimentConfig.resolve(load_config(str(cfg)))
+    assert loads == [path]
+
+
+def test_resolving_a_loaded_file_names_its_bad_key(tmp_path):
+    # load_config only reads the file; the schema pass is resolve's
+    cfg = tmp_path / "run.yaml"
+    cfg.write_text("preset: lq-scalar\npinn:\n  epohcs: 3\n")
+    loaded = load_config(str(cfg))
+    assert loaded == {"preset": "lq-scalar", "pinn": {"epohcs": 3}}
+    with pytest.raises(ConfigError, match=re.escape("pinn.epohcs")):
+        ExperimentConfig.resolve(loaded)
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,10 @@ is named by another module, so one whose raisers are gone cannot linger
 either; and every binding the benchmark's tracer wraps exists, so a
 deleted or moved function cannot break a traced benchmark run.  Only
 ``grid`` opens a file to write or renames one, so every artifact goes
-through its rename-into-place writers; and only ``handoff`` starts a thread
-or copies a context, so every helper thread is its one kind."""
+through its rename-into-place writers; only ``handoff`` starts a thread
+or copies a context, so every helper thread is its one kind; and only
+``sde`` makes a draw source, leaves one or ranks a march's errors, so every
+march reads its steps through one round driver."""
 
 import importlib
 import importlib.util
@@ -69,6 +71,16 @@ def test_only_handoff_starts_threads():
     assert starters == []
     assert _THREADS.search(inspect.getsource(importlib.import_module(
         "featpde.handoff")))
+
+
+# a draw source made, a reader leaving one, or a march error's position
+_DRAWS = re.compile(r"DrawSource\(|\.leave\(|march_position")
+
+
+def test_only_sde_runs_the_draw_protocol():
+    owners = [name for name in MODULES if _DRAWS.search(
+        inspect.getsource(importlib.import_module(name)))]
+    assert owners == ["featpde.sde"]
 
 
 def _load_spans():

@@ -5,11 +5,13 @@ features p1 = x1 + x2, p2 = x3 has exact level coefficients a = (2, 1),
 b = (xi1/2, xi2); several tests pin those values.
 """
 
+import re
+
 import numpy as np
 import pytest
 from scipy import stats
 
-from featpde.errors import DomainError, UsageError
+from featpde.errors import AssumptionViolationError, DomainError, UsageError
 from featpde.neural import DenseNetwork
 from featpde.reduction import (
     FeatureMap,
@@ -119,6 +121,22 @@ def test_generator_refuses_non_diagonal_diffusion():
     with pytest.raises(UsageError, match="diagonal sigma sigma"):
         generator_at(sys_c, ZeroPolicy(3), three_dim_features(),
                      np.zeros((4, 3)))
+
+
+def test_generator_refuses_a_feature_the_noise_misses():
+    # sigma = diag(x1, 1), so the feature x1 has a_1 = x1^2, zero at x1 = 0
+    def sigma(x):
+        out = np.zeros((len(x), 2, 2))
+        out[:, 0, 0] = x[:, 0]
+        out[:, 1, 1] = 1.0
+        return out
+
+    sys0 = StochasticSystem(2, 2, lambda x: np.zeros_like(x), diffusion=sigma)
+    x = np.array([[0.5, 0.0], [0.0, 0.7]])
+    with pytest.raises(AssumptionViolationError, match=re.escape(
+            "a_1(x) = 0 is not positive at x = [0.  0.7]")):
+        generator_at(sys0, ZeroPolicy(2), linear_map(np.array([[1.0, 0.0]])),
+                     x)
 
 
 def test_coeff_a_three_dim_and_thousand_dim():
