@@ -7,7 +7,9 @@ The calling thread hands a call over, does its own share of the work, and
 then claims the call: if the helper has begun it, the calling thread waits
 for it; if not, the helper never will run it, and the calling thread runs
 it itself.  So a late helper never stalls the loop, and the result does
-not depend on which thread ran a call.
+not depend on which thread ran a call.  A claimed call lets go of its
+function and arguments, and the helper of each call it has served, so a
+helper that falls behind keeps no step's arrays alive.
 
 A handed call runs in a copy of the calling thread's context, so numpy's
 floating-point error state (``np.errstate``, which is per thread) is the
@@ -50,6 +52,9 @@ class _Call:
         it has begun, and False if it has not begun, which it now never
         will."""
         self._claim.acquire()
+        # no thread runs it now, so what it holds is freed even while it
+        # waits in the queue of a helper that has fallen behind
+        self._fn = self._args = None
         return self._ran
 
     def result(self):
@@ -70,6 +75,7 @@ class _Helper:
     def _serve(self):
         while (call := self._calls.get()) is not None:
             call.serve()
+            del call  # its result is freed before the wait
 
     def hand(self, fn, *args):
         """Queue ``fn(*args)`` for the helper; the ``_Call``."""

@@ -991,7 +991,12 @@ def cmd_train_features(xc: ExperimentConfig) -> list:
                 f"ae.encoder_init maps {enc.d_in} inputs to {enc.d_out} "
                 f"features, preset {p.name!r} has {p.system.state_dim} "
                 f"state coordinates and ae.k = {cfg.k}")
-        init = AutoencoderNet(enc, ae["decoder_init"])
+        dec = ae["decoder_init"]
+        if (dec.d_in, dec.d_out) != (cfg.k, 1):
+            raise ConfigError(
+                f"ae.decoder_init maps {dec.d_in} features to {dec.d_out} "
+                f"outputs; it must map the ae.k = {cfg.k} features to 1")
+        init = AutoencoderNet(enc, dec)
     result = train_autoencoder(p.system, p.cost_full, states, cfg,
                                init_net=init)
     return [*result.net.save(_artifact(xc, "encoder_checkpoint.json"),

@@ -8,6 +8,10 @@ standard error comes from the delta method on the log of the sample mean:
 
     se(V) = sqrt((exp(lse(-2S) - 2 lse(-S) + log N) - 1) / N).
 
+The log-sum-exp, ``_row_logsumexp``, is written in numpy with the
+operations of ``scipy.special.logsumexp``, so scipy.special is never
+loaded and the estimates do not depend on the installed scipy.
+
 Full and reduced marches share one value scorer, ``_value_scores``, and one
 safety scorer, ``_safe_paths``: every estimator, one-point or grid, passes
 its march (``sde._run_full`` or ``sde._run_reduced`` bound up to the
@@ -31,7 +35,6 @@ from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import DegenerateEstimateError, UsageError
 from .grid import write_csv
@@ -124,6 +127,24 @@ def _safe_paths(march, rows, r, cfg):
     return safe.reshape(rows, cfg.n_paths)
 
 
+def _row_logsumexp(a: np.ndarray) -> np.ndarray:
+    """log(sum(exp(a), axis=1)) of a float64 (P, N) block, with the
+    real-valued operations of ``scipy.special.logsumexp(a, axis=1)``
+    (scipy 1.17) in its order, so the result has its bytes: each row's
+    maxima are counted and left out of the shifted sum, and where that
+    result is not finite (an infinite or NaN maximum) the direct
+    log(sum(exp(a))) is kept.  With no weights, scipy's sign checks never
+    fire, so they are left out."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        direct = np.log(np.sum(np.exp(a), axis=1))
+        a_max = np.max(a, axis=1, keepdims=True)
+        top = a == a_max
+        m = np.sum(top, axis=1, dtype=np.float64)
+        s = np.sum(np.exp(np.where(top, -np.inf, a) - a_max), axis=1)
+        out = np.log1p(s / m) + np.log(m) + a_max[:, 0]
+    return np.where(np.isfinite(out), out, direct)
+
+
 def _estimates_from_scores(scores: np.ndarray):
     """V = -log mean(exp(-S)) and its delta-method standard error for each
     row of a (P, N) score block, each from that row's own N paths."""
@@ -135,8 +156,8 @@ def _estimates_from_scores(scores: np.ndarray):
             f"deep in the tails (min S = {smin[smin > 745.0][0]:.3g})"
         )
     log_n = np.log(n)
-    l1 = logsumexp(-scores, axis=1)
-    l2 = logsumexp(-2.0 * scores, axis=1)
+    l1 = _row_logsumexp(-scores)
+    l2 = _row_logsumexp(-2.0 * scores)
     value = -(l1 - log_n)
     if not np.isfinite(value).all():
         raise DegenerateEstimateError("path-integral average is non-finite")

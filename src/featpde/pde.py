@@ -45,6 +45,8 @@ without it.  An axis whose pivoting crosses the split is kept whole.
 
 Every product and solve is written in place into buffers the engine
 allocates once, so a step allocates only the array it returns.
+``solve_fd`` allocates its (slices, *grid) result once and copies each
+slice it keeps into its row, so no slice is held twice.
 """
 
 from __future__ import annotations
@@ -653,23 +655,25 @@ class FdSolution:
         for j0, j1 in pairs:
             s0 = self.saved_steps[list(order).index(j0)]
             s1 = self.saved_steps[list(order).index(j1)]
-            (u,) = _march(self._engine, self.values[j0], s0, s1, s1 - s0)
-            if not np.array_equal(u, self.values[j1]):
+            u = np.empty_like(self.values[j1:j1 + 1])
+            _march(self._engine, self.values[j0], s0, s1, s1 - s0, u)
+            if not np.array_equal(u[0], self.values[j1]):
                 return False
         return True
 
 
-def _march(engine, u, s0, s1, save_every):
-    """March ``u`` from step s0 to s1; returns the slices it kept, after
-    every save_every-th step and the last.  One helper thread takes half of
-    each split solve, and it is joined before this returns or raises."""
-    slices = []
+def _march(engine, u, s0, s1, save_every, rows):
+    """March ``u`` from step s0 to s1, copying the slices it keeps, after
+    every save_every-th step and the last, into ``rows[0]``, ``rows[1]``,
+    ...  One helper thread takes half of each split solve, and it is
+    joined before this returns or raises."""
+    kept = 0
     with _Helper() as helper:
         for s in range(s0, s1):
             u = engine.step(u, s, helper)
             if (s + 1 - s0) % save_every == 0 or s + 1 == s1:
-                slices.append(u)
-    return slices
+                rows[kept] = u
+                kept += 1
 
 
 def solve_fd(problem: PdeProblem, d_xi, dt, save_every: int = 1,
@@ -701,11 +705,15 @@ def solve_fd(problem: PdeProblem, d_xi, dt, save_every: int = 1,
         if reached.any():
             keep = 2 + int(np.argmax(reached))
             steps, times = steps[:keep], times[:keep]
-    u = engine.initial()
-    # step never writes its input, so no slice needs a copy
-    slices = [u] + _march(engine, u, 0, steps[-1], save_every)
-    if value:  # ascending physical time
-        times, slices = times[::-1].copy(), slices[::-1]
+    values = np.empty((len(steps), *engine.shape))
+    # rows in marching order: a value problem's march fills them from the
+    # end, so they ascend in physical time; step never writes its input,
+    # so the march starts from the saved first row
+    rows = values[::-1] if value else values
+    rows[0] = engine.initial()
+    _march(engine, rows[0], 0, steps[-1], save_every, rows[1:])
+    if value:
+        times = times[::-1].copy()
     metadata = {
         "scheme": "crank-nicolson" if problem.k == 1 else
         "crank-nicolson-adi",
@@ -721,7 +729,7 @@ def solve_fd(problem: PdeProblem, d_xi, dt, save_every: int = 1,
         problem=problem,
         axes=engine.axes,
         times=times,
-        values=np.stack(slices),
+        values=values,
         d_xi=engine.d_xi,
         dt=engine.dt,
         metadata=metadata,

@@ -5,6 +5,7 @@ reproducible from the name alone: the full system (when one exists), feature
 maps, the reduced SDE, the cost or barrier on features, the data grid, the
 enlarged finite-difference oracle settings, and default training configs.
 ``get_preset`` builds a fresh instance on every call; nothing is shared.
+Only the 1000-d presets load ``scipy.sparse``, when they are built.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from functools import partial
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy import sparse
 
 from .errors import UsageError
 from .featureid import AeTrainConfig
@@ -89,10 +89,13 @@ def three_dim_features() -> FeatureMap:
     return FeatureMap(k=2, n=3, p=p, derivatives=_linear_derivatives(g))
 
 
-def _block_coupling_matrix() -> sparse.csr_matrix:
-    """1000x1000 block-diagonal (A, A), A 500x500 with 1.1 on the diagonal,
-    +0.1 at column offsets 2 and 4, -0.1 at offsets 6 and 8, all offsets
-    wrapping modulo 500."""
+def _block_coupling_matrix():
+    """1000x1000 block-diagonal (A, A) as a scipy CSR matrix, A 500x500
+    with 1.1 on the diagonal, +0.1 at column offsets 2 and 4, -0.1 at
+    offsets 6 and 8, all offsets wrapping modulo 500.  scipy.sparse is
+    imported here, so only the 1000-d presets load it."""
+    from scipy import sparse
+
     half = 500
     offsets = np.array([0, 2, 4, 6, 8])
     # row by row, each row's entries in the order of ``offsets``

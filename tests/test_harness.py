@@ -582,6 +582,24 @@ def test_warm_start_encoder_must_fit_the_state_and_k(n, k, ae, tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("widths", [(3, 8, 1), (2, 8, 2)],
+                         ids=["d_in", "d_out"])
+def test_warm_start_decoder_must_fit_the_encoder(widths, tmp_path):
+    # a (3, 8, 1) decoder under a (3, 8, 2) encoder used to fail with a
+    # UsageError that named no key
+    enc, _ = _warm_start_pair(tmp_path, 3, 2)
+    dec = str(tmp_path / "wide_dec.json")
+    save_checkpoint(DenseNetwork.init(widths, seed=5), dec)
+    out = tmp_path / "out"
+    with pytest.raises(ConfigError, match=re.escape(
+            f"ae.decoder_init maps {widths[0]} features to {widths[-1]} "
+            f"outputs")):
+        run({"preset": "feature-ae-3d",
+             "ae": dict(_WARM_AE, encoder_init=enc, decoder_init=dec)},
+            "train-features", out=str(out), seed=0)
+    assert not out.exists()
+
+
 def test_encoder_reduction_rerun_from_run_json_is_bit_identical(tmp_path):
     # the reduction is tabulated from sampled states, so it must be built
     # from the seed that run.json records, the override included

@@ -12,6 +12,8 @@ from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from featpde import montecarlo, sde
 from featpde.errors import (
@@ -279,6 +281,36 @@ def test_value_usage_errors():
         # horizon 1.0 but T - t = 0.5
         value_pathintegral(stable_full_system(), [0, 0, 0], 0.5, 1.0, cost,
                            cfg)
+
+
+_SPECIAL = (0.0, -0.0, np.inf, -np.inf, np.nan)
+
+
+@st.composite
+def _score_blocks(draw):
+    """A float64 (P, N) block, N >= 1, of values up to ``spread`` in size
+    drawn from a few levels, so that rows tie at their maximum, with ±0,
+    ±inf and NaN among them and maybe a row of -inf only."""
+    p, n = draw(st.integers(1, 4)), draw(st.integers(1, 12))
+    spread = draw(st.floats(0.0, 800.0))
+    levels = draw(st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=4))
+    cell = st.integers(0, 5).flatmap(
+        lambda c: st.sampled_from(_SPECIAL) if c == 0 else
+        st.sampled_from(levels).map(lambda v: v * spread) if c < 4 else
+        st.floats(-spread, spread))
+    a = np.array([[draw(cell) for _ in range(n)] for _ in range(p)])
+    if draw(st.booleans()):
+        a[draw(st.integers(0, p - 1))] = -np.inf
+    return a
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(_score_blocks())
+def test_row_logsumexp_has_the_bytes_of_scipy(a):
+    from scipy.special import logsumexp
+
+    assert montecarlo._row_logsumexp(a).tobytes() == (
+        logsumexp(a, axis=1).tobytes())
 
 
 # --- safety probabilities ------------------------------------------------------

@@ -10,13 +10,16 @@ import hashlib
 import sys
 import threading
 import time
+import tracemalloc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import LateHelper
 from gradient_cases import flat_explicit, residual
 from featpde import pde
 from featpde.errors import (
@@ -356,6 +359,41 @@ def test_fd_values_are_bitwise_pinned(fd_solutions, name):
 
 
 @pytest.mark.parametrize("name", sorted(VALUES_SHA256))
+def test_fd_values_are_one_array_with_or_without_until(fd_solutions, name):
+    # an until on the march's last slice takes the cut path and keeps
+    # every slice
+    whole = fd_solutions[name]
+    end = whole.times[0] if whole.problem.kind == "value" else whole.times[-1]
+    cut = solve_fd(whole.problem, whole.d_xi, whole.dt,
+                   save_every=whole.metadata["save_every"], until=end)
+    assert cut.metadata["marched_steps"] == whole.metadata["n_steps"]
+    for sol in (whole, cut):
+        assert sol.values.flags.owndata and sol.values.flags.c_contiguous
+        assert hashlib.sha256(
+            sol.values.tobytes()).hexdigest() == VALUES_SHA256[name]
+
+
+def test_oracle_solve_holds_its_slices_once():
+    # the sys3d-safety oracle keeps 11 slices of 201 x 201 nodes (3.6 MB)
+    # beside a 6.5 MB engine.  Filling one result array in place peaked
+    # at 10.77-10.78 MB in every measured run, alone and after other test
+    # modules: the engine's set-up, above the march's 10.70 MB.  Keeping a
+    # list of the slices and stacking it at the end peaked at 13.61 MB,
+    # and a helper that kept the calls taken back from it at 11.35-12.65.
+    p = get_preset("sys3d-safety")
+    problem = p.pde_problem(domain=p.oracle_domain)
+    tracemalloc.start()
+    try:
+        sol = solve_fd(problem, [p.oracle_dxi] * p.k, p.oracle_dt,
+                       save_every=p.oracle_save_every)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sol.values.shape == (11, 201, 201)
+    assert peak < 11.2e6
+
+
+@pytest.mark.parametrize("name", sorted(VALUES_SHA256))
 def test_engine_step_neither_writes_its_input_nor_reuses_its_output(
         fd_solutions, name):
     # value: reaction factors and pinned data edges; safety: Rannacher
@@ -645,6 +683,37 @@ def test_every_handed_call_runs_exactly_once_under_contention():
     for j, out in enumerate(outs):
         assert sorted(out) == [(j, i, half) for i in range(3000)
                                for half in ("mine", "theirs")]
+
+
+class _Slice:
+    pass
+
+
+def test_helper_frees_a_served_call_before_waiting_for_the_next():
+    # a half solve handed over closes over its step's array; a helper that
+    # held its last call while it waited kept one more slice alive
+    ran = threading.Event()
+    with pde._Helper() as helper:
+        arg = _Slice()
+        ref = weakref.ref(arg)
+        call = helper.hand(lambda _: ran.set(), arg)
+        assert ran.wait(timeout=20) and call.claim()
+        del arg, call
+        deadline = time.monotonic() + 5.0
+        while ref() is not None and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert ref() is None
+
+
+def test_a_call_taken_back_frees_its_arguments_in_the_queue():
+    # a helper that has fallen behind keeps the calls taken back from it
+    # queued; they no longer keep their steps' arrays alive
+    with LateHelper() as helper:
+        arg = _Slice()
+        ref = weakref.ref(arg)
+        assert not helper.hand(lambda _: None, arg).claim()
+        del arg
+        assert ref() is None
 
 
 # --- grid convergence of the preset oracles ------------------------------------

@@ -7,18 +7,25 @@ deleted or moved function cannot break a traced benchmark run.  Only
 through its rename-into-place writers; only ``handoff`` starts a thread
 or copies a context, so every helper thread is its one kind; and only
 ``sde`` makes a draw source, leaves one or ranks a march's errors, so every
-march reads its steps through one round driver."""
+march reads its steps through one round driver.  scipy is imported only
+for LAPACK in ``pde`` and for the 1000-d presets' sparse matrix, inside
+the one function that builds it, so importing the CLI loads neither
+``scipy.special`` nor ``scipy.sparse``."""
 
+import ast
 import importlib
 import importlib.util
 import inspect
 import os
 import pkgutil
 import re
+import subprocess
+import sys
 
 import pytest
 
 import featpde
+from conftest import child_env
 from featpde import errors
 
 MODULES = ["featpde"] + sorted(
@@ -81,6 +88,47 @@ def test_only_sde_runs_the_draw_protocol():
     owners = [name for name in MODULES if _DRAWS.search(
         inspect.getsource(importlib.import_module(name)))]
     assert owners == ["featpde.sde"]
+
+
+def _scipy_imports(node, where=None):
+    """(function, scipy module) for each scipy import under ``node``,
+    with the name of the innermost function it sits in, None at module
+    level; ``from scipy import sparse`` imports ``scipy.sparse``."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from _scipy_imports(child, child.name)
+        elif isinstance(child, ast.Import):
+            yield from ((where, a.name) for a in child.names
+                        if a.name.split(".")[0] == "scipy")
+        elif (isinstance(child, ast.ImportFrom) and child.module
+              and child.module.split(".")[0] == "scipy"):
+            yield from ((where, f"{child.module}.{a.name}")
+                        for a in child.names)
+        else:
+            yield from _scipy_imports(child, where)
+
+
+def test_scipy_parts_are_imported_only_where_they_are_used():
+    # no scipy.special anywhere, scipy.linalg only in pde, scipy.sparse
+    # only in the function that builds the 1000-d coupling matrix, and no
+    # bare ``import scipy`` that would reach the others by attribute
+    found = sorted(
+        {(name, where, ".".join(module.split(".")[:2]))
+         for name in MODULES
+         for where, module in _scipy_imports(ast.parse(
+             inspect.getsource(importlib.import_module(name))))})
+    assert found == [
+        ("featpde.pde", None, "scipy.linalg"),
+        ("featpde.presets", "_block_coupling_matrix", "scipy.sparse"),
+    ]
+
+
+def test_importing_the_cli_loads_no_scipy_special_or_sparse():
+    code = ("import sys, featpde.cli; print([m for m in ('scipy.special', "
+            "'scipy.sparse', 'scipy.linalg') if m in sys.modules])")
+    out = subprocess.run([sys.executable, "-c", code], env=child_env(),
+                         capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "['scipy.linalg']"
 
 
 def _load_spans():
