@@ -629,8 +629,9 @@ _REDUCTION_NEEDS = {
 def _value(value, spec: tuple, key: str):
     """Config entry ``key``'s ``value`` converted to the kind of its
     ``spec``; a value of another kind, NaN anywhere in a number, list,
-    row or interval, or a value out of bound raises a ConfigError naming
-    ``key``.  Infinity passes only where the key's default is infinite."""
+    row or interval, a whole number of 2**64 or more, or a value out of
+    bound raises a ConfigError naming ``key``.  Infinity passes only where
+    the key's default is infinite."""
     kind, bound = spec[:2]
     if value is None and len(spec) > 2 and spec[2] is None:
         return None
@@ -680,11 +681,15 @@ def _value(value, spec: tuple, key: str):
                 "points": "a list of coordinate rows",
                 float: "a number", int: "a whole number"}[kind]
         raise ConfigError(f"{key} must be {what}, got {value!r}") from None
-    if np.isnan(out).any():
-        raise ConfigError(f"{key} must not be NaN, got {value!r}")
     default = spec[2] if len(spec) > 2 else None
-    if np.isinf(out).any() and not (isinstance(default, float)
-                                    and np.isinf(default)):
+    if kind is int:
+        # a seed keys Philox with its 64 bits, and no count comes near them
+        if out >= 2**64:
+            raise ConfigError(f"{key} must be below 2**64, got {value!r}")
+    elif np.isnan(out).any():
+        raise ConfigError(f"{key} must not be NaN, got {value!r}")
+    elif np.isinf(out).any() and not (isinstance(default, float)
+                                      and np.isinf(default)):
         raise ConfigError(f"{key} must be finite, got {value!r}")
     if kind == "intervals":
         if bound == _POS and not all(lo < hi for lo, hi in out):

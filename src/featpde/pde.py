@@ -21,6 +21,11 @@ is zero at the first node of every line and ``up`` at the last, for
 reflecting and Dirichlet faces alike, so the flattened matrix has no entry
 coupling one line to the next.
 
+gttrf and gttrs are scipy's own LAPACK wrappers, taken from its compiled
+``scipy.linalg._flapack`` module, which ``pde`` loads from its file.  The
+scipy.linalg package, whose import would take most of a command's start-up,
+is never imported; a process that imports it too gets the same objects.
+
 Each Peaceman-Rachford half-step first moves the state into the line order
 of the axis it solves, with one strided copy.  There the explicit product
 of the previous axis reads neighbours one line apart, and any line-aligned
@@ -51,12 +56,15 @@ slice it keeps into its row, so no slice is held twice.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import os
+import sys
 import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.linalg.lapack import dgttrf, dgttrs
 
 from . import handoff
 from .errors import (
@@ -77,6 +85,39 @@ __all__ = [
     "riccati_solution",
     "riccati_value",
 ]
+
+
+def _flapack():
+    """scipy's compiled LAPACK module, ``scipy.linalg._flapack``, loaded
+    from its file without importing the scipy.linalg package, whose
+    import costs more than the rest of featpde's; one already in
+    ``sys.modules`` is reused, so ``dgttrf`` and ``dgttrs`` are the
+    objects ``scipy.linalg.lapack`` exports."""
+    name = "scipy.linalg._flapack"
+    if name in sys.modules:
+        return sys.modules[name]
+    scipy = importlib.util.find_spec("scipy")
+    if scipy is None:
+        raise ImportError("featpde needs scipy, which is not installed",
+                          name="scipy")
+    base = os.path.join(scipy.submodule_search_locations[0], "linalg",
+                        "_flapack")
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        if os.path.isfile(base + suffix):
+            loader = importlib.machinery.ExtensionFileLoader(
+                name, base + suffix)
+            module = importlib.util.module_from_spec(
+                importlib.util.spec_from_loader(name, loader))
+            loader.exec_module(module)
+            sys.modules[name] = module
+            return module
+    raise ImportError(f"no LAPACK extension module {base} with any of the "
+                      f"suffixes {importlib.machinery.EXTENSION_SUFFIXES}",
+                      name=name, path=base)
+
+
+_LAPACK = _flapack()
+dgttrf, dgttrs = _LAPACK.dgttrf, _LAPACK.dgttrs
 
 
 @dataclass

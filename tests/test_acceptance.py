@@ -45,6 +45,15 @@ SAFETY_MC_BIAS = 0.01
 # 0.28% (mc_reduced, 50,000 paths).
 N_FULL_1000D = 500
 N_BENCH_FULL = 100
+# The size of the gain at that equal cost, from one estimate-value run per
+# route at (1.5, 1.5).  A reduced path's score has the law of a full path's,
+# so the standard errors should differ by sqrt(m/k) = sqrt(500) = 22.4 and
+# the per-path score variances (SE^2 N) should agree.  Recorded on seeds
+# 0-15: SE ratio 19.93-24.32 (21.37 at seed 0), variance ratio, full over
+# reduced, 0.795-1.182 (0.913 at seed 0), |z| against Riccati at most 2.62.
+# The floor is the band's lower edge in SE terms: sqrt(500 * 0.6) = 17.3.
+SE_RATIO_MIN = 17.0
+VAR_RATIO_BAND = (0.6, 1.4)
 # Relative-L1 error of the PINN against Riccati on the [1,2]^2 surface at
 # t = 0.5; recorded 9.11%, the same bytes at one and two BLAS threads.
 PINN_MAX_PCT = 12.0
@@ -157,6 +166,24 @@ def test_sys1000d_reduced_mc_beats_full_mc_at_equal_cost(tmp_path):
         errors[estimator] = np.loadtxt(csv, delimiter=",", skiprows=1,
                                        usecols=3)
     assert errors["mc_reduced"].mean() < errors["mc_full"].mean()
+
+
+def test_sys1000d_reduced_mc_gains_the_sample_efficiency_of_its_size(
+        tmp_path):
+    p = get_preset("sys1000d-value")
+    n = {"mc_full": N_BENCH_FULL,
+         "mc_reduced": N_BENCH_FULL * p.system.control_dim // p.k}
+    rows = {est: estimate(tmp_path / est, "sys1000d-value", est,
+                          [[1.5, 1.5]], mc={**MC, "n_paths": n[est]})
+            for est in n}
+    se = {est: r[0, 4] for est, r in rows.items()}
+    assert se["mc_full"] / se["mc_reduced"] >= SE_RATIO_MIN
+    var_ratio = (se["mc_full"] ** 2 * n["mc_full"]
+                 / (se["mc_reduced"] ** 2 * n["mc_reduced"]))
+    assert VAR_RATIO_BAND[0] <= var_ratio <= VAR_RATIO_BAND[1]
+    for r in rows.values():
+        z = (r[:, 3] - riccati("sys1000d-value", r)) / r[:, 4]
+        assert np.abs(z).max() <= MAX_Z
 
 
 # ---------------------------------------------------------------------------

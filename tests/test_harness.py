@@ -1074,6 +1074,20 @@ def _checkpoint_file(tmp_path, kind):
                         "time": -0.1, "n_samples": [10], "repetitions": 1,
                         "dt": 0.01}},
          "benchmark.time"),
+        # a whole number of 2**64 or more: each raised a TypeError from
+        # np.isnan, which named no key
+        ("estimate-value",
+         {"preset": "lq-scalar", "estimator": "riccati", "seed": 2**64},
+         "seed"),
+        ("estimate-value",
+         {"preset": "lq-scalar", "estimator": "mc_reduced",
+          "mc": {"n_paths": 10**20}, "eval": {"points": [[0.0]]}},
+         "mc.n_paths"),
+        ("train-pinn", {"preset": "sys3d-value", "pinn": {"epochs": 2**70}},
+         "pinn.epochs"),
+        ("train-pinn",
+         {"preset": "sys3d-value", "pinn": {"widths": [16, -2**70]}},
+         "pinn.widths"),
     ],
 )
 def test_bad_config_values_name_their_key(command, cfg, key, tmp_path):
@@ -1087,6 +1101,14 @@ def test_bad_config_values_name_their_key(command, cfg, key, tmp_path):
     }
     with pytest.raises(ConfigError, match=re.escape(key)):
         run(cfg, command, out=str(tmp_path / "out"))
+
+
+def test_a_seed_override_must_fit_the_philox_key(tmp_path):
+    # --seed reaches resolve beside the config and meets the same 64 bits
+    cfg = {"preset": "lq-scalar", "estimator": "riccati"}
+    assert ExperimentConfig.resolve(cfg, seed=2**64 - 1).seed == 2**64 - 1
+    with pytest.raises(ConfigError, match=re.escape("seed must be below")):
+        run(cfg, "estimate-value", out=str(tmp_path), seed=2**64)
 
 
 def _schema_keys():

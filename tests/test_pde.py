@@ -7,6 +7,8 @@ heat equation.  The 2-d solves are then cross-checked Riccati-vs-FD.
 """
 
 import hashlib
+import os
+import subprocess
 import sys
 import threading
 import time
@@ -19,7 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import LateHelper
+from conftest import LateHelper, child_env
 from gradient_cases import flat_explicit, residual
 from featpde import pde
 from featpde.errors import (
@@ -1062,3 +1064,33 @@ def test_scalar_spacing_broadcasts(safety_solution):
     a = solve_fd(prob, 0.5, 0.05)
     b = solve_fd(prob, [0.5, 0.5], 0.05)
     np.testing.assert_array_equal(a.values, b.values)
+
+
+# ---------------------------------------------------------------------------
+# LAPACK loading, each case in a fresh interpreter with its own sys.modules
+
+
+def _child(code, **env):
+    return subprocess.run([sys.executable, "-c", code], env=child_env(**env),
+                          capture_output=True, text=True, timeout=120)
+
+
+@pytest.mark.parametrize("first", ["featpde", "scipy"])
+def test_lapack_routines_are_the_objects_scipy_exports(first):
+    imports = ["from featpde import pde", "from scipy.linalg import lapack"]
+    if first == "scipy":
+        imports.reverse()
+    res = _child("\n".join(["import sys", *imports, (
+        "print(pde.dgttrf is lapack.dgttrf, pde.dgttrs is lapack.dgttrs, "
+        "pde._LAPACK is lapack._flapack "
+        "is sys.modules['scipy.linalg._flapack'])")]))
+    assert res.stdout.split() == ["True"] * 3, res.stderr
+
+
+def test_a_scipy_without_its_lapack_module_names_the_path(tmp_path):
+    (tmp_path / "scipy").mkdir()
+    (tmp_path / "scipy" / "__init__.py").write_text("")
+    res = _child("import featpde.pde", PYTHONPATH=str(tmp_path))
+    assert res.returncode == 1
+    assert "ImportError: no LAPACK extension module " + os.path.join(
+        str(tmp_path), "scipy", "linalg", "_flapack") in res.stderr

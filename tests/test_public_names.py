@@ -8,9 +8,10 @@ through its rename-into-place writers; only ``handoff`` starts a thread
 or copies a context, so every helper thread is its one kind; and only
 ``sde`` makes a draw source, leaves one or ranks a march's errors, so every
 march reads its steps through one round driver.  scipy is imported only
-for LAPACK in ``pde`` and for the 1000-d presets' sparse matrix, inside
-the one function that builds it, so importing the CLI loads neither
-``scipy.special`` nor ``scipy.sparse``."""
+for the 1000-d presets' sparse matrix, inside the one function that
+builds it; ``pde`` loads LAPACK's extension module from its file, so
+importing the CLI loads no scipy module, and an FD solve or a training
+run loads that extension alone."""
 
 import ast
 import importlib
@@ -109,26 +110,51 @@ def _scipy_imports(node, where=None):
 
 
 def test_scipy_parts_are_imported_only_where_they_are_used():
-    # no scipy.special anywhere, scipy.linalg only in pde, scipy.sparse
-    # only in the function that builds the 1000-d coupling matrix, and no
-    # bare ``import scipy`` that would reach the others by attribute
+    # no scipy.special and no scipy.linalg anywhere (pde loads LAPACK's
+    # extension module from its file), scipy.sparse only in the function
+    # that builds the 1000-d coupling matrix, and no bare ``import scipy``
+    # that would reach the others by attribute
     found = sorted(
         {(name, where, ".".join(module.split(".")[:2]))
          for name in MODULES
          for where, module in _scipy_imports(ast.parse(
              inspect.getsource(importlib.import_module(name))))})
     assert found == [
-        ("featpde.pde", None, "scipy.linalg"),
         ("featpde.presets", "_block_coupling_matrix", "scipy.sparse"),
     ]
 
 
+def _scipy_modules_after(code):
+    """Sorted names of the scipy modules loaded in a fresh interpreter
+    after it runs ``code``."""
+    code += ("\nimport sys\nprint(sorted(m for m in sys.modules "
+             "if m.split('.')[0] == 'scipy'))")
+    return subprocess.run([sys.executable, "-c", code], env=child_env(),
+                          capture_output=True, text=True,
+                          check=True).stdout.strip()
+
+
 def test_importing_the_cli_loads_no_scipy_special_or_sparse():
-    code = ("import sys, featpde.cli; print([m for m in ('scipy.special', "
-            "'scipy.sparse', 'scipy.linalg') if m in sys.modules])")
-    out = subprocess.run([sys.executable, "-c", code], env=child_env(),
-                         capture_output=True, text=True, check=True).stdout
-    assert out.strip() == "['scipy.linalg']"
+    # nor scipy.linalg or scipy._lib: only LAPACK's extension module
+    assert (_scipy_modules_after("import featpde.cli")
+            == "['scipy.linalg._flapack']")
+
+
+def test_fd_and_training_load_only_the_lapack_extension(tmp_path):
+    # an FD solve and PINN training call LAPACK and no other scipy code
+    runs = [({"preset": "lq-scalar", "estimator": "fd",
+              "eval": {"points": [[0.0]]}}, "estimate-value"),
+            ({"preset": "lq-scalar", "pinn": {"epochs": 2}}, "train-pinn")]
+    out = _scipy_modules_after("from featpde import harness\n" + "".join(
+        f"harness.run({cfg!r}, {command!r}, "
+        f"out={str(tmp_path / command)!r})\n" for cfg, command in runs))
+    assert out == "['scipy.linalg._flapack']"
+
+
+def test_building_a_1000d_preset_loads_scipy_sparse():
+    out = _scipy_modules_after("from featpde.presets import get_preset\n"
+                               "get_preset('sys1000d-value')")
+    assert "'scipy.sparse'" in out and "'scipy.linalg'" not in out
 
 
 def _load_spans():
