@@ -65,7 +65,7 @@ from .neural import (
     save_checkpoint,
 )
 from .reduction import diffusion_diagonal, generator_terms
-from .sde import StochasticSystem, stream
+from .sde import AE_BATCH_TAG, StochasticSystem, stream
 
 __all__ = [
     "AutoencoderNet",
@@ -84,8 +84,6 @@ __all__ = [
 # the barrier finite but large, and clamped probes are counted in the log.
 CT_CLAMP_FLOOR = 1e-8
 CT_FD_STEP = 1e-4
-
-_BATCH_TAG = 0xFEA7
 
 
 @dataclass
@@ -449,7 +447,7 @@ def train_autoencoder(system: StochasticSystem, cost: Callable, states,
             f"network expects {net.n}-dimensional states, data has {n}"
         )
     use_ct = cfg.w_ct > 0
-    gen = stream(cfg.seed, _BATCH_TAG)
+    gen = stream(cfg.seed, AE_BATCH_TAG)
     ne = net.encoder.theta.size
     adam = AdamState.init(ne + net.decoder.theta.size)
     bs = min(cfg.batch_size, n_states)

@@ -58,7 +58,8 @@ from .reduction import (
     feature_map_from_encoder,
     level_table,
 )
-from .sde import SimConfig, ZeroPolicy, simulate, simulate_reduced, stream
+from .sde import (REDUCTION_TAG, SUBSAMPLE_TAG, SimConfig, ZeroPolicy,
+                  simulate, simulate_reduced, stream)
 
 __all__ = [
     "ExperimentConfig",
@@ -142,7 +143,7 @@ def _reduced_from_encoder(system, red: dict, seed: int):
             f"reduction.state_domain lists {len(box)} intervals, system "
             f"has {system.state_dim} coordinates"
         )
-    gen = stream(seed, 0x5EDC)
+    gen = stream(seed, REDUCTION_TAG)
     lo = np.array([ab[0] for ab in box])
     hi = np.array([ab[1] for ab in box])
     states = gen.uniform(lo, hi, (red["n_states"], system.state_dim))
@@ -256,9 +257,25 @@ class ExperimentConfig:
         return tuple(self.typed["mc" if name in given else section][name]
                      for name in ("dt", "n_paths")) + (self.seed,)
 
+    def check_seed_offset(self, offset: int, key: str, what: str) -> None:
+        """Refuse the config, naming ``key``, when ``what`` would be keyed
+        by seed + ``offset``, which leaves the Philox key's 64 bits."""
+        if self.seed + offset >= 2**64:
+            raise ConfigError(
+                f"{key}: {what} would be keyed by seed + {offset} = "
+                f"{self.seed + offset}, which must be below 2**64")
+
     def pinn_config(self) -> PinnConfig:
-        return _with_section(self.preset.pinn or PinnConfig(),
-                             self.typed["pinn"], self.seed)
+        """The PINN's training config; refused when resampled collocation
+        would key an epoch's points past 64 bits."""
+        cfg = _with_section(self.preset.pinn or PinnConfig(),
+                            self.typed["pinn"], self.seed)
+        if cfg.resample_collocation and cfg.omega_p > 0:
+            self.check_seed_offset(
+                cfg.epochs - 1, "pinn.epochs",
+                f"with pinn.resample_collocation, epoch {cfg.epochs - 1}'s "
+                f"collocation points")
+        return cfg
 
     def ae_config(self) -> AeTrainConfig:
         return _with_section(self.preset.ae or AeTrainConfig(),
@@ -495,8 +512,8 @@ def _trained_or_loaded_net(xc: ExperimentConfig) -> DenseNetwork:
                 f"k + 1 = {xc.preset.k + 1}"
             )
         return net
-    return train(xc.preset.pde_problem(), _pinn_dataset(xc),
-                 xc.pinn_config()).net
+    cfg = xc.pinn_config()  # refuses before the FD data is solved
+    return train(xc.preset.pde_problem(), _pinn_dataset(xc), cfg).net
 
 
 # ---------------------------------------------------------------------------
@@ -869,6 +886,9 @@ def benchmark(xc: ExperimentConfig, out_path: str) -> str:
     if b["oracle"] not in oracles:
         raise ConfigError("benchmark.oracle must be "
                           + " or ".join(map(repr, oracles)))
+    last = b["repetitions"] - 1
+    xc.check_seed_offset(last, "benchmark.repetitions",
+                         f"repetition {last}")
     points = xc.points("benchmark", b["points"])
     times = np.full(points.shape[0], b.get("time", xc.default_time))
     _check_times(xc, times, "benchmark.time")
@@ -957,8 +977,8 @@ def cmd_estimate(xc: ExperimentConfig, task: str) -> list:
 
 
 def cmd_train_pinn(xc: ExperimentConfig) -> list:
-    result = train(xc.preset.pde_problem(), _pinn_dataset(xc),
-                   xc.pinn_config())
+    cfg = xc.pinn_config()  # refuses before the FD data is solved
+    result = train(xc.preset.pde_problem(), _pinn_dataset(xc), cfg)
     arts = [save_checkpoint(result.net, _artifact(xc, "pinn_checkpoint.json"),
                             seed=xc.seed, extra={"config": xc.raw}),
             result.log_to_csv(_artifact(xc, "pinn_loss_log.csv"))]
@@ -977,13 +997,17 @@ def cmd_train_features(xc: ExperimentConfig) -> list:
                           f"feature-learning problem")
     cfg = xc.ae_config()
     ae = xc.typed["ae"]
+    if "decoder_init" not in ae:
+        xc.check_seed_offset(1, "seed",
+                             "without ae.decoder_init, the decoder's "
+                             "initialisation")
     states = feature_state_grid(p)
     n_states = ae.get("n_states")
     if n_states is not None:
         if n_states > len(states):
             raise ConfigError(f"ae.n_states must be in [1, {len(states)}], "
                               f"the state grid size; got {n_states}")
-        gen = stream(xc.seed, 0xA11)
+        gen = stream(xc.seed, SUBSAMPLE_TAG)
         states = states[gen.choice(states.shape[0], n_states, replace=False)]
     init = None
     if "encoder_init" in ae or "decoder_init" in ae:

@@ -39,8 +39,8 @@ import numpy as np
 from .errors import DegenerateEstimateError, UsageError
 from .grid import write_csv
 from .handoff import _Helper
-from .sde import (ControlPolicy, SimConfig, StochasticSystem, ZeroPolicy,
-                  _march_rounds, _run_full, _run_reduced, stream)
+from .sde import (BOOTSTRAP_TAG, ControlPolicy, SimConfig, StochasticSystem,
+                  ZeroPolicy, _march_rounds, _run_full, _run_reduced, stream)
 
 __all__ = [
     "McEstimate",
@@ -301,7 +301,7 @@ def refine_control_importance_sampling(
     refined = u0 + correction
     if not return_diagnostics:
         return refined
-    gen = stream(cfg.seed, 2**32 + 1)
+    gen = stream(cfg.seed, BOOTSTRAP_TAG)
     boots = np.empty((n_bootstrap, m))
     for b in range(n_bootstrap):
         idx = gen.integers(0, n, size=n)

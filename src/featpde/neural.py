@@ -59,6 +59,7 @@ import numpy as np
 
 from .errors import TrainingError
 from .grid import write_text
+from .sde import INIT_TAG, stream
 
 __all__ = [
     "DenseNetwork",
@@ -84,7 +85,7 @@ def param_count(widths) -> int:
 
 def glorot_init(widths, seed: int) -> np.ndarray:
     """Flat parameter vector: Glorot-uniform weights, zero biases."""
-    rng = np.random.default_rng(np.random.Philox(key=np.uint64(seed)))
+    rng = stream(seed, INIT_TAG)
     chunks = []
     for fan_in, fan_out in zip(widths[:-1], widths[1:]):
         bound = np.sqrt(6.0 / (fan_in + fan_out))

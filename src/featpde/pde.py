@@ -690,12 +690,11 @@ class FdSolution:
         order = np.arange(len(self.times))
         if kind == "value":  # marching order is descending physical time
             order = order[::-1]
-        pairs = list(zip(order[:-1], order[1:]))
+        steps = self.saved_steps  # in marching order, as ``order`` is
+        pairs = list(zip(order[:-1], order[1:], steps[:-1], steps[1:]))
         if n_pairs is not None:
             pairs = pairs[: int(n_pairs)]
-        for j0, j1 in pairs:
-            s0 = self.saved_steps[list(order).index(j0)]
-            s1 = self.saved_steps[list(order).index(j1)]
+        for j0, j1, s0, s1 in pairs:
             u = np.empty_like(self.values[j1:j1 + 1])
             _march(self._engine, self.values[j0], s0, s1, s1 - s0, u)
             if not np.array_equal(u[0], self.values[j1]):

@@ -51,7 +51,7 @@ from .neural import (
     param_count,
 )
 from .pde import PdeProblem
-from .sde import stream
+from .sde import COLLOCATION_TAG, PINN_BATCH_TAG, stream
 
 __all__ = [
     "PinnConfig",
@@ -158,7 +158,7 @@ class CollocationSet:
     @classmethod
     def sample(cls, domain, horizon, n, seed):
         """n i.i.d. uniform draws over the space-time box."""
-        gen = stream(seed, 0xC0110C)
+        gen = stream(seed, COLLOCATION_TAG)
         lo = np.array([ab[0] for ab in domain] + [0.0])
         hi = np.array([ab[1] for ab in domain] + [float(horizon)])
         pts = gen.uniform(lo, hi, size=(int(n), len(lo)))
@@ -348,7 +348,7 @@ def train(problem: PdeProblem, data: Optional[TrainingDataset],
 
     batch_gen = None
     if use_data and cfg.batch_size is not None and cfg.batch_size < len(data):
-        batch_gen = stream(cfg.seed, 0xBA7C4)
+        batch_gen = stream(cfg.seed, PINN_BATCH_TAG)
 
     caches = (Workspace(), Workspace())
     log = []

@@ -5,12 +5,15 @@ systems follow per-coordinate ``dxi_i = alpha_i(xi) beta_i(xi) dt +
 sqrt(alpha_i(xi)) dB_i``.
 
 Drift, diffusion, alpha and beta callables are vectorized: they accept a
-batch of states shaped (N, d) and return (N, d), (N, d, m) (or a constant
-(d, m) matrix), and (N,) respectively.  A plain (d,) vector works too.
+batch of states shaped (N, d) and return (N, d), (N, d, m) and (N,)
+respectively.  A plain (d,) vector works too.  A constant (d, m) diffusion
+matrix is given as ``diffusion_const``, not returned by ``diffusion``.
 
-Randomness is counter-based: the Gaussian increments for step ``s`` of a run
-come from ``Philox(key=(seed, s))``, and path ``i`` reads row ``i`` of that
-step's (N, m) draw.  Consequences used elsewhere in the package:
+Randomness is counter-based: every generator featpde makes is
+``stream(seed, tag)``, Philox keyed by (seed, tag).  The Gaussian increments
+for step ``s`` of a run come from tag ``s``, and path ``i`` reads row ``i``
+of that step's (N, m) draw.  Every other draw reads one of the named tags
+declared beside ``stream``.  Consequences used elsewhere in the package:
 
 * path ``i``'s noise sequence is a pure function of (seed, i) -- independent
   across paths, reproducible, and unchanged when N grows or shrinks;
@@ -93,8 +96,8 @@ class StochasticSystem:
     """Drift/diffusion description of a controlled diffusion.
 
     ``drift``: states (N, n) -> (N, n).  ``diffusion``: states (N, n) ->
-    (N, n, m), or a constant (n, m) array for state-independent noise (set
-    ``diffusion_const`` instead for the fast path).
+    (N, n, m).  State-independent noise is a constant (n, m) array in
+    ``diffusion_const`` instead, which the march takes a fast path for.
     """
 
     state_dim: int
@@ -192,7 +195,6 @@ class TrajectoryBatch:
 
     times: np.ndarray
     states: np.ndarray
-    seed_used: int
 
     @property
     def n_paths(self) -> int:
@@ -209,10 +211,27 @@ class TrajectoryBatch:
                          ["%d"] + ["%.17g"] * (d + 1))
 
 
+# The named tags of ``stream``, each declared here and nowhere else.  Step s
+# of a march reads tag s, so a march of more steps than a tag's value also
+# reads that tag's stream.
+INIT_TAG = 0  # every network's Glorot initialisation
+SUBSAMPLE_TAG = 0xA11  # train-features' state subsample
+REDUCTION_TAG = 0x5EDC  # an encoder reduction's sampled states
+AE_BATCH_TAG = 0xFEA7  # the autoencoder's batches
+PINN_BATCH_TAG = 0xBA7C4  # the PINN's data batches
+COLLOCATION_TAG = 0xC0110C  # the PINN's collocation points
+BOOTSTRAP_TAG = 2**32 + 1  # the control refinement's bootstrap
+
+
 def stream(seed: int, tag: int) -> np.random.Generator:
-    """The Philox generator keyed by (seed, tag); step s of a march is tag s."""
-    return np.random.Generator(
-        np.random.Philox(key=np.array([seed, tag], dtype=np.uint64)))
+    """The Philox generator keyed by (seed, tag); both must be in
+    [0, 2**64)."""
+    try:
+        key = np.array([seed, tag], dtype=np.uint64)
+    except OverflowError:
+        raise UsageError(f"the Philox key (seed {seed}, tag {tag}) must be "
+                         f"in [0, 2**64)") from None
+    return np.random.Generator(np.random.Philox(key=key))
 
 
 def step_noise(seed: int, step: int, n: int, m: int,
@@ -571,7 +590,7 @@ def simulate(
         states[:, s, :] = x
 
     _run_full(system, policy, x0, cfg, t0, observer)
-    return TrajectoryBatch(times=times, states=states, seed_used=cfg.seed)
+    return TrajectoryBatch(times=times, states=states)
 
 
 def simulate_reduced(reduced, xi0, cfg: SimConfig, t0: float = 0.0) -> TrajectoryBatch:
@@ -584,4 +603,4 @@ def simulate_reduced(reduced, xi0, cfg: SimConfig, t0: float = 0.0) -> Trajector
 
     _run_reduced(reduced, np.asarray(xi0, dtype=np.float64)[None], cfg, t0,
                  observer)
-    return TrajectoryBatch(times=times, states=states, seed_used=cfg.seed)
+    return TrajectoryBatch(times=times, states=states)

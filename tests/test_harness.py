@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from conftest import child_env
-from featpde import harness, reduction
+from featpde import cli, harness, reduction
 from featpde.errors import ConfigError, UsageError
 from featpde.featureid import AutoencoderNet
 from featpde.harness import (
@@ -1109,6 +1109,65 @@ def test_a_seed_override_must_fit_the_philox_key(tmp_path):
     assert ExperimentConfig.resolve(cfg, seed=2**64 - 1).seed == 2**64 - 1
     with pytest.raises(ConfigError, match=re.escape("seed must be below")):
         run(cfg, "estimate-value", out=str(tmp_path), seed=2**64)
+
+
+_RESAMPLED = {"epochs": 3, "resample_collocation": True, "n_domain": 10,
+              "widths": [4], "log_every": 1}
+# command -> (config, the largest seed its derived seeds allow, the start
+# of the error one seed more raises)
+_DERIVED_SEEDS = {
+    "benchmark": (
+        {"preset": "lq-scalar",
+         "benchmark": {"estimators": ["mc_reduced"], "oracle": "riccati",
+                       "n_samples": [20], "repetitions": 3,
+                       "points": [[0.5]], "dt": 0.01}},
+        2**64 - 3, "benchmark.repetitions: repetition 2 would be keyed by "
+                   "seed + 2"),
+    "train-pinn": (
+        {"preset": "lq-scalar", "pinn": _RESAMPLED},
+        2**64 - 3, "pinn.epochs: with pinn.resample_collocation, epoch 2's "
+                   "collocation points would be keyed by seed + 2"),
+    "estimate-value": (
+        {"preset": "lq-scalar", "estimator": "pinn", "pinn": _RESAMPLED,
+         "eval": {"points": [[0.0]]}},
+        2**64 - 3, "pinn.epochs: with pinn.resample_collocation"),
+    "train-features": (
+        {"preset": "feature-ae-3d", "ae": dict(_WARM_AE, encoder_hidden=[8])},
+        2**64 - 2, "seed: without ae.decoder_init, the decoder's "
+                   "initialisation would be keyed by seed + 1"),
+}
+
+
+@pytest.mark.parametrize("command", list(_DERIVED_SEEDS))
+def test_a_derived_seed_past_64_bits_names_its_key(command, tmp_path,
+                                                    capsys):
+    # benchmark used to run two repetitions and then raise an error that
+    # named no key; the PINN's and the decoder's seeds raised numpy's
+    # OverflowError through the command line as a traceback
+    cfg, top, message = _DERIVED_SEEDS[command]
+    path = tmp_path / "run.yaml"
+    path.write_text(json.dumps(dict(cfg, seed=top + 1)))
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", str(path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"featpde: error: {message}"), err
+    assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize("command", list(_DERIVED_SEEDS))
+def test_the_largest_seed_a_derivation_allows_still_runs(command, tmp_path):
+    cfg, top, _ = _DERIVED_SEEDS[command]
+    arts = run(cfg, command, out=str(tmp_path), seed=top)
+    assert all(os.path.exists(a) for a in arts) and len(arts) >= 2
+
+
+def test_a_warm_started_decoder_needs_no_derived_seed(tmp_path):
+    enc, dec = _warm_start_pair(tmp_path, 3, 2)
+    out = tmp_path / "out"
+    run({"preset": "feature-ae-3d",
+         "ae": dict(_WARM_AE, encoder_init=enc, decoder_init=dec)},
+        "train-features", out=str(out), seed=2**64 - 1)
+    assert (out / "decoder_checkpoint.json").exists()
 
 
 def _schema_keys():

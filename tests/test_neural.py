@@ -1,12 +1,14 @@
 """Network engine: nested derivatives, their adjoint, workspaces, Adam."""
 
+import hashlib
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from featpde import featureid, pinn
-from featpde.errors import TrainingError
+from featpde.errors import TrainingError, UsageError
 from featpde.featureid import AutoencoderNet, build_preimage, epsilon_default
 from featpde.neural import (
     AdamState,
@@ -44,6 +46,31 @@ def test_glorot_deterministic():
     assert not np.array_equal(
         glorot_init((3, 5, 1), 7), glorot_init((3, 5, 1), 8)
     )
+
+
+# sha256 of glorot_init((3, 5, 2), seed).tobytes(): the Philox stream
+# keyed by (seed, 0), so the top seed is pinned as well
+GLOROT_SHA256 = {
+    0: "5f1961ac2c7bb8317f0fb607c5ed2179d20ab4afc03416e8f200c7d8185b618b",
+    1: "c083216531458428156e797623ad97b2102483f478e888572fdca7b7a2e17f45",
+    2**63: "74008ab1511375419bc14a71036959ee0e835d2653e76995c3f2e88caf16bffd",
+    2**64 - 1:
+        "abca708f164d6ae4a290b337c95defed41a979507a161f9cd81847938c6381d3",
+}
+
+
+@pytest.mark.parametrize("seed", list(GLOROT_SHA256))
+def test_glorot_init_keeps_its_bytes(seed):
+    theta = glorot_init((3, 5, 2), seed)
+    assert hashlib.sha256(theta.tobytes()).hexdigest() == GLOROT_SHA256[seed]
+
+
+def test_a_decoder_seed_past_64_bits_is_a_usage_error():
+    # the decoder is initialised under seed + 1; numpy's OverflowError named
+    # neither the seed nor the tag
+    with pytest.raises(UsageError, match=re.escape(
+            f"(seed {2**64}, tag 0) must be in [0, 2**64)")):
+        AutoencoderNet.init(3, 2, (4,), seed=2**64 - 1)
 
 
 def test_glorot_variance_matches_uniform_law():

@@ -7,7 +7,10 @@ deleted or moved function cannot break a traced benchmark run.  Only
 through its rename-into-place writers; only ``handoff`` starts a thread
 or copies a context, so every helper thread is its one kind; and only
 ``sde`` makes a draw source, leaves one or ranks a march's errors, so every
-march reads its steps through one round driver.  scipy is imported only
+march reads its steps through one round driver.  Only ``sde`` names
+numpy's random module, every other module's ``stream`` reads a tag that
+``sde`` declares, and the declared tags are distinct, so one table owns
+every Philox key featpde makes.  scipy is imported only
 for the 1000-d presets' sparse matrix, inside the one function that
 builds it; ``pde`` loads LAPACK's extension module from its file, so
 importing the CLI loads no scipy module, and an FD solve or a training
@@ -89,6 +92,50 @@ def test_only_sde_runs_the_draw_protocol():
     owners = [name for name in MODULES if _DRAWS.search(
         inspect.getsource(importlib.import_module(name)))]
     assert owners == ["featpde.sde"]
+
+
+def _named_tags():
+    sde = importlib.import_module("featpde.sde")
+    return {name: value for name, value in vars(sde).items()
+            if name.endswith("_TAG")}
+
+
+def test_only_sde_names_numpy_random():
+    users = [name for name in MODULES if re.search(
+        r"\b(?:np|numpy)\.random\b",
+        inspect.getsource(importlib.import_module(name)))]
+    assert users == ["featpde.sde"]
+
+
+def _stream_tags(tree):
+    """The source of the tag argument of each ``stream(seed, tag)`` or
+    ``sde.stream(seed, tag)`` call under ``tree``."""
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call) and "stream" in (
+                getattr(node.func, "id", None),
+                getattr(node.func, "attr", None))):
+            tag = (node.args[1:2]
+                   + [kw.value for kw in node.keywords if kw.arg == "tag"])
+            yield ast.unparse(tag[0]) if tag else "<no tag>"
+
+
+def test_every_stream_outside_sde_reads_a_named_tag():
+    tags = _named_tags()
+    found = [(name, tag) for name in MODULES if name != "featpde.sde"
+             for tag in _stream_tags(ast.parse(
+                 inspect.getsource(importlib.import_module(name))))]
+    assert found
+    assert [(name, tag) for name, tag in found
+            if tag.removeprefix("sde.") not in tags] == []
+    # and no declared tag is left without a reader
+    assert {tag.removeprefix("sde.") for _, tag in found} == set(tags)
+
+
+def test_named_tags_are_distinct_philox_key_words():
+    tags = _named_tags()
+    assert tags
+    assert all(isinstance(v, int) and 0 <= v < 2**64 for v in tags.values())
+    assert len(set(tags.values())) == len(tags)
 
 
 def _scipy_imports(node, where=None):

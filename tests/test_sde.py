@@ -1,5 +1,6 @@
 """Simulation engine checks: scheme correctness, RNG contract, serialization."""
 
+import re
 import threading
 import time
 import warnings
@@ -159,6 +160,20 @@ def test_step_noise_is_pure_and_prefix_stable():
     # growing the path count extends the draw without disturbing old rows,
     # so estimates are reproducible prefixes of larger runs
     assert np.array_equal(z, step_noise(7, 3, 9, 2)[:5])
+
+
+@pytest.mark.parametrize("seed,tag", [(2**64, 0), (-1, 0), (0, 2**64),
+                                      (2**64 - 1, -1)])
+def test_a_philox_key_outside_64_bits_is_a_usage_error(seed, tag):
+    # numpy raises an OverflowError that names neither word of the key
+    with pytest.raises(UsageError, match=re.escape(
+            f"(seed {seed}, tag {tag}) must be in [0, 2**64)")):
+        sde.stream(seed, tag)
+
+
+def test_the_largest_philox_key_is_accepted():
+    top = 2**64 - 1
+    assert np.isfinite(sde.stream(top, top).standard_normal(3)).all()
 
 
 def test_step_noise_into_a_buffer_gives_the_same_bits():
@@ -379,6 +394,18 @@ def test_diffusion_shape_check():
     cfg = SimConfig(dt=0.1, horizon=0.2, seed=0, n_paths=4)
     with pytest.raises(SimulationError, match="diffusion returned shape"):
         simulate(bad, ZeroPolicy(2), np.zeros(2), cfg)
+
+
+def test_a_constant_diffusion_matrix_goes_in_diffusion_const():
+    # a diffusion callable returns one matrix per state, never one for all
+    cfg = SimConfig(dt=0.1, horizon=0.2, seed=0, n_paths=3)
+    const = StochasticSystem(2, 2, np.zeros_like, diffusion=lambda x: np.eye(2))
+    with pytest.raises(SimulationError, match=re.escape(
+            "diffusion returned shape (2, 2), expected (3, 2, 2)")):
+        simulate(const, ZeroPolicy(2), np.zeros(2), cfg)
+    fixed = StochasticSystem(2, 2, np.zeros_like, diffusion_const=np.eye(2))
+    assert simulate(fixed, ZeroPolicy(2), np.zeros(2), cfg).states.shape == (
+        3, 3, 2)
 
 
 def test_system_and_x0_validation():
