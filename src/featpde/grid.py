@@ -10,9 +10,9 @@ writes, formatting ``_CHUNK_ROWS`` rows per ``%`` pass, so the text of a
 large table is never held in memory at once.  ``write_csv`` holds one
 chunk's text; ``write_grid`` holds the node text of its table, formatted
 once, plus one chunk's text; ``write_text`` writes its chunks as they
-come.  Each writer writes ``<path>.tmp<pid>`` and renames it onto
-``path``, which it returns; a failed write removes that file and leaves
-``path`` as it was.
+come.  Each writer creates the directory of ``path`` if it is missing,
+writes ``<path>.tmp<pid>`` and renames it onto ``path``, which it returns;
+a failed write removes that file and leaves ``path`` as it was.
 """
 
 from __future__ import annotations
@@ -79,7 +79,9 @@ def space_time(axes, times):
 
 @contextmanager
 def _replacing(path: str):
-    """A text file that replaces ``path`` if the block ends without error."""
+    """A text file that replaces ``path`` if the block ends without error,
+    in the directory of ``path``, which it creates if it is missing."""
+    os.makedirs(os.path.dirname(path) or os.curdir, exist_ok=True)
     tmp = f"{path}.tmp{os.getpid()}"
     try:
         with open(tmp, "w") as fh:

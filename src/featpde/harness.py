@@ -924,8 +924,8 @@ def _emit_run_json(out_dir: str, command: str, xc: ExperimentConfig,
 
 
 def _artifact(xc: ExperimentConfig, name: str) -> str:
-    """Path of artifact ``name`` in the out directory, which it creates."""
-    os.makedirs(xc.out, exist_ok=True)
+    """Path of artifact ``name`` in the out directory, which the first
+    artifact written creates, so a refused command leaves none."""
     return os.path.join(xc.out, name)
 
 

@@ -22,9 +22,11 @@ reflecting and Dirichlet faces alike, so the flattened matrix has no entry
 coupling one line to the next.
 
 gttrf and gttrs are scipy's own LAPACK wrappers, taken from its compiled
-``scipy.linalg._flapack`` module, which ``pde`` loads from its file.  The
-scipy.linalg package, whose import would take most of a command's start-up,
-is never imported; a process that imports it too gets the same objects.
+``scipy.linalg._flapack`` module, which ``pde`` loads from its file with
+``_scipy_extension``, the one loader of scipy's compiled modules (the
+1000-d presets load their sparse kernel with it too).  The scipy.linalg
+package, whose import would take most of a command's start-up, is never
+imported; a process that imports it too gets the same objects.
 
 Each Peaceman-Rachford half-step first moves the state into the line order
 of the axis it solves, with one strided copy.  There the explicit product
@@ -87,36 +89,37 @@ __all__ = [
 ]
 
 
-def _flapack():
-    """scipy's compiled LAPACK module, ``scipy.linalg._flapack``, loaded
-    from its file without importing the scipy.linalg package, whose
-    import costs more than the rest of featpde's; one already in
-    ``sys.modules`` is reused, so ``dgttrf`` and ``dgttrs`` are the
-    objects ``scipy.linalg.lapack`` exports."""
-    name = "scipy.linalg._flapack"
+def _scipy_extension(package: str, module: str, what: str):
+    """scipy's compiled extension module ``scipy.<package>.<module>``,
+    loaded from its file without importing the scipy package around it,
+    whose import costs more than the rest of featpde's.  One already in
+    ``sys.modules`` is reused, and one loaded here is registered there,
+    so a later import of that scipy package finds the same module and its
+    functions are the objects scipy exports.  ``what`` names the module
+    in the ImportError raised when scipy has no such file."""
+    name = f"scipy.{package}.{module}"
     if name in sys.modules:
         return sys.modules[name]
     scipy = importlib.util.find_spec("scipy")
     if scipy is None:
         raise ImportError("featpde needs scipy, which is not installed",
                           name="scipy")
-    base = os.path.join(scipy.submodule_search_locations[0], "linalg",
-                        "_flapack")
+    base = os.path.join(scipy.submodule_search_locations[0], package, module)
     for suffix in importlib.machinery.EXTENSION_SUFFIXES:
         if os.path.isfile(base + suffix):
             loader = importlib.machinery.ExtensionFileLoader(
                 name, base + suffix)
-            module = importlib.util.module_from_spec(
+            loaded = importlib.util.module_from_spec(
                 importlib.util.spec_from_loader(name, loader))
-            loader.exec_module(module)
-            sys.modules[name] = module
-            return module
-    raise ImportError(f"no LAPACK extension module {base} with any of the "
+            loader.exec_module(loaded)
+            sys.modules[name] = loaded
+            return loaded
+    raise ImportError(f"no {what} extension module {base} with any of the "
                       f"suffixes {importlib.machinery.EXTENSION_SUFFIXES}",
                       name=name, path=base)
 
 
-_LAPACK = _flapack()
+_LAPACK = _scipy_extension("linalg", "_flapack", "LAPACK")
 dgttrf, dgttrs = _LAPACK.dgttrf, _LAPACK.dgttrs
 
 

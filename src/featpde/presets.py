@@ -5,7 +5,9 @@ reproducible from the name alone: the full system (when one exists), feature
 maps, the reduced SDE, the cost or barrier on features, the data grid, the
 enlarged finite-difference oracle settings, and default training configs.
 ``get_preset`` builds a fresh instance on every call; nothing is shared.
-Only the 1000-d presets load ``scipy.sparse``, when they are built.
+The 1000-d presets' drift calls scipy's compiled CSR kernel, which they
+load with ``pde._scipy_extension`` when they are built; no scipy package
+is imported.
 """
 
 from __future__ import annotations
@@ -19,7 +21,13 @@ import numpy as np
 from .errors import UsageError
 from .featureid import AeTrainConfig
 from .grid import GridRows
-from .pde import LqSpec, PdeProblem, assemble_safety_pde, assemble_value_pde
+from .pde import (
+    LqSpec,
+    PdeProblem,
+    _scipy_extension,
+    assemble_safety_pde,
+    assemble_value_pde,
+)
 from .pinn import PinnConfig
 from .reduction import FeatureMap, ReducedSde, build_reduced_sde
 from .sde import Constant, StochasticSystem
@@ -90,40 +98,57 @@ def three_dim_features() -> FeatureMap:
 
 
 def _block_coupling_matrix():
-    """1000x1000 block-diagonal (A, A) as a scipy CSR matrix, A 500x500
-    with 1.1 on the diagonal, +0.1 at column offsets 2 and 4, -0.1 at
-    offsets 6 and 8, all offsets wrapping modulo 500.  scipy.sparse is
-    imported here, so only the 1000-d presets load it."""
-    from scipy import sparse
-
+    """1000x1000 block-diagonal (A, A) as CSR arrays ``(indptr, indices,
+    data)``, A 500x500 with 1.1 on the diagonal, +0.1 at column offsets 2
+    and 4, -0.1 at offsets 6 and 8, all offsets wrapping modulo 500.  The
+    index arrays are int32 and each row's entries are sorted by column:
+    the arrays of scipy's ``sparse.block_diag([A, A]).tocsr()``."""
     half = 500
     offsets = np.array([0, 2, 4, 6, 8])
-    # row by row, each row's entries in the order of ``offsets``
-    rows = np.repeat(np.arange(half), offsets.size)
-    cols = (rows + np.tile(offsets, half)) % half
-    vals = np.tile([1.1, 0.1, 0.1, -0.1, -0.1], half)
-    a = sparse.coo_matrix((vals, (rows, cols)), shape=(half, half))
-    return sparse.block_diag([a, a]).tocsr()
+    rows = np.arange(2 * half)[:, None]
+    cols = rows - rows % half + (rows + offsets) % half
+    order = np.argsort(cols, axis=1)
+    indices = np.take_along_axis(cols, order, axis=1).astype(np.int32)
+    data = np.array([1.1, 0.1, 0.1, -0.1, -0.1])[order]
+    indptr = np.arange(0, indices.size + 1, offsets.size, dtype=np.int32)
+    return indptr, indices.ravel(), data.ravel()
 
 
 def thousand_dim_system(stable: bool = True) -> StochasticSystem:
     """The 1000-d benchmark system dx = (sign) A_bar x dt + u dt + dw.
 
-    The stable system negates A_bar once: negation is exact, so each drift
-    row has the bits of the negated product, without a pass over it."""
-    abar = _block_coupling_matrix()
+    The drift is one call of scipy's compiled CSR kernel ``csr_matvecs``,
+    loaded without the scipy.sparse package, with the inputs and output
+    layout scipy 1.17 gives it for ``A_bar @ x.T``: the states transposed
+    into a C-contiguous (1000, N) block and a zeroed (1000, N) result,
+    returned transposed, so the drift has the bytes and the F layout of
+    ``(A_bar @ x.T).T``.  The stable system negates A_bar once: negation
+    is exact, so each drift row has the bits of the negated product,
+    without a pass over it."""
+    n = 1000
+    indptr, indices, data = _block_coupling_matrix()
     if stable:
-        abar = -abar
+        data = -data
+    matvecs = _scipy_extension("sparse", "_sparsetools",
+                               "sparse-matrix").csr_matvecs
 
     def drift(x):
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        return (abar @ x.T).T
+        if x.ndim != 2 or x.shape[1] != n:
+            # the kernel reads n values per state and checks no shape
+            raise UsageError(f"the 1000-d drift takes states of length "
+                             f"{n}, got shape {x.shape}")
+        xt = np.ascontiguousarray(x.T)
+        out = np.zeros((n, xt.shape[1]))
+        matvecs(n, n, xt.shape[1], indptr, indices, data, xt.ravel(),
+                out.ravel())
+        return out.T
 
     return StochasticSystem(
-        state_dim=1000,
-        control_dim=1000,
+        state_dim=n,
+        control_dim=n,
         drift=drift,
-        diffusion_const=np.eye(1000),
+        diffusion_const=np.eye(n),
     )
 
 

@@ -47,6 +47,7 @@ declared beside ``stream``.  Consequences used elsewhere in the package:
 from __future__ import annotations
 
 import functools
+import operator
 import threading
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -224,11 +225,14 @@ BOOTSTRAP_TAG = 2**32 + 1  # the control refinement's bootstrap
 
 
 def stream(seed: int, tag: int) -> np.random.Generator:
-    """The Philox generator keyed by (seed, tag); both must be in
-    [0, 2**64)."""
+    """The Philox generator keyed by (seed, tag); both must be integers
+    (Python or numpy) in [0, 2**64)."""
     try:
-        key = np.array([seed, tag], dtype=np.uint64)
-    except OverflowError:
+        # as Python ints, which numpy refuses out of range; a numpy word
+        # would be cast, -1 to 2**64 - 1
+        key = np.array([operator.index(seed), operator.index(tag)],
+                       dtype=np.uint64)
+    except (TypeError, OverflowError):
         raise UsageError(f"the Philox key (seed {seed}, tag {tag}) must be "
                          f"in [0, 2**64)") from None
     return np.random.Generator(np.random.Philox(key=key))
@@ -409,6 +413,15 @@ def _path_name(j: int, rows: int, starts) -> str:
     return f"path {j % n} of start point {starts[j // n]}"
 
 
+def _is_diagonal(a) -> bool:
+    """Whether the square ``a`` equals ``np.diag(np.diagonal(a))``, found
+    without building that matrix: no NaN on the diagonal and no nonzero
+    entry off it (-0.0 counts as zero in both)."""
+    d = np.diagonal(a)
+    return (not np.isnan(d).any()
+            and np.count_nonzero(a) == np.count_nonzero(d))
+
+
 def _run_full(system, policy, x0, cfg, t0, observer, take=None):
     """March the full system, calling observer(step, t, x, z) each step.
 
@@ -447,10 +460,10 @@ def _run_full(system, policy, x0, cfg, t0, observer, take=None):
     dt = cfg.dt
     sq = np.sqrt(dt)
     const_diag = None
-    if system.diffusion_const is not None and system.state_dim == system.control_dim:
-        d = np.diagonal(system.diffusion_const)
-        if np.array_equal(system.diffusion_const, np.diag(d)):
-            const_diag = d.copy()
+    if (system.diffusion_const is not None
+            and system.state_dim == system.control_dim
+            and _is_diagonal(system.diffusion_const)):
+        const_diag = np.diagonal(system.diffusion_const).copy()
     # scaling by an identity diffusion's ones changes no bit, so it is skipped
     unit_diag = const_diag is not None and bool((const_diag == 1.0).all())
     uncontrolled = isinstance(policy, ZeroPolicy)

@@ -427,6 +427,27 @@ def test_benchmark_oracle_must_differ_from_estimators(tmp_path):
         )
 
 
+@pytest.mark.parametrize("bench,message", [
+    ({"estimators": ["pinn"], "oracle": "riccati"},
+     "benchmark estimator 'pinn' not supported"),
+    ({"estimators": ["mc_reduced"], "oracle": "pinn"},
+     "benchmark.oracle must be 'fd' or 'riccati'"),
+], ids=["estimator", "oracle"])
+def test_a_refused_benchmark_leaves_no_out_directory(bench, message,
+                                                     tmp_path, capsys):
+    # the out directory used to be made before the benchmark section was
+    # checked, so a refused run left it behind empty
+    path = tmp_path / "run.yaml"
+    path.write_text(json.dumps({"preset": "lq-scalar",
+                                "benchmark": dict(bench, n_samples=[100])}))
+    out = tmp_path / "out"
+    assert cli.main(["benchmark", "--config", str(path),
+                     "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"featpde: error: {message}"), err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("points", [None, [[0.0, 1.0]]])
 def test_benchmark_points_dimension_checked(points, tmp_path):
     # lq-scalar has k = 1; the default points have two coordinates
@@ -1151,7 +1172,7 @@ def test_a_derived_seed_past_64_bits_names_its_key(command, tmp_path,
     assert cli.main([command, "--config", str(path), "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"featpde: error: {message}"), err
-    assert not out.exists() or not any(out.iterdir())
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", list(_DERIVED_SEEDS))

@@ -1,11 +1,17 @@
 """Pinned constants of the shipped presets."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+from conftest import child_env
 from featpde.errors import UsageError
 from featpde.pde import riccati_value
 from featpde.presets import (
+    _block_coupling_matrix,
     feature_state_grid,
     get_preset,
     preset_names,
@@ -114,6 +120,100 @@ def test_thousand_dim_coupling_matrix_structure():
     col500 = sys.drift(e500)[0]
     assert col500[500] == pytest.approx(1.1)
     assert np.allclose(col500[:500], 0.0)
+
+
+def _scipy_coupling_matrix():
+    """The 1000-d coupling matrix as scipy builds it: each row's COO
+    entries in the order of the offsets, ``block_diag``, then ``tocsr``."""
+    from scipy import sparse
+
+    half = 500
+    offsets = np.array([0, 2, 4, 6, 8])
+    rows = np.repeat(np.arange(half), offsets.size)
+    cols = (rows + np.tile(offsets, half)) % half
+    vals = np.tile([1.1, 0.1, 0.1, -0.1, -0.1], half)
+    a = sparse.coo_matrix((vals, (rows, cols)), shape=(half, half))
+    return sparse.block_diag([a, a]).tocsr()
+
+
+def test_the_coupling_arrays_are_scipys_csr_arrays():
+    ref = _scipy_coupling_matrix()
+    ours = _block_coupling_matrix()
+    assert [a.dtype for a in ours] == [ref.indptr.dtype, ref.indices.dtype,
+                                       ref.data.dtype]
+    assert [a.tobytes() for a in ours] == [
+        ref.indptr.tobytes(), ref.indices.tobytes(), ref.data.tobytes()]
+
+
+def _drift_inputs():
+    rng = np.random.default_rng(34)
+    x = rng.standard_normal((200, 1000))
+    zeros = np.zeros((3, 1000))
+    zeros[0, ::2] = -0.0
+    zeros[1] = -0.0
+    zeros[2, ::3] = rng.standard_normal(334)
+    return {"C": x, "F": np.asfortranarray(x), "one-row": x[:1],
+            "vector": x[0], "signed-zeros": zeros}
+
+
+@pytest.mark.parametrize("stable", [False, True])
+@pytest.mark.parametrize("name", list(_drift_inputs()))
+def test_the_drift_has_the_bytes_and_layout_of_scipys_product(name, stable):
+    # guard: the march's row sums and F layout rest on these
+    x = _drift_inputs()[name]
+    abar = _scipy_coupling_matrix()
+    if stable:
+        abar = -abar
+    got = thousand_dim_system(stable=stable).drift(x)
+    want = (abar @ np.atleast_2d(x).T).T
+    assert (got.shape, got.strides) == (want.shape, want.strides)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_the_drift_refuses_states_of_another_length():
+    # the compiled kernel checks no shape and would read past the state
+    with pytest.raises(UsageError,
+                       match=r"length 1000, got shape \(2, 999\)"):
+        thousand_dim_system().drift(np.zeros((2, 999)))
+
+
+def _child(code, **env):
+    return subprocess.run([sys.executable, "-c", code], env=child_env(**env),
+                          capture_output=True, text=True, timeout=120)
+
+
+@pytest.mark.parametrize("first", ["featpde", "scipy"])
+def test_the_csr_kernel_is_the_module_scipy_sparse_uses(first):
+    # each order in a fresh interpreter, with its own sys.modules
+    steps = ["from featpde.presets import thousand_dim_system\n"
+             "system = thousand_dim_system()",
+             "import scipy.sparse"]
+    if first == "scipy":
+        steps.reverse()
+    res = _child("\n".join(["import inspect, sys", "import numpy as np",
+                            *steps, (
+        "kernel = sys.modules['scipy.sparse._sparsetools']\n"
+        "matvecs = inspect.getclosurevars(system.drift)"
+        ".nonlocals['matvecs']\n"
+        "print(matvecs is kernel.csr_matvecs, "
+        "scipy.sparse._compressed._sparsetools is kernel)\n"
+        "m = scipy.sparse.csr_matrix(2.0 * np.eye(3))\n"
+        "print(np.array_equal(m @ np.ones((3, 2)), np.full((3, 2), 2.0)))")]))
+    assert res.stdout.split() == ["True"] * 3, res.stderr
+
+
+def test_a_scipy_without_its_csr_kernel_names_the_path(tmp_path):
+    # LAPACK's module is loaded from the real scipy first; the stub then
+    # shadows it for the 1000-d system's kernel
+    (tmp_path / "scipy").mkdir()
+    (tmp_path / "scipy" / "__init__.py").write_text("")
+    res = _child("import sys\nfrom featpde import presets\n"
+                 f"sys.path.insert(0, {str(tmp_path)!r})\n"
+                 "presets.thousand_dim_system()")
+    assert res.returncode == 1
+    assert "ImportError: no sparse-matrix extension module " + os.path.join(
+        str(tmp_path), "scipy", "sparse", "_sparsetools") in res.stderr, \
+        res.stderr
 
 
 def test_sys1000d_value_consistency():

@@ -10,11 +10,11 @@ or copies a context, so every helper thread is its one kind; and only
 march reads its steps through one round driver.  Only ``sde`` names
 numpy's random module, every other module's ``stream`` reads a tag that
 ``sde`` declares, and the declared tags are distinct, so one table owns
-every Philox key featpde makes.  scipy is imported only
-for the 1000-d presets' sparse matrix, inside the one function that
-builds it; ``pde`` loads LAPACK's extension module from its file, so
-importing the CLI loads no scipy module, and an FD solve or a training
-run loads that extension alone."""
+every Philox key featpde makes.  No module imports scipy: ``pde`` loads
+LAPACK's extension module from its file, and the 1000-d presets load
+scipy's compiled CSR kernel the same way when they are built, so
+importing the CLI loads LAPACK's extension alone, as does an FD solve or
+a training run, and a 1000-d estimate loads the CSR kernel besides."""
 
 import ast
 import importlib
@@ -157,18 +157,15 @@ def _scipy_imports(node, where=None):
 
 
 def test_scipy_parts_are_imported_only_where_they_are_used():
-    # no scipy.special and no scipy.linalg anywhere (pde loads LAPACK's
-    # extension module from its file), scipy.sparse only in the function
-    # that builds the 1000-d coupling matrix, and no bare ``import scipy``
-    # that would reach the others by attribute
+    # no scipy import statement anywhere, not even a bare ``import scipy``:
+    # ``pde._scipy_extension`` loads the compiled modules featpde calls,
+    # LAPACK's and the CSR kernel, from their files
     found = sorted(
         {(name, where, ".".join(module.split(".")[:2]))
          for name in MODULES
          for where, module in _scipy_imports(ast.parse(
              inspect.getsource(importlib.import_module(name))))})
-    assert found == [
-        ("featpde.presets", "_block_coupling_matrix", "scipy.sparse"),
-    ]
+    assert found == []
 
 
 def _scipy_modules_after(code):
@@ -198,10 +195,17 @@ def test_fd_and_training_load_only_the_lapack_extension(tmp_path):
     assert out == "['scipy.linalg._flapack']"
 
 
-def test_building_a_1000d_preset_loads_scipy_sparse():
-    out = _scipy_modules_after("from featpde.presets import get_preset\n"
-                               "get_preset('sys1000d-value')")
-    assert "'scipy.sparse'" in out and "'scipy.linalg'" not in out
+def test_a_1000d_estimate_loads_only_lapack_and_the_csr_kernel(tmp_path):
+    # scipy.sparse, and with it scipy._lib, used to load with the preset
+    cfg = {"preset": "sys1000d-value", "estimator": "mc_full",
+           "eval": {"points": [[1.5, 1.5]], "time": 0.96},
+           "mc": {"dt": 0.01, "n_paths": 4}}
+    out = _scipy_modules_after(
+        "from featpde.presets import get_preset\n"
+        "get_preset('sys1000d-value')\n"
+        "from featpde import harness\n"
+        f"harness.run({cfg!r}, 'estimate-value', out={str(tmp_path)!r})")
+    assert out == "['scipy.linalg._flapack', 'scipy.sparse._sparsetools']"
 
 
 def _load_spans():

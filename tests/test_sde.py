@@ -8,6 +8,8 @@ from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from featpde import sde
 from featpde.errors import DomainError, SimulationError, UsageError
@@ -163,9 +165,11 @@ def test_step_noise_is_pure_and_prefix_stable():
 
 
 @pytest.mark.parametrize("seed,tag", [(2**64, 0), (-1, 0), (0, 2**64),
-                                      (2**64 - 1, -1)])
+                                      (2**64 - 1, -1), (np.int64(-1), 0),
+                                      (0, np.int32(-5)), (3.0, 0)])
 def test_a_philox_key_outside_64_bits_is_a_usage_error(seed, tag):
-    # numpy raises an OverflowError that names neither word of the key
+    # numpy raises an OverflowError that names neither word of the key, and
+    # used to wrap a negative numpy integer round to 2**64 - 1 silently
     with pytest.raises(UsageError, match=re.escape(
             f"(seed {seed}, tag {tag}) must be in [0, 2**64)")):
         sde.stream(seed, tag)
@@ -173,7 +177,31 @@ def test_a_philox_key_outside_64_bits_is_a_usage_error(seed, tag):
 
 def test_the_largest_philox_key_is_accepted():
     top = 2**64 - 1
-    assert np.isfinite(sde.stream(top, top).standard_normal(3)).all()
+    draw = sde.stream(top, top).standard_normal(3)
+    assert np.isfinite(draw).all()
+    # guard: a numpy word is read as the integer it holds
+    assert sde.stream(np.uint64(top), np.uint64(top)).standard_normal(
+        3).tobytes() == draw.tobytes()
+
+
+@st.composite
+def _square_matrices(draw):
+    """A diagonal (n, n) matrix with up to two entries then overwritten,
+    every entry from a set holding both zeros, NaN and both infinities."""
+    entries = st.sampled_from([0.0, -0.0, 1.0, -2.5, np.inf, -np.inf,
+                               np.nan])
+    n = draw(st.integers(1, 4))
+    a = np.diag(draw(st.lists(entries, min_size=n, max_size=n)))
+    for _ in range(draw(st.integers(0, 2))):
+        a[draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))] = draw(
+            entries)
+    return a
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(_square_matrices())
+def test_a_diagonal_diffusion_is_found_as_comparing_with_np_diag_finds_it(a):
+    assert sde._is_diagonal(a) == np.array_equal(a, np.diag(np.diagonal(a)))
 
 
 def test_step_noise_into_a_buffer_gives_the_same_bits():
