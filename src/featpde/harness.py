@@ -249,12 +249,15 @@ class ExperimentConfig:
 
     # --- resolved sub-configs -------------------------------------------
 
+    def mc_source(self, name: str, section: str = "mc") -> str:
+        """The section the sampled routes read ``name`` (dt or n_paths)
+        from: mc where the config gives it there, else ``section``."""
+        return "mc" if name in self.raw.get("mc", {}) else section
+
     def mc_budget(self, section: str = "mc") -> tuple:
-        """(dt, n_paths, seed) of the sampled routes: the mc section's dt
-        and n_paths where the config gives them, else config section
-        ``section``'s."""
-        given = self.raw.get("mc", {})
-        return tuple(self.typed["mc" if name in given else section][name]
+        """(dt, n_paths, seed) of the sampled routes, each read from its
+        ``mc_source``."""
+        return tuple(self.typed[self.mc_source(name, section)][name]
                      for name in ("dt", "n_paths")) + (self.seed,)
 
     def check_seed_offset(self, offset: int, key: str, what: str) -> None:
@@ -395,6 +398,26 @@ def _edge_rows(xc: ExperimentConfig, times) -> np.ndarray:
     if xc.task == "value":
         return np.abs(times - xc.preset.horizon) < 1e-12
     return times <= 1e-12
+
+
+def _check_steps(xc: ExperimentConfig, times, dt: float, dt_key: str,
+                 time_key: str) -> None:
+    """Refuse the config, naming ``dt_key`` and ``time_key``, when a
+    sampled route would march from a row time over a span that is not a
+    whole number of dt steps: T - t for a value, the horizon t for
+    safety.  Rows with no time left to march are not marched."""
+    times = np.ravel(times)
+    value = xc.task == "value"
+    T = xc.preset.horizon
+    for t in np.unique(times[~_edge_rows(xc, times)]).tolist():
+        try:
+            SimConfig(dt=dt, horizon=T - t if value else t, seed=0,
+                      n_paths=1)
+        except UsageError:
+            raise ConfigError(
+                f"{time_key} {t} is not a whole number of {dt_key} = {dt} "
+                f"steps" + (f" from the horizon {T}" if value else "")
+            ) from None
 
 
 def _boundary(xc: ExperimentConfig, r, starts) -> np.ndarray:
@@ -818,8 +841,10 @@ def make_dataset(xc: ExperimentConfig, out_path: str) -> str:
         grid = ROUTES["fd"].rows(xc, points, times, None)
         body = np.column_stack([points, times, grid.estimates])
     else:
-        grid = ROUTES["mc_reduced"].rows(xc, points, times,
-                                         xc.mc_budget("dataset"))
+        mc = xc.mc_budget("dataset")
+        _check_steps(xc, times, mc[0], f"{xc.mc_source('dt', 'dataset')}.dt",
+                     "dataset.times")
+        grid = ROUTES["mc_reduced"].rows(xc, points, times, mc)
         header += ",std_error,flagged"
         body = np.column_stack([points, times, grid.estimates,
                                 grid.std_errors,
@@ -892,6 +917,7 @@ def benchmark(xc: ExperimentConfig, out_path: str) -> str:
     points = xc.points("benchmark", b["points"])
     times = np.full(points.shape[0], b.get("time", xc.default_time))
     _check_times(xc, times, "benchmark.time")
+    _check_steps(xc, times, b["dt"], "benchmark.dt", "benchmark.time")
     truth = ROUTES[b["oracle"]].rows(xc, points, times, None).estimates
     for est in b["estimators"]:  # on no rows: refuses before any sampling
         ROUTES[est].rows(xc, points[:0], times[:0], None)
@@ -971,8 +997,10 @@ def cmd_estimate(xc: ExperimentConfig, task: str) -> list:
     _check_times(xc, t, "eval.time")
     if xc.estimator is None:
         raise ConfigError("config needs an 'estimator' for this command")
-    grid = ROUTES[xc.estimator].rows(xc, points, np.full(len(points), t),
-                                     xc.mc_budget())
+    mc = xc.mc_budget()
+    if ROUTES[xc.estimator].role == "sampled":
+        _check_steps(xc, t, mc[0], "mc.dt", "eval.time")
+    grid = ROUTES[xc.estimator].rows(xc, points, np.full(len(points), t), mc)
     return [grid.to_csv(_artifact(xc, f"{task}.csv"))]
 
 
@@ -1003,6 +1031,13 @@ def cmd_train_features(xc: ExperimentConfig) -> list:
                              "initialisation")
     states = feature_state_grid(p)
     n_states = ae.get("n_states")
+    if cfg.w_ct > 0:
+        # the penalty's bucket thresholds need two feature samples a batch
+        for key, n in (("batch_size", cfg.batch_size), ("n_states", n_states)):
+            if n is not None and n < 2:
+                raise ConfigError(f"ae.{key} must be at least 2 when ae.w_ct "
+                                  f"> 0, the penalty needs two states a "
+                                  f"batch; got {n}")
     if n_states is not None:
         if n_states > len(states):
             raise ConfigError(f"ae.n_states must be in [1, {len(states)}], "

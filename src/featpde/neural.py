@@ -34,12 +34,19 @@ block order.  Each block is small enough that OpenBLAS computes it the
 same way on one thread or two, so training does not depend on the BLAS
 thread count.
 
+The first tanh layer, the widest in the feature encoder, keeps only its
+output t as a batch-sized array.  Its slopes s and c, and in the reverse
+pass its cotangents, are formed in row blocks aligned with those of
+:func:`_batch_sum`, so every sum adds the same blocks in the same order and
+the results are the bits the whole arrays gave (see :func:`_row_blocks`).
+
 A :class:`Workspace` holds one network's intermediates at one call site of a
 training loop: every (B, .) array of the forward call (layer outputs t, the
-tanh slopes s = 1 - t^2 and c = t s, the J/L arrays) and of the reverse pass
-(the cotangents of every layer).  Each buffer is allocated on first use and
-again only when its shape changes, so after the first step a training loop
-that passes the same workspace every step allocates no batch-sized arrays.
+tanh slopes s = 1 - t^2 and c = t s of the layers after the first, the J/L
+arrays), the cotangents of the reverse pass, and the first layer's row-block
+scratch.  Each buffer is allocated on first use and again only when its
+shape changes, so after the first step a training loop that passes the same
+workspace every step allocates no batch-sized arrays.
 What a call returns from a workspace (the values, the bundle, the input
 cotangent) is a view into it, valid until the next call with that
 workspace.  Without a workspace, :func:`forward` and
@@ -153,7 +160,8 @@ class _Record(NamedTuple):
     """One layer of the forward record :func:`grad` reads.
 
     ``h`` is the layer input; ``t`` its tanh output, with s = 1 - t^2 and
-    c = t s (None on the affine output layer; ``c`` only from
+    c = t s (None on the affine output layer and, since :func:`grad` forms
+    them in row blocks, on the first layer; ``c`` only from
     :func:`derivatives_batch`).  ``tan`` holds the input derivatives J, L
     of h as one channel-major (d_in + 1, B, .) array (None where implicit:
     the raw input and the first layer's rank-one ones) and ``tz`` those of
@@ -180,6 +188,9 @@ class Workspace:
     (B, .) intermediates into the buffers held here, allocating one only on
     its first use or when its shape changes, so the arrays these calls
     return are views that the next call with this workspace overwrites.
+    Of the first tanh layer only t is batch-sized: its s, c and cotangents
+    live in row-block scratch buffers here, one for each role, sized for
+    the longest block.
     The forward call also leaves what :func:`grad` reads besides the
     layers: the (W, b) views it ran with and, from
     :func:`derivatives_batch`, the first layer's rank-one weights and the
@@ -202,11 +213,28 @@ class Workspace:
         return buf
 
 
-def _slopes(cache, li, t):
-    """s = 1 - t^2 and c = t s of layer ``li``'s tanh output t."""
-    s = np.multiply(t, t, out=cache.buffer(("s", li), t.shape))
+def _slopes(t, s, c=None):
+    """s = 1 - t^2 of the tanh output t into ``s`` and, given ``c``,
+    c = t s into ``c``; returns (s, c)."""
+    np.multiply(t, t, out=s)
     np.subtract(1.0, s, out=s)
-    return s, np.multiply(t, s, out=cache.buffer(("c", li), t.shape))
+    if c is not None:
+        np.multiply(t, s, out=c)
+    return s, c
+
+
+def _slope_chain(t, g_h, g_s, g_c):
+    """Add to g_h, the cotangent of a tanh output t, the paths through
+    s = 1 - t^2 and c = t s whose cotangents are g_s and g_c: ds/dt = -2t
+    and dc/dt = 1 - 3t^2, so g_h - 2t g_s + (1 - 3t^2) g_c, in place.
+    Spends g_s and g_c."""
+    g_s *= t
+    g_s *= 2.0
+    g_h -= g_s
+    dc_dt = np.multiply(t, 3.0, out=g_s)  # g_s is spent
+    dc_dt *= t
+    g_c *= np.subtract(1.0, dc_dt, out=dc_dt)
+    g_h += g_c
 
 
 # Limits on each block product of _batch_sum: at most _BLOCK_ROWS rows and
@@ -219,6 +247,12 @@ _BLOCK_ROWS = 1024
 _BLOCK_MULADDS = 2 ** 19
 
 
+def _sum_rows(m, n):
+    """The rows of each block :func:`_batch_sum` cuts an x.T @ g of x
+    width m and g width n into."""
+    return max(1, min(_BLOCK_ROWS, _BLOCK_MULADDS // max(1, m * n)))
+
+
 def _batch_sum(x, g, out):
     """Add x.T @ g, a sum over the batch rows, to ``out`` block by block.
 
@@ -226,11 +260,67 @@ def _batch_sum(x, g, out):
     in block order, so the result does not depend on how many threads BLAS
     splits a product over.
     """
-    rows = max(1, min(_BLOCK_ROWS,
-                      _BLOCK_MULADDS // max(1, x.shape[1] * g.shape[1])))
+    rows = _sum_rows(x.shape[1], g.shape[1])
     for r in range(0, len(x), rows):
         out += x[r:r + rows].T @ g[r:r + rows]
     return out
+
+
+# The first layer's s, c and cotangents are formed in row blocks, and a
+# row-wise product on a block must round as the same rows of the product
+# of all rows do.  A sweep of blocked against whole products with the
+# OpenBLAS numpy bundles (0.3.31, AVX-512 cores), at 1 and 2 threads,
+# found that to hold for matrix-matrix products of more than
+# _SMALL_MULADDS multiply-adds, at most _BLOCK_WIDTH output columns and
+# more rows than output columns.  Up to that size OpenBLAS uses
+# small-matrix kernels, which can round some output columns differently;
+# with no more rows than columns, two threads split the columns instead of
+# the rows; past that width, the last columns of a width that is not a
+# multiple of 8 round by the rows' position, and so does every row of a
+# matrix-vector product.
+_SMALL_MULADDS = 10 ** 6
+_BLOCK_WIDTH = 192
+
+
+def _row_blocks(bsz, rows, products=()):
+    """Slices cutting [0, bsz) into blocks that start at multiples of
+    ``rows``, so a :func:`_batch_sum` of ``rows``-row blocks adds the same
+    blocks in the same order over them as over all rows.
+
+    There is at least one block, empty when ``bsz`` is 0.  Without
+    ``products`` each block has as many multiples of ``rows`` as fit in
+    _BLOCK_ROWS rows (at least one), the last one fewer.
+    ``products`` holds the (width, inner width) of each row-wise product a
+    loop computes on every block.  Then every block has R rows, the least
+    multiple of ``rows`` within the limits above for each product, and the
+    last one also takes the rest; a product of width 1 or wider than
+    _BLOCK_WIDTH takes all rows as one block.
+    """
+    products = [(n, k) for n, k in products if n * k]
+    if any(n == 1 or n > _BLOCK_WIDTH for n, _ in products):
+        return [slice(0, bsz)]
+    if not products:
+        rows *= max(1, _BLOCK_ROWS // rows)
+        return [slice(r, min(r + rows, bsz))
+                for r in range(0, max(bsz, 1), rows)]
+    least = max(max(_SMALL_MULADDS // (n * k), n) for n, k in products) + 1
+    rows *= -(-least // rows)
+    n = max(1, bsz // rows)
+    return [slice(i * rows, (i + 1) * rows if i < n - 1 else bsz)
+            for i in range(n)]
+
+
+def _slope_blocks(cache, t, blocks, with_c=False):
+    """(row slice, s, c) over the row ``blocks`` of the first layer's tanh
+    output t: s = 1 - t^2 and, ``with_c``, c = t s (else None), each formed
+    in one scratch of ``cache`` sized for the longest block."""
+    shape = (max(b.stop - b.start for b in blocks), t.shape[1])
+    s_buf = cache.buffer(("s0", shape), shape)
+    c_buf = cache.buffer(("c0", shape), shape) if with_c else None
+    for blk in blocks:
+        k = blk.stop - blk.start
+        yield (blk, *_slopes(t[blk], s_buf[:k],
+                             None if c_buf is None else c_buf[:k]))
 
 
 def forward(net: DenseNetwork, x, cache: Optional[Workspace] = None):
@@ -256,9 +346,9 @@ def forward(net: DenseNetwork, x, cache: Optional[Workspace] = None):
             cache.records.append(_Record(h))
             return z[0] if single else z
         t = np.tanh(z, out=z)
-        if traced:
-            s = np.multiply(t, t, out=cache.buffer(("s", li), t.shape))
-            cache.records.append(_Record(h, t, np.subtract(1.0, s, out=s)))
+        if traced:  # grad forms the first layer's s itself
+            s = _slopes(t, cache.buffer(("s", li), t.shape))[0] if li else None
+            cache.records.append(_Record(h, t, s))
         h = t
 
 
@@ -293,8 +383,9 @@ def derivatives_batch(net: DenseNetwork, x, weights,
 
     J and L are held channel-major (see the module docstring) and returned
     as (B, d_in, d_out) and (B, d_out) views of that array.  The first
-    layer's J', L' are never formed (see ``_rank_one_weights``).  With a
-    :class:`Workspace` every layer's inputs, t, s = 1 - t^2, c = t s and
+    layer's J', L' are never formed (see ``_rank_one_weights``), and its s
+    and c are formed row block by row block.  With a :class:`Workspace`
+    every layer's inputs, t, the later layers' s = 1 - t^2, c = t s and
     derivatives live in its buffers and are recorded, so :func:`grad` can
     differentiate any loss of (u, J, L) in the parameters; the returned
     bundle is then a view valid until the next call with that workspace.
@@ -325,15 +416,18 @@ def derivatives_batch(net: DenseNetwork, x, weights,
         jac = np.broadcast_to(w, (bsz, d_in, net.d_out)).copy()
         return z, jac, np.zeros((bsz, net.d_out))
     t = np.tanh(z, out=z)
-    s, c = _slopes(cache, 0, t)
-    records.append(_Record(xv, t, s, c))
-    n1 = layers[1][0].shape[1]
+    records.append(_Record(xv, t))
+    n0, n1 = w.shape[1], layers[1][0].shape[1]
     ws, wh = cache.rank_one = _rank_one_weights(w, layers[1][0], m)
     # the B-major products, in buffers grad reuses, moved to channel-major
-    # and, for L, summed with the row weights
-    flat_j = np.matmul(s, ws, out=cache.buffer(("rank1", "J"),
-                                               (bsz, d_in * n1)))
-    flat_l = np.matmul(c, wh, out=cache.buffer(("rank1", "L"), (bsz, m * n1)))
+    # and, for L, summed with the row weights; s and c are formed in the
+    # row blocks grad sums s^T g_J by
+    flat_j = cache.buffer(("rank1", "J"), (bsz, d_in * n1))
+    flat_l = cache.buffer(("rank1", "L"), (bsz, m * n1))
+    blocks = _row_blocks(bsz, 1, [(d_in * n1, n0), (m * n1, n0)])
+    for blk, s, c in _slope_blocks(cache, t, blocks, True):
+        np.matmul(s, ws, out=flat_j[blk])
+        np.matmul(c, wh, out=flat_l[blk])
     tz = cache.buffer(("tz", 1), (d_in + 1, bsz, n1))
     tz[:d_in] = flat_j.reshape(bsz, d_in, n1).transpose(1, 0, 2)
     np.einsum("ib,bin->bn", wts, flat_l.reshape(bsz, m, n1), out=tz[d_in])
@@ -351,7 +445,8 @@ def derivatives_batch(net: DenseNetwork, x, weights,
             records.append(_Record(h, tan=tan, tz=tz))
             return z, tz[:d_in].transpose(1, 0, 2), tz[d_in]
         t = np.tanh(z, out=z)
-        s, c = _slopes(cache, li, t)
+        s, c = _slopes(t, cache.buffer(("s", li), t.shape),
+                       cache.buffer(("c", li), t.shape))
         wj = np.einsum("ibn,ib->ibn", tz[:m], wts,
                        out=cache.buffer(("wj", li), (m, bsz, n)))
         wsq = np.einsum("ibn,ibn->bn", wj, tz[:m],
@@ -379,7 +474,8 @@ def grad(net: DenseNetwork, cache: Workspace, g_u, g_J=None, g_L=None,
     is plain backpropagation and either forward call will do; otherwise
     the workspace must come from :func:`derivatives_batch`, and a missing
     one of the two counts as zero.  The cotangents of the hidden layers are
-    written into the workspace's buffers.
+    written into the workspace's buffers; the first tanh layer's are
+    formed in row blocks (see :func:`_first_layer_grad`).
     """
     records, layers = cache.records, cache.layers
     dtheta = np.zeros_like(net.theta)
@@ -397,7 +493,9 @@ def grad(net: DenseNetwork, cache: Workspace, g_u, g_J=None, g_L=None,
                             (d_in + 1, bsz, net.d_out))
         g_to[:d_in] = 0.0 if g_J is None else np.transpose(g_J, (1, 0, 2))
         g_to[d_in] = 0.0 if g_L is None else g_L
-    for li in range(len(layers) - 1, -1, -1):
+    # a hidden first layer is left to _first_layer_grad, after layer 1
+    last = 1 if len(layers) > 1 else 0
+    for li in range(len(layers) - 1, last - 1, -1):
         (w, _), (dw, db) = layers[li], dlayers[li]
         h, t, s, c, tan, tz, wj, wsq = records[li]
         wt = np.ascontiguousarray(w.T)
@@ -409,33 +507,22 @@ def grad(net: DenseNetwork, cache: Workspace, g_u, g_J=None, g_L=None,
                 # J' = s Jz and L' = s Lz - 2 c wsq with c = t s, so the
                 # cotangents of s and c are g_s = sum over channels of
                 # g_T' Tz and g_c = -2 g_L' wsq
-                # (the first layer's g_s, g_c come from layer 1 below)
-                if li > 0:
-                    g_s = np.einsum("cbn,cbn->bn", g_to, tz,
-                                    out=cache.buffer(("g_s", li), t.shape))
-                    g_l = g_to[d_in]
-                    g_c = np.multiply(g_l, wsq,
-                                      out=cache.buffer(("g_c", li), t.shape))
-                    g_c *= -2.0
-                    # g_to came from the layer above: update it in place to
-                    # g_Jz_i = s g_J'_i - 4 c g_L' w_i Jz_i, g_Lz = s g_L'
-                    q = np.multiply(c, g_l,
-                                    out=cache.buffer(("q", li), t.shape))
-                    q *= 4.0
-                    q = np.multiply(wj, q,
-                                    out=cache.buffer(("qj", li), wj.shape))
-                    g_to *= s
-                    g_to[:m] -= q
-                # ds/dt = -2t, dc/dt = 1 - 3t^2: g_h - 2t g_s + (1 - 3t^2) g_c,
+                g_s = np.einsum("cbn,cbn->bn", g_to, tz,
+                                out=cache.buffer(("g_s", li), t.shape))
+                g_l = g_to[d_in]
+                g_c = np.multiply(g_l, wsq,
+                                  out=cache.buffer(("g_c", li), t.shape))
+                g_c *= -2.0
+                # g_to came from the layer above: update it in place to
+                # g_Jz_i = s g_J'_i - 4 c g_L' w_i Jz_i, g_Lz = s g_L'
+                q = np.multiply(c, g_l, out=cache.buffer(("q", li), t.shape))
+                q *= 4.0
+                q = np.multiply(wj, q, out=cache.buffer(("qj", li), wj.shape))
+                g_to *= s
+                g_to[:m] -= q
                 # in place: g_h is this layer's own buffer (never the
                 # caller's g_u)
-                g_s *= t
-                g_s *= 2.0
-                g_h -= g_s
-                dc_dt = np.multiply(t, 3.0, out=g_s)  # g_s is spent
-                dc_dt *= t
-                g_c *= np.subtract(1.0, dc_dt, out=dc_dt)
-                g_h += g_c
+                _slope_chain(t, g_h, g_s, g_c)
             g_z = np.multiply(g_h, s, out=g_h)
         _batch_sum(h, g_z, dw)
         g_z.sum(axis=0, out=db)
@@ -453,8 +540,7 @@ def grad(net: DenseNetwork, cache: Workspace, g_u, g_J=None, g_L=None,
             # input J, L come from the first layer's rank-one s W0 and
             # -2 c W0^2 (see _rank_one_weights)
             w0 = layers[0][0]
-            s0, c0 = records[0].s, records[0].c
-            ws, wh = cache.rank_one
+            t0 = records[0].t
             n0, n1 = w.shape
             g_j = cache.buffer(("rank1", "J"), (bsz, d_in * n1))
             g_j.reshape(bsz, d_in, n1)[...] = g_to[:d_in].transpose(1, 0, 2)
@@ -463,23 +549,89 @@ def grad(net: DenseNetwork, cache: Workspace, g_u, g_J=None, g_L=None,
             np.einsum("ib,bk->bik", wts, g_to[d_in],
                       out=g_l.reshape(bsz, m, n1))
             # sg[n, i, k] = sum_b s0[b, n] g_Jz[i, b, k], likewise cg with
-            # c0 and the weighted g_Lz
-            sg = _batch_sum(s0, g_j, np.zeros((n0, d_in * n1))
-                            ).reshape(n0, d_in, n1)
-            cg = _batch_sum(c0, g_l, np.zeros((n0, m * n1))
-                            ).reshape(n0, m, n1)
+            # c0 and the weighted g_Lz; s0 and c0 are formed in the blocks
+            # of each sum
+            sg, cg = np.zeros((n0, d_in * n1)), np.zeros((n0, m * n1))
+            for blk, s0, _ in _slope_blocks(
+                    cache, t0, _row_blocks(bsz, _sum_rows(n0, d_in * n1))):
+                _batch_sum(s0, g_j[blk], sg)
+            for blk, _, c0 in _slope_blocks(
+                    cache, t0, _row_blocks(bsz, _sum_rows(n0, m * n1)), True):
+                _batch_sum(c0, g_l[blk], cg)
+            sg, cg = sg.reshape(n0, d_in, n1), cg.reshape(n0, m, n1)
             w0m = w0[:m]
             dw += (np.einsum("nik,in->nk", sg, w0)
                    - 2.0 * np.einsum("nik,in->nk", cg, w0m * w0m))
             dw0 = np.einsum("nik,nk->in", sg, w)
             dw0[:m] -= 4.0 * w0m * np.einsum("nik,nk->in", cg, w)
-            g_s = np.matmul(g_j, ws.T, out=cache.buffer(("g_s", 0), s0.shape))
-            g_c = np.matmul(g_l, wh.T, out=cache.buffer(("g_c", 0), s0.shape))
-        elif bundle:  # li == 0
-            dw += dw0 if t is not None else g_to[:d_in].sum(axis=1)
-        if li > 0 or input_cotangent:
+        elif bundle:  # an affine network: J = W for every row
+            dw += g_to[:d_in].sum(axis=1)
+        if li > last or (li == 0 and input_cotangent):
             g_h = np.matmul(g_z, wt, out=cache.buffer(("g_in", li), h.shape))
+    if last:
+        g_h = _first_layer_grad(cache, layers[0][0], dlayers[0], g_z, wt,
+                                dw0 if bundle else None, input_cotangent)
     return dtheta, g_h if input_cotangent else None
+
+
+def _first_layer_grad(cache, w, dparams, g_up, wt_up, dw_rank,
+                      input_cotangent):
+    """The reverse pass of the first tanh layer, whose record keeps only
+    its input h and output t.
+
+    ``g_up @ wt_up`` (layer 1's g_z and W^T) is the cotangent of t.  With
+    J/L cotangents, ``dw_rank`` is the part of dW that layer 1 took from
+    the rank-one products (see :func:`derivatives_batch`), and the
+    cotangents g_s = g_Jz @ ws^T and g_c = g_Lz @ wh^T of those products
+    join g_up @ wt_up through s and c; for plain backpropagation it is
+    None.  These, s and g_z are formed in the row blocks in which
+    :func:`_batch_sum` adds h^T g_z to dW, and the bias gradient adds g_z's
+    rows in order: each block after the first is summed below a carry row
+    that holds the running sum.  Returns the input cotangent g_z W^T, a
+    view into the workspace, or None.
+    """
+    h, t = cache.records[0].h, cache.records[0].t
+    dw, db = dparams
+    bsz, n0 = t.shape
+    bundle = dw_rank is not None
+    products = [(n0, len(wt_up))]
+    if bundle:
+        ws, wh = cache.rank_one
+        g_j = cache.buffer(("rank1", "J"), (bsz, ws.shape[1]))
+        g_l = cache.buffer(("rank1", "L"), (bsz, wh.shape[1]))
+        products += [(n0, ws.shape[1]), (n0, wh.shape[1])]
+    g_x = None
+    if input_cotangent:
+        wt = np.ascontiguousarray(w.T)
+        g_x = cache.buffer(("g_in", 0), h.shape)
+        products.append((h.shape[1], n0))
+    # with n0 = 1 there is one block (g_up @ wt_up is a matrix-vector
+    # product), so db stays a pairwise sum over all rows, as it was
+    blocks = _row_blocks(bsz, _sum_rows(h.shape[1], n0), products)
+    k0 = max(b.stop - b.start for b in blocks)
+    carry = cache.buffer(("g_z", 0), (k0 + 1, n0))
+    g_s_buf = cache.buffer(("g_s", 0), (k0, n0))
+    g_c_buf = cache.buffer(("g_c", 0), (k0, n0)) if bundle else None
+    for blk in blocks:
+        k = blk.stop - blk.start
+        g_h = np.matmul(g_up[blk], wt_up, out=carry[1:k + 1])
+        if bundle:
+            _slope_chain(t[blk], g_h,
+                         np.matmul(g_j[blk], ws.T, out=g_s_buf[:k]),
+                         np.matmul(g_l[blk], wh.T, out=g_c_buf[:k]))
+        # s in g_s's scratch, which the chain has spent
+        g_z = np.multiply(g_h, _slopes(t[blk], g_s_buf[:k])[0], out=g_h)
+        _batch_sum(h[blk], g_z, dw)
+        if blk.start:  # continue the sum from the running db
+            carry[0] = db
+            carry[:k + 1].sum(axis=0, out=db)
+        else:
+            g_z.sum(axis=0, out=db)
+        if g_x is not None:
+            np.matmul(g_z, wt, out=g_x[blk])
+    if bundle:
+        dw += dw_rank
+    return g_x
 
 
 @dataclass

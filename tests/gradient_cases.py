@@ -11,9 +11,12 @@ too: the one-point ``forward_with_derivatives``, the central-difference
 ``grad_params``, ``residual``, the PDE residual of any candidate solution,
 ``flat_explicit``, the FD engine's explicit product in its own axis's line
 order, ``full_march``, the full-system Euler-Maruyama march with one new
-array per step, and the central-difference feature derivatives of
+array per step, the central-difference feature derivatives of
 ``feature_map_from_functions`` with their check
-``verify_feature_derivatives``.
+``verify_feature_derivatives``, and ``full_derivatives_batch`` and
+``full_grad``, the network's derivative bundle and its reverse pass with
+the first layer's s, c and cotangents held as whole (B, width) arrays,
+which the row-blocked ``neural`` functions must match bit for bit.
 """
 
 import json
@@ -28,8 +31,9 @@ from featpde.featureid import (
     build_preimage,
     epsilon_default,
 )
-from featpde.neural import (DenseNetwork, Workspace, derivatives_batch,
-                            glorot_init)
+from featpde.neural import (DenseNetwork, Workspace, _batch_sum, _check_width,
+                            _rank_one_weights, _Record, derivatives_batch,
+                            forward, glorot_init, grad)
 from featpde.pde import assemble_safety_pde, assemble_value_pde
 from featpde.pinn import CollocationSet, PinnConfig, TrainingDataset
 from featpde.reduction import FeatureMap, build_reduced_sde
@@ -397,3 +401,216 @@ def verify_feature_derivatives(fm, probes, rtol=1e-5):
         assert herr.max() <= 100 * rtol, (
             f"feature second derivative in x{l + 1} disagrees with finite "
             f"differences (max rel err {herr.max():.3e})")
+
+
+# ------------------------------------------------- whole-array first layer
+# neural.derivatives_batch and neural.grad as they were before the first
+# layer's s, c and cotangents were formed in row blocks: every (B, width)
+# array whole, in a Workspace of its own
+
+
+def _full_slopes(cache, li, t):
+    """s = 1 - t^2 and c = t s of layer ``li``'s tanh output t."""
+    s = np.multiply(t, t, out=cache.buffer(("s", li), t.shape))
+    np.subtract(1.0, s, out=s)
+    return s, np.multiply(t, s, out=cache.buffer(("c", li), t.shape))
+
+
+def full_derivatives_batch(net: DenseNetwork, x, weights, cache):
+    xv = np.asarray(x, dtype=np.float64)
+    if xv.ndim != 2:
+        raise ValueError("derivatives_batch expects (B, d_in) input")
+    bsz, d_in = xv.shape
+    _check_width(net, d_in)
+    wv = np.asarray(weights, dtype=np.float64)
+    if wv.ndim != 2 or len(wv) != bsz or wv.shape[1] > d_in:
+        raise ValueError(f"weights must be (B, m) with B = {bsz} and "
+                         f"m <= {d_in}, got {wv.shape}")
+    m = wv.shape[1]
+    records = cache.records
+    records.clear()
+    layers = cache.layers = net.layer_views()
+    wts = cache.weights = cache.buffer("weights", (m, bsz))
+    np.copyto(wts, wv.T)
+
+    w, b = layers[0]
+    z = np.matmul(xv, w, out=cache.buffer(("z", 0), (bsz, w.shape[1])))
+    z += b
+    if len(layers) == 1:  # affine network: J = W for every row, L = 0
+        records.append(_Record(xv, tz=w[None]))
+        jac = np.broadcast_to(w, (bsz, d_in, net.d_out)).copy()
+        return z, jac, np.zeros((bsz, net.d_out))
+    t = np.tanh(z, out=z)
+    s, c = _full_slopes(cache, 0, t)
+    records.append(_Record(xv, t, s, c))
+    n1 = layers[1][0].shape[1]
+    ws, wh = cache.rank_one = _rank_one_weights(w, layers[1][0], m)
+    # the B-major products, in buffers grad reuses, moved to channel-major
+    # and, for L, summed with the row weights
+    flat_j = np.matmul(s, ws, out=cache.buffer(("rank1", "J"),
+                                               (bsz, d_in * n1)))
+    flat_l = np.matmul(c, wh, out=cache.buffer(("rank1", "L"), (bsz, m * n1)))
+    tz = cache.buffer(("tz", 1), (d_in + 1, bsz, n1))
+    tz[:d_in] = flat_j.reshape(bsz, d_in, n1).transpose(1, 0, 2)
+    np.einsum("ib,bin->bn", wts, flat_l.reshape(bsz, m, n1), out=tz[d_in])
+    h, tan = t, None
+    for li in range(1, len(layers)):
+        w, b = layers[li]
+        n = w.shape[1]
+        z = np.matmul(h, w, out=cache.buffer(("z", li), (bsz, n)))
+        z += b
+        if li > 1:
+            tz = np.matmul(tan.reshape(-1, w.shape[0]), w,
+                           out=cache.buffer(("tz", li), ((d_in + 1) * bsz, n))
+                           ).reshape(d_in + 1, bsz, n)
+        if li == len(layers) - 1:
+            records.append(_Record(h, tan=tan, tz=tz))
+            return z, tz[:d_in].transpose(1, 0, 2), tz[d_in]
+        t = np.tanh(z, out=z)
+        s, c = _full_slopes(cache, li, t)
+        wj = np.einsum("ibn,ib->ibn", tz[:m], wts,
+                       out=cache.buffer(("wj", li), (m, bsz, n)))
+        wsq = np.einsum("ibn,ibn->bn", wj, tz[:m],
+                        out=cache.buffer(("wsq", li), t.shape))
+        records.append(_Record(h, t, s, c, tan, tz, wj, wsq))
+        # J' = s Jz and L' = s Lz on every channel, then L' -= 2 c wsq
+        tan = np.multiply(tz, s, out=cache.buffer(("tan", li), tz.shape))
+        c2 = np.multiply(c, 2.0, out=cache.buffer(("c2", li), t.shape))
+        tan[d_in] -= np.multiply(c2, wsq, out=c2)
+        h = t
+
+
+def full_grad(net: DenseNetwork, cache, g_u, g_J=None, g_L=None,
+              input_cotangent=False):
+    records, layers = cache.records, cache.layers
+    dtheta = np.zeros_like(net.theta)
+    dlayers = net.layer_views(dtheta)
+    g_h = np.asarray(g_u, dtype=np.float64)
+    d_in, bsz = net.d_in, len(g_h)
+    bundle = g_J is not None or g_L is not None
+    if bundle:
+        if records[-1].tz is None:
+            raise ValueError("J/L cotangents need a derivatives_batch cache")
+        wts = cache.weights
+        m = len(wts)
+        # the output layer's cotangents of (J, L), channel-major
+        g_to = cache.buffer(("g_tan", len(layers)),
+                            (d_in + 1, bsz, net.d_out))
+        g_to[:d_in] = 0.0 if g_J is None else np.transpose(g_J, (1, 0, 2))
+        g_to[d_in] = 0.0 if g_L is None else g_L
+    for li in range(len(layers) - 1, -1, -1):
+        (w, _), (dw, db) = layers[li], dlayers[li]
+        h, t, s, c, tan, tz, wj, wsq = records[li]
+        wt = np.ascontiguousarray(w.T)
+        # g_z, g_to: cotangents of this layer's affine outputs z, (Jz, Lz)
+        if t is None:
+            g_z = g_h
+        else:
+            if bundle:
+                # J' = s Jz and L' = s Lz - 2 c wsq with c = t s, so the
+                # cotangents of s and c are g_s = sum over channels of
+                # g_T' Tz and g_c = -2 g_L' wsq
+                # (the first layer's g_s, g_c come from layer 1 below)
+                if li > 0:
+                    g_s = np.einsum("cbn,cbn->bn", g_to, tz,
+                                    out=cache.buffer(("g_s", li), t.shape))
+                    g_l = g_to[d_in]
+                    g_c = np.multiply(g_l, wsq,
+                                      out=cache.buffer(("g_c", li), t.shape))
+                    g_c *= -2.0
+                    # g_to came from the layer above: update it in place to
+                    # g_Jz_i = s g_J'_i - 4 c g_L' w_i Jz_i, g_Lz = s g_L'
+                    q = np.multiply(c, g_l,
+                                    out=cache.buffer(("q", li), t.shape))
+                    q *= 4.0
+                    q = np.multiply(wj, q,
+                                    out=cache.buffer(("qj", li), wj.shape))
+                    g_to *= s
+                    g_to[:m] -= q
+                # ds/dt = -2t, dc/dt = 1 - 3t^2: g_h - 2t g_s + (1 - 3t^2) g_c,
+                # in place: g_h is this layer's own buffer (never the
+                # caller's g_u)
+                g_s *= t
+                g_s *= 2.0
+                g_h -= g_s
+                dc_dt = np.multiply(t, 3.0, out=g_s)  # g_s is spent
+                dc_dt *= t
+                g_c *= np.subtract(1.0, dc_dt, out=dc_dt)
+                g_h += g_c
+            g_z = np.multiply(g_h, s, out=g_h)
+        _batch_sum(h, g_z, dw)
+        g_z.sum(axis=0, out=db)
+        if bundle and li > 1:
+            n_in, n_out = w.shape
+            g_tz = g_to.reshape(-1, n_out)
+            _batch_sum(tan.reshape(-1, n_in), g_tz, dw)
+            out = cache.buffer(("g_tan", li), (len(g_tz), n_in))
+            if n_out == 1:  # an outer product, which einsum runs faster
+                np.einsum("rk,kn->rn", g_tz, wt, out=out)
+            else:
+                np.matmul(g_tz, wt, out=out)
+            g_to = out.reshape(tan.shape)
+        elif bundle and li == 1:
+            # input J, L come from the first layer's rank-one s W0 and
+            # -2 c W0^2 (see _rank_one_weights)
+            w0 = layers[0][0]
+            s0, c0 = records[0].s, records[0].c
+            ws, wh = cache.rank_one
+            n0, n1 = w.shape
+            g_j = cache.buffer(("rank1", "J"), (bsz, d_in * n1))
+            g_j.reshape(bsz, d_in, n1)[...] = g_to[:d_in].transpose(1, 0, 2)
+            # the cotangent of c0 @ wh: g_Lz on each weighted input's block
+            g_l = cache.buffer(("rank1", "L"), (bsz, m * n1))
+            np.einsum("ib,bk->bik", wts, g_to[d_in],
+                      out=g_l.reshape(bsz, m, n1))
+            # sg[n, i, k] = sum_b s0[b, n] g_Jz[i, b, k], likewise cg with
+            # c0 and the weighted g_Lz
+            sg = _batch_sum(s0, g_j, np.zeros((n0, d_in * n1))
+                            ).reshape(n0, d_in, n1)
+            cg = _batch_sum(c0, g_l, np.zeros((n0, m * n1))
+                            ).reshape(n0, m, n1)
+            w0m = w0[:m]
+            dw += (np.einsum("nik,in->nk", sg, w0)
+                   - 2.0 * np.einsum("nik,in->nk", cg, w0m * w0m))
+            dw0 = np.einsum("nik,nk->in", sg, w)
+            dw0[:m] -= 4.0 * w0m * np.einsum("nik,nk->in", cg, w)
+            g_s = np.matmul(g_j, ws.T, out=cache.buffer(("g_s", 0), s0.shape))
+            g_c = np.matmul(g_l, wh.T, out=cache.buffer(("g_c", 0), s0.shape))
+        elif bundle:  # li == 0
+            dw += dw0 if t is not None else g_to[:d_in].sum(axis=1)
+        if li > 0 or input_cotangent:
+            g_h = np.matmul(g_z, wt, out=cache.buffer(("g_in", li), h.shape))
+    return dtheta, g_h if input_cotangent else None
+
+
+def first_layer_outputs(widths, m, bsz, seed, mode, input_cotangent):
+    """The bytes of neural's row-blocked functions, then those of the
+    whole-array reference, on one random case of (B, d_in) inputs and
+    (B, m) Hessian weights: the bundle (u, J, L), then dtheta and g_x
+    (None without ``input_cotangent``) of two grad calls on the one record.
+    Mode "bundle" passes J/L cotangents, "plain" only g_u, and "forward"
+    fills the blocked side's workspace by ``forward`` (u alone compared)
+    and backpropagates g_u."""
+    rng = np.random.default_rng(seed)
+    net = perturbed_net(widths, seed)
+    x = rng.normal(size=(bsz, widths[0]))
+    weights = rng.uniform(size=(bsz, m))
+    cot = (rng.normal(size=(bsz, widths[-1])),)
+    if mode == "bundle":
+        cot += (rng.normal(size=(bsz, widths[0], widths[-1])),
+                rng.normal(size=(bsz, widths[-1])))
+    sides = []
+    for fwd, bwd in ((derivatives_batch, grad),
+                     (full_derivatives_batch, full_grad)):
+        ws = Workspace()
+        if mode == "forward" and fwd is derivatives_batch:
+            out = [forward(net, x, ws).tobytes()]
+        else:
+            out = [a.tobytes() for a in fwd(net, x, weights, ws)]
+            out = out[:1] if mode == "forward" else out
+        for _ in range(2):
+            dtheta, g_x = bwd(net, ws, *cot, input_cotangent=input_cotangent)
+            out += [dtheta.tobytes(), None if g_x is None else g_x.tobytes()]
+        sides.append(out)
+    return sides
+

@@ -1359,3 +1359,76 @@ def test_cli_numerical_failure_exits_two(tmp_path):
                 str(tmp_path / "o")], cwd=str(tmp_path))
     assert res.returncode == 2, res.stderr
     assert "numerical failure" in res.stderr
+
+
+# A sampled route marches each row from its time, over T - t for a value
+# and over t for safety.  A span that was no whole number of steps raised
+# SimConfig's error, which named no key and printed the span
+# (0.050000000000000044) in place of the time the config gives.
+_UNEVEN_STEPS = {
+    "mc_reduced": (
+        "estimate-value",
+        {"preset": "sys3d-value", "estimator": "mc_reduced",
+         "mc": {"dt": 0.1, "n_paths": 10}, "eval": {"time": 1.45}},
+        "eval.time 1.45 is not a whole number of mc.dt = 0.1 steps from "
+        "the horizon 1.5"),
+    "mc_full": (
+        "estimate-value",
+        {"preset": "sys3d-value", "estimator": "mc_full",
+         "mc": {"dt": 0.1, "n_paths": 10}, "eval": {"time": 1.45}},
+        "eval.time 1.45 is not a whole number of mc.dt = 0.1 steps from "
+        "the horizon 1.5"),
+    "make-dataset": (
+        "make-dataset",
+        {"preset": "sys3d-value",
+         "dataset": {"source": "mc", "dt": 0.4, "n_paths": 10}},
+        "dataset.times 0.0 is not a whole number of dataset.dt = 0.4 steps "
+        "from the horizon 1.5"),
+    "benchmark": (
+        "benchmark",
+        {"preset": "lq-scalar",
+         "benchmark": {"estimators": ["mc_reduced"], "oracle": "riccati",
+                       "n_samples": [10], "repetitions": 1,
+                       "points": [[0.5]], "dt": 0.3}},
+        "benchmark.time 0.5 is not a whole number of benchmark.dt = 0.3 "
+        "steps from the horizon 1.0"),
+}
+
+
+@pytest.mark.parametrize("case", list(_UNEVEN_STEPS))
+def test_a_step_that_does_not_divide_the_span_names_its_keys(case, tmp_path,
+                                                             capsys):
+    command, cfg, message = _UNEVEN_STEPS[case]
+    path = tmp_path / "run.yaml"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", str(path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"featpde: error: {message}"), err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key", ["batch_size", "n_states"])
+def test_a_penalty_batch_of_one_state_names_its_key(key, tmp_path, capsys):
+    # the penalty's bucket thresholds need two feature samples; the command
+    # line printed "threshold needs at least two feature samples", which
+    # named no key
+    path = tmp_path / "run.yaml"
+    path.write_text(json.dumps(
+        {"preset": "feature-ae-3d",
+         "ae": {key: 1, "epochs": 1, "iterations": 1}}))
+    out = tmp_path / "out"
+    assert cli.main(["train-features", "--config", str(path),
+                     "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"featpde: error: ae.{key} must be at least 2 "
+                          f"when ae.w_ct > 0"), err
+    assert not out.exists()
+
+
+def test_a_batch_of_one_state_trains_without_the_penalty(tmp_path):
+    cfg = {"preset": "feature-ae-3d",
+           "ae": {"batch_size": 1, "w_ct": 0.0, "epochs": 1,
+                  "iterations": 2, "encoder_hidden": [8]}}
+    arts = run(cfg, "train-features", out=str(tmp_path))
+    assert all(os.path.exists(a) for a in arts) and len(arts) == 4

@@ -6,8 +6,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from featpde import featureid, pinn
+from featpde import featureid, neural, pinn
 from featpde.errors import TrainingError, UsageError
 from featpde.featureid import AutoencoderNet, build_preimage, epsilon_default
 from featpde.neural import (
@@ -27,7 +29,8 @@ from featpde.pinn import CollocationSet
 from featpde.presets import get_preset
 
 from conftest import assert_close
-from gradient_cases import forward_with_derivatives, grad_params
+from gradient_cases import (first_layer_outputs, forward_with_derivatives,
+                            grad_params)
 
 
 # ---------------------------------------------------------- initialization
@@ -414,6 +417,69 @@ def test_autoencoder_step_allocates_no_batch_arrays():
         net, preset.system, batch, cvals, pre, cfg, caches))
     # below one (probes, first hidden width) float64 array
     assert peak < 2 * 3 * cfg.batch_size * cfg.encoder_hidden[0] * 8
+
+
+def test_penalty_workspace_keeps_one_batch_by_width_array():
+    # feature-ae-3d: 6000 probes, first hidden width 100; of the first
+    # layer only t is held whole, its s, c and cotangents in row blocks
+    preset = get_preset("feature-ae-3d")
+    cfg = preset.ae
+    batch = np.random.default_rng(4).uniform(size=(cfg.batch_size, 3))
+    net = AutoencoderNet.init(3, cfg.k, cfg.encoder_hidden, seed=0)
+    feats = net.encode(batch)
+    pre = build_preimage(batch, feats, [epsilon_default(f) for f in feats.T])
+    caches = (Workspace(), Workspace(), Workspace())
+    for _ in range(2):
+        featureid._loss_and_grad(net, preset.system, batch,
+                                 preset.cost_full(batch), pre, cfg, caches)
+    buffers = caches[2]._buffers
+    wide = 2 * 3 * cfg.batch_size * cfg.encoder_hidden[0]
+    assert [k for k, b in buffers.items() if b.size == wide] == [("z", 0)]
+    # 28.66e6 bytes measured; the whole-array first layer held 45.65e6
+    assert sum(b.nbytes for b in buffers.values()) < 30e6
+
+
+@st.composite
+def _first_layer_cases(draw):
+    """A network with a first width of 300-1000 (row-wise products on it
+    take one block) or 100-192 (they take row blocks too), a batch below,
+    at or past one block of its batch sums, and a way to call it."""
+    d_in = draw(st.integers(1, 4))
+    n0 = draw(st.one_of(st.integers(300, 1000), st.integers(100, 192)))
+    hidden = draw(st.lists(st.integers(2, 40), max_size=2))
+    widths = (d_in, n0, *hidden, draw(st.integers(1, 3)))
+    m = draw(st.integers(0, d_in))
+    n1 = widths[2]
+    rows = neural._sum_rows
+    blocks = sorted({rows(d_in, n0), rows(n0, d_in * n1), rows(n0, m * n1)})
+    kind = draw(st.sampled_from(["below", "one", "ragged"]))
+    if kind == "below":
+        bsz = draw(st.integers(1, max(1, blocks[0] - 1)))
+    elif kind == "one":
+        bsz = draw(st.sampled_from(blocks))
+    else:
+        lo = blocks[-1] + 1
+        bsz = draw(st.integers(lo, max(lo + 1, min(3 * blocks[-1],
+                                                   1_200_000 // n0)))
+                   .filter(lambda b: all(b % r for r in blocks)))
+    return (widths, m, bsz, draw(st.integers(0, 2**16)),
+            draw(st.sampled_from(["bundle", "plain", "forward"])),
+            draw(st.booleans()))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(_first_layer_cases())
+# the feature-ae-3d penalty (its reverse chain in five blocks), the PINN,
+# first widths of 150 and 600 over many blocks of every sum, and no rows
+@example(((3, 100, 10, 2), 3, 6000, 7, "bundle", False))
+@example(((3, 32, 32, 32, 1), 2, 600, 8, "bundle", False))
+@example(((4, 150, 20, 3, 2), 2, 3001, 9, "bundle", True))
+@example(((2, 150, 12, 1), 1, 2500, 10, "forward", False))
+@example(((4, 600, 30, 1), 4, 1571, 11, "bundle", True))
+@example(((2, 120, 5, 1), 1, 0, 12, "bundle", True))
+def test_blocked_first_layer_gives_the_whole_array_bytes(case):
+    blocked, whole = first_layer_outputs(*case)
+    assert blocked == whole
 
 
 @pytest.mark.parametrize("module", ["pinn", "featureid"])

@@ -46,6 +46,18 @@ for rows, m, n in json.loads(sys.argv[1]):
 print(json.dumps(out))
 """
 
+# the row-blocked first layer against the whole-array reference at the
+# feature-ae-3d penalty's shapes (6000 probes, hidden (100, 10), m = 3, J/L
+# cotangents), in five blocks; prints the sha256s of both sides' outputs
+_FIRST_LAYER = """
+import hashlib, json, sys
+sys.path.insert(0, sys.argv[1])
+from gradient_cases import first_layer_outputs
+sides = first_layer_outputs((3, 100, 10, 2), 3, 6000, 7, "bundle", False)
+print(json.dumps([[b and hashlib.sha256(b).hexdigest() for b in side]
+                  for side in sides]))
+"""
+
 # (m, n) of every batch sum the preset networks run: PINN (3, 32, 32, 32, 1)
 # with its rank-one first layer (32 x 3*32 for J, 32 x 2*32 for the two
 # weighted inputs of L), encoder (3, 100, 10, 2) with (100 x 3*10), decoder
@@ -104,3 +116,12 @@ def test_batch_sum_is_bitwise_at_one_and_two_threads(tmp_path):
                 for threads in (1, 2))
     assert len(one) == len(_SHAPES)
     assert [k for k in one if one[k] != two[k]] == []
+
+
+def test_blocked_first_layer_is_bitwise_at_one_and_two_threads(tmp_path):
+    tests = os.path.dirname(os.path.abspath(__file__))
+    runs = [json.loads(_child(_FIRST_LAYER, [tests], str(tmp_path), threads))
+            for threads in (1, 2)]
+    for blocked, whole in runs:
+        assert blocked == whole
+    assert runs[0] == runs[1]
