@@ -6,8 +6,9 @@ time-major.  ``GridRows`` forms any of those node rows from its flat
 index, for a grid too large to hold whole.  ``write_csv`` and
 ``write_grid`` write byte for byte what
 ``np.savetxt(path, body, fmt, delimiter=",", header=header, comments="")``
-writes, formatting ``_CHUNK_ROWS`` rows per ``%`` pass, so the text of a
-large table is never held in memory at once.  ``write_csv`` holds one
+writes, formatting at most ``_CHUNK_ROWS`` rows per ``%`` pass, and
+``write_csv`` at most ``4 * _CHUNK_ROWS`` cells, so the text of a long or
+wide table is never held in memory at once.  ``write_csv`` holds one
 chunk's text; ``write_grid`` holds the node text of its table, formatted
 once, plus one chunk's text; ``write_text`` writes its chunks as they
 come.  Each writer creates the directory of ``path`` if it is missing,
@@ -26,7 +27,8 @@ import numpy as np
 __all__ = ["nodes", "GridRows", "space_time", "write_csv", "write_grid",
            "write_text"]
 
-# rows formatted by one % pass: under 1 MB of text at four columns
+# rows formatted by one % pass: under 1 MB of text at four columns;
+# ``write_csv`` gives a wider body fewer, 4 * _CHUNK_ROWS cells at most
 _CHUNK_ROWS = 8192
 
 
@@ -129,14 +131,15 @@ def write_grid(path: str, axes, times, values) -> str:
     return path
 
 
-def _chunks(body):
-    """``body`` in runs of ``_CHUNK_ROWS`` rows."""
-    return (body[i:i + _CHUNK_ROWS]
-            for i in range(0, len(body), _CHUNK_ROWS))
+def _chunks(body, rows=None):
+    """``body`` in runs of ``rows`` rows, ``_CHUNK_ROWS`` by default."""
+    rows = rows or _CHUNK_ROWS
+    return (body[i:i + rows] for i in range(0, len(body), rows))
 
 
 def _write_rows(fh, body, fmt):
     fmts = [fmt] * body.shape[1] if isinstance(fmt, str) else list(fmt)
     line = ",".join(fmts) + "\n"
-    for chunk in _chunks(body):
+    rows = max(1, _CHUNK_ROWS * 4 // max(4, body.shape[1]))
+    for chunk in _chunks(body, rows):
         fh.write(line * len(chunk) % tuple(chunk.ravel().tolist()))

@@ -17,6 +17,7 @@ from functools import partial
 from typing import Callable, Optional, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import UsageError
 from .featureid import AeTrainConfig
@@ -124,7 +125,8 @@ def thousand_dim_system(stable: bool = True) -> StochasticSystem:
     returned transposed, so the drift has the bytes and the F layout of
     ``(A_bar @ x.T).T``.  The stable system negates A_bar once: negation
     is exact, so each drift row has the bits of the negated product,
-    without a pass over it."""
+    without a pass over it.  The identity diffusion is a read-only view of
+    one (2n - 1) vector, not an n x n buffer."""
     n = 1000
     indptr, indices, data = _block_coupling_matrix()
     if stable:
@@ -148,7 +150,8 @@ def thousand_dim_system(stable: bool = True) -> StochasticSystem:
         state_dim=n,
         control_dim=n,
         drift=drift,
-        diffusion_const=np.eye(n),
+        diffusion_const=sliding_window_view(
+            np.eye(1, 2 * n - 1, n - 1)[0], n)[::-1],
     )
 
 

@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import AssumptionViolationError, DomainError, UsageError
 from .neural import DenseNetwork, derivatives_batch, forward
-from .sde import ControlPolicy, StochasticSystem
+from .sde import ControlPolicy, StochasticSystem, _is_diagonal
 
 __all__ = [
     "FeatureMap",
@@ -77,17 +77,20 @@ def diffusion_diagonal(system: StochasticSystem, x):
     The generator's Ito term contracts only the Hessian diagonal against S,
     which is the full trace only when S is diagonal, so a non-diagonal S
     (checked on the first 16 states) is refused.  A constant diffusion is
-    read once and broadcast.
+    read once and broadcast; when it has no nonzero entry off its diagonal,
+    S is exactly diagonal and the check is skipped.
     """
     const = system.diffusion_const is not None
     sig = system.diffusion_const[None] if const else system.sigma_at(x)
     ss_diag = np.einsum("plc,plc->pl", sig, sig)
-    sub = sig[:16]
-    full = np.matmul(sub, sub.transpose(0, 2, 1))
-    off = full - full * np.eye(x.shape[1])
-    if np.max(np.abs(off)) > 1e-12 * (1.0 + np.abs(full).max()):
-        raise UsageError("the feature generator requires diagonal sigma "
-                         "sigma^T")
+    if not (const and _is_diagonal(system.diffusion_const)):
+        sub = sig[:16]
+        full = np.matmul(sub, sub.transpose(0, 2, 1))
+        bound = 1e-12 * (1.0 + np.abs(full).max())
+        np.einsum("pll->pl", full)[...] = 0.0  # leaves the off-diagonal
+        if np.max(np.abs(full)) > bound:
+            raise UsageError("the feature generator requires diagonal sigma "
+                             "sigma^T")
     return np.broadcast_to(ss_diag, x.shape)
 
 

@@ -99,6 +99,7 @@ class StochasticSystem:
     ``drift``: states (N, n) -> (N, n).  ``diffusion``: states (N, n) ->
     (N, n, m).  State-independent noise is a constant (n, m) array in
     ``diffusion_const`` instead, which the march takes a fast path for.
+    It may be a read-only view; featpde never writes to it.
     """
 
     state_dim: int

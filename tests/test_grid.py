@@ -1,5 +1,7 @@
 """Tensor-grid row order and the CSV writer."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -125,6 +127,24 @@ def test_write_grid_equals_savetxt_of_the_space_time_table(
                delimiter=",", header=header, comments="", fmt="%.17g")
     assert (tmp_path / "g.csv").read_bytes() == (
         tmp_path / "ref.csv").read_bytes()
+
+
+def test_a_wide_write_csv_formats_a_bounded_number_of_cells(tmp_path):
+    # 1,000 columns take 32 rows per % pass.  Formatting _CHUNK_ROWS rows
+    # at a time, these 1,000 rows went in one pass and traced 66.6 MB; in
+    # passes of 32 rows they traced 2.15 MB
+    body = _awkward(1000 * 1000, 36).reshape(1000, 1000)
+    tracemalloc.start()
+    try:
+        grid.write_csv(str(tmp_path / "got.csv"), "wide", body)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    np.savetxt(tmp_path / "ref.csv", body, delimiter=",", header="wide",
+               comments="", fmt="%.17g")
+    assert (tmp_path / "got.csv").read_bytes() == (
+        tmp_path / "ref.csv").read_bytes()
+    assert peak < 4e6
 
 
 # each writer fails after its first chunks: "%d" of nan and "%.17g" of None

@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,8 +19,8 @@ from featpde.presets import (
     thousand_dim_system,
     three_dim_system,
 )
-from featpde.reduction import generator_at
-from featpde.sde import ZeroPolicy
+from featpde.reduction import diffusion_diagonal, generator_at
+from featpde.sde import ControlPolicy, StochasticSystem, ZeroPolicy
 
 ALL_NAMES = [
     "feature-ae-3d",
@@ -214,6 +215,61 @@ def test_a_scipy_without_its_csr_kernel_names_the_path(tmp_path):
     assert "ImportError: no sparse-matrix extension module " + os.path.join(
         str(tmp_path), "scipy", "sparse", "_sparsetools") in res.stderr, \
         res.stderr
+
+
+def _traced_peak(fn):
+    tracemalloc.start()
+    try:
+        out = fn()
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_the_1000d_identity_diffusion_is_a_read_only_view():
+    # np.eye(1000) traced 8.07 MB here; the view of one (2n - 1) vector
+    # leaves 0.18 MB, which is the coupling matrix's CSR arrays
+    system, peak = _traced_peak(thousand_dim_system)
+    d = get_preset("sys1000d-value").system.diffusion_const
+    assert np.array_equal(d, np.eye(1000))
+    assert not d.flags.writeable
+    assert np.array_equal(system.diffusion_const, d)
+    assert peak < 0.5e6
+
+
+def test_building_sys1000d_raises_the_resident_set_by_under_3_mb():
+    # tracemalloc does not see the pages an n x n identity makes resident
+    # (numpy asks for huge pages on arrays of 4 MiB or more).  In a fresh
+    # interpreter, holding the preset raised VmRSS by 7.88 MB with
+    # np.eye(1000) and by 1.16 MB with the view, the same in every run.
+    # ru_maxrss would hide part of the rise under the import's own peak.
+    res = _child("from featpde.presets import get_preset\n"
+                 "def rss():\n"
+                 "    with open('/proc/self/status') as fh:\n"
+                 "        return next(int(line.split()[1]) for line in fh\n"
+                 "                    if line.startswith('VmRSS:'))\n"
+                 "before = rss()\n"
+                 "preset = get_preset('sys1000d-value')\n"
+                 "print((rss() - before) / 1024)")
+    assert res.returncode == 0, res.stderr
+    assert float(res.stdout) < 3.0
+
+
+def test_the_identity_view_gives_the_bytes_of_a_dense_identity():
+    view = get_preset("sys1000d-value").system
+    dense = StochasticSystem(1000, 1000, view.drift,
+                             diffusion_const=np.eye(1000))
+    x = np.random.default_rng(36).standard_normal((100, 1000))
+    # 0.010 MB traced with either matrix; the 16-state check this skips
+    # traced 24.0 MB on the dense one
+    got, peak = _traced_peak(lambda: diffusion_diagonal(view, x))
+    assert got.tobytes() == diffusion_diagonal(dense, x).tobytes()
+    assert peak < 1e6
+    fm = get_preset("sys1000d-value").features
+    for policy in (ZeroPolicy(1000), ControlPolicy(lambda x, t: -0.1 * x)):
+        for a, b in zip(generator_at(view, policy, fm, x),
+                        generator_at(dense, policy, fm, x)):
+            assert a.tobytes() == b.tobytes()
 
 
 def test_sys1000d_value_consistency():

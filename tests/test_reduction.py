@@ -16,6 +16,7 @@ from featpde.neural import DenseNetwork
 from featpde.reduction import (
     FeatureMap,
     build_reduced_sde,
+    diffusion_diagonal,
     feature_map_from_encoder,
     generator_at,
     level_table,
@@ -121,6 +122,22 @@ def test_generator_refuses_non_diagonal_diffusion():
     with pytest.raises(UsageError, match="diagonal sigma sigma"):
         generator_at(sys_c, ZeroPolicy(3), three_dim_features(),
                      np.zeros((4, 3)))
+
+
+@pytest.mark.parametrize("const", [True, False])
+def test_a_rotated_diffusion_passes_the_diagonal_check(const):
+    # sigma has entries off its diagonal, but sigma sigma^T has none
+    c, s = np.cos(0.3), np.sin(0.3)
+    sigma = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 2.0]])
+    if const:
+        sys_r = StochasticSystem(3, 3, np.zeros_like, diffusion_const=sigma)
+    else:
+        sys_r = StochasticSystem(3, 3, np.zeros_like, diffusion=lambda x:
+                                 np.broadcast_to(sigma, (len(x), 3, 3)))
+    x = np.zeros((20, 3))
+    got = diffusion_diagonal(sys_r, x)
+    assert got.shape == (20, 3)
+    assert np.array_equal(got[0], np.einsum("lc,lc->l", sigma, sigma))
 
 
 def test_generator_refuses_a_feature_the_noise_misses():
