@@ -40,16 +40,15 @@ pass its cotangents, are formed in row blocks aligned with those of
 :func:`_batch_sum`, so every sum adds the same blocks in the same order and
 the results are the bits the whole arrays gave (see :func:`_row_blocks`).
 
-A :class:`Workspace` holds one network's intermediates at one call site of a
-training loop: every (B, .) array of the forward call (layer outputs t, the
-tanh slopes s = 1 - t^2 and c = t s of the layers after the first, the J/L
-arrays), the cotangents of the reverse pass, and the first layer's row-block
-scratch.  Each buffer is allocated on first use and again only when its
-shape changes, so after the first step a training loop that passes the same
-workspace every step allocates no batch-sized arrays.
-What a call returns from a workspace (the values, the bundle, the input
-cotangent) is a view into it, valid until the next call with that
-workspace.  Without a workspace, :func:`forward` and
+A :class:`Workspace` holds one network's arrays at one call site of a
+training loop: a buffer for each record :func:`grad` reads (layer outputs t,
+the later layers' s and c, the J/L arrays) and each cotangent that crosses
+layers, and one scratch pool for the other temporaries (the first layer's
+row blocks, the hidden layers' g_s, g_c and q, the forward's 2c), whose
+views overlap only those of other calls.  All are allocated on first use and
+again only to grow or change shape, so a loop passing the same workspace
+every step allocates no batch-sized arrays after the first.  A call returns
+views into it, valid until its next call; without one, :func:`forward` and
 :func:`derivatives_batch` run the same operations into fresh arrays.
 
 Hidden activations are tanh, the output layer is affine.  Parameters live in
@@ -59,7 +58,9 @@ one flat float64 vector; per-layer views are provided for inspection.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -185,16 +186,12 @@ class Workspace:
 
     Pass the same workspace to :func:`forward` or :func:`derivatives_batch`
     and then to :func:`grad` at every training step.  Each call writes its
-    (B, .) intermediates into the buffers held here, allocating one only on
-    its first use or when its shape changes, so the arrays these calls
-    return are views that the next call with this workspace overwrites.
-    Of the first tanh layer only t is batch-sized: its s, c and cotangents
-    live in row-block scratch buffers here, one for each role, sized for
-    the longest block.
-    The forward call also leaves what :func:`grad` reads besides the
-    layers: the (W, b) views it ran with and, from
-    :func:`derivatives_batch`, the first layer's rank-one weights and the
-    (m, B) Hessian weights.
+    records and cross-layer cotangents into a :meth:`buffer` each and its
+    temporaries into :meth:`scratch` views of one pool, which any later call
+    may overwrite; what a call returns is a view the next call overwrites.
+    The forward call also leaves what :func:`grad` reads besides the layers:
+    the (W, b) views it ran with and, from :func:`derivatives_batch`, the
+    first layer's rank-one weights and the (m, B) Hessian weights.
     """
 
     def __init__(self):
@@ -211,6 +208,15 @@ class Workspace:
         if buf is None or buf.shape != shape:
             buf = self._buffers[key] = np.empty(shape)
         return buf
+
+    def scratch(self, *shapes):
+        """Float64 views of the pool, one per shape, which never overlap
+        each other but may overlap those of other calls."""
+        end = [0, *accumulate(map(math.prod, shapes))]
+        pool = self._buffers.get("pool")
+        if pool is None or len(pool) < end[-1]:
+            pool = self._buffers["pool"] = np.empty(end[-1])
+        return [pool[a:b].reshape(s) for a, b, s in zip(end, end[1:], shapes)]
 
 
 def _slopes(t, s, c=None):
@@ -313,14 +319,12 @@ def _row_blocks(bsz, rows, products=()):
 def _slope_blocks(cache, t, blocks, with_c=False):
     """(row slice, s, c) over the row ``blocks`` of the first layer's tanh
     output t: s = 1 - t^2 and, ``with_c``, c = t s (else None), each formed
-    in one scratch of ``cache`` sized for the longest block."""
-    shape = (max(b.stop - b.start for b in blocks), t.shape[1])
-    s_buf = cache.buffer(("s0", shape), shape)
-    c_buf = cache.buffer(("c0", shape), shape) if with_c else None
+    in one view of ``cache``'s pool sized for the longest block."""
+    k0, n0 = max(b.stop - b.start for b in blocks), t.shape[1]
+    s_buf, c_buf = cache.scratch((k0, n0), (k0 * with_c, n0))
     for blk in blocks:
         k = blk.stop - blk.start
-        yield (blk, *_slopes(t[blk], s_buf[:k],
-                             None if c_buf is None else c_buf[:k]))
+        yield blk, *_slopes(t[blk], s_buf[:k], c_buf[:k] if with_c else None)
 
 
 def forward(net: DenseNetwork, x, cache: Optional[Workspace] = None):
@@ -454,7 +458,7 @@ def derivatives_batch(net: DenseNetwork, x, weights,
         records.append(_Record(h, t, s, c, tan, tz, wj, wsq))
         # J' = s Jz and L' = s Lz on every channel, then L' -= 2 c wsq
         tan = np.multiply(tz, s, out=cache.buffer(("tan", li), tz.shape))
-        c2 = np.multiply(c, 2.0, out=cache.buffer(("c2", li), t.shape))
+        c2 = np.multiply(c, 2.0, out=cache.scratch(t.shape)[0])
         tan[d_in] -= np.multiply(c2, wsq, out=c2)
         h = t
 
@@ -473,8 +477,7 @@ def grad(net: DenseNetwork, cache: Workspace, g_u, g_J=None, g_L=None,
     weights count as constants.  With ``g_J`` and ``g_L`` both None this
     is plain backpropagation and either forward call will do; otherwise
     the workspace must come from :func:`derivatives_batch`, and a missing
-    one of the two counts as zero.  The cotangents of the hidden layers are
-    written into the workspace's buffers; the first tanh layer's are
+    one of the two counts as zero.  The first tanh layer's cotangents are
     formed in row blocks (see :func:`_first_layer_grad`).
     """
     records, layers = cache.records, cache.layers
@@ -507,21 +510,19 @@ def grad(net: DenseNetwork, cache: Workspace, g_u, g_J=None, g_L=None,
                 # J' = s Jz and L' = s Lz - 2 c wsq with c = t s, so the
                 # cotangents of s and c are g_s = sum over channels of
                 # g_T' Tz and g_c = -2 g_L' wsq
-                g_s = np.einsum("cbn,cbn->bn", g_to, tz,
-                                out=cache.buffer(("g_s", li), t.shape))
+                g_s, g_c, q, qj = cache.scratch(*[t.shape] * 3, wj.shape)
+                np.einsum("cbn,cbn->bn", g_to, tz, out=g_s)
                 g_l = g_to[d_in]
-                g_c = np.multiply(g_l, wsq,
-                                  out=cache.buffer(("g_c", li), t.shape))
+                np.multiply(g_l, wsq, out=g_c)
                 g_c *= -2.0
                 # g_to came from the layer above: update it in place to
                 # g_Jz_i = s g_J'_i - 4 c g_L' w_i Jz_i, g_Lz = s g_L'
-                q = np.multiply(c, g_l, out=cache.buffer(("q", li), t.shape))
+                np.multiply(c, g_l, out=q)
                 q *= 4.0
-                q = np.multiply(wj, q, out=cache.buffer(("qj", li), wj.shape))
+                q = np.multiply(wj, q, out=qj)
                 g_to *= s
                 g_to[:m] -= q
-                # in place: g_h is this layer's own buffer (never the
-                # caller's g_u)
+                # in place: g_h is this layer's buffer, never the caller's g_u
                 _slope_chain(t, g_h, g_s, g_c)
             g_z = np.multiply(g_h, s, out=g_h)
         _batch_sum(h, g_z, dw)
@@ -609,9 +610,8 @@ def _first_layer_grad(cache, w, dparams, g_up, wt_up, dw_rank,
     # product), so db stays a pairwise sum over all rows, as it was
     blocks = _row_blocks(bsz, _sum_rows(h.shape[1], n0), products)
     k0 = max(b.stop - b.start for b in blocks)
-    carry = cache.buffer(("g_z", 0), (k0 + 1, n0))
-    g_s_buf = cache.buffer(("g_s", 0), (k0, n0))
-    g_c_buf = cache.buffer(("g_c", 0), (k0, n0)) if bundle else None
+    carry, g_s_buf, g_c_buf = cache.scratch((k0 + 1, n0), (k0, n0),
+                                            (k0 * bundle, n0))
     for blk in blocks:
         k = blk.stop - blk.start
         g_h = np.matmul(g_up[blk], wt_up, out=carry[1:k + 1])

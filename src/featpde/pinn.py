@@ -323,6 +323,7 @@ def train(problem: PdeProblem, data: Optional[TrainingDataset],
     turns non-finite.  From the second epoch on, one helper thread computes
     the data term while this thread computes the physics term; the result
     does not depend on it, and it is joined before this returns or raises.
+    The closing entry is then computed by the terms in their workspaces.
     """
     k = problem.k
     use_data = cfg.omega_d > 0
@@ -397,9 +398,11 @@ def train(problem: PdeProblem, data: Optional[TrainingDataset],
                 break
             net.theta = theta
 
-    # closing log entry: final losses, or the restored checkpoint's losses
-    lp = physics_loss(net, problem, colloc) if use_phys else 0.0
-    ld = data_loss(net, data) if use_data else 0.0
+    # closing log entry: final losses, or the restored checkpoint's losses;
+    # a NaN weight leaves out the terms' gradients
+    lp = _physics_term(net, problem, colloc_inputs, coeffs, np.nan,
+                       caches[0])[0]
+    ld = _data_term(net, full_data_inputs, full_targets, np.nan, caches[1])[0]
     closing = cfg.epochs if aborted is None else checkpoint_epoch
     if not log or log[-1][0] != closing:
         log.append((closing, lp, ld))

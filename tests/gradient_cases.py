@@ -17,6 +17,8 @@ array per step, the central-difference feature derivatives of
 ``full_grad``, the network's derivative bundle and its reverse pass with
 the first layer's s, c and cotangents held as whole (B, width) arrays,
 which the row-blocked ``neural`` functions must match bit for bit.
+``workspace_bytes`` splits a workspace's bytes into records, cross-layer
+cotangents and scratch pool for the memory tests.
 """
 
 import json
@@ -66,6 +68,27 @@ def rel_dev(actual, expected):
 def workspaces(n):
     """``n`` fresh workspaces, one per call site of a training loss."""
     return tuple(Workspace() for _ in range(n))
+
+
+def workspace_bytes(ws):
+    """The bytes of ``ws``'s buffers as {"records", "cotangents", "pool"}:
+    the cotangents that cross layers (keys ("g_tan", .) and ("g_in", .)),
+    the scratch pool, and every other buffer, the forward records with the
+    Hessian weights and the rank-one J/L products among them."""
+    split = dict(records=0, cotangents=0, pool=0)
+    for key, buf in ws._buffers.items():
+        part = ("pool" if key == "pool" else "cotangents"
+                if isinstance(key, tuple) and key[0] in ("g_tan", "g_in")
+                else "records")
+        split[part] += buf.nbytes
+    return split
+
+
+def workspace_layout(ws):
+    """{key: (shape, data address)} of ``ws``'s buffers: equal before and
+    after a step when the step added and reallocated no buffer."""
+    return {key: (buf.shape, buf.ctypes.data)
+            for key, buf in ws._buffers.items()}
 
 
 def perturbed_net(widths, seed):

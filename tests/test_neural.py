@@ -29,6 +29,7 @@ from featpde.pinn import CollocationSet
 from featpde.presets import get_preset
 
 from conftest import assert_close
+import gradient_cases as gc
 from gradient_cases import (first_layer_outputs, forward_with_derivatives,
                             grad_params)
 
@@ -419,6 +420,18 @@ def test_autoencoder_step_allocates_no_batch_arrays():
     assert peak < 2 * 3 * cfg.batch_size * cfg.encoder_hidden[0] * 8
 
 
+def _warm_workspace_bytes(step, cache):
+    """The byte split (``gradient_cases.workspace_bytes``) of ``cache``
+    after two calls of ``step``, asserting that a third adds and
+    reallocates none of its buffers."""
+    step()
+    step()
+    layout = gc.workspace_layout(cache)
+    step()
+    assert gc.workspace_layout(cache) == layout
+    return gc.workspace_bytes(cache)
+
+
 def test_penalty_workspace_keeps_one_batch_by_width_array():
     # feature-ae-3d: 6000 probes, first hidden width 100; of the first
     # layer only t is held whole, its s, c and cotangents in row blocks
@@ -429,14 +442,31 @@ def test_penalty_workspace_keeps_one_batch_by_width_array():
     feats = net.encode(batch)
     pre = build_preimage(batch, feats, [epsilon_default(f) for f in feats.T])
     caches = (Workspace(), Workspace(), Workspace())
-    for _ in range(2):
-        featureid._loss_and_grad(net, preset.system, batch,
-                                 preset.cost_full(batch), pre, cfg, caches)
+    split = _warm_workspace_bytes(lambda: featureid._loss_and_grad(
+        net, preset.system, batch, preset.cost_full(batch), pre, cfg, caches),
+        caches[2])
     buffers = caches[2]._buffers
     wide = 2 * 3 * cfg.batch_size * cfg.encoder_hidden[0]
     assert [k for k, b in buffers.items() if b.size == wide] == [("z", 0)]
-    # 28.66e6 bytes measured; the whole-array first layer held 45.65e6
-    assert sum(b.nbytes for b in buffers.values()) < 30e6
+    # 22.86e6 bytes measured (records 15.50e6, cotangents 2.78e6, pool
+    # 4.57e6); 28.66e6 with a buffer for each temporary's role, 45.65e6
+    # with the whole-array first layer
+    assert sum(split.values()) < 23e6, split
+
+
+def test_pinn_physics_workspace_holds_its_temporaries_in_one_pool():
+    # sys3d-value shapes: 600 collocation points, widths (32, 32, 32)
+    problem = get_preset("sys3d-value").pde_problem()
+    colloc = CollocationSet.sample(problem.domain, problem.horizon, 600, 0)
+    coeffs = (problem.drift(colloc.xi), problem.diffusion_diag(colloc.xi),
+              problem.reaction(colloc.xi))
+    net = DenseNetwork.init((3, 32, 32, 32, 1), seed=0)
+    cache = Workspace()
+    split = _warm_workspace_bytes(lambda: pinn._physics_term(
+        net, problem, colloc.inputs(), coeffs, 1.0, cache), cache)
+    # 7.58e6 bytes measured (records 5.26e6, cotangents 1.56e6, pool
+    # 0.77e6); 9.42e6 with a buffer for each temporary's role
+    assert sum(split.values()) < 8e6, split
 
 
 @st.composite

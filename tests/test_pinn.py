@@ -2,6 +2,7 @@
 
 import math
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -545,3 +546,34 @@ def test_training_joins_its_helper_when_a_term_raises(monkeypatch):
     # the first epoch runs both terms on the calling thread; the fixture
     # no_stray_threads checks that the helper was joined
     assert calls[0] == threading.current_thread().name
+
+
+def test_training_peak_is_its_two_workspaces(monkeypatch):
+    # sys3d-value shapes: 600 collocation points, widths (32, 32, 32), and
+    # 1,764 data rows; the closing losses run in the training workspaces
+    made = []
+
+    class Recorded(pinn.Workspace):
+        def __init__(self):
+            super().__init__()
+            made.append(self)
+
+    monkeypatch.setattr(pinn, "Workspace", Recorded)
+    ax = np.linspace(1.0, 2.0, 21)
+    times = np.linspace(0.0, 1.5, 4)
+    g1, g2 = np.meshgrid(ax, ax, indexing="ij")
+    vals = np.stack([np.exp(-t * (g1 + 0.5 * g2) / 3.0) for t in times])
+    data = TrainingDataset.from_grid([ax, ax], times, vals)
+    problem = get_preset("sys3d-value").pde_problem()
+    tracemalloc.start()
+    try:
+        train(problem, data, PinnConfig(epochs=3, seed=0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    held = sum(sum(gc.workspace_bytes(ws).values()) for ws in made)
+    # the peak exceeded the workspaces' 11.66e6 bytes by 0.39e6-1.18e6
+    # (the higher in a process's first training), and by 6.23e6-6.98e6
+    # when the closing losses ran the bundle and forward into fresh arrays
+    assert len(made) == 2
+    assert peak < held + 2e6, (peak, held)
